@@ -166,7 +166,7 @@ class BenchReport {
     auto b = [](bool v) { return v ? "true" : "false"; };
     o << "{\"execute_ms\":" << Num(t.execute_ms)
       << ",\"optimize_ms\":" << Num(t.optimize_ms)
-      << ",\"jit_compile_ms\":" << Num(t.jit_compile_ms)
+      << ",\"compile_ms\":" << Num(t.compile_ms)
       << ",\"used_jit\":" << b(t.used_jit) << ",\"jit_parallel\":" << b(t.jit_parallel)
       << ",\"jit_cache_hit\":" << b(t.jit_cache_hit)
       << ",\"threads_used\":" << t.threads_used << ",\"morsels\":" << t.morsels
@@ -427,8 +427,8 @@ inline double ShardedMs(int shards, const std::string& query) {
 
 /// Cold-vs-warm compiled-query-cache measurement: executes `query` twice on
 /// a fresh JIT engine and reports the compile cost of each run. The cold run
-/// compiles (jit_compile_ms > 0, cache miss); the warm run must be served by
-/// the compiled-query cache (jit_cache_hit, jit_compile_ms ~ 0) — the bench
+/// compiles (compile_ms > 0, cache miss); the warm run must be served by
+/// the compiled-query cache (jit_cache_hit, compile_ms ~ 0) — the bench
 /// aborts if it is not, so a cache regression fails loudly instead of
 /// silently re-paying compile cost. `warm_runs` extra executions let callers
 /// amortize noise; the hit is asserted on every one.
@@ -442,7 +442,8 @@ struct ColdWarmCompile {
 inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1) {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
-  auto run = [&]() -> const QueryTelemetry& {
+  // By value: telemetry() returns a copy, so a reference would dangle.
+  auto run = [&]() -> QueryTelemetry {
     auto r = engine.Execute(query);
     if (!r.ok()) {
       fprintf(stderr, "proteus cache bench: %s\n  %s\n", query.c_str(),
@@ -457,7 +458,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
     fprintf(stderr, "cache bench: cold run expected a JIT compile: %s\n", query.c_str());
     std::abort();
   }
-  out.cold_compile_ms = cold.jit_compile_ms;
+  out.cold_compile_ms = cold.compile_ms;
   for (int i = 0; i < warm_runs; ++i) {
     const QueryTelemetry& warm = run();
     if (!warm.jit_cache_hit) {
@@ -465,7 +466,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
               query.c_str());
       std::abort();
     }
-    out.warm_compile_ms += warm.jit_compile_ms;
+    out.warm_compile_ms += warm.compile_ms;
   }
   out.warm_compile_ms /= warm_runs;
   const auto stats = engine.jit_cache()->stats();

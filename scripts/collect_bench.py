@@ -32,7 +32,7 @@ SCHEMA_VERSION = 1
 TELEMETRY_FIELDS = {
     "execute_ms": (int, float),
     "optimize_ms": (int, float),
-    "jit_compile_ms": (int, float),
+    "compile_ms": (int, float),
     "used_jit": bool,
     "jit_parallel": bool,
     "jit_cache_hit": bool,

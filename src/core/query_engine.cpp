@@ -280,8 +280,8 @@ void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
     return;
   }
   m->GetHistogram("proteus_query_latency_ms")->Observe(tel.execute_ms);
-  if (tel.jit_compile_ms > 0) {
-    m->GetHistogram("proteus_compile_ms")->Observe(tel.jit_compile_ms);
+  if (tel.compile_ms > 0) {
+    m->GetHistogram("proteus_compile_ms")->Observe(tel.compile_ms);
   }
   if (tel.used_jit) {
     m->GetCounter(tel.jit_cache_hit ? "proteus_jit_cache_hits_total"
@@ -305,11 +305,11 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
   auto t0 = std::chrono::steady_clock::now();
   // Sharded routing: num_shards >= 1 is an explicit opt-in, so shardable
   // plans go through the coordinator ahead of the JIT/interpreter choice.
-  // Non-shardable plans (outer joins, Nest mid-chain) fall through to the
-  // normal paths below. In JIT mode each shard runs the plan's
-  // morsel-parameterized generated pipelines over its slice (interpreter
-  // partials for plans outside the generated fast path — bit-identical
-  // either way).
+  // Non-shardable plans (outer chain joins, a mid-chain Nest driving the
+  // main chain) fall through to the normal paths below. In JIT mode each
+  // shard runs the plan's morsel-parameterized generated pipelines over its
+  // slice (interpreter partials for plans outside the generated fast path —
+  // bit-identical either way).
   if (opts_.num_shards >= 1 && ShardCoordinator::PlanIsShardable(physical)) {
     ShardCoordinator coordinator(ctx, opts_.num_shards, opts_.num_threads,
                                  opts_.mode == ExecMode::kJIT);
@@ -335,8 +335,7 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     // disabled (jit_cache_capacity = 0) no per-shard compile cost is
     // observable, so compile telemetry honestly stays at its zeros and
     // jit_cache_hit stays false — there is no cache to hit.
-    tel.jit_compile_ms = shard_stats.jit_compile_ms;
-    tel.compile_ms = shard_stats.jit_compile_ms;
+    tel.compile_ms = shard_stats.compile_ms;
     tel.jit_cache_hit = ctx.jit_cache != nullptr && shard_stats.jit_shards > 0 &&
                                shard_stats.jit_compiles == 0 && shard_stats.jit_cache_hits > 0;
     // Compiles run inside the fan-out (single-flight: at most one per plan),
@@ -353,16 +352,14 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
   // Tiered routing (opt-in): the cold query starts on the interpreter
   // immediately while its module compiles on the background thread, and
   // hot-swaps to generated code at a morsel boundary; warm queries run as
-  // pure generated code from morsel 0. Plans the controller declines (outer
-  // joins in the chain, shapes outside the morsel driver) fall through to
-  // the normal routes below.
+  // pure generated code from morsel 0. Plans the controller declines (the
+  // non-shardable shapes) fall through to the normal routes below.
   if (ctx.tiered != nullptr) {
     jit::TieredRunStats ts;
     auto partials = jit::RunTiered(ctx, physical, 0, 0, /*whole_plan=*/true, &ts);
     if (partials.ok()) {
-      const OpPtr& top = physical->child(0);
-      const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-      auto result = FinalizePlanPartials(*physical, nest, std::move(*partials), ctx.trace);
+      auto result =
+          FinalizePlanPartials(*physical, RootNest(physical), std::move(*partials), ctx.trace);
       tel.used_jit = ts.morsels_jit > 0;
       tel.jit_parallel = ts.morsels_jit > 0;
       tel.compile_tier = ts.compile_tier;
@@ -377,7 +374,6 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
       // compile_ms reports the background compile this run observed
       // (0 when warm, or when the compile outlived the query).
       tel.compile_ms = ts.compile_ms;
-      tel.jit_compile_ms = ts.compile_ms;
       tel.execute_ms = MsSince(t0);
       tel.morsels = ts.morsels_interpreted + ts.morsels_jit;
       tel.threads_used = opts_.num_threads;
@@ -395,29 +391,23 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     // Not chunk-decomposable: keep the normal JIT/interpreter routing.
   }
   if (opts_.mode == ExecMode::kJIT) {
+    // The generated code is morsel-driven for every plan and thread count —
+    // num_threads == 1 runs the same morsel frame on one worker, so the
+    // thread count can never change the result.
     JitExecutor jit(ctx);
-    // Parallel JIT pipelines for morsel-drivable plans: the generated code
-    // itself is morsel-driven, for every thread count — num_threads == 1
-    // runs the same morsel frame on one worker, so the thread count can
-    // never change the result. Other shapes keep the legacy whole-relation
-    // generated engine (single-threaded; they gain nothing from workers).
-    const bool parallel = PlanIsMorselParallelizable(physical);
     InterpExecutor::ExecStats stats;
-    auto result = parallel ? jit.ExecuteParallel(physical, &stats) : jit.Execute(physical);
+    auto result = jit.Execute(physical, &stats);
     if (result.ok()) {
       tel.used_jit = true;
-      tel.jit_parallel = parallel;
+      tel.jit_parallel = true;
       // The served module's tier — 1 normally, 2 when a background
       // promotion already swapped the aggressive module behind this key.
       tel.compile_tier =
           jit.last_module() != nullptr ? jit.last_module()->tier : 1;
       tel.ir_verified = jit.last_module() != nullptr && jit.last_module()->ir_verified;
-      if (parallel) {
-        tel.threads_used = stats.threads_used;
-        tel.morsels = stats.morsels;
-      }
+      tel.threads_used = stats.threads_used;
+      tel.morsels = stats.morsels;
       tel.compile_ms = jit.last_compile_ms();
-      tel.jit_compile_ms = jit.last_compile_ms();
       tel.jit_cache_hit = jit.last_cache_hit();
       tel.execute_ms = MsSince(t0) - tel.compile_ms;
       ir = jit.last_ir();
@@ -431,7 +421,6 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     // way the success path does so fallback runs stop folding it into
     // execute_ms with compile_ms stuck at 0.
     tel.compile_ms = jit.last_compile_ms();
-    tel.jit_compile_ms = jit.last_compile_ms();
   }
   InterpExecutor interp(ctx);
   auto result = interp.Execute(physical);

@@ -12,7 +12,7 @@
 // monoid calculus -> normalize -> nested relational algebra -> optimize
 // (pushdowns, join order via plug-in stats) -> cache matching -> code
 // generation (LLVM) -> execution. Plans outside the JIT's fast path fall
-// back to the Volcano interpreter transparently.
+// back to the (morsel-driven) Volcano interpreter transparently.
 #pragma once
 
 #include <atomic>
@@ -70,7 +70,7 @@ struct EngineOptions {
   /// share the engine's one instance, so N shards of one plan compile it
   /// exactly once). 0 disables the cache: every execution recompiles, the
   /// pre-cache behavior. Results are identical either way — only compile
-  /// time (QueryTelemetry::jit_compile_ms) changes.
+  /// time (QueryTelemetry::compile_ms) changes.
   size_t jit_cache_capacity = 32;
   /// Tiered execution (opt-in): cold queries start on the morsel-parallel
   /// interpreter immediately while their module compiles on a background
@@ -120,12 +120,13 @@ struct EngineOptions {
 /// Telemetry for the last executed query.
 struct QueryTelemetry {
   double optimize_ms = 0;
-  double compile_ms = 0;   ///< LLVM IR generation + compilation (0 on a cache hit)
-  /// Per-execution JIT compile cost: equals compile_ms on a miss, ~0 on a
-  /// compiled-query-cache hit (no IR is generated at all). Sharded runs
-  /// report the summed compile time their shards actually spent — with the
-  /// shared cache that is one compile for all shards, or 0 when warm.
-  double jit_compile_ms = 0;
+  /// Per-execution JIT compile cost (LLVM IR generation + compilation): 0 on
+  /// a compiled-query-cache hit (no IR is generated at all); a failed
+  /// attempt before an interpreter fallback still reports its cost. Sharded
+  /// runs report the summed compile time their shards actually spent — with
+  /// the shared cache that is one compile for all shards, or 0 when warm.
+  /// Tiered runs report the background compile they consumed.
+  double compile_ms = 0;
   /// The last JIT execution was served by the compiled-query cache without
   /// compiling. Sharded runs report true when every shard was served warm;
   /// always false when the cache is disabled (jit_cache_capacity = 0).
@@ -137,14 +138,16 @@ struct QueryTelemetry {
   double execute_ms = 0;
   double cache_build_ms = 0;
   bool used_jit = false;
-  /// Generated pipelines ran morsel-parallel (range-parameterized functions
-  /// over the Split() decomposition). True whenever the parallel JIT path
-  /// executed — including at num_threads == 1, which drives the same morsel
-  /// frame on one worker so results cannot depend on the thread count.
+  /// Generated pipelines ran morsel-parallel. Every generated engine is
+  /// morsel-driven, so this always equals used_jit; it stays because the
+  /// benchmark harness (perfbench/) reads it to name the route.
   bool jit_parallel = false;
   bool used_cache = false;
   int threads_used = 1;    ///< workers that executed the plan (interpreter or parallel JIT)
-  uint64_t morsels = 0;    ///< morsels driven through parallel pipelines (0 = serial)
+  /// Morsels driven through the plan's pipelines. Never 0 for an executed
+  /// query: every plan runs as morsel pipelines, and an empty input still
+  /// drives one empty morsel.
+  uint64_t morsels = 0;
   int shards_used = 0;     ///< shard executors that ran the plan (0 = unsharded)
   uint64_t bytes_exchanged = 0;  ///< serialized partial-result bytes shard→coordinator
   /// Optimization tier of the generated code that ran morsels this query:

@@ -1,4 +1,6 @@
-// Monoid accumulators shared by the Reduce and Nest interpreters.
+// Monoid accumulators: the one fold behind every Reduce and Nest partial
+// sink — the interpreter's, and the generated engine's boxed per-morsel
+// sinks (partial_sink.h).
 #pragma once
 
 #include <memory>
@@ -10,8 +12,8 @@
 
 namespace proteus {
 
-/// Folds values into one monoid. Value-boxed (interpreter path); the JIT
-/// engine keeps accumulators in registers instead.
+/// Folds values into one monoid. Value-boxed; generated code keeps scalar
+/// accumulators in registers and installs them per morsel (LoadScalar).
 class Aggregator {
  public:
   explicit Aggregator(Monoid m) : monoid_(m) {}
@@ -62,15 +64,6 @@ class Aggregator {
 
   /// The folded result; the monoid's zero element if nothing was added.
   Value Final() const;
-
-  /// kSet only: adds `v` unless an equal item exists; returns whether it was
-  /// added. Exposed so the JIT's legacy whole-relation set sink shares the
-  /// one dedup implementation instead of growing its own.
-  bool InsertDistinct(Value v) {
-    if (!InsertSetItem(std::move(v))) return false;
-    seen_ = true;
-    return true;
-  }
 
   /// Encodes the complete accumulator state (monoid included) so a partial
   /// aggregate can cross the shard wire; Deserialize rebuilds an accumulator

@@ -35,12 +35,11 @@ namespace {
 // Scan
 // ---------------------------------------------------------------------------
 
+/// Scans the OIDs of one morsel `range` (clamped to the relation).
 class ScanCursor : public Cursor {
  public:
-  ScanCursor(const ExecContext& ctx, const Operator& op) : ctx_(ctx), op_(op) {}
-  /// Morsel variant: scans only OIDs in `range`.
   ScanCursor(const ExecContext& ctx, const Operator& op, ScanRange range)
-      : ctx_(ctx), op_(op), range_{range.begin, range.end} {}
+      : ctx_(ctx), op_(op), range_(range) {}
 
   Status Open() override {
     PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx_.catalog->Get(op_.dataset()));
@@ -69,7 +68,7 @@ class ScanCursor : public Cursor {
 
   const ExecContext& ctx_;
   const Operator& op_;
-  ScanRange range_{0, UINT64_MAX};
+  ScanRange range_;
   InputPlugin* plugin_ = nullptr;
   std::vector<FieldPath> fields_;
   uint64_t n_ = 0;
@@ -131,8 +130,8 @@ class LenientScanCursor : public ScanCursor {
 // CacheScan
 // ---------------------------------------------------------------------------
 
-/// Cache-block lookup shared by the serial cursor and the morsel splitter,
-/// so both resolve (and report) blocks identically.
+/// Cache-block lookup shared by the cursor and the morsel splitter, so both
+/// resolve (and report) blocks identically.
 Result<std::shared_ptr<const CacheBlock>> ResolveCacheBlock(const ExecContext& ctx,
                                                             uint64_t cache_id) {
   if (ctx.caches == nullptr) return Status::Internal("cache scan without CachingManager");
@@ -143,12 +142,11 @@ Result<std::shared_ptr<const CacheBlock>> ResolveCacheBlock(const ExecContext& c
   return block;
 }
 
+/// Reads the block rows of one morsel `range` (clamped to the block).
 class CacheScanCursor : public Cursor {
  public:
-  CacheScanCursor(const ExecContext& ctx, const Operator& op) : ctx_(ctx), op_(op) {}
-  /// Morsel variant: reads only block rows in `range`.
   CacheScanCursor(const ExecContext& ctx, const Operator& op, ScanRange range)
-      : ctx_(ctx), op_(op), range_{range.begin, range.end} {}
+      : ctx_(ctx), op_(op), range_(range) {}
 
   Status Open() override {
     PROTEUS_ASSIGN_OR_RETURN(block_, ResolveCacheBlock(ctx_, op_.cache_id()));
@@ -242,7 +240,7 @@ class CacheScanCursor : public Cursor {
  private:
   const ExecContext& ctx_;
   const Operator& op_;
-  ScanRange range_{0, UINT64_MAX};
+  ScanRange range_;
   std::shared_ptr<const CacheBlock> block_;  ///< shared: survives eviction mid-query
   std::vector<FieldPath> fields_;
   InputPlugin* plugin_ = nullptr;
@@ -342,9 +340,8 @@ class UnnestCursorOp : public Cursor {
 // Join (radix hash for equi-joins, block nested loop otherwise)
 // ---------------------------------------------------------------------------
 
-/// A materialized join build side. The serial JoinCursorOp fills one during
-/// Open(); the morsel executor fills one up front and shares it read-only
-/// across all worker pipelines.
+/// A materialized join build side, filled once up front and shared
+/// read-only across all worker pipelines.
 struct SharedJoinBuild {
   std::vector<EvalEnv> rows;
   std::vector<Value> keys;  ///< parallel to rows when has_key
@@ -352,10 +349,9 @@ struct SharedJoinBuild {
   bool has_key = false;
 };
 
-/// Match set of `probe_row` against a build side — the probe semantics
-/// shared verbatim by the serial and morsel join cursors (equi probe via
-/// the radix table with key-equality check; nested loop otherwise). A null
-/// probe key matches nothing.
+/// Match set of `probe_row` against a build side (equi probe via the radix
+/// table with key-equality check; nested loop otherwise). A null probe key
+/// matches nothing.
 Status FindJoinMatches(const Operator& op, const SharedJoinBuild& build,
                        const EvalEnv& probe_row, std::vector<uint32_t>* matches) {
   matches->clear();
@@ -383,117 +379,25 @@ Result<bool> EmitJoinRow(const Operator& op, const SharedJoinBuild& build, uint3
   return EvalPredicate(op.pred(), *row);
 }
 
-class JoinCursorOp : public Cursor {
- public:
-  JoinCursorOp(std::unique_ptr<Cursor> left, std::unique_ptr<Cursor> right, const Operator& op)
-      : left_(std::move(left)), right_(std::move(right)), op_(op) {
-    CollectBoundVars(op_.child(1), &right_vars_);
-  }
-
-  Status Open() override {
-    PROTEUS_RETURN_NOT_OK(left_->Open());
-    PROTEUS_RETURN_NOT_OK(right_->Open());
-    // Build phase: materialize the left (build) side.
-    build_.has_key = op_.left_key() != nullptr;
-    build_.table.set_partitioned(op_.join_strategy() == JoinStrategy::kPartitioned);
-    EvalEnv row;
-    while (true) {
-      PROTEUS_ASSIGN_OR_RETURN(bool has, left_->Next(&row));
-      if (!has) break;
-      if (build_.has_key) {
-        PROTEUS_ASSIGN_OR_RETURN(Value k, Eval(op_.left_key(), row));
-        if (k.is_null()) {
-          // Null keys never match; outer joins still keep the row so the
-          // unmatched drain can emit it.
-          if (op_.outer()) {
-            build_.rows.push_back(row);
-            build_.keys.push_back(Value::Null());
-          }
-          continue;
-        }
-        build_.table.Insert(k.Hash(), static_cast<uint32_t>(build_.rows.size()));
-        build_.rows.push_back(row);
-        build_.keys.push_back(std::move(k));
-      } else {
-        build_.rows.push_back(row);
-      }
-      GlobalCounters().bytes_materialized += 64;  // boxed row estimate
-    }
-    if (build_.has_key) build_.table.Build();
-    matched_.assign(build_.rows.size(), false);
-    return Status::OK();
-  }
-
-  Result<bool> Next(EvalEnv* row) override {
-    GlobalCounters().virtual_calls++;
-    while (true) {
-      if (match_pos_ < matches_.size()) {
-        uint32_t idx = matches_[match_pos_++];
-        PROTEUS_ASSIGN_OR_RETURN(bool pass, EmitJoinRow(op_, build_, idx, probe_row_, row));
-        if (!pass) continue;
-        matched_[idx] = true;
-        return true;
-      }
-      if (drain_unmatched_) {
-        while (unmatched_pos_ < build_.rows.size() && matched_[unmatched_pos_]) {
-          ++unmatched_pos_;
-        }
-        if (unmatched_pos_ >= build_.rows.size()) return false;
-        *row = build_.rows[unmatched_pos_++];
-        for (const auto& v : right_vars_) (*row)[v] = Value::Null();
-        return true;
-      }
-      PROTEUS_ASSIGN_OR_RETURN(bool has, right_->Next(&probe_row_));
-      if (!has) {
-        if (op_.outer()) {
-          drain_unmatched_ = true;
-          continue;
-        }
-        return false;
-      }
-      match_pos_ = 0;
-      PROTEUS_RETURN_NOT_OK(FindJoinMatches(op_, build_, probe_row_, &matches_));
-    }
-  }
-
- private:
-  std::unique_ptr<Cursor> left_, right_;
-  const Operator& op_;
-  std::vector<std::string> right_vars_;
-  SharedJoinBuild build_;
-  std::vector<bool> matched_;
-  EvalEnv probe_row_;
-  std::vector<uint32_t> matches_;
-  size_t match_pos_ = 0;
-  bool drain_unmatched_ = false;
-  size_t unmatched_pos_ = 0;
-};
-
 // ---------------------------------------------------------------------------
-// Nest (hash grouping) — GroupTable and NestBinding live in partial_sink.h,
+// Nest as a driver leaf — GroupTable and NestBinding live in partial_sink.h,
 // shared with the shard subsystem, which serializes per-morsel group tables
 // across the shard boundary.
 // ---------------------------------------------------------------------------
 
-class NestCursorOp : public Cursor {
+/// Emits the group records of one morsel `range` of a folded mid-chain
+/// Nest's group table (clamped to the group count), in group order.
+class GroupCursor : public Cursor {
  public:
-  NestCursorOp(std::unique_ptr<Cursor> child, const Operator& op)
-      : child_(std::move(child)), op_(op) {}
+  GroupCursor(const GroupTable& groups, const Operator& op, ScanRange range)
+      : groups_(groups), op_(op), pos_(range.begin),
+        end_(std::min<uint64_t>(range.end, groups.keys.size())) {}
 
-  Status Open() override {
-    PROTEUS_RETURN_NOT_OK(child_->Open());
-    EvalEnv row;
-    while (true) {
-      PROTEUS_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-      if (!has) break;
-      PROTEUS_RETURN_NOT_OK(groups_.AddRow(op_, row));
-    }
-    return Status::OK();
-  }
+  Status Open() override { return Status::OK(); }
 
   Result<bool> Next(EvalEnv* row) override {
     GlobalCounters().virtual_calls++;
-    if (pos_ >= groups_.keys.size()) return false;
+    if (pos_ >= end_) return false;
     row->clear();
     (*row)[NestBinding(op_)] = groups_.GroupRecord(op_, pos_);
     ++pos_;
@@ -501,27 +405,31 @@ class NestCursorOp : public Cursor {
   }
 
  private:
-  std::unique_ptr<Cursor> child_;
+  const GroupTable& groups_;
   const Operator& op_;
-  GroupTable groups_;
-  size_t pos_ = 0;
+  uint64_t pos_;
+  uint64_t end_;
 };
 
 // ---------------------------------------------------------------------------
 // Morsel-driven parallel execution (Leis et al., adapted to this engine)
 //
-// Eligible plans are chains of Select / Unnest / Join ops between the
-// Reduce root (optionally through one Nest directly under it) and a
-// splittable Scan or CacheScan leaf. Join build sides are materialized once
-// up front — themselves morsel-parallel when their shape allows — into
-// SharedJoinBuild structures that worker pipelines probe read-only. The
-// driver leaf is split into morsels via the plug-in Split() API; each morsel
-// runs a private pipeline instance feeding a per-morsel partial sink
-// (Reduce accumulators or Nest group tables), merged in morsel order.
-// Outer joins track per-morsel matched-build bitmaps, OR-merged after the
-// probe morsels; the unmatched build rows then drain — serially, once —
-// through the ops above the join into a trailing partial slot, reproducing
-// the serial cursor's emission order.
+// Every plan runs as pipeline regions: chains of Select / Unnest / Join ops
+// between the Reduce root (optionally through one Nest directly under it)
+// and a driver leaf — a splittable Scan or CacheScan, or a mid-chain Nest.
+// Blocking operators split regions. Join build sides are materialized once
+// up front — themselves as pipeline regions — into SharedJoinBuild
+// structures that worker pipelines probe read-only. A mid-chain Nest is a
+// pipeline breaker too: its input region folds first into one GroupTable,
+// and the region above is driven over that table's groups. The driver leaf
+// is split into morsels (plug-in Split() for raw scans, an even split of
+// cache rows or groups otherwise); each morsel runs a private pipeline
+// instance feeding a per-morsel partial sink (Reduce accumulators or Nest
+// group tables), merged in morsel order. Outer joins track per-morsel
+// matched-build bitmaps, OR-merged after the probe morsels; the unmatched
+// build rows then drain — serially, once — through the ops above the join
+// into a trailing partial slot: probe stream first, then unmatched build
+// rows, bottom-up.
 //
 // Determinism: morsel boundaries, radix-build layout, and merge order all
 // depend only on the data — never on the worker count — so a query returns
@@ -531,9 +439,7 @@ class NestCursorOp : public Cursor {
 /// Upper bound on morsels per pipeline (merge cost stays negligible).
 constexpr uint64_t kMaxMorsels = 1024;
 
-/// Probe side of a join over a shared, pre-built build side; the per-morsel
-/// replacement for JoinCursorOp. Match computation and row emission are the
-/// same FindJoinMatches/EmitJoinRow the serial cursor uses. For outer joins
+/// Probe side of a join over a shared, pre-built build side. For outer joins
 /// the cursor records matched build rows in `matched` (this partial's
 /// private bitmap); the unmatched drain itself runs later, once, after every
 /// probe partial has reported its bitmap.
@@ -592,138 +498,107 @@ class VectorRowCursor : public Cursor {
   size_t pos_ = 0;
 };
 
-/// The pipeline chain type lives in interp.h (MorselPipeline) — the JIT
-/// engine walks the same chain to range-parameterize its generated code.
-using PipelineDesc = MorselPipeline;
-
-bool CollectPipelineDesc(const OpPtr& op, PipelineDesc* out) {
-  return CollectMorselPipeline(op, out);
-}
-
+/// Runs one plan's pipeline regions. The main region — the chain under the
+/// Reduce root (or under a Nest directly under it) — is prepared once, then
+/// run over any subset of its morsels; every other region (join build
+/// sides, a Nest leaf's input) runs in full while the main one prepares.
 class MorselRunner {
  public:
   explicit MorselRunner(const ExecContext& ctx) : ctx_(ctx) {}
 
-  /// Attempts morsel-parallel execution of `plan` (root = Reduce). Sets
-  /// `*ran = false` without touching `*stats` when the plan shape is not
-  /// eligible; the caller then falls back to the serial Volcano path.
-  Result<QueryResult> Run(const OpPtr& plan, bool* ran, InterpExecutor::ExecStats* stats) {
-    *ran = false;
-    const OpPtr& top = plan->child(0);
-    const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-    const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
-    PipelineDesc desc;
-    if (!CollectPipelineDesc(pipe_root, &desc)) return QueryResult{};
-
-    // Open every scanned dataset (and collect cold-access stats) on this
-    // thread before fanning out; workers then only hit the warm path.
-    PROTEUS_RETURN_NOT_OK(PreOpenPlugins(plan));
-    for (const Operator* j : desc.joins) {
-      PROTEUS_RETURN_NOT_OK(MaterializeBuild(*j));
+  /// Prepares `plan`'s main region — every scanned dataset opened on this
+  /// thread (cold index and stats before any fan-out, so workers only hit
+  /// the warm path), join builds and a Nest leaf's fold materialized — and
+  /// returns its global morsel decomposition. `chunked` callers run subsets
+  /// of the morsels (shard slices, tiered chunks), which rules out outer
+  /// chain joins: their unmatched-build drain needs every probe morsel.
+  Result<std::vector<ScanRange>> Prepare(const OpPtr& plan, bool chunked) {
+    if (!CollectPlanPipeline(plan, &main_)) {
+      return Status::InvalidArgument("plan has no pipeline chain under its Reduce root");
     }
-    PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, SplitLeaf(*desc.leaf));
-    *ran = true;
-
-    PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, RunRegion(plan, nest, desc, morsels));
-    stats->morsels = morsels_run_;
-    stats->threads_used =
-        static_cast<int>(std::min<uint64_t>(ctx_.scheduler->num_threads(), max_batch_));
-    return FinalizePlanPartials(*plan, nest, std::move(partials), ctx_.trace);
+    if (chunked && !OuterChainJoins(main_).empty()) {
+      return Status::InvalidArgument(
+          "outer joins cannot run in morsel chunks: the unmatched-build drain is global");
+    }
+    PROTEUS_RETURN_NOT_OK(PreOpenPlanPlugins(ctx_, plan));
+    PROTEUS_RETURN_NOT_OK(PrepareRegion(main_));
+    return SplitLeaf(*main_.leaf);
   }
 
-  /// Shard-side variant: runs only morsels [morsel_begin, morsel_end) of the
-  /// global decomposition and returns their per-morsel partial sinks (the
-  /// unit serialized across the shard boundary) instead of a final result.
-  Result<PlanPartials> RunPartial(const OpPtr& plan, uint64_t morsel_begin,
-                                  uint64_t morsel_end) {
-    const OpPtr& top = plan->child(0);
-    const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-    const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
-    PipelineDesc desc;
-    if (!CollectPipelineDesc(pipe_root, &desc)) {
-      return Status::InvalidArgument("plan is not morsel-parallelizable");
-    }
-    for (const Operator* j : desc.joins) {
-      if (j->outer()) {
-        return Status::InvalidArgument(
-            "outer joins cannot shard: the unmatched-build drain is global");
-      }
-    }
-    PROTEUS_RETURN_NOT_OK(PreOpenPlugins(plan));
-    for (const Operator* j : desc.joins) {
-      PROTEUS_RETURN_NOT_OK(MaterializeBuild(*j));
-    }
-    PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> all, SplitLeaf(*desc.leaf));
-    if (morsel_begin > morsel_end || morsel_end > all.size()) {
-      return Status::InvalidArgument("shard morsel range [" + std::to_string(morsel_begin) +
-                                     ", " + std::to_string(morsel_end) + ") out of bounds for " +
-                                     std::to_string(all.size()) + " morsels");
-    }
-    std::vector<ScanRange> mine(all.begin() + morsel_begin, all.begin() + morsel_end);
-    return RunRegion(plan, nest, desc, mine);
-  }
-
-  /// Tiered-session entry points (InterpPartialSession): materialize the
-  /// chain's build sides once, then run arbitrary morsel subsets against the
-  /// retained builds — the per-chunk work drops to pipeline execution only.
-  Status MaterializeChainBuilds(const PipelineDesc& desc) {
-    for (const Operator* j : desc.joins) {
-      PROTEUS_RETURN_NOT_OK(MaterializeBuild(*j));
-    }
-    return Status::OK();
-  }
-  Result<PlanPartials> RunChunkRegion(const OpPtr& plan, const Operator* nest,
-                                      const PipelineDesc& desc,
-                                      const std::vector<ScanRange>& morsels) {
-    return RunRegion(plan, nest, desc, morsels);
-  }
-
-  /// Morsel count of the global decomposition (see
-  /// InterpExecutor::CountPlanMorsels).
-  Result<uint64_t> CountMorsels(const OpPtr& plan) {
-    const OpPtr& top = plan->child(0);
-    const OpPtr& pipe_root = top->kind() == OpKind::kNest ? top->child(0) : top;
-    PipelineDesc desc;
-    if (!CollectPipelineDesc(pipe_root, &desc)) {
-      return Status::InvalidArgument("plan is not morsel-parallelizable");
-    }
-    PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, SplitLeaf(*desc.leaf));
-    return static_cast<uint64_t>(morsels.size());
-  }
-
- private:
-  /// Runs worker pipelines over `morsels` into fresh per-slot partial sinks
-  /// (one slot per morsel plus one trailing slot per outer-join drain).
-  Result<PlanPartials> RunRegion(const OpPtr& plan, const Operator* nest,
-                                 const PipelineDesc& desc,
-                                 const std::vector<ScanRange>& morsels) {
-    const uint64_t slots = PartialSlots(desc, morsels);
+  /// Runs worker pipelines of the prepared main region over `morsels` into
+  /// fresh per-slot partial sinks (one slot per morsel plus one trailing
+  /// slot per outer-join drain).
+  Result<PlanPartials> RunMain(const OpPtr& plan, const std::vector<ScanRange>& morsels) {
+    const Operator* nest = RootNest(plan);
+    const uint64_t slots = PlanPartialSlots(main_, morsels.size());
     PlanPartials partials;
     partials.nest = nest != nullptr;
     if (nest != nullptr) {
       partials.group_morsels.resize(slots);
       for (auto& p : partials.group_morsels) p.count_bytes = false;
-      PROTEUS_RETURN_NOT_OK(RunPipelines(desc, morsels, [&](EvalEnv& row, uint64_t m) {
+      PROTEUS_RETURN_NOT_OK(RunPipelines(main_, morsels, [&](EvalEnv& row, uint64_t m) {
         return partials.group_morsels[m].AddRow(*nest, row);
       }));
     } else {
       partials.agg_morsels.reserve(slots);
       for (uint64_t m = 0; m < slots; ++m) partials.agg_morsels.push_back(MakeReduceAggs(*plan));
-      PROTEUS_RETURN_NOT_OK(RunPipelines(desc, morsels, [&](EvalEnv& row, uint64_t m) {
+      PROTEUS_RETURN_NOT_OK(RunPipelines(main_, morsels, [&](EvalEnv& row, uint64_t m) {
         return AccumulateReduceRow(*plan, row, &partials.agg_morsels[m]);
       }));
     }
     return partials;
   }
 
-  Status PreOpenPlugins(const OpPtr& op) { return PreOpenPlanPlugins(ctx_, op); }
+  /// Morsels driven so far, over every region, and the widest fan-out.
+  uint64_t morsels_run() const { return morsels_run_; }
+  uint64_t max_batch() const { return max_batch_; }
 
+ private:
+  /// The region's pipeline breakers below its chain: every chain join's
+  /// build side, then a mid-chain Nest driver leaf's group table. Both
+  /// materialize once; the region's morsels then only read them.
+  Status PrepareRegion(const MorselPipeline& desc) {
+    for (const Operator* j : desc.joins) {
+      PROTEUS_RETURN_NOT_OK(MaterializeBuild(*j));
+    }
+    if (desc.leaf->kind() == OpKind::kNest) {
+      PROTEUS_RETURN_NOT_OK(FoldNest(*desc.leaf));
+    }
+    return Status::OK();
+  }
+
+  /// The morsel decomposition of a prepared region's driver leaf: a Nest
+  /// leaf splits its folded groups evenly, scans go through
+  /// SplitLeafMorsels.
   Result<std::vector<ScanRange>> SplitLeaf(const Operator& leaf) {
+    if (leaf.kind() == OpKind::kNest) return SplitRowMorsels(ctx_, nests_.at(&leaf)->keys.size());
     return SplitLeafMorsels(ctx_, leaf);
   }
 
+  /// Folds the input region of mid-chain Nest `nest` into nests_[nest] —
+  /// as a single morsel, in row order, the fold the generated engine's
+  /// packed group table performs too (outer-join drains of the region
+  /// follow its probe rows). The cancel flag is checked every
+  /// kDefaultMorselRows folded rows, the promptness of a morsel boundary.
+  Status FoldNest(const Operator& nest) {
+    MorselPipeline desc;
+    if (!CollectMorselPipeline(nest.child(0), &desc)) {
+      return Status::InvalidArgument("nest input has no pipeline chain");
+    }
+    PROTEUS_RETURN_NOT_OK(PrepareRegion(desc));
+    auto groups = std::make_shared<GroupTable>();
+    uint64_t rows = 0;
+    auto fold = [&](EvalEnv& row, uint64_t) -> Status {
+      if (rows++ % kDefaultMorselRows == 0) PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
+      return groups->AddRow(nest, row);
+    };
+    PROTEUS_RETURN_NOT_OK(RunPipelines(desc, {ScanRange{0, UINT64_MAX}}, fold));
+    nests_[&nest] = std::move(groups);
+    return Status::OK();
+  }
+
   /// Materializes the build side of `join` into builds_[join]; the subtree
-  /// runs morsel-parallel itself when its shape allows.
+  /// runs as a morsel-parallel pipeline region itself.
   Status MaterializeBuild(const Operator& join) {
     obs::TraceSpan span(ctx_.trace, "join_build");
     PROTEUS_ASSIGN_OR_RETURN(std::vector<EvalEnv> rows, MaterializeRows(join.child(0)));
@@ -739,8 +614,7 @@ class MorselRunner {
         PROTEUS_ASSIGN_OR_RETURN(Value k, Eval(join.left_key(), row));
         if (k.is_null()) {
           // Null keys never match; outer joins still keep the row (with no
-          // radix entry) so the unmatched drain can emit it — mirroring the
-          // serial build phase's row order exactly.
+          // radix entry) so the unmatched drain can emit it, in build order.
           if (join.outer()) {
             build->rows.push_back(std::move(row));
             build->keys.push_back(Value::Null());
@@ -761,36 +635,23 @@ class MorselRunner {
     return Status::OK();
   }
 
-  /// Materializes all rows produced by `subtree`, morsel-parallel when the
-  /// subtree is itself an eligible pipeline, serially otherwise.
+  /// Materializes all rows produced by `subtree`, run as a morsel-parallel
+  /// pipeline region and concatenated in morsel order.
   Result<std::vector<EvalEnv>> MaterializeRows(const OpPtr& subtree) {
-    PipelineDesc desc;
-    if (CollectPipelineDesc(subtree, &desc)) {
-      for (const Operator* j : desc.joins) {
-        PROTEUS_RETURN_NOT_OK(MaterializeBuild(*j));
-      }
-      PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, SplitLeaf(*desc.leaf));
-      std::vector<std::vector<EvalEnv>> per_morsel(PartialSlots(desc, morsels));
-      PROTEUS_RETURN_NOT_OK(RunPipelines(desc, morsels, [&](EvalEnv& row, uint64_t m) {
-        per_morsel[m].push_back(row);
-        return Status::OK();
-      }));
-      std::vector<EvalEnv> rows;
-      for (auto& chunk : per_morsel) {
-        for (auto& row : chunk) rows.push_back(std::move(row));
-      }
-      return rows;
+    MorselPipeline desc;
+    if (!CollectMorselPipeline(subtree, &desc)) {
+      return Status::InvalidArgument("join build side has no pipeline chain");
     }
-    // Serial fallback: drain a Volcano cursor tree for this subtree.
-    InterpExecutor serial(ctx_);
-    PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor, serial.BuildCursor(subtree));
-    PROTEUS_RETURN_NOT_OK(cursor->Open());
+    PROTEUS_RETURN_NOT_OK(PrepareRegion(desc));
+    PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, SplitLeaf(*desc.leaf));
+    std::vector<std::vector<EvalEnv>> per_morsel(PlanPartialSlots(desc, morsels.size()));
+    PROTEUS_RETURN_NOT_OK(RunPipelines(desc, morsels, [&](EvalEnv& row, uint64_t m) {
+      per_morsel[m].push_back(row);
+      return Status::OK();
+    }));
     std::vector<EvalEnv> rows;
-    EvalEnv row;
-    while (true) {
-      PROTEUS_ASSIGN_OR_RETURN(bool has, cursor->Next(&row));
-      if (!has) break;
-      rows.push_back(row);
+    for (auto& chunk : per_morsel) {
+      for (auto& row : chunk) rows.push_back(std::move(row));
     }
     return rows;
   }
@@ -799,12 +660,6 @@ class MorselRunner {
   /// keyed by outer-join op. unordered_map nodes are pointer-stable, so
   /// cursors hold direct pointers into their partial's entry.
   using MatchedBitmaps = std::unordered_map<const Operator*, std::vector<uint8_t>>;
-
-  /// Partial sink slots a pipeline region feeds (shared accounting with the
-  /// JIT executor — see PlanPartialSlots in interp.h).
-  static uint64_t PartialSlots(const PipelineDesc& desc, const std::vector<ScanRange>& morsels) {
-    return PlanPartialSlots(desc, morsels.size());
-  }
 
   /// Wraps `cursor` in the pipeline op `op` (shared by the per-morsel
   /// pipelines and the outer-join drain passes). Outer joins register a
@@ -833,7 +688,7 @@ class MorselRunner {
   }
 
   /// Builds one private pipeline instance over `range` (leaf up to root).
-  Result<std::unique_ptr<Cursor>> MakePipeline(const PipelineDesc& desc, ScanRange range,
+  Result<std::unique_ptr<Cursor>> MakePipeline(const MorselPipeline& desc, ScanRange range,
                                                MatchedBitmaps* bitmaps) {
     std::unique_ptr<Cursor> cursor;
     for (size_t i = desc.ops.size(); i-- > 0;) {
@@ -851,6 +706,9 @@ class MorselRunner {
         case OpKind::kCacheScan:
           cursor.reset(new CacheScanCursor(ctx_, op, range));
           break;
+        case OpKind::kNest:
+          cursor.reset(new GroupCursor(*nests_.at(&op), op, range));
+          break;
         default: {
           PROTEUS_ASSIGN_OR_RETURN(cursor, WrapOp(std::move(cursor), op, bitmaps));
           break;
@@ -863,7 +721,7 @@ class MorselRunner {
   /// Builds the drain pipeline of outer join `join`: its unmatched build
   /// rows run through only the ops *above* the join (they already carry the
   /// build side's bindings; the probe side is nulled).
-  Result<std::unique_ptr<Cursor>> MakeDrainPipeline(const PipelineDesc& desc,
+  Result<std::unique_ptr<Cursor>> MakeDrainPipeline(const MorselPipeline& desc,
                                                     const Operator* join,
                                                     std::vector<EvalEnv> rows,
                                                     MatchedBitmaps* bitmaps) {
@@ -882,15 +740,14 @@ class MorselRunner {
     return cursor;
   }
 
-  /// Outer-join unmatched drains (the lifted ROADMAP serial fallback): OR
-  /// the per-partial matched bitmaps of each outer join and run its
-  /// unmatched build rows — serially, once — through the ops above it into
-  /// trailing partial slot `next_slot`, `next_slot + 1`, ... Deepest joins
-  /// drain first, and each drain pass records the matches it produces on
-  /// outer joins above it (its bitmaps join the pool for later drains), so
-  /// the emitted row order reproduces the serial cursor's exactly: probe
-  /// stream first, then unmatched build rows, bottom-up.
-  Status DrainOuterJoins(const PipelineDesc& desc, std::vector<MatchedBitmaps>* bitmaps,
+  /// Outer-join unmatched drains: OR the per-partial matched bitmaps of each
+  /// outer join and run its unmatched build rows — serially, once — through
+  /// the ops above it into trailing partial slot `next_slot`,
+  /// `next_slot + 1`, ... Deepest joins drain first, and each drain pass
+  /// records the matches it produces on outer joins above it (its bitmaps
+  /// join the pool for later drains), so the emitted row order is fixed:
+  /// probe stream first, then unmatched build rows, bottom-up.
+  Status DrainOuterJoins(const MorselPipeline& desc, std::vector<MatchedBitmaps>* bitmaps,
                          uint64_t next_slot,
                          const std::function<Status(EvalEnv&, uint64_t)>& sink) {
     for (const Operator* j : OuterChainJoins(desc)) {
@@ -931,7 +788,7 @@ class MorselRunner {
   /// `sink(row, slot)` receives every produced row (workers write disjoint
   /// per-morsel slots, so sinks need no locking). Outer-join drains follow
   /// serially, feeding the trailing slots.
-  Status RunPipelines(const PipelineDesc& desc, const std::vector<ScanRange>& morsels,
+  Status RunPipelines(const MorselPipeline& desc, const std::vector<ScanRange>& morsels,
                       const std::function<Status(EvalEnv&, uint64_t)>& sink) {
     morsels_run_ += morsels.size();
     max_batch_ = std::max<uint64_t>(max_batch_, morsels.size());
@@ -956,51 +813,34 @@ class MorselRunner {
   }
 
   const ExecContext& ctx_;
+  MorselPipeline main_;
   std::unordered_map<const Operator*, std::shared_ptr<SharedJoinBuild>> builds_;
+  /// Folded group tables of mid-chain Nest driver leaves.
+  std::unordered_map<const Operator*, std::shared_ptr<GroupTable>> nests_;
   uint64_t morsels_run_ = 0;
   uint64_t max_batch_ = 0;
 };
 
-/// InterpPartialSession implementation: one MorselRunner whose join builds
-/// persist across chunks. The context is held by value (the session may
-/// outlive the caller's frame) and must be declared before the runner,
-/// which borrows it by reference.
+/// InterpPartialSession implementation: one MorselRunner whose prepared
+/// main region (join builds, folded nest) persists across chunks. The
+/// context is held by value (the session may outlive the caller's frame)
+/// and must be declared before the runner, which borrows it by reference.
 class PartialSessionImpl final : public InterpPartialSession {
  public:
   PartialSessionImpl(const ExecContext& ctx, OpPtr plan)
       : ctx_(ctx), plan_(std::move(plan)), runner_(ctx_) {}
 
   Status Prepare() {
-    const OpPtr& top = plan_->child(0);
-    nest_ = top->kind() == OpKind::kNest ? top.get() : nullptr;
-    const OpPtr& pipe_root = nest_ != nullptr ? top->child(0) : top;
-    if (!CollectPipelineDesc(pipe_root, &desc_)) {
-      return Status::InvalidArgument("plan is not morsel-parallelizable");
-    }
-    for (const Operator* j : desc_.joins) {
-      if (j->outer()) {
-        return Status::InvalidArgument(
-            "outer joins cannot run chunked: the unmatched-build drain is global");
-      }
-    }
-    PROTEUS_RETURN_NOT_OK(PreOpenPlanPlugins(ctx_, plan_));
-    PROTEUS_RETURN_NOT_OK(runner_.MaterializeChainBuilds(desc_));
-    PROTEUS_ASSIGN_OR_RETURN(morsels_, SplitLeafMorsels(ctx_, *desc_.leaf));
+    PROTEUS_ASSIGN_OR_RETURN(morsels_, runner_.Prepare(plan_, /*chunked=*/true));
     return Status::OK();
   }
 
   uint64_t num_morsels() const override { return morsels_.size(); }
 
   Status RunChunk(uint64_t morsel_begin, uint64_t morsel_end, PlanPartials* out) override {
-    if (morsel_begin > morsel_end || morsel_end > morsels_.size()) {
-      return Status::InvalidArgument(
-          "chunk morsel range [" + std::to_string(morsel_begin) + ", " +
-          std::to_string(morsel_end) + ") out of bounds for " +
-          std::to_string(morsels_.size()) + " morsels");
-    }
-    std::vector<ScanRange> mine(morsels_.begin() + morsel_begin, morsels_.begin() + morsel_end);
-    PROTEUS_ASSIGN_OR_RETURN(PlanPartials chunk,
-                             runner_.RunChunkRegion(plan_, nest_, desc_, mine));
+    PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> mine,
+                             MorselSlice(morsels_, morsel_begin, morsel_end));
+    PROTEUS_ASSIGN_OR_RETURN(PlanPartials chunk, runner_.RunMain(plan_, mine));
     out->nest = chunk.nest;
     out->Append(std::move(chunk));
     return Status::OK();
@@ -1010,8 +850,6 @@ class PartialSessionImpl final : public InterpPartialSession {
   ExecContext ctx_;
   OpPtr plan_;
   MorselRunner runner_;
-  PipelineDesc desc_;
-  const Operator* nest_ = nullptr;
   std::vector<ScanRange> morsels_;
 };
 
@@ -1034,10 +872,23 @@ Result<std::unique_ptr<InterpPartialSession>> MakeInterpPartialSession(const Exe
 // Shared morsel decomposition (interpreter morsels, JIT pipelines, shards)
 // ---------------------------------------------------------------------------
 
+const Operator* RootNest(const OpPtr& plan) {
+  const OpPtr& top = plan->child(0);
+  return top->kind() == OpKind::kNest ? top.get() : nullptr;
+}
+
+bool CollectPlanPipeline(const OpPtr& plan, MorselPipeline* out) {
+  const OpPtr& top = plan->child(0);
+  return CollectMorselPipeline(top->kind() == OpKind::kNest ? top->child(0) : top, out);
+}
+
 bool CollectMorselPipeline(const OpPtr& op, MorselPipeline* out) {
   switch (op->kind()) {
     case OpKind::kScan:
     case OpKind::kCacheScan:
+    case OpKind::kNest:
+      // A Nest here is a pipeline breaker: its input region folds first,
+      // and this chain is driven over its groups.
       out->ops.push_back(op.get());
       out->leaf = op.get();
       return true;
@@ -1052,7 +903,7 @@ bool CollectMorselPipeline(const OpPtr& op, MorselPipeline* out) {
       out->joins.push_back(op.get());
       return CollectMorselPipeline(op->child(1), out);
     default:
-      return false;  // Nest mid-chain, Reduce, unknown
+      return false;  // Reduce
   }
 }
 
@@ -1071,16 +922,41 @@ uint64_t PlanPartialSlots(const MorselPipeline& pipe, uint64_t num_morsels) {
   return num_morsels + outer;
 }
 
-Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Operator& leaf) {
+namespace {
+
+/// Morsel count target for `n` leaf rows: ctx.morsel_rows rows per morsel,
+/// at least one and at most kMaxMorsels morsels.
+uint64_t MorselTarget(const ExecContext& ctx, uint64_t n) {
   const uint64_t per_morsel = ctx.morsel_rows == 0 ? kDefaultMorselRows : ctx.morsel_rows;
-  auto target = [&](uint64_t n) {
-    return std::max<uint64_t>(1, std::min(kMaxMorsels, (n + per_morsel - 1) / per_morsel));
-  };
+  return std::max<uint64_t>(1, std::min(kMaxMorsels, (n + per_morsel - 1) / per_morsel));
+}
+
+}  // namespace
+
+Result<std::vector<ScanRange>> MorselSlice(const std::vector<ScanRange>& morsels,
+                                           uint64_t morsel_begin, uint64_t morsel_end) {
+  if (morsel_begin > morsel_end || morsel_end > morsels.size()) {
+    return Status::InvalidArgument("morsel range [" + std::to_string(morsel_begin) + ", " +
+                                   std::to_string(morsel_end) + ") out of bounds for " +
+                                   std::to_string(morsels.size()) + " morsels");
+  }
+  return std::vector<ScanRange>(morsels.begin() + morsel_begin, morsels.begin() + morsel_end);
+}
+
+std::vector<ScanRange> SplitRowMorsels(const ExecContext& ctx, uint64_t rows) {
+  return EvenSplit(rows, MorselTarget(ctx, rows));
+}
+
+Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Operator& leaf) {
+  if (leaf.kind() == OpKind::kNest) {
+    return Status::InvalidArgument(
+        "a mid-chain Nest's morsels depend on its group count, known only after its fold");
+  }
   if (leaf.kind() == OpKind::kScan) {
     PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx.catalog->Get(leaf.dataset()));
     PROTEUS_ASSIGN_OR_RETURN(InputPlugin * plugin, ctx.plugins->GetOrOpen(*info, ctx.stats));
     uint64_t n = plugin->NumRecords();
-    std::vector<ScanRange> morsels = plugin->Split(target(n));
+    std::vector<ScanRange> morsels = plugin->Split(MorselTarget(ctx, n));
     // The Split contract does not promise non-emptiness; the merge phase
     // indexes partials[0], so guarantee at least one morsel here.
     if (morsels.empty()) morsels.push_back({0, n});
@@ -1088,7 +964,7 @@ Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Op
   }
   // CacheScan: evenly split the block's row range.
   PROTEUS_ASSIGN_OR_RETURN(const auto block, ResolveCacheBlock(ctx, leaf.cache_id()));
-  return EvenSplit(block->num_rows, target(block->num_rows));
+  return SplitRowMorsels(ctx, block->num_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -1097,10 +973,8 @@ Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Op
 
 bool PlanIsMorselParallelizable(const OpPtr& plan) {
   if (plan == nullptr || plan->kind() != OpKind::kReduce) return false;
-  const OpPtr& top = plan->child(0);
-  const OpPtr& root = top->kind() == OpKind::kNest ? top->child(0) : top;
-  PipelineDesc desc;
-  return CollectPipelineDesc(root, &desc);
+  MorselPipeline desc;
+  return CollectPlanPipeline(plan, &desc) && desc.leaf->kind() != OpKind::kNest;
 }
 
 Status PreOpenPlanPlugins(const ExecContext& ctx, const OpPtr& op) {
@@ -1114,23 +988,23 @@ Status PreOpenPlanPlugins(const ExecContext& ctx, const OpPtr& op) {
 }
 
 bool PlanIsShardable(const OpPtr& plan) {
-  if (plan == nullptr || plan->kind() != OpKind::kReduce) return false;
-  const OpPtr& top = plan->child(0);
-  const OpPtr& root = top->kind() == OpKind::kNest ? top->child(0) : top;
-  PipelineDesc desc;
-  if (!CollectPipelineDesc(root, &desc)) return false;
-  for (const Operator* j : desc.joins) {
-    if (j->outer()) return false;  // the unmatched drain needs a global view
-  }
-  return true;
+  if (!PlanIsMorselParallelizable(plan)) return false;
+  MorselPipeline desc;
+  CollectPlanPipeline(plan, &desc);
+  // The unmatched drain of an outer chain join needs a global view.
+  return OuterChainJoins(desc).empty();
 }
 
 Result<uint64_t> InterpExecutor::CountPlanMorsels(const OpPtr& plan) {
-  if (plan->kind() != OpKind::kReduce) {
-    return Status::InvalidArgument("physical plan root must be Reduce");
+  if (!PlanIsMorselParallelizable(plan)) {
+    return Status::InvalidArgument(
+        "plan's morsel decomposition is not known before execution (root must be Reduce "
+        "over a chain with a scan driver leaf)");
   }
-  MorselRunner runner(ctx_);
-  return runner.CountMorsels(plan);
+  MorselPipeline desc;
+  CollectPlanPipeline(plan, &desc);
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, SplitLeafMorsels(ctx_, *desc.leaf));
+  return static_cast<uint64_t>(morsels.size());
 }
 
 Result<PlanPartials> InterpExecutor::ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,
@@ -1143,45 +1017,13 @@ Result<PlanPartials> InterpExecutor::ExecutePartials(const OpPtr& plan, uint64_t
   }
   exec_stats_ = ExecStats{};
   MorselRunner runner(ctx_);
-  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
-                           runner.RunPartial(plan, morsel_begin, morsel_end));
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> all, runner.Prepare(plan, /*chunked=*/true));
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> mine,
+                           MorselSlice(all, morsel_begin, morsel_end));
+  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, runner.RunMain(plan, mine));
   exec_stats_.morsels = morsel_end - morsel_begin;
   exec_stats_.threads_used = ctx_.scheduler->num_threads();
   return partials;
-}
-
-Result<std::unique_ptr<Cursor>> InterpExecutor::BuildCursor(const OpPtr& op) {
-  switch (op->kind()) {
-    case OpKind::kScan: {
-      PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx_.catalog->Get(op->dataset()));
-      if (info->format == DataFormat::kJSON) {
-        return std::unique_ptr<Cursor>(new LenientScanCursor(ctx_, *op));
-      }
-      return std::unique_ptr<Cursor>(new ScanCursor(ctx_, *op));
-    }
-    case OpKind::kCacheScan:
-      return std::unique_ptr<Cursor>(new CacheScanCursor(ctx_, *op));
-    case OpKind::kSelect: {
-      PROTEUS_ASSIGN_OR_RETURN(auto child, BuildCursor(op->child(0)));
-      return std::unique_ptr<Cursor>(new SelectCursor(std::move(child), *op));
-    }
-    case OpKind::kUnnest: {
-      PROTEUS_ASSIGN_OR_RETURN(auto child, BuildCursor(op->child(0)));
-      return std::unique_ptr<Cursor>(new UnnestCursorOp(std::move(child), *op));
-    }
-    case OpKind::kJoin: {
-      PROTEUS_ASSIGN_OR_RETURN(auto l, BuildCursor(op->child(0)));
-      PROTEUS_ASSIGN_OR_RETURN(auto r, BuildCursor(op->child(1)));
-      return std::unique_ptr<Cursor>(new JoinCursorOp(std::move(l), std::move(r), *op));
-    }
-    case OpKind::kNest: {
-      PROTEUS_ASSIGN_OR_RETURN(auto child, BuildCursor(op->child(0)));
-      return std::unique_ptr<Cursor>(new NestCursorOp(std::move(child), *op));
-    }
-    case OpKind::kReduce:
-      return Status::InvalidArgument("Reduce must be the plan root");
-  }
-  return Status::Internal("unknown operator kind");
 }
 
 Result<QueryResult> InterpExecutor::Execute(const OpPtr& plan) {
@@ -1189,43 +1031,21 @@ Result<QueryResult> InterpExecutor::Execute(const OpPtr& plan) {
     return Status::InvalidArgument("physical plan root must be Reduce, got:\n" +
                                    plan->ToString());
   }
+  if (ctx_.scheduler == nullptr) {
+    return Status::InvalidArgument("InterpExecutor requires a TaskScheduler");
+  }
   exec_stats_ = ExecStats{};
-
-  // Morsel-driven parallel path; ineligible plan shapes (Nest mid-chain,
-  // unknown ops) fall through to the serial Volcano drain below.
-  //
-  // Deliberately taken even at num_threads == 1: cross-thread-count result
-  // identity requires every worker count to use the same per-morsel partial
-  // sums (float addition is not associative), so the worker count may only
-  // change who runs a morsel, never the fold shape. The cost is that
-  // eligible plans' float aggregates can differ in the last ulps from the
-  // serial drain — within every oracle tolerance in the suite.
-  if (ctx_.scheduler != nullptr) {
-    MorselRunner runner(ctx_);
-    bool ran = false;
-    PROTEUS_ASSIGN_OR_RETURN(QueryResult result, runner.Run(plan, &ran, &exec_stats_));
-    if (ran) return result;
-  }
-
-  PROTEUS_ASSIGN_OR_RETURN(auto cursor, BuildCursor(plan->child(0)));
-  PROTEUS_RETURN_NOT_OK(cursor->Open());
-
-  std::vector<Aggregator> aggs;
-  aggs.reserve(plan->outputs().size());
-  for (const auto& o : plan->outputs()) aggs.emplace_back(o.monoid);
-
-  EvalEnv row;
-  uint64_t rows = 0;
-  while (true) {
-    // The serial drain has no morsel boundaries; re-check the cancel flag
-    // every kDefaultMorselRows rows so it honours the same promptness
-    // contract as the morsel paths.
-    if ((rows++ % kDefaultMorselRows) == 0) PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
-    PROTEUS_ASSIGN_OR_RETURN(bool has, cursor->Next(&row));
-    if (!has) break;
-    PROTEUS_RETURN_NOT_OK(AccumulateReduceRow(*plan, row, &aggs));
-  }
-  return FinalizeReduce(*plan, aggs);
+  // Morsel-driven at every thread count, num_threads == 1 included:
+  // cross-thread-count result identity requires every worker count to use
+  // the same per-morsel partial sums (float addition is not associative), so
+  // the worker count may only change who runs a morsel, never the fold shape.
+  MorselRunner runner(ctx_);
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, runner.Prepare(plan, false));
+  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, runner.RunMain(plan, morsels));
+  exec_stats_.morsels = runner.morsels_run();
+  exec_stats_.threads_used =
+      static_cast<int>(std::min<uint64_t>(ctx_.scheduler->num_threads(), runner.max_batch()));
+  return FinalizePlanPartials(*plan, RootNest(plan), std::move(partials), ctx_.trace);
 }
 
 }  // namespace proteus

@@ -7,17 +7,18 @@
 // exactly the interpretation overhead the paper's code generation removes
 // (§5). ExecCounters::virtual_calls tracks those crossings.
 //
-// With an ExecContext::scheduler, eligible plans additionally run
-// morsel-driven parallel: the driver scan is split into ranges via the
-// plug-in Split() API, every worker runs its own pipeline instance over one
-// morsel at a time (join build sides are materialized once up front and
-// shared read-only), and per-morsel partial aggregates are merged in morsel
-// order. Morsel boundaries depend only on the data, so results are
-// identical for every worker count. Outer joins run morsel-parallel too:
-// per-morsel matched-build bitmaps are OR-merged after the probe morsels and
-// the unmatched build rows drain — once — through the ops above the join.
-// Plans whose shape the morsel driver does not understand fall back to the
-// serial path.
+// Every plan runs morsel-driven over the ExecContext::scheduler, as
+// pipeline regions split at blocking operators: the driver leaf is split
+// into ranges (the plug-in Split() API for scans), every worker runs its own
+// pipeline instance over one morsel at a time, and per-morsel partial
+// aggregates are merged in morsel order. Join build sides are materialized
+// once up front and shared read-only. A Nest below the root is a pipeline
+// breaker: its input region folds into one group table (a single morsel, in
+// row order), and the region above is driven over that table's groups.
+// Morsel boundaries depend only on the data, so results are identical for
+// every worker count. Outer joins run morsel-parallel too: per-morsel
+// matched-build bitmaps are OR-merged after the probe morsels and the
+// unmatched build rows drain — once — through the ops above the join.
 #pragma once
 
 #include <memory>
@@ -78,10 +79,11 @@ struct ExecContext {
   obs::TraceRecorder* trace = nullptr;
   /// Cooperative cancellation flag (null = not cancellable). Checked at
   /// every morsel boundary — the interpreter's morsel/chunk loops, the JIT
-  /// morsel driver, and the serial Volcano drain (every few thousand rows) —
-  /// so a cancelled query stops within one morsel of the store. Execution
-  /// paths return StatusCode::kCancelled when they observe it set. Shard
-  /// executors and tiered chunks inherit the pointer with the context.
+  /// morsel driver, and both engines' single-morsel mid-chain Nest folds
+  /// (every kDefaultMorselRows folded rows) — so a cancelled query stops
+  /// within one morsel of the store. Execution paths return
+  /// StatusCode::kCancelled when they observe it set. Shard executors and
+  /// tiered chunks inherit the pointer with the context.
   const std::atomic<bool>* cancel = nullptr;
   /// Deterministic test hook: when set, called with the global morsel index
   /// at the top of every morsel a driver (interpreter or JIT) is about to
@@ -119,23 +121,20 @@ class InterpExecutor {
   /// How the last Execute() ran (surfaced as QueryTelemetry).
   struct ExecStats {
     int threads_used = 1;
-    uint64_t morsels = 0;  ///< 0 = serial Volcano path
+    uint64_t morsels = 0;  ///< morsels driven, over every region of the plan
   };
 
   explicit InterpExecutor(ExecContext ctx) : ctx_(ctx) {}
 
-  /// Executes a physical plan whose root is Reduce.
+  /// Executes a physical plan whose root is Reduce. Requires ctx.scheduler.
   Result<QueryResult> Execute(const OpPtr& plan);
 
-  /// Builds the cursor tree for a sub-plan (exposed for the caching manager,
-  /// which drains subtree cursors to populate explicit caches).
-  Result<std::unique_ptr<Cursor>> BuildCursor(const OpPtr& op);
-
-  /// Morsel count of `plan`'s global decomposition (root = Reduce, shardable
-  /// shape). Depends only on the data and morsel_rows — never on worker or
-  /// shard counts — so shards can partition this index space and every shard
-  /// count folds the exact same per-morsel partials. Opens the driver leaf's
-  /// plug-in (cold index/stats on the calling thread).
+  /// Morsel count of `plan`'s global decomposition. Requires
+  /// PlanIsMorselParallelizable(plan): the count depends only on the data and
+  /// morsel_rows — never on worker or shard counts — so shards can partition
+  /// this index space and every shard count folds the exact same per-morsel
+  /// partials. Opens the driver leaf's plug-in (cold index/stats on the
+  /// calling thread).
   Result<uint64_t> CountPlanMorsels(const OpPtr& plan);
 
   /// Shard-side execution: runs only morsels [morsel_begin, morsel_end) of
@@ -183,22 +182,32 @@ Result<std::unique_ptr<InterpPartialSession>> MakeInterpPartialSession(const Exe
 /// Variables bound by the subtree rooted at `op` (shared helper).
 void CollectBoundVars(const OpPtr& op, std::vector<std::string>* out);
 
-/// A morsel-parallelizable pipeline: the chain of ops from the region root
-/// (the op under Reduce, or under a Nest directly under Reduce) down to the
-/// splittable driver leaf, root first. Probe sides continue the chain; join
-/// build subtrees hang off the collected join nodes. Shared between the
-/// interpreter's morsel runner and the JIT engine, which range-parameterizes
-/// exactly this chain (build sides run once, the driver leaf loops over a
-/// morsel range).
+/// A pipeline region: the chain of ops from the region root (the op under
+/// Reduce, under a Nest directly under Reduce, under a mid-chain Nest, or a
+/// join build side) down to the splittable driver leaf, root first. Probe
+/// sides continue the chain; join build subtrees hang off the collected join
+/// nodes. Shared between the interpreter's morsel runner and the JIT engine,
+/// which range-parameterizes exactly this chain (build sides and a Nest
+/// leaf's fold run once, the driver leaf loops over a morsel range).
 struct MorselPipeline {
   std::vector<const Operator*> ops;   ///< root-first, leaf included
-  const Operator* leaf = nullptr;     ///< the splittable Scan / CacheScan
+  /// The driver leaf: a Scan / CacheScan, or a mid-chain Nest whose folded
+  /// groups the chain is driven over.
+  const Operator* leaf = nullptr;
   std::vector<const Operator*> joins; ///< chain joins, root-first
 };
 
-/// Collects the pipeline chain under `pipe_root`. Returns false when the
-/// shape is not morsel-parallelizable (Nest mid-chain, unknown ops).
+/// Collects the pipeline chain under `pipe_root`. Returns false only for a
+/// Reduce below the root, which no valid plan has.
 bool CollectMorselPipeline(const OpPtr& pipe_root, MorselPipeline* out);
+
+/// The Nest directly under `plan`'s Reduce root, or null. Its groups fold in
+/// the per-morsel partial sinks, so it never belongs to a pipeline chain.
+const Operator* RootNest(const OpPtr& plan);
+
+/// Collects `plan`'s main chain: the one under its Reduce root, or under
+/// RootNest(plan) when there is one.
+bool CollectPlanPipeline(const OpPtr& plan, MorselPipeline* out);
 
 /// Outer joins of the chain in drain order (deepest-first): the order both
 /// engines run unmatched-build drains — each drain's matches on the outer
@@ -213,18 +222,32 @@ std::vector<const Operator*> OuterChainJoins(const MorselPipeline& pipe);
 /// slot for slot.
 uint64_t PlanPartialSlots(const MorselPipeline& pipe, uint64_t num_morsels);
 
-/// The global morsel decomposition of a pipeline's driver leaf: plug-in
-/// Split() for raw scans (byte-balanced where the format supports it), an
-/// even row split for cache blocks. Deterministic — depends only on the data
-/// and ctx.morsel_rows, never on worker or shard counts — and never empty.
-/// The one decomposition every executor (interpreter morsels, JIT pipelines,
-/// shard slices) must agree on for results to stay cell-identical.
+/// Morsels [morsel_begin, morsel_end) of a decomposition — the slice a shard
+/// or a tiered chunk runs — or InvalidArgument when the range is out of
+/// bounds.
+Result<std::vector<ScanRange>> MorselSlice(const std::vector<ScanRange>& morsels,
+                                           uint64_t morsel_begin, uint64_t morsel_end);
+
+/// Even split of `rows` leaf rows (cache-block rows, a folded Nest's
+/// groups) into ctx.morsel_rows-sized morsels — the one split both engines
+/// use for leaves without a plug-in. Never empty: zero rows give one empty
+/// morsel.
+std::vector<ScanRange> SplitRowMorsels(const ExecContext& ctx, uint64_t rows);
+
+/// The global morsel decomposition of a pipeline's scan driver leaf: plug-in
+/// Split() for raw scans (byte-balanced where the format supports it),
+/// SplitRowMorsels for cache blocks. Deterministic — depends only on the
+/// data and ctx.morsel_rows, never on worker or shard counts — and never
+/// empty. The one decomposition every executor (interpreter morsels, JIT
+/// pipelines, shard slices) must agree on for results to stay
+/// cell-identical. A Nest leaf is rejected: its groups exist only after its
+/// fold, so each engine splits them with SplitRowMorsels then.
 Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Operator& leaf);
 
-/// True when `plan` (root Reduce) has a shape the morsel-parallel driver
-/// accepts. The QueryEngine consults this before routing: ineligible plans
-/// gain nothing from num_threads > 1, so they keep their normal (e.g. JIT)
-/// path instead of silently landing on the serial interpreter.
+/// True when `plan` (root Reduce) has a scan driver leaf, so its morsel
+/// decomposition is known before execution. A plan whose main chain is
+/// driven by a mid-chain Nest still runs as morsel pipelines in both
+/// engines, but its morsels exist only after the Nest's fold.
 bool PlanIsMorselParallelizable(const OpPtr& plan);
 
 /// True when `plan` can additionally be decomposed into independent shards

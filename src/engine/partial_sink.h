@@ -27,16 +27,17 @@ class TraceRecorder;
 }  // namespace obs
 
 /// Hash group table of a Nest operator. The single home of the grouping
-/// semantics: the serial nest cursor fills one over its whole input; the
-/// morsel executor fills one per morsel and folds them together in morsel
-/// order (first-appearance group order then matches the serial scan's).
+/// semantics: a Nest below the root folds its whole input into one, in row
+/// order; a Nest under the root fills one per morsel and folds them together
+/// in morsel order (first-appearance group order then matches a row-order
+/// scan's).
 struct GroupTable {
   std::vector<Value> keys;
   std::vector<std::vector<Aggregator>> aggs;
   std::unordered_map<uint64_t, std::vector<size_t>> index;
   /// Per-morsel partials set this false and the merged distinct-group total
   /// is counted once instead, so bytes_materialized for a group-by matches
-  /// the serial path regardless of morsel count.
+  /// a single-table fold regardless of morsel count.
   bool count_bytes = true;
 
   Status AddRow(const Operator& op, const EvalEnv& row);

@@ -41,7 +41,7 @@ bool IsDrainName(llvm::StringRef name) {
 /// Index of the parameter-table argument for a recognized entry point, or
 /// -1 when `name` is not an entry point.
 int ParamsArgIndex(llvm::StringRef name) {
-  if (name == "proteus_query" || name == "proteus_build") return 1;
+  if (name == "proteus_build") return 1;
   if (name == "proteus_pipeline") return 2;
   if (IsDrainName(name)) return 3;
   return -1;
@@ -54,7 +54,7 @@ llvm::FunctionType* ExpectedEntryType(llvm::StringRef name, llvm::LLVMContext& c
   auto* i8p = llvm::Type::getInt8PtrTy(ctx);
   auto* i64 = llvm::Type::getInt64Ty(ctx);
   auto* voidty = llvm::Type::getVoidTy(ctx);
-  if (name == "proteus_query" || name == "proteus_build") {
+  if (name == "proteus_build") {
     return llvm::FunctionType::get(voidty, {i8p, i8p}, false);
   }
   if (name == "proteus_pipeline") {

@@ -19,7 +19,6 @@
 //      decidable against the module's ParamTable size;
 //   4. deviate from the entry-point signatures the host calls through raw
 //      function pointers:
-//        proteus_query   (ctx, params)                 void(i8*, i8*)
 //        proteus_build   (ctx, params)                 void(i8*, i8*)
 //        proteus_pipeline(ctx, sink, params, beg, end) void(i8*,i8*,i8*,i64,i64)
 //        proteus_drain<k>(ctx, sink, matched, params)  void(i8*,i8*,i8*,i8*)

@@ -108,19 +108,17 @@ class Codegen {
         layout_(layout),
         params_(params),
         llctx_(std::make_unique<llvm::LLVMContext>()),
-        module_(std::make_unique<llvm::Module>("proteus_query", *llctx_)),
+        module_(std::make_unique<llvm::Module>("proteus_module", *llctx_)),
         b_(*llctx_) {}
 
-  /// Legacy whole-relation compilation: one proteus_query(ctx) function that
-  /// runs the entire plan in a single call. Kept for plan shapes the morsel
-  /// driver does not understand.
-  Status Compile(const OpPtr& plan);
-
   /// Morsel-parameterized compilation (parallel JIT pipelines): emits
-  ///   proteus_build(ctx)                       — chain join build sides, run once
+  ///   proteus_build(ctx)                       — chain join build sides and a
+  ///                                              mid-chain Nest leaf's packed
+  ///                                              group-table fold, run once
   ///   proteus_pipeline(ctx, sink, begin, end)  — the driver chain over one
-  ///                                              morsel's OID range, feeding a
-  ///                                              per-morsel JitMorselSink
+  ///                                              morsel's OID (or group)
+  ///                                              range, feeding a per-morsel
+  ///                                              JitMorselSink
   /// The pipeline function is pure over [begin, end): all cross-call state is
   /// per-task (MorselCtx) or per-morsel (the sink), so the scheduler can run
   /// it concurrently, once per morsel, and the partials merge through the
@@ -140,6 +138,9 @@ class Codegen {
   /// Join-table ids of the outer chain joins, deepest-first — aligned with
   /// the generated proteus_drain<k> functions.
   const std::vector<uint32_t>& outer_join_tables() const { return outer_join_tables_; }
+  /// Group table a mid-chain Nest driver leaf folds into, or -1 for a scan
+  /// driver leaf.
+  int32_t driver_group() const { return driver_group_; }
 
  private:
   using Consume = std::function<Status()>;
@@ -167,12 +168,18 @@ class Codegen {
   /// restoring nullable fields' null flags from the trailing mask slot
   /// (shared by the probe loop and the unmatched drain).
   void RebindPayload(const Operator& op, llvm::Value* row_ptr);
-  Status EmitNest(const OpPtr& op, const Consume& consume);
+  /// Folds a mid-chain Nest's input region into a packed group table — one
+  /// whole-relation pass in row order, inside proteus_build — registered in
+  /// group_ids_ for the group loops that read it.
+  Status EmitNestFold(const Operator& op);
+  /// Loops groups [lo, hi) of a folded Nest's table, binding the group
+  /// record's fields, and runs `consume` per group.
+  Status EmitNestGroups(const Operator& op, llvm::Value* lo, llvm::Value* hi,
+                        const Consume& consume);
   Status EmitFilter(const ExprPtr& pred, const Consume& consume);
-  Status EmitRoot(const OpPtr& reduce);
-  Status EmitReduceRoot(const OpPtr& reduce, bool to_sink);
-  Status EmitBagReduce(const OpPtr& reduce, bool to_sink);
-  Status EmitScalarReduce(const OpPtr& reduce, bool to_sink);
+  Status EmitReduceRoot(const OpPtr& reduce);
+  Status EmitBagReduce(const OpPtr& reduce);
+  Status EmitScalarReduce(const OpPtr& reduce);
   Status EmitMorselRoot(const OpPtr& reduce, const Operator* nest);
   Status EmitNestMorsel(const Operator& nest);
 
@@ -230,9 +237,13 @@ class Codegen {
   /// temporaries from re-allocating per iteration.
   llvm::Value* EntryAlloca(llvm::Type* ty, llvm::Value* array_size = nullptr,
                            const char* name = "");
+  /// An i64 alloca zeroed in the function entry block, so its value at any
+  /// point is the count of increments that ran before it — wherever in the
+  /// emission it is first created.
+  llvm::Value* EntryCounter(const char* name);
   /// The current function's MorselCtx* argument (per-task runtime state).
   llvm::Value* CtxPtr() { return ctx_arg_; }
-  /// The pipeline function's JitMorselSink* argument (morsel mode only).
+  /// The pipeline or drain function's JitMorselSink* argument.
   llvm::Value* SinkPtr() { return sink_arg_; }
   llvm::Value* GlobalString(const std::string& s) {
     auto it = string_globals_.find(s);
@@ -272,15 +283,15 @@ class Codegen {
   /// entry -> body branch; EntryAlloca and ParamI64 insert before it.
   llvm::Instruction* entry_term_ = nullptr;
   std::unordered_map<uint32_t, llvm::Value*> param_values_;  // slot -> entry load
-  llvm::Value* sink_arg_ = nullptr;   // morsel pipeline only
-  llvm::Value* begin_arg_ = nullptr;  // morsel pipeline only
-  llvm::Value* end_arg_ = nullptr;    // morsel pipeline only
+  llvm::Value* sink_arg_ = nullptr;   // pipeline and drain functions
+  llvm::Value* begin_arg_ = nullptr;  // pipeline function only
+  llvm::Value* end_arg_ = nullptr;    // pipeline function only
 
-  // Morsel mode: the driver leaf loops over [begin, end) instead of the
-  // whole relation, and chain joins emit only their probe side (builds run
-  // once in proteus_build).
-  bool morsel_mode_ = false;
+  // The driver leaf loops over [begin, end) instead of the whole relation,
+  // and chain joins emit only their probe side (builds run once in
+  // proteus_build, as does a Nest driver leaf's fold).
   const Operator* driver_leaf_ = nullptr;
+  int32_t driver_group_ = -1;
   std::unordered_set<const Operator*> chain_joins_;
   // Set while emitting an unmatched-drain function: the outer join whose
   // build rows the function iterates (EmitJoinProbe dispatches to
@@ -377,10 +388,10 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
           }
         }
         // Outer joins generate per-morsel matched-build bitmaps plus a
-        // one-shot drain function — infrastructure only the morsel pipeline
-        // chain has. Outer joins inside build subtrees (or legacy
-        // whole-relation mode) still fall back.
-        if (o->outer() && (!morsel_mode_ || chain_joins_.count(o.get()) == 0)) {
+        // one-shot drain function — infrastructure only the main pipeline
+        // chain has. Outer joins inside build subtrees or a mid-chain Nest's
+        // input region still fall back.
+        if (o->outer() && chain_joins_.count(o.get()) == 0) {
           add("jit: outer join outside the morsel pipeline chain");
         }
         break;
@@ -408,6 +419,15 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
     joined += r;
   }
   return Status::Unimplemented(joined);
+}
+
+/// Kind of a Nest output's slot in the packed group table (and of the
+/// group-record field it binds): count and integer aggregates are int64,
+/// float-typed aggregates double.
+Result<TypeKind> NestSlotKind(const AggOutput& o) {
+  if (o.monoid == Monoid::kCount) return TypeKind::kInt64;
+  if (!o.expr->type()) return Status::Internal("jit: un-typechecked nest output");
+  return o.expr->type()->kind() == TypeKind::kFloat64 ? TypeKind::kFloat64 : TypeKind::kInt64;
 }
 
 Result<TypePtr> Codegen::VarType(const std::string& var) const {
@@ -476,6 +496,20 @@ Status Codegen::Prepare(const OpPtr& op) {
       PROTEUS_RETURN_NOT_OK(Prepare(op->child(0)));
       PROTEUS_RETURN_NOT_OK(Prepare(op->child(1)));
       // Join table registered in EmitJoin once payload width is known.
+      return Status::OK();
+    }
+    case OpKind::kNest: {
+      PROTEUS_RETURN_NOT_OK(Prepare(op->child(0)));
+      // The group record's shape — key plus one field per output, in the
+      // kinds the group table holds — so join payloads and outer-join drains
+      // above a Nest can type its fields.
+      if (!op->group_by()->type()) return Status::Internal("jit: un-typechecked group key");
+      std::vector<Field> fields{{op->group_name(), op->group_by()->type()}};
+      for (const auto& o : op->outputs()) {
+        PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
+        fields.push_back({o.name, k == TypeKind::kFloat64 ? Type::Float64() : Type::Int64()});
+      }
+      var_types_[NestBinding(*op)] = Type::Record(std::move(fields));
       return Status::OK();
     }
     default:
@@ -752,13 +786,14 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
       if (f.type->is_primitive()) fields.push_back({f.name});
     }
   }
-  // The driver leaf of a morsel pipeline scans only its (begin, end)
-  // arguments' OID range; every other scan (build sides, legacy mode) runs
-  // the whole relation, whose record count is a bound parameter — never an
-  // immediate — so cached modules survive data growth between executions.
+  // The driver leaf of the pipeline function scans only its (begin, end)
+  // arguments' OID range; every other scan (build sides, a Nest's input)
+  // runs the whole relation, whose record count is a bound parameter —
+  // never an immediate — so cached modules survive data growth between
+  // executions.
   llvm::Value* lo;
   llvm::Value* hi;
-  if (morsel_mode_ && op.get() == driver_leaf_) {
+  if (op.get() == driver_leaf_) {
     lo = begin_arg_;
     hi = end_arg_;
   } else {
@@ -940,7 +975,7 @@ Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
 
   llvm::Value* lo;
   llvm::Value* hi;
-  if (morsel_mode_ && op.get() == driver_leaf_) {
+  if (op.get() == driver_leaf_) {
     lo = begin_arg_;
     hi = end_arg_;
   } else {
@@ -1506,17 +1541,12 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
 // Nest
 // ---------------------------------------------------------------------------
 
-Status Codegen::EmitNest(const OpPtr& op, const Consume& consume) {
+Status Codegen::EmitNestFold(const Operator& op) {
   // Agg slot layout + init values.
-  TypeEnv env;  // key/agg expr types were annotated by the optimizer
   std::vector<TypeKind> slot_kinds;
   std::vector<int64_t> init;
-  for (const auto& o : op->outputs()) {
-    TypeKind k = TypeKind::kInt64;
-    if (o.monoid != Monoid::kCount) {
-      if (!o.expr->type()) return Status::Internal("jit: un-typechecked nest output");
-      k = o.expr->type()->kind() == TypeKind::kFloat64 ? TypeKind::kFloat64 : TypeKind::kInt64;
-    }
+  for (const auto& o : op.outputs()) {
+    PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
     slot_kinds.push_back(k);
     int64_t zero = 0;
     if (o.monoid == Monoid::kMax) {
@@ -1537,137 +1567,165 @@ Status Codegen::EmitNest(const OpPtr& op, const Consume& consume) {
     init.push_back(zero);
   }
 
-  if (!op->group_by()->type()) return Status::Internal("jit: un-typechecked group key");
-  TypeKind key_kind = op->group_by()->type()->kind();
-  bool string_keys = key_kind == TypeKind::kString;
-  // Float keys round-trip through the int64 key slot as their raw bit
-  // pattern — grouping on bit equality, which the emission loop bitcasts
-  // back to a double binding.
-  bool float_keys = key_kind == TypeKind::kFloat64;
+  if (!op.group_by()->type()) return Status::Internal("jit: un-typechecked group key");
+  const bool string_keys = op.group_by()->type()->kind() == TypeKind::kString;
   uint32_t table = layout_->AddGroup(string_keys, init);
+  group_ids_[&op] = table;
   auto* i8p = b_.getInt8PtrTy();
   auto* i64p = b_.getInt64Ty()->getPointerTo();
   llvm::Value* table_v = b_.getInt32(table);
+  // Rows folded so far: the cancel flag is polled every kDefaultMorselRows
+  // of them (the fold is one morsel, so it has no boundary of its own).
+  llvm::Value* folded = EntryCounter("folded");
 
-  // ---- aggregation pipeline ----
-  PROTEUS_RETURN_NOT_OK(EmitProduce(op->child(0), [&]() -> Status {
-    Consume update = [&]() -> Status {
-      PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op->group_by()));
-      if (key.null != nullptr) {
-        // The packed int64/string group table cannot represent a null key;
-        // only morsel-mode nests (boxed-Value group tables) can.
-        return Status::Unimplemented("jit: nullable group key outside morsel pipelines");
-      }
-      llvm::Value* slots;
-      if (string_keys) {
-        slots = b_.CreateCall(Helper("proteus_group_upsert_str", i64p,
-                                     {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                              {CtxPtr(), table_v, key.v, key.len});
-      } else {
-        llvm::Value* k64;
-        if (key.kind == TypeKind::kBool) {
-          k64 = b_.CreateZExt(key.v, b_.getInt64Ty());
-        } else if (key.kind == TypeKind::kFloat64) {
-          k64 = b_.CreateBitCast(key.v, b_.getInt64Ty());
-        } else {
-          k64 = key.v;
-        }
-        slots = b_.CreateCall(Helper("proteus_group_upsert", i64p,
-                                     {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                              {CtxPtr(), table_v, k64});
-      }
-      for (size_t i = 0; i < op->outputs().size(); ++i) {
-        const AggOutput& o = op->outputs()[i];
-        llvm::Value* slot_ptr = b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i));
-        llvm::Value* raw = b_.CreateLoad(b_.getInt64Ty(), slot_ptr);
-        llvm::Value* updated;
-        if (o.monoid == Monoid::kCount) {
-          updated = b_.CreateAdd(raw, b_.getInt64(1));
-        } else {
-          PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-          if (slot_kinds[i] == TypeKind::kFloat64) {
-            llvm::Value* acc = b_.CreateBitCast(raw, b_.getDoubleTy());
-            llvm::Value* x = ToDouble(v);
-            llvm::Value* res;
-            if (o.monoid == Monoid::kSum) {
-              res = b_.CreateFAdd(acc, x);
-            } else if (o.monoid == Monoid::kMax) {
-              res = b_.CreateSelect(b_.CreateFCmpOGT(x, acc), x, acc);
-            } else {
-              res = b_.CreateSelect(b_.CreateFCmpOLT(x, acc), x, acc);
-            }
-            updated = b_.CreateBitCast(res, b_.getInt64Ty());
-          } else {
-            llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, b_.getInt64Ty())
-                                                       : v.v;
-            if (o.monoid == Monoid::kSum) {
-              updated = b_.CreateAdd(raw, x);
-            } else if (o.monoid == Monoid::kMax) {
-              updated = b_.CreateSelect(b_.CreateICmpSGT(x, raw), x, raw);
-            } else {
-              updated = b_.CreateSelect(b_.CreateICmpSLT(x, raw), x, raw);
-            }
-          }
-          if (v.null != nullptr) {
-            // Null inputs do not contribute to aggregates (Eval semantics).
-            updated = b_.CreateSelect(v.null, raw, updated);
-          }
-        }
-        b_.CreateStore(updated, slot_ptr);
-      }
-      return Status::OK();
-    };
-    return EmitFilter(op->pred(), update);
-  }));
+  Consume update = [&]() -> Status {
+    llvm::Value* n = b_.CreateLoad(b_.getInt64Ty(), folded);
+    b_.CreateStore(b_.CreateAdd(n, b_.getInt64(1)), folded);
+    auto* poll_bb = llvm::BasicBlock::Create(*llctx_, "fold.poll", fn_);
+    auto* cancel_bb = llvm::BasicBlock::Create(*llctx_, "fold.cancel", fn_);
+    auto* row_bb = llvm::BasicBlock::Create(*llctx_, "fold.row", fn_);
+    b_.CreateCondBr(
+        b_.CreateICmpEQ(b_.CreateURem(n, b_.getInt64(kDefaultMorselRows)), b_.getInt64(0)),
+        poll_bb, row_bb);
+    b_.SetInsertPoint(poll_bb);
+    llvm::Value* cancelled = b_.CreateCall(
+        Helper("proteus_cancel_requested", b_.getInt32Ty(), {i8p}), {CtxPtr()});
+    b_.CreateCondBr(b_.CreateICmpNE(cancelled, b_.getInt32(0)), cancel_bb, row_bb);
+    // A cancelled fold abandons the whole function; the host reports the
+    // cancellation before reading any table.
+    b_.SetInsertPoint(cancel_bb);
+    b_.CreateRetVoid();
+    b_.SetInsertPoint(row_bb);
 
-  // ---- group emission pipeline ----
-  llvm::Value* count = b_.CreateCall(
-      Helper("proteus_group_count", b_.getInt64Ty(), {i8p, b_.getInt32Ty()}),
-      {CtxPtr(), table_v});
-  std::string gvar = op->binding().empty() ? "$group" : op->binding();
-  return EmitCountedLoop(count, [&](llvm::Value* g) -> Status {
-    CgValue keyv;
-    if (string_keys) {
-      llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-      keyv.kind = TypeKind::kString;
-      keyv.v = b_.CreateCall(Helper("proteus_group_key_str", i8p,
-                                    {i8p, b_.getInt32Ty(), b_.getInt64Ty(),
-                                     b_.getInt64Ty()->getPointerTo()}),
-                             {CtxPtr(), table_v, g, len_ptr});
-      keyv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-    } else {
-      llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", b_.getInt64Ty(),
-                                              {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                                       {CtxPtr(), table_v, g});
-      if (key_kind == TypeKind::kBool) {
-        keyv.kind = TypeKind::kBool;
-        keyv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
-      } else if (float_keys) {
-        keyv.kind = TypeKind::kFloat64;
-        keyv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
-      } else {
-        keyv.kind = TypeKind::kInt64;
-        keyv.v = raw;
-      }
+    PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
+    if (key.null != nullptr) {
+      // The packed int64/string group table cannot represent a null key;
+      // only nests directly under the root (boxed-Value group tables) can.
+      return Status::Unimplemented("jit: nullable group key in a mid-chain nest");
     }
-    bindings_[Key(gvar, {op->group_name()})] = keyv;
-
-    llvm::Value* slots = b_.CreateCall(
-        Helper("proteus_group_slots", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-        {CtxPtr(), table_v, g});
-    for (size_t i = 0; i < op->outputs().size(); ++i) {
-      const AggOutput& o = op->outputs()[i];
-      llvm::Value* raw = b_.CreateLoad(
-          b_.getInt64Ty(), b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i)));
-      CgValue cv;
-      if (slot_kinds[i] == TypeKind::kFloat64) {
-        cv.kind = TypeKind::kFloat64;
-        cv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
+    llvm::Value* slots;
+    if (string_keys) {
+      slots = b_.CreateCall(Helper("proteus_group_upsert_str", i64p,
+                                   {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
+                            {CtxPtr(), table_v, key.v, key.len});
+    } else {
+      // Float keys round-trip through the int64 key slot as their raw bit
+      // pattern — grouping on bit equality, which the group loop bitcasts
+      // back to a double binding.
+      llvm::Value* k64;
+      if (key.kind == TypeKind::kBool) {
+        k64 = b_.CreateZExt(key.v, b_.getInt64Ty());
+      } else if (key.kind == TypeKind::kFloat64) {
+        k64 = b_.CreateBitCast(key.v, b_.getInt64Ty());
       } else {
-        cv.kind = TypeKind::kInt64;
-        cv.v = raw;
+        k64 = key.v;
       }
-      bindings_[Key(gvar, {o.name})] = cv;
+      slots = b_.CreateCall(Helper("proteus_group_upsert", i64p,
+                                   {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
+                            {CtxPtr(), table_v, k64});
+    }
+    for (size_t i = 0; i < op.outputs().size(); ++i) {
+      const AggOutput& o = op.outputs()[i];
+      llvm::Value* slot_ptr = b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i));
+      llvm::Value* raw = b_.CreateLoad(b_.getInt64Ty(), slot_ptr);
+      llvm::Value* updated;
+      if (o.monoid == Monoid::kCount) {
+        updated = b_.CreateAdd(raw, b_.getInt64(1));
+      } else {
+        PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
+        if (slot_kinds[i] == TypeKind::kFloat64) {
+          llvm::Value* acc = b_.CreateBitCast(raw, b_.getDoubleTy());
+          llvm::Value* x = ToDouble(v);
+          llvm::Value* res;
+          if (o.monoid == Monoid::kSum) {
+            res = b_.CreateFAdd(acc, x);
+          } else if (o.monoid == Monoid::kMax) {
+            res = b_.CreateSelect(b_.CreateFCmpOGT(x, acc), x, acc);
+          } else {
+            res = b_.CreateSelect(b_.CreateFCmpOLT(x, acc), x, acc);
+          }
+          updated = b_.CreateBitCast(res, b_.getInt64Ty());
+        } else {
+          llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, b_.getInt64Ty())
+                                                     : v.v;
+          if (o.monoid == Monoid::kSum) {
+            updated = b_.CreateAdd(raw, x);
+          } else if (o.monoid == Monoid::kMax) {
+            updated = b_.CreateSelect(b_.CreateICmpSGT(x, raw), x, raw);
+          } else {
+            updated = b_.CreateSelect(b_.CreateICmpSLT(x, raw), x, raw);
+          }
+        }
+        if (v.null != nullptr) {
+          // Null inputs do not contribute to aggregates (Eval semantics).
+          updated = b_.CreateSelect(v.null, raw, updated);
+        }
+      }
+      b_.CreateStore(updated, slot_ptr);
+    }
+    return Status::OK();
+  };
+  return EmitProduce(op.child(0), [&]() { return EmitFilter(op.pred(), update); });
+}
+
+Status Codegen::EmitNestGroups(const Operator& op, llvm::Value* lo, llvm::Value* hi,
+                               const Consume& consume) {
+  const TypeKind key_kind = op.group_by()->type()->kind();
+  auto* i8p = b_.getInt8PtrTy();
+  auto* i64p = b_.getInt64Ty()->getPointerTo();
+  llvm::Value* table_v = b_.getInt32(group_ids_.at(&op));
+  const std::string& gvar = NestBinding(op);
+  // Only fields some expression reads are bound: a group-key or slot read
+  // is a runtime call the optimizer cannot drop.
+  auto needed = [&](const std::string& field) {
+    auto it = needed_.find(gvar);
+    return it != needed_.end() &&
+           std::find(it->second.begin(), it->second.end(), FieldPath{field}) != it->second.end();
+  };
+  bool any_output = false;
+  for (const auto& o : op.outputs()) any_output = any_output || needed(o.name);
+  return EmitRangeLoop(lo, hi, [&](llvm::Value* g) -> Status {
+    if (needed(op.group_name())) {
+      CgValue keyv;
+      if (key_kind == TypeKind::kString) {
+        llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
+        keyv.kind = TypeKind::kString;
+        keyv.v = b_.CreateCall(Helper("proteus_group_key_str", i8p,
+                                      {i8p, b_.getInt32Ty(), b_.getInt64Ty(),
+                                       b_.getInt64Ty()->getPointerTo()}),
+                               {CtxPtr(), table_v, g, len_ptr});
+        keyv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
+      } else {
+        llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", b_.getInt64Ty(),
+                                                {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
+                                         {CtxPtr(), table_v, g});
+        if (key_kind == TypeKind::kBool) {
+          keyv.kind = TypeKind::kBool;
+          keyv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
+        } else if (key_kind == TypeKind::kFloat64) {
+          keyv.kind = TypeKind::kFloat64;
+          keyv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
+        } else {
+          keyv.kind = TypeKind::kInt64;
+          keyv.v = raw;
+        }
+      }
+      bindings_[Key(gvar, {op.group_name()})] = keyv;
+    }
+    if (any_output) {
+      llvm::Value* slots = b_.CreateCall(
+          Helper("proteus_group_slots", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
+          {CtxPtr(), table_v, g});
+      for (size_t i = 0; i < op.outputs().size(); ++i) {
+        const AggOutput& o = op.outputs()[i];
+        PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
+        llvm::Value* raw = b_.CreateLoad(
+            b_.getInt64Ty(), b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i)));
+        CgValue cv;
+        cv.kind = k;
+        cv.v = k == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy()) : raw;
+        bindings_[Key(gvar, {o.name})] = cv;
+      }
     }
     return consume();
   });
@@ -1688,43 +1746,44 @@ Status Codegen::EmitProduce(const OpPtr& op, const Consume& consume) {
     case OpKind::kUnnest:
       return EmitUnnest(op, consume);
     case OpKind::kJoin:
-      // Chain joins of a morsel pipeline built their tables once in
-      // proteus_build; the pipeline function only probes them.
-      if (morsel_mode_ && chain_joins_.count(op.get()) != 0) {
-        return EmitJoinProbe(*op, consume);
-      }
+      // Chain joins built their tables once in proteus_build; the pipeline
+      // function only probes them.
+      if (chain_joins_.count(op.get()) != 0) return EmitJoinProbe(*op, consume);
       return EmitJoin(op, consume);
-    case OpKind::kNest:
-      return EmitNest(op, consume);
+    case OpKind::kNest: {
+      // A Nest driver leaf folded once in proteus_build; the pipeline
+      // function loops its morsel's groups. Nests in build subtrees fold and
+      // loop in place.
+      if (op.get() == driver_leaf_) return EmitNestGroups(*op, begin_arg_, end_arg_, consume);
+      PROTEUS_RETURN_NOT_OK(EmitNestFold(*op));
+      llvm::Value* count = b_.CreateCall(
+          Helper("proteus_group_count", b_.getInt64Ty(), {b_.getInt8PtrTy(), b_.getInt32Ty()}),
+          {CtxPtr(), b_.getInt32(group_ids_.at(op.get()))});
+      return EmitNestGroups(*op, b_.getInt64(0), count, consume);
+    }
     case OpKind::kReduce:
       return Status::Internal("jit: nested Reduce");
   }
   return Status::Internal("jit: unknown operator");
 }
 
-Status Codegen::EmitRoot(const OpPtr& reduce) {
-  return EmitReduceRoot(reduce, /*to_sink=*/false);
-}
-
 /// Dispatches the Reduce root to its bag or scalar emitter — the one home of
-/// the collection-root eligibility rule, shared by both codegen modes.
-Status Codegen::EmitReduceRoot(const OpPtr& reduce, bool to_sink) {
+/// the collection-root eligibility rule.
+Status Codegen::EmitReduceRoot(const OpPtr& reduce) {
   const auto& outputs = reduce->outputs();
   bool is_bag = outputs.size() == 1 && IsCollectionMonoid(outputs[0].monoid);
   // Set roots ride the collection emitter: per-morsel sinks feed a kSet
   // Aggregator whose hash-indexed InsertSetItem dedups within the morsel,
   // and FinalizePlanPartials merges the partials in global morsel order —
   // the interpreter's exact fold, so first-appearance row order matches it
-  // cell for cell. Legacy whole-relation mode dedups through
-  // proteus_result_end_row_set instead.
-  if (is_bag) return EmitBagReduce(reduce, to_sink);
-  return EmitScalarReduce(reduce, to_sink);
+  // cell for cell.
+  if (is_bag) return EmitBagReduce(reduce);
+  return EmitScalarReduce(reduce);
 }
 
-/// Collection-monoid root. `to_sink` picks the destination of emitted rows:
-/// the per-morsel JitMorselSink (morsel pipelines) or the runtime's result
-/// builder (legacy single call) — same cell values either way.
-Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
+/// Collection-monoid root: every emitted row is staged cell by cell and
+/// boxed into the morsel's JitMorselSink accumulator.
+Status Codegen::EmitBagReduce(const OpPtr& reduce) {
   const auto& outputs = reduce->outputs();
   auto* i8p = b_.getInt8PtrTy();
   const ExprPtr& head = outputs[0].expr;
@@ -1737,18 +1796,7 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
     result_columns_ = {outputs[0].name};
     cols = {head};
   }
-  llvm::Value* dst = to_sink ? SinkPtr() : CtxPtr();
-  const bool set_root = outputs[0].monoid == Monoid::kSet;
-  const char* f_int = to_sink ? "proteus_sink_emit_int" : "proteus_result_emit_int";
-  const char* f_double = to_sink ? "proteus_sink_emit_double" : "proteus_result_emit_double";
-  const char* f_bool = to_sink ? "proteus_sink_emit_bool" : "proteus_result_emit_bool";
-  const char* f_str = to_sink ? "proteus_sink_emit_str" : "proteus_result_emit_str";
-  const char* f_null = to_sink ? "proteus_sink_emit_null" : "proteus_result_emit_null";
-  // Sink mode needs no set-specific end: the morsel's kSet Aggregator dedups
-  // on Add. The legacy path dedups the boxed row at end-of-row instead.
-  const char* f_end = to_sink ? "proteus_sink_emit_end"
-                     : set_root ? "proteus_result_end_row_set"
-                                : "proteus_result_end_row";
+  llvm::Value* dst = SinkPtr();
   auto emit_row = [&]() -> Status {
     for (const auto& c : cols) {
       PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(c));
@@ -1761,27 +1809,32 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
         merge_bb = llvm::BasicBlock::Create(*llctx_, "emit.merge", fn_);
         b_.CreateCondBr(v.null, null_bb, typed_bb);
         b_.SetInsertPoint(null_bb);
-        b_.CreateCall(Helper(f_null, b_.getVoidTy(), {i8p}), {dst});
+        b_.CreateCall(Helper("proteus_sink_emit_null", b_.getVoidTy(), {i8p}), {dst});
         b_.CreateBr(merge_bb);
         b_.SetInsertPoint(typed_bb);
       }
       if (v.kind == TypeKind::kInt64) {
-        b_.CreateCall(Helper(f_int, b_.getVoidTy(), {i8p, b_.getInt64Ty()}), {dst, v.v});
+        b_.CreateCall(Helper("proteus_sink_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
+                      {dst, v.v});
       } else if (v.kind == TypeKind::kFloat64) {
-        b_.CreateCall(Helper(f_double, b_.getVoidTy(), {i8p, b_.getDoubleTy()}), {dst, v.v});
+        b_.CreateCall(
+            Helper("proteus_sink_emit_double", b_.getVoidTy(), {i8p, b_.getDoubleTy()}),
+            {dst, v.v});
       } else if (v.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper(f_bool, b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
+        b_.CreateCall(Helper("proteus_sink_emit_bool", b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
                       {dst, b_.CreateZExt(v.v, b_.getInt32Ty())});
       } else {
-        b_.CreateCall(Helper(f_str, b_.getVoidTy(), {i8p, i8p, b_.getInt64Ty()}),
-                      {dst, v.v, v.len});
+        b_.CreateCall(
+            Helper("proteus_sink_emit_str", b_.getVoidTy(), {i8p, i8p, b_.getInt64Ty()}),
+            {dst, v.v, v.len});
       }
       if (merge_bb != nullptr) {
         b_.CreateBr(merge_bb);
         b_.SetInsertPoint(merge_bb);
       }
     }
-    b_.CreateCall(Helper(f_end, b_.getVoidTy(), {i8p}), {dst});
+    // No set-specific end: a set root's kSet Aggregator dedups on Add.
+    b_.CreateCall(Helper("proteus_sink_emit_end", b_.getVoidTy(), {i8p}), {dst});
     return Status::OK();
   };
   return EmitProduce(reduce->child(0),
@@ -1789,12 +1842,11 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
 }
 
 /// Scalar-aggregate root. Accumulators live in allocas (promoted to
-/// registers); the per-tuple fold is identical in both modes. `to_sink`
-/// changes only what happens after the loop: the legacy path emits the one
-/// result row, the morsel path flushes each register into this morsel's
-/// Aggregator partial (with the contributing row count, so empty morsels
-/// leave their partial in the same empty state an interpreter partial has).
-Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
+/// registers); after the loop each register flushes into this morsel's
+/// Aggregator partial with its contributing row count, so an accumulator
+/// that saw no rows stays in the same empty state an interpreter partial
+/// has — and finalizes to the same cell (null for max/min).
+Status Codegen::EmitScalarReduce(const OpPtr& reduce) {
   const auto& outputs = reduce->outputs();
   auto* i8p = b_.getInt8PtrTy();
   struct Acc {
@@ -1839,21 +1891,20 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
     accs.push_back({ptr, k, o.monoid});
     result_columns_.push_back(o.name);
   }
-  // Per-accumulator contributing-row counters: the flush must leave an
-  // accumulator that saw no (non-null) input in its empty state — the empty
-  // state, not a zero value, is what merges as the identity, exactly like an
-  // interpreter partial whose Add() calls were all skipped. Null inputs
-  // (outer-join drain rows, outer-unnest rows) contribute to count but not
-  // to value monoids, so the counters are per output, not per row.
-  std::vector<llvm::Value*> rows_ptrs;
-  if (to_sink) {
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      rows_ptrs.push_back(EntryAlloca(b_.getInt64Ty(), nullptr, "rows"));
-      b_.CreateStore(b_.getInt64(0), rows_ptrs.back());
-    }
-  }
+  // Contributing-row counts for the flush: an accumulator that saw no
+  // (non-null) input must stay in its empty state — the empty state, not a
+  // zero value, is what merges as the identity, exactly like an interpreter
+  // partial whose Add() calls were all skipped. Every row reaching the root
+  // counts once in `rows`. Null inputs (outer-join drain rows, outer-unnest
+  // rows) contribute to count but not to value monoids, so an output whose
+  // input can be null also counts its skipped nulls — in a counter created
+  // the first time such an input is emitted (no null was skipped before).
+  llvm::Value* rows_ptr = EntryCounter("rows");
+  std::vector<llvm::Value*> nulls_ptrs(outputs.size(), nullptr);
 
   auto update = [&]() -> Status {
+    b_.CreateStore(b_.CreateAdd(b_.CreateLoad(b_.getInt64Ty(), rows_ptr), b_.getInt64(1)),
+                   rows_ptr);
     for (size_t i = 0; i < outputs.size(); ++i) {
       const AggOutput& o = outputs[i];
       const Acc& a = accs[i];
@@ -1862,7 +1913,6 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
                                                     : (llvm::Type*)b_.getInt64Ty();
       llvm::Value* cur = b_.CreateLoad(ty, a.ptr);
       llvm::Value* updated;
-      llvm::Value* contrib = b_.getInt64(1);
       if (o.monoid == Monoid::kCount) {
         updated = b_.CreateAdd(cur, b_.getInt64(1));
       } else {
@@ -1890,15 +1940,13 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
         if (v.null != nullptr) {
           // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
           updated = b_.CreateSelect(v.null, cur, updated);
-          contrib = b_.CreateZExt(b_.CreateNot(v.null), b_.getInt64Ty());
+          if (nulls_ptrs[i] == nullptr) nulls_ptrs[i] = EntryCounter("nulls");
+          b_.CreateStore(b_.CreateAdd(b_.CreateLoad(b_.getInt64Ty(), nulls_ptrs[i]),
+                                      b_.CreateZExt(v.null, b_.getInt64Ty())),
+                         nulls_ptrs[i]);
         }
       }
       b_.CreateStore(updated, a.ptr);
-      if (to_sink) {
-        b_.CreateStore(
-            b_.CreateAdd(b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]), contrib),
-            rows_ptrs[i]);
-      }
     }
     return Status::OK();
   };
@@ -1906,49 +1954,32 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
   PROTEUS_RETURN_NOT_OK(EmitProduce(reduce->child(0),
                                     [&]() { return EmitFilter(reduce->pred(), update); }));
 
-  if (to_sink) {
-    // Flush each register accumulator into this morsel's Aggregator partial.
-    for (size_t i = 0; i < accs.size(); ++i) {
-      const Acc& a = accs[i];
-      llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
-      llvm::Value* rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
-      if (a.kind == TypeKind::kFloat64) {
-        llvm::Value* v = b_.CreateLoad(b_.getDoubleTy(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_double", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getDoubleTy(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v, rows});
-      } else if (a.kind == TypeKind::kBool) {
-        llvm::Value* v = b_.CreateLoad(b_.getInt1Ty(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt32Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, b_.CreateZExt(v, b_.getInt32Ty()), rows});
-      } else {
-        llvm::Value* v = b_.CreateLoad(b_.getInt64Ty(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_int", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt64Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v, rows});
-      }
-    }
-    return Status::OK();
-  }
-
-  // Emit the single result row.
-  for (const Acc& a : accs) {
+  // Flush each register accumulator into this morsel's Aggregator partial.
+  llvm::Value* all_rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptr);
+  for (size_t i = 0; i < accs.size(); ++i) {
+    const Acc& a = accs[i];
+    llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
+    llvm::Value* rows =
+        nulls_ptrs[i] == nullptr
+            ? all_rows
+            : b_.CreateSub(all_rows, b_.CreateLoad(b_.getInt64Ty(), nulls_ptrs[i]));
     if (a.kind == TypeKind::kFloat64) {
       llvm::Value* v = b_.CreateLoad(b_.getDoubleTy(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_double", b_.getVoidTy(), {i8p, b_.getDoubleTy()}),
-                    {CtxPtr(), v});
+      b_.CreateCall(Helper("proteus_sink_agg_flush_double", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getDoubleTy(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, v, rows});
     } else if (a.kind == TypeKind::kBool) {
       llvm::Value* v = b_.CreateLoad(b_.getInt1Ty(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_bool", b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
-                    {CtxPtr(), b_.CreateZExt(v, b_.getInt32Ty())});
+      b_.CreateCall(Helper("proteus_sink_agg_flush_bool", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getInt32Ty(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, b_.CreateZExt(v, b_.getInt32Ty()), rows});
     } else {
       llvm::Value* v = b_.CreateLoad(b_.getInt64Ty(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
-                    {CtxPtr(), v});
+      b_.CreateCall(Helper("proteus_sink_agg_flush_int", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getInt64Ty(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, v, rows});
     }
   }
-  b_.CreateCall(Helper("proteus_result_end_row", b_.getVoidTy(), {i8p}), {CtxPtr()});
   return Status::OK();
 }
 
@@ -1958,7 +1989,7 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
 
 Status Codegen::EmitMorselRoot(const OpPtr& reduce, const Operator* nest) {
   if (nest != nullptr) return EmitNestMorsel(*nest);
-  return EmitReduceRoot(reduce, /*to_sink=*/true);
+  return EmitReduceRoot(reduce);
 }
 
 /// Nest directly under the root: per-row group upsert into this morsel's
@@ -2119,25 +2150,14 @@ llvm::Value* Codegen::EntryAlloca(llvm::Type* ty, llvm::Value* array_size, const
   return a;
 }
 
-Status Codegen::Compile(const OpPtr& plan) {
-  if (plan->kind() != OpKind::kReduce) {
-    return Status::InvalidArgument("jit: plan root must be Reduce");
-  }
-  PROTEUS_RETURN_NOT_OK(CheckSupported(plan));
-  CollectJoinKeyPaths(plan, &key_paths_);
-  PROTEUS_RETURN_NOT_OK(Prepare(plan));
-
-  OpenFunction("proteus_query", /*ptr_args=*/2, /*int_args=*/0);  // (ctx, params)
-  PROTEUS_RETURN_NOT_OK(EmitRoot(plan));
-  b_.CreateRetVoid();
-
-  std::string err;
-  llvm::raw_string_ostream os(err);
-  if (llvm::verifyModule(*module_, &os)) {
-    return Status::Internal("jit: invalid IR generated: " + os.str() +
-                            (std::getenv("PROTEUS_DUMP_BAD_IR") ? "\n" + DumpIR() : ""));
-  }
-  return Status::OK();
+llvm::Value* Codegen::EntryCounter(const char* name) {
+  llvm::Value* counter = EntryAlloca(b_.getInt64Ty(), nullptr, name);
+  auto* saved_bb = b_.GetInsertBlock();
+  auto saved_pt = b_.GetInsertPoint();
+  b_.SetInsertPoint(entry_term_);
+  b_.CreateStore(b_.getInt64(0), counter);
+  b_.SetInsertPoint(saved_bb, saved_pt);
+  return counter;
 }
 
 Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
@@ -2145,29 +2165,34 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
   // Chain context first: CheckSupported accepts outer joins only on the
-  // morsel pipeline chain (their bitmaps + drain functions live there).
-  morsel_mode_ = true;
+  // main pipeline chain (their bitmaps + drain functions live there).
   driver_leaf_ = pipe.leaf;
   chain_joins_.insert(pipe.joins.begin(), pipe.joins.end());
   PROTEUS_RETURN_NOT_OK(CheckSupported(plan));
   CollectJoinKeyPaths(plan, &key_paths_);
   PROTEUS_RETURN_NOT_OK(Prepare(plan));
 
-  const OpPtr& top = plan->child(0);
-  const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
+  const Operator* nest = RootNest(plan);
 
   // proteus_build(ctx, params): chain join build sides, each a
-  // whole-relation pipeline run exactly once before the morsel fan-out.
-  // Build subtrees may themselves contain joins or nests — they emit fully
-  // in here.
+  // whole-relation pipeline run exactly once before the morsel fan-out, then
+  // a Nest driver leaf's fold — serial, in row order, into the packed group
+  // table whose groups the pipeline function's morsels then range over.
+  // Build subtrees and the Nest's input may themselves contain joins or
+  // nests — they emit fully in here.
   OpenFunction("proteus_build", /*ptr_args=*/2, /*int_args=*/0);
   for (const Operator* j : pipe.joins) {
     PROTEUS_RETURN_NOT_OK(EmitJoinBuild(*j));
   }
+  if (pipe.leaf->kind() == OpKind::kNest) {
+    PROTEUS_RETURN_NOT_OK(EmitNestFold(*pipe.leaf));
+    driver_group_ = static_cast<int32_t>(group_ids_.at(pipe.leaf));
+  }
   b_.CreateRetVoid();
 
   // proteus_pipeline(ctx, sink, params, begin, end): the driver chain over
-  // one morsel's range, feeding the morsel's partial sink.
+  // one morsel's range (OIDs, cache rows, or groups), feeding the morsel's
+  // partial sink.
   OpenFunction("proteus_pipeline", /*ptr_args=*/3, /*int_args=*/2);
   sink_arg_ = fn_->getArg(1);
   begin_arg_ = fn_->getArg(3);
@@ -2222,11 +2247,10 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
   mpm.run(m, mam);
 }
 
-/// Generates, optimizes, and links `plan` into a position-independent
-/// jit::CompiledModule (parameter table + runtime layout instead of baked
-/// constants) that the CompiledQueryCache can reuse across executions,
-/// threads, and shards. With `pipe`, compiles in morsel mode (proteus_build
-/// + proteus_pipeline); without, legacy whole-relation mode (proteus_query).
+/// Generates, optimizes, and links `plan` — whose main chain is `pipe` —
+/// into a position-independent jit::CompiledModule (parameter table +
+/// runtime layout instead of baked constants) that the CompiledQueryCache
+/// can reuse across executions, threads, and shards.
 ///
 /// `tier` selects the compile pipeline. Tier 1 — every foreground path —
 /// optimizes inline at O2 and links through a default LLJIT. Tier 2 — the
@@ -2237,7 +2261,7 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
 /// results are identical across tiers; only the machine code differs.
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecContext& ctx,
                                                                   const OpPtr& plan,
-                                                                  const MorselPipeline* pipe,
+                                                                  const MorselPipeline& pipe,
                                                                   int tier = 1) {
   InitLLVMOnce();
   OBS_SPAN(ctx.trace, "jit_compile", "tier", tier);
@@ -2247,11 +2271,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
   Codegen cg(ctx, &out->layout, &param_table);
   {
     OBS_SPAN(ctx.trace, "ir_gen");
-    if (pipe != nullptr) {
-      PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, *pipe));
-    } else {
-      PROTEUS_RETURN_NOT_OK(cg.Compile(plan));
-    }
+    PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, pipe));
   }
   out->ir = cg.DumpIR();
   out->columns = cg.result_columns();
@@ -2319,19 +2339,15 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
     }
     return reinterpret_cast<void*>(sym->getAddress());
   };
-  if (pipe != nullptr) {
-    PROTEUS_ASSIGN_OR_RETURN(void* b, lookup("proteus_build"));
-    PROTEUS_ASSIGN_OR_RETURN(void* p, lookup("proteus_pipeline"));
-    out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(b);
-    out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(p);
-    out->outer_join_tables = cg.outer_join_tables();
-    for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
-      PROTEUS_ASSIGN_OR_RETURN(void* d, lookup(("proteus_drain" + std::to_string(k)).c_str()));
-      out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(d));
-    }
-  } else {
-    PROTEUS_ASSIGN_OR_RETURN(void* q, lookup("proteus_query"));
-    out->query_fn = reinterpret_cast<jit::CompiledModule::QueryFn>(q);
+  PROTEUS_ASSIGN_OR_RETURN(void* b, lookup("proteus_build"));
+  PROTEUS_ASSIGN_OR_RETURN(void* p, lookup("proteus_pipeline"));
+  out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(b);
+  out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(p);
+  out->driver_group = cg.driver_group();
+  out->outer_join_tables = cg.outer_join_tables();
+  for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
+    PROTEUS_ASSIGN_OR_RETURN(void* d, lookup(("proteus_drain" + std::to_string(k)).c_str()));
+    out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(d));
   }
   return std::shared_ptr<const jit::CompiledModule>(std::move(out));
 }
@@ -2344,10 +2360,9 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
 
 namespace jit {
 
-QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode mode) {
+QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
   QueryCacheKey key;
   key.signature = plan->Signature();
-  key.mode = mode;
   // Join strategies are not part of Signature() (the logical plan is the
   // same either way) but the compiled module bakes each table's bucket
   // layout into its RuntimeLayout — two strategy assignments must never
@@ -2366,22 +2381,15 @@ QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, Codeg
 }
 
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
-                                                          const OpPtr& plan, CodegenMode mode,
-                                                          int tier) {
+                                                          const OpPtr& plan, int tier) {
   if (plan == nullptr || plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
-  if (mode == CodegenMode::kWholeRelation) {
-    return CompileAndLink(ctx, plan, nullptr, tier);
-  }
-  const OpPtr& top = plan->child(0);
-  const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-  const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
   MorselPipeline pipe;
-  if (!CollectMorselPipeline(pipe_root, &pipe)) {
-    return Status::Unimplemented("jit: plan is not morsel-parallelizable");
+  if (!CollectPlanPipeline(plan, &pipe)) {
+    return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
-  return CompileAndLink(ctx, plan, &pipe, tier);
+  return CompileAndLink(ctx, plan, pipe, tier);
 }
 
 }  // namespace jit
@@ -2391,7 +2399,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModule(
-    const OpPtr& plan, const MorselPipeline* pipe) {
+    const OpPtr& plan, const MorselPipeline& pipe) {
   last_cache_hit_ = false;
   last_compile_ms_ = 0;
   auto compile = [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
@@ -2406,9 +2414,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModu
     return r;
   };
   if (ctx_.jit_cache == nullptr || ctx_.catalog == nullptr) return compile();
-  const jit::QueryCacheKey key = jit::MakeQueryCacheKey(
-      ctx_, plan,
-      pipe != nullptr ? jit::CodegenMode::kMorsel : jit::CodegenMode::kWholeRelation);
+  const jit::QueryCacheKey key = jit::MakeQueryCacheKey(ctx_, plan);
   // On a hit (or a single-flight wait on another thread's compile)
   // last_compile_ms_ stays 0: this execution generated no IR at all.
   // The probe span covers the whole lookup — a miss nests the jit_compile
@@ -2424,40 +2430,19 @@ const std::string& JitExecutor::last_ir() const {
   return last_module_ != nullptr ? last_module_->ir : kEmpty;
 }
 
-Result<QueryResult> JitExecutor::Execute(const OpPtr& plan) {
-  PROTEUS_ASSIGN_OR_RETURN(std::shared_ptr<const jit::CompiledModule> mod,
-                           GetOrCompileModule(plan, nullptr));
-  last_module_ = mod;
-
-  // Fresh per-execution state: runtime tables from the recorded layout, data
-  // constants re-bound from the live catalog/plug-ins/caches.
-  jit::QueryRuntime rt;
-  jit::InitRuntimeFromLayout(mod->layout, &rt);
-  rt.scheduler = ctx_.scheduler;
-  std::vector<std::shared_ptr<const CacheBlock>> pinned_blocks;
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<int64_t> params,
-                           jit::BindParams(ctx_, mod->params, &pinned_blocks));
-
-  jit::MorselCtx mc(&rt);
-  mod->query_fn(&mc, params.data());
-  if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
-
-  rt.result.columns = mod->columns;  // copy: the module is shared
-  return std::move(rt.result);
-}
-
 Result<PlanPartials> JitExecutor::RunMorselPipelines(
     const OpPtr& plan, uint64_t morsel_begin, uint64_t morsel_end, bool whole_plan,
     InterpExecutor::ExecStats* stats, std::shared_ptr<const jit::CompiledModule> premodule) {
   if (plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
-  const OpPtr& top = plan->child(0);
-  const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-  const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
+  if (ctx_.scheduler == nullptr) {
+    return Status::InvalidArgument("JitExecutor requires a TaskScheduler");
+  }
+  const Operator* nest = RootNest(plan);
   MorselPipeline pipe;
-  if (!CollectMorselPipeline(pipe_root, &pipe)) {
-    return Status::Unimplemented("jit: plan is not morsel-parallelizable");
+  if (!CollectPlanPipeline(plan, &pipe)) {
+    return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
   const std::vector<const Operator*> outer = OuterChainJoins(pipe);
   if (!whole_plan && !outer.empty()) {
@@ -2465,7 +2450,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     // morsel slice, but the unmatched-build drain needs every probe morsel's
     // bitmap — a global view.
     return Status::InvalidArgument(
-        "outer joins cannot shard: the unmatched-build drain is global");
+        "outer joins cannot run in morsel chunks: the unmatched-build drain is global");
   }
 
   std::shared_ptr<const jit::CompiledModule> cq;
@@ -2476,7 +2461,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     last_compile_ms_ = 0;
     cq = std::move(premodule);
   } else {
-    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, &pipe));
+    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe));
   }
   last_module_ = cq;
 
@@ -2487,31 +2472,37 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   jit::QueryRuntime rt;
   jit::InitRuntimeFromLayout(cq->layout, &rt);
   rt.scheduler = ctx_.scheduler;
+  rt.cancel = ctx_.cancel;
   std::vector<std::shared_ptr<const CacheBlock>> pinned_blocks;
   PROTEUS_ASSIGN_OR_RETURN(std::vector<int64_t> params,
                            jit::BindParams(ctx_, cq->params, &pinned_blocks));
 
-  // Shared join builds run once (their radix tables build through the
-  // parallel RadixTable::Build path via rt.scheduler), then freeze.
+  // Shared join builds and a Nest driver leaf's fold run once (radix tables
+  // build through the parallel RadixTable::Build path via rt.scheduler),
+  // then freeze.
   {
     OBS_SPAN(ctx_.trace, "join_build");
     jit::MorselCtx build_ctx(&rt);
     cq->build_fn(&build_ctx, params.data());
   }
+  PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
   if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
 
-  // The global morsel decomposition — the exact frame the interpreter and
-  // the shard coordinator use, so every engine agrees on partial boundaries.
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> all, SplitLeafMorsels(ctx_, *pipe.leaf));
+  // The global morsel decomposition — the exact frame the interpreter (and,
+  // for scan leaves, the shard coordinator) uses, so every engine agrees on
+  // partial boundaries. A Nest leaf's morsels split its folded groups.
+  std::vector<ScanRange> all;
+  if (cq->driver_group >= 0) {
+    all = SplitRowMorsels(ctx_, rt.groups[static_cast<size_t>(cq->driver_group)]->size());
+  } else {
+    PROTEUS_ASSIGN_OR_RETURN(all, SplitLeafMorsels(ctx_, *pipe.leaf));
+  }
   if (whole_plan) {
     morsel_begin = 0;
     morsel_end = all.size();
-  } else if (morsel_begin > morsel_end || morsel_end > all.size()) {
-    return Status::InvalidArgument("jit morsel range [" + std::to_string(morsel_begin) +
-                                   ", " + std::to_string(morsel_end) + ") out of bounds for " +
-                                   std::to_string(all.size()) + " morsels");
   }
-  const std::vector<ScanRange> morsels(all.begin() + morsel_begin, all.begin() + morsel_end);
+  PROTEUS_ASSIGN_OR_RETURN(const std::vector<ScanRange> morsels,
+                           MorselSlice(all, morsel_begin, morsel_end));
   const size_t n = morsels.size();
 
   // One partial sink per morsel plus one trailing slot per outer-join drain
@@ -2542,7 +2533,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   // One reusable ctx per worker, not per morsel: unnest cursors and probe
   // iterators are (re)initialized by the generated code before every use,
   // so reuse is race-free and skips 2 vector allocations per morsel.
-  const int workers = ctx_.scheduler != nullptr ? ctx_.scheduler->num_threads() : 1;
+  const int workers = ctx_.scheduler->num_threads();
   std::vector<jit::MorselCtx> ctxs(static_cast<size_t>(workers), jit::MorselCtx(&rt));
 
   // Matched-build bitmaps for the outer chain joins, one set per *worker*
@@ -2580,11 +2571,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
                     morsels[m].end);
     return Status::OK();
   };
-  if (ctx_.scheduler != nullptr) {
-    PROTEUS_RETURN_NOT_OK(ctx_.scheduler->ParallelFor(n, run_one));
-  } else {
-    for (uint64_t m = 0; m < n; ++m) PROTEUS_RETURN_NOT_OK(run_one(m, 0));
-  }
+  PROTEUS_RETURN_NOT_OK(ctx_.scheduler->ParallelFor(n, run_one));
   if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
 
   // Outer-join unmatched drains: serially, deepest join first, once all
@@ -2610,19 +2597,16 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
 
   if (stats != nullptr) {
     stats->morsels = n;
-    stats->threads_used = static_cast<int>(std::min<uint64_t>(
-        ctx_.scheduler != nullptr ? ctx_.scheduler->num_threads() : 1, std::max<size_t>(n, 1)));
+    stats->threads_used = static_cast<int>(
+        std::min<uint64_t>(static_cast<uint64_t>(workers), std::max<size_t>(n, 1)));
   }
   return partials;
 }
 
-Result<QueryResult> JitExecutor::ExecuteParallel(const OpPtr& plan,
-                                                 InterpExecutor::ExecStats* stats) {
+Result<QueryResult> JitExecutor::Execute(const OpPtr& plan, InterpExecutor::ExecStats* stats) {
   PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
                            RunMorselPipelines(plan, 0, 0, /*whole_plan=*/true, stats, nullptr));
-  const OpPtr& top = plan->child(0);
-  const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-  return FinalizePlanPartials(*plan, nest, std::move(partials), ctx_.trace);
+  return FinalizePlanPartials(*plan, RootNest(plan), std::move(partials), ctx_.trace);
 }
 
 Result<PlanPartials> JitExecutor::ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,

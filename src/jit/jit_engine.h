@@ -8,15 +8,17 @@
 // promotes to CPU registers. The IR is optimized and compiled to machine
 // code by ORC LLJIT within milliseconds, then run.
 //
-// Morsel-parallelizable plans compile to *range-parameterized* pipelines:
-// proteus_build(ctx) runs shared join builds once, then the scheduler
-// drives proteus_pipeline(ctx, sink, morsel_begin, morsel_end) — one call
-// per morsel of the plug-in Split() decomposition, each feeding a private
-// partial sink (partial_sink.h) — and the partials merge in global morsel
-// order through the same fold the interpreter uses. Results are therefore
+// Every plan compiles to *range-parameterized* pipelines: proteus_build(ctx)
+// runs shared join builds once, then the scheduler drives
+// proteus_pipeline(ctx, sink, morsel_begin, morsel_end) — one call per
+// morsel of the driver leaf's decomposition, each feeding a private partial
+// sink (partial_sink.h) — and the partials merge in global morsel order
+// through the same fold the interpreter uses. Results are therefore
 // cell-identical for every thread count and across engines; num_threads is
-// purely a performance knob even with codegen on. Other shapes keep the
-// legacy whole-relation proteus_query(ctx) function.
+// purely a performance knob even with codegen on. A Nest below the root is
+// a pipeline breaker: proteus_build folds its input region — serially, in
+// row order — into a packed group table, and the pipeline function's
+// morsels range over that table's groups.
 //
 // Compiled code is position-independent (src/jit/query_cache.h): data
 // pointers, relation sizes, and plug-in addresses live in a per-execution
@@ -27,7 +29,7 @@
 // one signature single-flight), and last_cache_hit()/last_compile_ms()
 // report how the plan was served.
 //
-// Outer joins compile too (morsel mode): probe pipelines set per-morsel
+// Outer joins on the main chain compile too: probe pipelines set per-morsel
 // matched-build bitmaps through their partial sink, and one generated
 // proteus_drain<k> function per outer chain join runs once after all probe
 // morsels report, emitting the unmatched build rows (probe side bound to
@@ -50,8 +52,9 @@
 // table the interpreter uses.
 //
 // Plans using features still outside the generated fast path (non-integer
-// equi-join keys, outer joins off the pipeline chain, collection or boolean
-// monoids inside Nest, deep paths inside array elements) return
+// equi-join keys, outer joins off the main pipeline chain, collection or
+// boolean monoids inside Nest, nullable group keys of a mid-chain Nest, deep
+// paths inside array elements) return
 // Unimplemented — every violation in the plan is reported, semicolon-joined
 // — and the QueryEngine facade transparently falls back to the
 // (morsel-parallel) interpreter — recording the failed attempt's compile
@@ -76,19 +79,33 @@ namespace jit {
 /// JitExecutor uses for its compiled-query-cache lookups, exposed so the
 /// tiered controller can probe (TryGet), read hit counts, and Promote behind
 /// the same key.
-QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode mode);
+QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan);
 
 /// Compiles `plan` to a ready CompiledModule without consulting any cache.
 /// `tier` selects the optimization pipeline: 1 = the default O2 compile
 /// (what every foreground path uses), 2 = the aggressive background
 /// recompile — CodeGenOpt::Aggressive codegen on an ORC ConcurrentIRCompiler
 /// plus an O3 IRTransformLayer pass — that the tiered controller requests
-/// once a signature proves hot. kMorsel mode collects the plan's pipeline
-/// chain itself; returns Unimplemented for plans outside the generated fast
-/// path.
+/// once a signature proves hot. Returns Unimplemented for plans outside the
+/// generated fast path.
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
-                                                          const OpPtr& plan, CodegenMode mode,
-                                                          int tier);
+                                                          const OpPtr& plan, int tier);
+
+// ---- Benchmark-harness compatibility: delete in the next benchmark PR -----
+// perfbench/replay.cpp is frozen with the benchmark and still names the
+// codegen mode that once chose between whole-relation and morsel code. Every
+// plan now compiles to morsel pipelines, so these overloads accept the mode
+// and ignore it. Engine code never uses them.
+enum class CodegenMode : uint8_t { kWholeRelation, kMorsel };
+inline QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode) {
+  return MakeQueryCacheKey(ctx, plan);
+}
+inline Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
+                                                                 const OpPtr& plan, CodegenMode,
+                                                                 int tier) {
+  return CompilePlan(ctx, plan, tier);
+}
+// ---- end of benchmark-harness compatibility --------------------------------
 
 }  // namespace jit
 
@@ -96,23 +113,20 @@ class JitExecutor {
  public:
   explicit JitExecutor(ExecContext ctx) : ctx_(ctx) {}
 
-  /// Compiles and runs `plan` (root must be Reduce) as one whole-relation
-  /// generated function — the legacy single-threaded path, kept for plan
-  /// shapes the morsel driver does not understand.
-  Result<QueryResult> Execute(const OpPtr& plan);
-
-  /// Morsel-parallel execution: compiles the plan's pipelines with a
-  /// (morsel_begin, morsel_end) range parameter, runs shared join builds
-  /// once, drives the pipeline function over the plug-in Split() morsel
-  /// decomposition via ctx.scheduler (per-morsel partial sinks), and merges
-  /// the partials in global morsel order through FinalizePlanPartials — the
-  /// same decomposition and fold the interpreter uses, so results are
-  /// cell-identical (float bits included) for every thread count, to the
-  /// interpreter, and across engines. Used for all thread counts (1
-  /// included): one morsel frame means the thread count can never change the
-  /// fold shape. Returns Unimplemented for plans (or features) outside the
-  /// generated fast path; callers fall back to the interpreter.
-  Result<QueryResult> ExecuteParallel(const OpPtr& plan, InterpExecutor::ExecStats* stats);
+  /// Compiles (or fetches from the cache) and runs `plan` (root must be
+  /// Reduce): the plan's pipelines take a (morsel_begin, morsel_end) range
+  /// parameter, proteus_build runs shared join builds and a mid-chain Nest
+  /// leaf's fold once, the pipeline function is driven over the driver
+  /// leaf's morsel decomposition via ctx.scheduler (per-morsel partial
+  /// sinks), and the partials merge in global morsel order through
+  /// FinalizePlanPartials — the same decomposition and fold the interpreter
+  /// uses, so results are cell-identical (float bits included) for every
+  /// thread count, to the interpreter, and across engines. Used for all
+  /// thread counts (1 included): one morsel frame means the thread count can
+  /// never change the fold shape. `stats` (optional) receives the morsel and
+  /// worker counts. Returns Unimplemented for plans (or features) outside
+  /// the generated fast path; callers fall back to the interpreter.
+  Result<QueryResult> Execute(const OpPtr& plan, InterpExecutor::ExecStats* stats = nullptr);
 
   /// Shard-side execution: runs only morsels [morsel_begin, morsel_end) of
   /// the global decomposition and returns their per-morsel partial sinks —
@@ -124,8 +138,8 @@ class JitExecutor {
   /// Tiered hot-swap entry: like ExecutePartials, but runs a module the
   /// background compiler already produced — no cache lookup and no compile
   /// on this thread, which is what makes the swap a morsel-boundary O(bind)
-  /// operation. The module must have been compiled in morsel mode for an
-  /// identical plan signature.
+  /// operation. The module must have been compiled for an identical plan
+  /// signature.
   Result<PlanPartials> ExecutePartialsPrecompiled(
       const OpPtr& plan, std::shared_ptr<const jit::CompiledModule> module,
       uint64_t morsel_begin, uint64_t morsel_end);
@@ -151,7 +165,7 @@ class JitExecutor {
   /// misses single-flight — one thread compiles, the rest wait and share),
   /// else by compiling directly.
   Result<std::shared_ptr<const jit::CompiledModule>> GetOrCompileModule(
-      const OpPtr& plan, const MorselPipeline* pipe);
+      const OpPtr& plan, const MorselPipeline& pipe);
   /// `premodule`, when set, skips module resolution entirely (the tiered
   /// swap path: the background thread compiled it already).
   Result<PlanPartials> RunMorselPipelines(const OpPtr& plan, uint64_t morsel_begin,

@@ -172,7 +172,6 @@ CompiledModule& CompiledModule::operator=(CompiledModule&&) noexcept = default;
 
 size_t QueryCacheKeyHash::operator()(const QueryCacheKey& k) const {
   uint64_t h = HashString(k.signature);
-  h = HashCombine(h, static_cast<uint64_t>(k.mode));
   h = HashCombine(h, HashString(k.join_strategies));
   h = HashCombine(h, k.catalog_epoch);
   h = HashCombine(h, k.cache_epoch);

@@ -14,11 +14,11 @@
 // in a `RuntimeLayout` so each execution rebuilds a fresh jit::QueryRuntime
 // without touching the codegen.
 //
-// Keying: canonical plan signature (Operator::Signature()) + codegen mode
-// (whole-relation vs morsel-parameterized) + catalog/caching epochs. The
-// epochs make invalidation trivial: any catalog registration / dataset
-// invalidation / cache install or eviction bumps an epoch, old keys stop
-// matching, and stale entries age out of the LRU.
+// Keying: canonical plan signature (Operator::Signature()) + join strategies
+// + catalog/caching epochs. The epochs make invalidation trivial: any
+// catalog registration / dataset invalidation / cache install or eviction
+// bumps an epoch, old keys stop matching, and stale entries age out of the
+// LRU.
 //
 // Concurrency: lookups single-flight — when N shard executors (or any N
 // threads) ask for the same key at once, exactly one compiles while the
@@ -57,11 +57,6 @@ class TraceRecorder;
 namespace jit {
 
 struct QueryRuntime;
-
-/// Which entry points a module was generated with. Whole-relation and
-/// morsel-parameterized code for the same plan are distinct machine code, so
-/// the mode is part of the cache key.
-enum class CodegenMode : uint8_t { kWholeRelation, kMorsel };
 
 /// One hoisted per-execution constant of the generated code: what it is and
 /// where to re-resolve it at bind time. Everything the generated code loads
@@ -163,7 +158,6 @@ struct CompiledModule {
   CompiledModule(CompiledModule&&) noexcept;
   CompiledModule& operator=(CompiledModule&&) noexcept;
 
-  using QueryFn = void (*)(void*, const int64_t*);
   using BuildFn = void (*)(void*, const int64_t*);
   using PipelineFn = void (*)(void*, void*, const int64_t*, uint64_t, uint64_t);
   /// Outer-join unmatched-drain pass: (ctx, sink, merged_matched_bitmap,
@@ -182,12 +176,15 @@ struct CompiledModule {
   int tier = 1;
   std::vector<std::string> columns;
   bool row_records = false;
-  std::string ir;                    ///< unoptimized IR, for inspection
-  QueryFn query_fn = nullptr;        ///< whole-relation mode
-  BuildFn build_fn = nullptr;        ///< morsel mode
-  PipelineFn pipeline_fn = nullptr;  ///< morsel mode
-  /// Morsel mode: one drain function per outer chain join, deepest-first,
-  /// with the matching join-table ids (bitmap sizing + OR source).
+  std::string ir;  ///< unoptimized IR, for inspection
+  BuildFn build_fn = nullptr;
+  PipelineFn pipeline_fn = nullptr;
+  /// Group table the pipeline function's morsels range over when the main
+  /// chain's driver leaf is a mid-chain Nest (build_fn folds it), or -1 for
+  /// a scan driver leaf.
+  int32_t driver_group = -1;
+  /// One drain function per outer chain join, deepest-first, with the
+  /// matching join-table ids (bitmap sizing + OR source).
   std::vector<DrainFn> drain_fns;
   std::vector<uint32_t> outer_join_tables;
   RuntimeLayout layout;
@@ -199,22 +196,20 @@ struct CompiledModule {
   bool ir_verified = false;
 };
 
-/// Cache key: plan signature + codegen mode + join strategies + engine-state
-/// epochs. The join strategies are part of the key (not of the signature —
-/// the logical plan is unchanged) because a module's RuntimeLayout bakes
-/// each build table's probe layout: the same plan optimized to a different
-/// strategy mix must compile its own module.
+/// Cache key: plan signature + join strategies + engine-state epochs. The
+/// join strategies are part of the key (not of the signature — the logical
+/// plan is unchanged) because a module's RuntimeLayout bakes each build
+/// table's probe layout: the same plan optimized to a different strategy mix
+/// must compile its own module.
 struct QueryCacheKey {
   std::string signature;
-  CodegenMode mode = CodegenMode::kMorsel;
   std::string join_strategies;  ///< comma-joined per-join strategy, plan order
   uint64_t catalog_epoch = 0;
   uint64_t cache_epoch = 0;
 
   bool operator==(const QueryCacheKey& o) const {
-    return mode == o.mode && catalog_epoch == o.catalog_epoch &&
-           cache_epoch == o.cache_epoch && join_strategies == o.join_strategies &&
-           signature == o.signature;
+    return catalog_epoch == o.catalog_epoch && cache_epoch == o.cache_epoch &&
+           join_strategies == o.join_strategies && signature == o.signature;
   }
 };
 

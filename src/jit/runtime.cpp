@@ -40,13 +40,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_group_key", reinterpret_cast<void*>(&proteus_group_key)},
       {"proteus_group_key_str", reinterpret_cast<void*>(&proteus_group_key_str)},
       {"proteus_group_slots", reinterpret_cast<void*>(&proteus_group_slots)},
-      {"proteus_result_emit_int", reinterpret_cast<void*>(&proteus_result_emit_int)},
-      {"proteus_result_emit_double", reinterpret_cast<void*>(&proteus_result_emit_double)},
-      {"proteus_result_emit_bool", reinterpret_cast<void*>(&proteus_result_emit_bool)},
-      {"proteus_result_emit_str", reinterpret_cast<void*>(&proteus_result_emit_str)},
-      {"proteus_result_emit_null", reinterpret_cast<void*>(&proteus_result_emit_null)},
-      {"proteus_result_end_row", reinterpret_cast<void*>(&proteus_result_end_row)},
-      {"proteus_result_end_row_set", reinterpret_cast<void*>(&proteus_result_end_row_set)},
+      {"proteus_cancel_requested", reinterpret_cast<void*>(&proteus_cancel_requested)},
       {"proteus_str_eq", reinterpret_cast<void*>(&proteus_str_eq)},
       {"proteus_str_lt", reinterpret_cast<void*>(&proteus_str_lt)},
       // Per-morsel partial sinks (partial_sink.h).
@@ -427,10 +421,7 @@ int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, in
   return g.slots.data() + static_cast<size_t>(idx) * g.slots_per_group;
 }
 
-uint64_t proteus_group_count(void* ctx, uint32_t table) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  return g.string_keys ? g.skeys.size() : g.ikeys.size();
-}
+uint64_t proteus_group_count(void* ctx, uint32_t table) { return RT(ctx)->groups[table]->size(); }
 
 int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx) {
   return RT(ctx)->groups[table]->ikeys[idx];
@@ -447,34 +438,9 @@ int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx) {
   return g.slots.data() + idx * g.slots_per_group;
 }
 
-void proteus_result_emit_int(void* ctx, int64_t v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Int(v));
-}
-void proteus_result_emit_double(void* ctx, double v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Float(v));
-}
-void proteus_result_emit_bool(void* ctx, int32_t v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Boolean(v != 0));
-}
-void proteus_result_emit_str(void* ctx, const char* p, int64_t len) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Str(std::string(p, static_cast<size_t>(len))));
-}
-void proteus_result_emit_null(void* ctx) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Null());
-}
-void proteus_result_end_row(void* ctx) {
-  QueryRuntime* q = RT(ctx);
-  q->result.rows.push_back(std::move(q->cur_row));
-  q->cur_row.clear();
-}
-void proteus_result_end_row_set(void* ctx) {
-  QueryRuntime* q = RT(ctx);
-  // Box the row and dedup through the one set-monoid implementation (hash
-  // index + Equals, first appearance wins); keep it only if new.
-  if (q->result_set.InsertDistinct(proteus::Value::MakeList(q->cur_row))) {
-    q->result.rows.push_back(std::move(q->cur_row));
-  }
-  q->cur_row.clear();
+int32_t proteus_cancel_requested(void* ctx) {
+  const std::atomic<bool>* cancel = RT(ctx)->cancel;
+  return cancel != nullptr && cancel->load(std::memory_order_acquire) ? 1 : 0;
 }
 
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen) {

@@ -3,22 +3,22 @@
 // Proteus wraps these operations in C++ functions and calls them when
 // appropriate from the generated code").
 //
-// The generated query function receives a QueryRuntime*. Join tables, group
-// tables, unnest cursors, and the result builder live here; tight per-tuple
-// work (field loads from binary data, predicate evaluation, aggregation
-// arithmetic) is emitted as straight LLVM IR and never crosses this
-// boundary. CSV/JSON token access crosses it through thin helpers, mirroring
-// the paper's plug-in calls.
+// Every generated function receives a MorselCtx* over the query's
+// QueryRuntime. Join tables, mid-chain Nest group tables, and unnest cursors
+// live here; query results live in the per-morsel partial sinks
+// (partial_sink.h). Tight per-tuple work (field loads from binary data,
+// predicate evaluation, aggregation arithmetic) is emitted as straight LLVM
+// IR and never crosses this boundary. CSV/JSON token access crosses it
+// through thin helpers, mirroring the paper's plug-in calls.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/engine/aggregator.h"
 #include "src/engine/radix_table.h"
-#include "src/engine/result.h"
 #include "src/plugins/csv_plugin.h"
 #include "src/plugins/json_plugin.h"
 
@@ -39,8 +39,12 @@ struct JoinTableRt {
   uint32_t slots_per_row = 0;
 };
 
-/// Hash grouping state: int64 or string keys, packed 8-byte agg slots.
+/// Hash grouping state of a mid-chain Nest: int64 or string keys, packed
+/// 8-byte agg slots. Filled by one serial fold in the build pipeline, then
+/// read-only while morsel pipelines loop its groups.
 struct GroupTableRt {
+  uint64_t size() const { return string_keys ? skeys.size() : ikeys.size(); }
+
   bool string_keys = false;
   std::vector<int64_t> ikeys;
   std::vector<std::string> skeys;
@@ -65,11 +69,10 @@ struct UnnestStateRt {
 };
 
 /// Query-lifetime state shared by every pipeline invocation. During the
-/// morsel-parallel phase everything here is read-only: join tables are
-/// frozen after proteus_build runs, and group tables are only touched by
-/// single-call code — the legacy whole-relation path, or a mid-chain Nest
-/// inside a join build subtree (which runs once, inside proteus_build).
-/// Per-task mutable state lives in MorselCtx.
+/// morsel-parallel phase everything here is read-only: join tables and
+/// group tables are filled only inside proteus_build (chain join builds, a
+/// Nest driver leaf's fold, and whatever their subtrees contain), which runs
+/// once before the fan-out. Per-task mutable state lives in MorselCtx.
 struct QueryRuntime {
   std::vector<std::unique_ptr<JoinTableRt>> joins;
   std::vector<std::unique_ptr<GroupTableRt>> groups;
@@ -77,12 +80,9 @@ struct QueryRuntime {
   /// Parallel radix build for join tables (byte-identical layout to the
   /// serial build); null builds serially.
   TaskScheduler* scheduler = nullptr;
-  QueryResult result;       // legacy whole-relation path only
-  std::vector<Value> cur_row;
-  /// Legacy whole-relation set-monoid roots: proteus_result_end_row_set
-  /// boxes each finished row and keeps it only if this set accumulator —
-  /// the same dedup the interpreter applies — hasn't seen an equal row.
-  Aggregator result_set{Monoid::kSet};
+  /// The query's cancel flag (ExecContext::cancel), polled by generated
+  /// Nest folds through proteus_cancel_requested. Null = not cancellable.
+  const std::atomic<bool>* cancel = nullptr;
   bool failed = false;
   std::string error;
 
@@ -107,7 +107,7 @@ struct QueryRuntime {
 /// Per-invocation mutable state of one generated pipeline call: every
 /// runtime helper takes a MorselCtx* so concurrent morsel tasks never write
 /// shared state. Unnest cursors and join probe iterators are per-task; the
-/// legacy whole-relation path simply runs with a single ctx.
+/// one-shot build and drain functions simply run with a ctx of their own.
 struct MorselCtx {
   explicit MorselCtx(QueryRuntime* runtime)
       : rt(runtime), unnests(runtime->num_unnests), probes(runtime->joins.size()) {}
@@ -186,8 +186,9 @@ int64_t proteus_join_probe_row(void* ctx, uint32_t table);
 int64_t proteus_join_rows(void* ctx, uint32_t table);
 const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row);
 
-// Hash grouping (Nest) — legacy single-call path and mid-chain nests inside
-// build pipelines; morsel-parallel group-bys go through the partial-sink
+// Hash grouping of mid-chain nests: upserts run in the single-call build
+// pipeline, the key/slot reads in the morsel pipelines that loop the folded
+// groups. Group-bys directly under the root go through the partial-sink
 // entry points (partial_sink.h) instead.
 int64_t* proteus_group_upsert(void* ctx, uint32_t table, int64_t key);
 int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, int64_t len);
@@ -196,17 +197,9 @@ int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx);
 const char* proteus_group_key_str(void* ctx, uint32_t table, uint64_t idx, int64_t* len);
 int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx);
 
-// Result building (legacy single-call path; morsel pipelines emit rows into
-// their JitMorselSink instead).
-void proteus_result_emit_int(void* ctx, int64_t v);
-void proteus_result_emit_double(void* ctx, double v);
-void proteus_result_emit_bool(void* ctx, int32_t v);
-void proteus_result_emit_str(void* ctx, const char* p, int64_t len);
-void proteus_result_emit_null(void* ctx);
-void proteus_result_end_row(void* ctx);
-// Set-monoid root (legacy whole-relation mode): ends the staged row only if
-// no equal row was emitted before (hash of the boxed row + cell equality).
-void proteus_result_end_row_set(void* ctx);
+// Nonzero once the query's cancel flag is set: the poll of a generated Nest
+// fold, which runs as one morsel and so has no morsel boundary of its own.
+int32_t proteus_cancel_requested(void* ctx);
 
 // Strings.
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen);

@@ -19,8 +19,8 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 /// Text form of a cache key — the coalescing map key. Mirrors the fields of
 /// QueryCacheKey::operator== exactly.
 std::string KeyString(const QueryCacheKey& key) {
-  return key.signature + "|" + std::to_string(static_cast<int>(key.mode)) + "|" +
-         std::to_string(key.catalog_epoch) + "|" + std::to_string(key.cache_epoch);
+  return key.signature + "|" + key.join_strategies + "|" + std::to_string(key.catalog_epoch) +
+         "|" + std::to_string(key.cache_epoch);
 }
 
 }  // namespace
@@ -66,7 +66,7 @@ void TieredCompiler::WorkerLoop() {
 
 std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext& ctx,
                                                               OpPtr plan, int delay_ms) {
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan, CodegenMode::kMorsel);
+  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
   const std::string ks = KeyString(key);
   MutexLock lk(mu_);
   auto f = inflight_.find(ks);
@@ -91,10 +91,9 @@ std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext&
       if (ctx.jit_cache != nullptr) {
         bool hit = false;
         return ctx.jit_cache->GetOrCompile(
-            key, [&] { return CompilePlan(ctx, plan, key.mode, /*tier=*/1); }, &hit,
-            ctx.trace);
+            key, [&] { return CompilePlan(ctx, plan, /*tier=*/1); }, &hit, ctx.trace);
       }
-      return CompilePlan(ctx, plan, key.mode, /*tier=*/1);
+      return CompilePlan(ctx, plan, /*tier=*/1);
     }();
     const double ms = MsSince(t0);
     {
@@ -113,7 +112,7 @@ std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext&
 
 void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
   if (ctx.jit_cache == nullptr) return;
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan, CodegenMode::kMorsel);
+  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
   const std::string ks = KeyString(key);
   MutexLock lk(mu_);
   if (!tier2_inflight_.insert(ks).second) return;
@@ -123,7 +122,7 @@ void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
       // Same publish-before-visibility rule as the tier-1 job: the span
       // closes before Promote makes the tier-2 module observable.
       OBS_SPAN(ctx.trace, "background_promotion");
-      return CompilePlan(ctx, plan, key.mode, /*tier=*/2);
+      return CompilePlan(ctx, plan, /*tier=*/2);
     }();
     // A failed aggressive recompile is silent: the tier-1 module keeps
     // serving, exactly as before the promotion attempt.
@@ -162,7 +161,7 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
     return Status::Unimplemented("tiered: plan is not chunk-decomposable");
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan, CodegenMode::kMorsel);
+  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
 
   // Warm probe (non-blocking): a cached module means generated code serves
   // from morsel 0 and the interpreter never enters. (This path bypasses

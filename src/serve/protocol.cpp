@@ -17,7 +17,6 @@ namespace {
 void PutTelemetry(WireWriter* w, const QueryTelemetry& t) {
   w->PutF64(t.optimize_ms);
   w->PutF64(t.compile_ms);
-  w->PutF64(t.jit_compile_ms);
   w->PutBool(t.jit_cache_hit);
   w->PutF64(t.execute_ms);
   w->PutF64(t.cache_build_ms);
@@ -44,7 +43,6 @@ Result<QueryTelemetry> GetTelemetry(WireReader* r) {
   QueryTelemetry t;
   PROTEUS_ASSIGN_OR_RETURN(t.optimize_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.compile_ms, r->F64());
-  PROTEUS_ASSIGN_OR_RETURN(t.jit_compile_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.jit_cache_hit, r->Bool());
   PROTEUS_ASSIGN_OR_RETURN(t.execute_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.cache_build_ms, r->F64());

@@ -174,7 +174,7 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
     jit::CompiledQueryCache::Stats after = base_.jit_cache->stats();
     stats->jit_compiles = after.compiles - cache_before.compiles;
     stats->jit_cache_hits = after.hits - cache_before.hits;
-    stats->jit_compile_ms = after.compile_ms_total - cache_before.compile_ms_total;
+    stats->compile_ms = after.compile_ms_total - cache_before.compile_ms_total;
   }
   return FinalizePlanPartials(*plan, nest, std::move(all), base_.trace);
 }

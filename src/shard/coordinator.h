@@ -36,7 +36,7 @@ struct ShardExecStats {
   /// and 0 on a warm one (jit_cache_hits == shards).
   uint64_t jit_compiles = 0;
   uint64_t jit_cache_hits = 0;
-  double jit_compile_ms = 0;  ///< wall ms shards spent compiling this run
+  double compile_ms = 0;  ///< wall ms shards spent compiling this run
   /// Tiered execution across the fan-out (zeros when tiered is off): shards
   /// that ran the tiered controller, summed interpreter/generated morsel
   /// counts, the highest tier any shard ran, and the slowest shard's swap /

@@ -1,11 +1,10 @@
-// Unit tests for the common substrate: Status/Result, Arena, MmapFile,
+// Unit tests for the common substrate: Status/Result, MmapFile,
 // hashing, Value semantics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "src/common/arena.h"
 #include "src/common/hash.h"
 #include "src/common/mmap_file.h"
 #include "src/common/status.h"
@@ -40,38 +39,6 @@ Result<int> Doubler(Result<int> in) {
 TEST(Result, AssignOrReturnMacro) {
   EXPECT_EQ(*Doubler(21), 42);
   EXPECT_FALSE(Doubler(Status::Internal("boom")).ok());
-}
-
-TEST(Arena, AllocatesAlignedMemory) {
-  Arena arena(128);
-  void* a = arena.Allocate(10, 8);
-  void* b = arena.Allocate(10, 8);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-}
-
-TEST(Arena, GrowsBeyondBlockSize) {
-  Arena arena(64);
-  // Allocation larger than the block size must still succeed.
-  void* big = arena.Allocate(1024);
-  ASSERT_NE(big, nullptr);
-  memset(big, 0xAB, 1024);
-  EXPECT_GE(arena.bytes_allocated(), 1024u);
-}
-
-TEST(Arena, ResetReleases) {
-  Arena arena;
-  arena.Allocate(100);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-}
-
-TEST(Arena, ArrayHelper) {
-  Arena arena;
-  int64_t* xs = arena.AllocateArray<int64_t>(16);
-  for (int i = 0; i < 16; ++i) xs[i] = i;
-  EXPECT_EQ(xs[15], 15);
 }
 
 TEST(MmapFile, MapsFileContents) {

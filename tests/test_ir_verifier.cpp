@@ -50,7 +50,7 @@ struct TestModule {
     } else if (name.rfind("proteus_drain", 0) == 0) {
       args = {i8p(), i8p(), i8p(), i8p()};
     } else {
-      args = {i8p(), i8p()};  // proteus_query / proteus_build
+      args = {i8p(), i8p()};  // proteus_build
     }
     auto* fty = llvm::FunctionType::get(vd(), args, false);
     auto* fn =
@@ -115,7 +115,7 @@ TEST(IrVerifierNegative, WhitelistedRuntimeCallAllowed) {
   llvm::IRBuilder<> b(t.ctx);
   llvm::Function* fn = t.AddEntry("proteus_build", &b);
   auto rt = t.mod->getOrInsertFunction(
-      "proteus_result_end_row", llvm::FunctionType::get(t.vd(), {t.i8p()}, false));
+      "proteus_sink_emit_end", llvm::FunctionType::get(t.vd(), {t.i8p()}, false));
   b.CreateCall(rt, {fn->getArg(0)});
   EXPECT_TRUE(VerifyGeneratedModule(*t.mod, 0).ok());
 }

@@ -20,9 +20,9 @@ namespace {
 // shard count in {1, 2, 4} to actually fan out.
 constexpr uint64_t kMorselRows = 16;
 
-jit::QueryCacheKey Key(const std::string& sig, jit::CodegenMode mode = jit::CodegenMode::kMorsel,
-                       uint64_t catalog_epoch = 0, uint64_t cache_epoch = 0) {
-  return jit::QueryCacheKey{sig, mode, /*join_strategies=*/"", catalog_epoch, cache_epoch};
+jit::QueryCacheKey Key(const std::string& sig, uint64_t catalog_epoch = 0,
+                       uint64_t cache_epoch = 0) {
+  return jit::QueryCacheKey{sig, /*join_strategies=*/"", catalog_epoch, cache_epoch};
 }
 
 jit::CompiledQueryCache::CompileFn DummyCompile(std::atomic<int>* count) {
@@ -73,25 +73,16 @@ TEST(CompiledQueryCacheUnit, HitMissAndLruEviction) {
   EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(CompiledQueryCacheUnit, ModeAndEpochsPartitionTheKeySpace) {
+TEST(CompiledQueryCacheUnit, EpochsPartitionTheKeySpace) {
   jit::CompiledQueryCache cache(8);
   std::atomic<int> compiles{0};
   bool hit = false;
-  // Same signature, four distinct keys: mode, catalog epoch, cache epoch.
+  // Same signature, three distinct keys: base, catalog epoch, cache epoch.
   ASSERT_TRUE(cache.GetOrCompile(Key("s"), DummyCompile(&compiles), &hit).ok());
-  ASSERT_TRUE(cache
-                  .GetOrCompile(Key("s", jit::CodegenMode::kWholeRelation),
-                                DummyCompile(&compiles), &hit)
-                  .ok());
-  ASSERT_TRUE(
-      cache.GetOrCompile(Key("s", jit::CodegenMode::kMorsel, 1), DummyCompile(&compiles), &hit)
-          .ok());
-  ASSERT_TRUE(cache
-                  .GetOrCompile(Key("s", jit::CodegenMode::kMorsel, 0, 1),
-                                DummyCompile(&compiles), &hit)
-                  .ok());
-  EXPECT_EQ(compiles.load(), 4);
-  EXPECT_EQ(cache.size(), 4u);
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", 1), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", 0, 1), DummyCompile(&compiles), &hit).ok());
+  EXPECT_EQ(compiles.load(), 3);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(CompiledQueryCacheUnit, FailedCompilesAreNotCached) {
@@ -228,16 +219,15 @@ TEST(QueryCacheEngine, RepeatExecutionHitsAndDifferentPlanMisses) {
   QueryResult first = MustRun(&engine, kAggQuery);
   ASSERT_TRUE(engine.telemetry().used_jit);
   EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().jit_compile_ms, 0.0);
+  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
   const uint64_t compiles_after_first = engine.jit_cache()->stats().compiles;
   EXPECT_EQ(compiles_after_first, 1u);
 
   QueryResult second = MustRun(&engine, kAggQuery);
   ASSERT_TRUE(engine.telemetry().used_jit);
   EXPECT_TRUE(engine.telemetry().jit_cache_hit);
-  EXPECT_EQ(engine.telemetry().jit_compile_ms, 0.0)
+  EXPECT_EQ(engine.telemetry().compile_ms, 0.0)
       << "a warm execution must perform zero IR generation/compilation";
-  EXPECT_EQ(engine.telemetry().compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first)
       << "compile counter must not move on a warm run";
   ExpectIdentical(first, second, "cached vs fresh execution");
@@ -246,7 +236,7 @@ TEST(QueryCacheEngine, RepeatExecutionHitsAndDifferentPlanMisses) {
   // Different signature -> miss (and the old entry stays warm).
   MustRun(&engine, kGroupQuery);
   EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().jit_compile_ms, 0.0);
+  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first + 1);
   MustRun(&engine, kAggQuery);
   EXPECT_TRUE(engine.telemetry().jit_cache_hit);
@@ -305,7 +295,7 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
     EXPECT_TRUE(engine.telemetry().jit_cache_hit)
         << "warm sharded run must be served entirely from the cache";
-    EXPECT_EQ(engine.telemetry().jit_compile_ms, 0.0);
+    EXPECT_EQ(engine.telemetry().compile_ms, 0.0);
 
     std::string ctx = "shards=" + std::to_string(shards);
     ExpectIdentical(reference, cold, ctx + " cold");
