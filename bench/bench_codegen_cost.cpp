@@ -8,7 +8,9 @@
 // the regime of a production engine serving heavy repeated traffic, where
 // per-query codegen would otherwise be re-paid on every execution (and once
 // per shard before the shared cache). The warm variants abort on a cache
-// miss or a zero hit count, so CI can run them as a regression gate.
+// miss or a zero hit count, so CI can run them as a regression gate; the
+// warm_after_unrelated_invalidate variants invalidate a dataset the query
+// does not read before the warm run, which must still hit.
 #include "bench/bench_common.h"
 
 namespace proteus {
@@ -133,6 +135,11 @@ void Register() {
                [query] { return CacheColdWarm(query).cold_compile_ms; });
     RegisterMs("codegen_cache/" + name + "/warm",
                [query] { return CacheColdWarm(query).warm_compile_ms; });
+    // Invalidating a dataset the plan does not read (spam_json) must leave
+    // its module hot: the helper aborts on the warm run's cache miss.
+    RegisterMs("codegen_cache/" + name + "/warm_after_unrelated_invalidate", [query] {
+      return CacheColdWarm(query, /*warm_runs=*/1, "spam_json").warm_compile_ms;
+    });
     // Tiered cold start on the same plan shapes: the interpreter serves the
     // first morsels while the module compiles in the background, then the
     // query hot-swaps to generated code. first_result is the time to the

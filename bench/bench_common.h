@@ -431,7 +431,10 @@ inline double ShardedMs(int shards, const std::string& query) {
 /// the compiled-query cache (jit_cache_hit, compile_ms ~ 0) — the bench
 /// aborts if it is not, so a cache regression fails loudly instead of
 /// silently re-paying compile cost. `warm_runs` extra executions let callers
-/// amortize noise; the hit is asserted on every one.
+/// amortize noise; the hit is asserted on every one. A non-empty
+/// `invalidate_before_warm` names a dataset `query` does not read, which is
+/// invalidated between the cold and the warm runs: compiled modules retire
+/// per dataset, so the warm runs must still hit.
 struct ColdWarmCompile {
   double cold_compile_ms = 0;  ///< first execution: IR gen + LLVM compile
   double warm_compile_ms = 0;  ///< cached re-execution (should be ~0)
@@ -439,7 +442,8 @@ struct ColdWarmCompile {
   uint64_t compiles = 0;       ///< compiles observed (== 1)
 };
 
-inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1) {
+inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1,
+                                     const std::string& invalidate_before_warm = "") {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
   // By value: telemetry() returns a copy, so a reference would dangle.
@@ -459,6 +463,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
     std::abort();
   }
   out.cold_compile_ms = cold.compile_ms;
+  if (!invalidate_before_warm.empty()) engine.InvalidateDataset(invalidate_before_warm);
   for (int i = 0; i < warm_runs; ++i) {
     const QueryTelemetry& warm = run();
     if (!warm.jit_cache_hit) {

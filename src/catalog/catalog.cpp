@@ -22,14 +22,11 @@ Status Catalog::Register(DatasetInfo info) {
     return Status::InvalidArgument("dataset '" + info.name +
                                    "' type must be a collection of records");
   }
-  {
-    MutexLock lk(mu_);
-    if (datasets_.count(info.name)) {
-      return Status::AlreadyExists("dataset '" + info.name + "' already registered");
-    }
-    datasets_.emplace(info.name, std::move(info));
+  MutexLock lk(mu_);
+  if (datasets_.count(info.name)) {
+    return Status::AlreadyExists("dataset '" + info.name + "' already registered");
   }
-  BumpEpoch();
+  datasets_.emplace(info.name, std::move(info));
   return Status::OK();
 }
 

@@ -6,7 +6,6 @@
 // paper §5.2 "Enabling Cost-based Optimizations").
 #pragma once
 
-#include <atomic>
 #include <bitset>
 #include <cmath>
 #include <map>
@@ -138,19 +137,29 @@ class Catalog {
   StatsStore& stats() { return stats_; }
   const StatsStore& stats() const { return stats_; }
 
-  /// Monotonic catalog version, part of the compiled-query cache key:
-  /// codegen bakes schema-derived constants (column indices, row widths,
-  /// JSON path hashes) into generated code, so any registration or dataset
-  /// invalidation must retire previously compiled modules. Bumped by
-  /// Register() and by QueryEngine::InvalidateDataset via BumpEpoch().
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+  /// Data version of dataset `name` (0 until its first invalidation), part
+  /// of the compiled-query cache key of every plan that scans it: codegen
+  /// bakes constants derived from the dataset's opened plug-in (column
+  /// indices, row widths, JSON path hashes) into generated code, so a module
+  /// must retire when — and only when — a dataset it reads changes.
+  /// QueryEngine::InvalidateDataset bumps the version of that dataset only.
+  /// Registration needs no bump: a plan cannot name a dataset that did not
+  /// exist when it was planned, and a name cannot be registered twice.
+  uint64_t version(const std::string& name) const {
+    MutexLock lk(mu_);
+    auto it = versions_.find(name);
+    return it == versions_.end() ? 0 : it->second;
+  }
+  void BumpVersion(const std::string& name) {
+    MutexLock lk(mu_);
+    ++versions_[name];
+  }
 
  private:
   mutable Mutex mu_;
   std::unordered_map<std::string, DatasetInfo> datasets_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, uint64_t> versions_ GUARDED_BY(mu_);
   StatsStore stats_;
-  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace proteus

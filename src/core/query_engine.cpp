@@ -64,9 +64,14 @@ void QueryEngine::InvalidateDataset(const std::string& dataset) {
   plugins_.Evict(dataset);
   catalog_.stats().Invalidate(dataset);
   caches_.InvalidateDataset(dataset);
-  // Compiled modules bake schema-derived constants (column indices, row
-  // widths, JSON path hashes) for the old data; retire them all.
-  catalog_.BumpEpoch();
+  // Compiled modules bake constants of the datasets they read (column
+  // indices, row widths, JSON path hashes). Bumping this dataset's version
+  // — after the plug-in is gone, so no compile under the new version can
+  // see the old one — retires exactly the modules that read it; erasing
+  // them now frees their LLJITs instead of letting them crowd live modules
+  // out of the LRU.
+  catalog_.BumpVersion(dataset);
+  if (jit_cache_ != nullptr) jit_cache_->EraseReading(dataset);
 }
 
 Result<QueryResult> QueryEngine::Execute(const std::string& query, const CallOptions& call) {

@@ -17,7 +17,6 @@ uint64_t CacheBlockFormatRank(DataFormat f) {
 }
 
 uint64_t CachingManager::Install(CacheBlock block) {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   MutexLock lk(mu_);
   block.id = next_id_++;
   block.last_used_tick = ++tick_;
@@ -233,7 +232,6 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
 }
 
 void CachingManager::InvalidateDataset(const std::string& name) {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   MutexLock lk(mu_);
   // Dataset scans embed the dataset name in their signature.
   std::string needle = "scan(" + name + " ";

@@ -11,9 +11,15 @@
 // Cache matching keys on the subtree's canonical Signature(); eviction uses
 // a format-biased LRU (JSON ≻ CSV ≻ binary: drop cheap-to-rebuild caches
 // first — paper: "favoring data from inputs that are more costly to access").
+//
+// Blocks are immutable and their ids are never reused. A CacheScan's
+// Signature() prints its block id, so a rewritten plan names the exact block
+// it reads: installing, replacing, widening, evicting or invalidating a
+// block changes the signature of every plan the rewriter produces over it,
+// and the compiled-query cache (keyed on that signature) needs no separate
+// cache-state version to retire stale modules.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,18 +99,7 @@ class CachingManager {
   explicit CachingManager(CachePolicy policy = {}) : policy_(policy) {}
 
   const CachePolicy& policy() const { return policy_; }
-  void set_policy(CachePolicy p) {
-    policy_ = std::move(p);
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  /// Monotonic cache-state version, part of the compiled-query cache key:
-  /// generated cache scans bind block column pointers per execution, but a
-  /// block appearing, being replaced, or being evicted changes which plans
-  /// the rewriter produces and which blocks exist, so compiled modules from
-  /// before the mutation must be retired. Bumped by Install() (which also
-  /// covers its internal evictions), InvalidateDataset(), and set_policy().
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  void set_policy(CachePolicy p) { policy_ = std::move(p); }
 
   /// Registers a freshly built block; evicts LRU (format-biased) blocks if
   /// over budget. Returns the assigned cache id.
@@ -154,7 +149,6 @@ class CachingManager {
   mutable Mutex mu_;
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   uint64_t tick_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> epoch_{0};
   std::map<uint64_t, std::shared_ptr<CacheBlock>> blocks_ GUARDED_BY(mu_);
 };
 

@@ -13,6 +13,7 @@
 #include <llvm/Support/TargetSelect.h>
 #include <llvm/Support/raw_ostream.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <unordered_map>
@@ -2367,16 +2368,30 @@ QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
   // same either way) but the compiled module bakes each table's bucket
   // layout into its RuntimeLayout — two strategy assignments must never
   // share a cache entry.
+  //
+  // The module also bakes constants of every dataset its leaves open, so the
+  // key carries each one's current version: invalidating a dataset retires
+  // exactly the modules that read it.
+  std::vector<std::string> datasets;
   std::function<void(const Operator&)> walk = [&](const Operator& op) {
     if (op.kind() == OpKind::kJoin && op.left_key() != nullptr) {
       if (!key.join_strategies.empty()) key.join_strategies.push_back(',');
       key.join_strategies.append(JoinStrategyName(op.join_strategy()));
     }
+    if ((op.kind() == OpKind::kScan || op.kind() == OpKind::kCacheScan) &&
+        !op.dataset().empty()) {
+      datasets.push_back(op.dataset());
+    }
     for (const auto& c : op.children()) walk(*c);
   };
   walk(*plan);
-  key.catalog_epoch = ctx.catalog != nullptr ? ctx.catalog->epoch() : 0;
-  key.cache_epoch = ctx.caches != nullptr ? ctx.caches->epoch() : 0;
+  std::sort(datasets.begin(), datasets.end());
+  datasets.erase(std::unique(datasets.begin(), datasets.end()), datasets.end());
+  key.datasets.reserve(datasets.size());
+  for (const std::string& d : datasets) {
+    const uint64_t version = ctx.catalog != nullptr ? ctx.catalog->version(d) : 0;
+    key.datasets.push_back(d + "@" + std::to_string(version));
+  }
   return key;
 }
 

@@ -170,11 +170,21 @@ CompiledModule::~CompiledModule() = default;
 CompiledModule::CompiledModule(CompiledModule&&) noexcept = default;
 CompiledModule& CompiledModule::operator=(CompiledModule&&) noexcept = default;
 
+bool QueryCacheKey::Reads(const std::string& dataset) const {
+  // The version is all digits, so the entry's last '@' ends the name (which
+  // may itself contain '@').
+  for (const std::string& d : datasets) {
+    if (d.rfind('@') == dataset.size() && d.compare(0, dataset.size(), dataset) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 size_t QueryCacheKeyHash::operator()(const QueryCacheKey& k) const {
   uint64_t h = HashString(k.signature);
   h = HashCombine(h, HashString(k.join_strategies));
-  h = HashCombine(h, k.catalog_epoch);
-  h = HashCombine(h, k.cache_epoch);
+  for (const std::string& d : k.datasets) h = HashCombine(h, HashString(d));
   return static_cast<size_t>(h);
 }
 
@@ -330,6 +340,23 @@ void CompiledQueryCache::Clear() {
       ++it;
     }
   }
+}
+
+size_t CompiledQueryCache::EraseReading(const std::string& dataset) {
+  // Moved out and released after the unlock: tearing down an LLJIT is not
+  // free, and concurrent lookups need not wait for it.
+  std::vector<std::shared_ptr<const CompiledModule>> dropped;
+  MutexLock lk(mu_);
+  for (auto it = map_.begin(); it != map_.end();) {
+    if (it->second.state == Entry::State::kReady && it->first.Reads(dataset)) {
+      dropped.push_back(std::move(it->second.module));
+      lru_.erase(it->second.lru_it);
+      it = map_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return dropped.size();
 }
 
 size_t CompiledQueryCache::size() const {

@@ -15,10 +15,13 @@
 // without touching the codegen.
 //
 // Keying: canonical plan signature (Operator::Signature()) + join strategies
-// + catalog/caching epochs. The epochs make invalidation trivial: any
-// catalog registration / dataset invalidation / cache install or eviction
-// bumps an epoch, old keys stop matching, and stale entries age out of the
-// LRU.
+// + the version of every dataset the plan reads. Invalidation is per
+// dataset: QueryEngine::InvalidateDataset bumps that dataset's catalog
+// version, so only keys of plans that scan it stop matching — and it erases
+// those now-unreachable entries at once (EraseReading) instead of leaving
+// them to age out of the LRU. Scan-cache changes need no version of their
+// own: a CacheScan's signature prints its never-reused block id, so a plan
+// rewritten onto a new, widened or rebuilt block is a new signature.
 //
 // Concurrency: lookups single-flight — when N shard executors (or any N
 // threads) ask for the same key at once, exactly one compiles while the
@@ -104,8 +107,8 @@ class ParamTable {
 /// Resolves every descriptor against the live catalog / plug-in registry /
 /// caching manager into the int64 parameter vector the generated functions
 /// read. Validates formats and column bounds so a stale module (one that
-/// escaped epoch invalidation) fails loudly instead of reading through a
-/// dangling base pointer. Thread-safe: only touches the mutex-guarded
+/// escaped dataset-version invalidation) fails loudly instead of reading
+/// through a dangling base pointer. Thread-safe: only touches the mutex-guarded
 /// PluginRegistry and read-only catalog/cache lookups, so N shard threads
 /// can bind the same module concurrently. `pinned` (optional) receives
 /// shared ownership of every cache block whose column base pointers were
@@ -196,21 +199,27 @@ struct CompiledModule {
   bool ir_verified = false;
 };
 
-/// Cache key: plan signature + join strategies + engine-state epochs. The
-/// join strategies are part of the key (not of the signature — the logical
-/// plan is unchanged) because a module's RuntimeLayout bakes each build
-/// table's probe layout: the same plan optimized to a different strategy mix
-/// must compile its own module.
+/// Cache key: plan signature + join strategies + dataset versions. The join
+/// strategies are part of the key (not of the signature — the logical plan
+/// is unchanged) because a module's RuntimeLayout bakes each build table's
+/// probe layout: the same plan optimized to a different strategy mix must
+/// compile its own module. The dataset versions are there because codegen
+/// bakes constants derived from each scanned dataset's opened plug-in; a
+/// module is valid for exactly the versions it was compiled against.
 struct QueryCacheKey {
   std::string signature;
   std::string join_strategies;  ///< comma-joined per-join strategy, plan order
-  uint64_t catalog_epoch = 0;
-  uint64_t cache_epoch = 0;
+  /// "name@version" of every dataset a Scan or CacheScan leaf reads, sorted
+  /// and deduplicated.
+  std::vector<std::string> datasets;
 
   bool operator==(const QueryCacheKey& o) const {
-    return catalog_epoch == o.catalog_epoch && cache_epoch == o.cache_epoch &&
-           join_strategies == o.join_strategies && signature == o.signature;
+    return join_strategies == o.join_strategies && datasets == o.datasets &&
+           signature == o.signature;
   }
+
+  /// True when the plan behind this key reads `dataset` (at any version).
+  bool Reads(const std::string& dataset) const;
 };
 
 struct QueryCacheKeyHash {
@@ -270,10 +279,14 @@ class CompiledQueryCache {
   /// count is what proves a signature hot); resets if the entry is evicted.
   uint64_t HitCount(const QueryCacheKey& key) const EXCLUDES(mu_);
 
-  /// Drops one entry / every entry (in-flight compiles are left to finish
-  /// and publish; Clear only removes ready entries).
+  /// Drops one entry / every entry / every entry whose key reads `dataset`
+  /// (in-flight compiles are left to finish and publish; Clear and
+  /// EraseReading only remove ready entries). EraseReading returns the
+  /// number of entries removed; the modules it drops are destroyed after
+  /// the cache lock is released.
   void Erase(const QueryCacheKey& key) EXCLUDES(mu_);
   void Clear() EXCLUDES(mu_);
+  size_t EraseReading(const std::string& dataset) EXCLUDES(mu_);
 
   size_t size() const EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }

@@ -16,13 +16,6 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Text form of a cache key — the coalescing map key. Mirrors the fields of
-/// QueryCacheKey::operator== exactly.
-std::string KeyString(const QueryCacheKey& key) {
-  return key.signature + "|" + key.join_strategies + "|" + std::to_string(key.catalog_epoch) +
-         "|" + std::to_string(key.cache_epoch);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -67,16 +60,15 @@ void TieredCompiler::WorkerLoop() {
 std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext& ctx,
                                                               OpPtr plan, int delay_ms) {
   const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
-  const std::string ks = KeyString(key);
   MutexLock lk(mu_);
-  auto f = inflight_.find(ks);
+  auto f = inflight_.find(key);
   if (f != inflight_.end()) return f->second;
   auto ticket = std::make_shared<CompileTicket>();
-  inflight_.emplace(ks, ticket);
+  inflight_.emplace(key, ticket);
   // The job captures ctx by value (borrowed engine subsystems — the engine
   // destroys this compiler first) and the plan by shared_ptr (keeps every
   // Operator* in the collected pipeline alive for the background walk).
-  queue_.push_back([this, ctx, plan = std::move(plan), key, ks, ticket, delay_ms] {
+  queue_.push_back([this, ctx, plan = std::move(plan), key, ticket, delay_ms] {
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -98,7 +90,7 @@ std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext&
     const double ms = MsSince(t0);
     {
       MutexLock lk2(mu_);
-      inflight_.erase(ks);
+      inflight_.erase(key);
     }
     if (r.ok()) {
       ticket->Fulfill(Status::OK(), std::move(*r), ms);
@@ -113,10 +105,9 @@ std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext&
 void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
   if (ctx.jit_cache == nullptr) return;
   const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
-  const std::string ks = KeyString(key);
   MutexLock lk(mu_);
-  if (!tier2_inflight_.insert(ks).second) return;
-  queue_.push_back([this, ctx, plan = std::move(plan), key, ks] {
+  if (!tier2_inflight_.insert(key).second) return;
+  queue_.push_back([this, ctx, plan = std::move(plan), key] {
     if (ctx.trace != nullptr) ctx.trace->LabelThisThread("background-compiler");
     auto r = [&] {
       // Same publish-before-visibility rule as the tier-1 job: the span
@@ -128,7 +119,7 @@ void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
     // serving, exactly as before the promotion attempt.
     if (r.ok()) ctx.jit_cache->Promote(key, std::move(*r));
     MutexLock lk2(mu_);
-    tier2_inflight_.erase(ks);
+    tier2_inflight_.erase(key);
   });
   cv_.NotifyOne();
 }

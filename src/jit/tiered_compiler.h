@@ -175,9 +175,10 @@ class TieredCompiler {
   CondVar idle_cv_;  ///< Drain wake
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   /// Key → shared ticket of the in-flight tier-1 compile (coalescing).
-  std::unordered_map<std::string, std::shared_ptr<CompileTicket>> inflight_ GUARDED_BY(mu_);
+  std::unordered_map<QueryCacheKey, std::shared_ptr<CompileTicket>, QueryCacheKeyHash> inflight_
+      GUARDED_BY(mu_);
   /// Keys with a tier-2 recompile queued or running (single-flight).
-  std::unordered_set<std::string> tier2_inflight_ GUARDED_BY(mu_);
+  std::unordered_set<QueryCacheKey, QueryCacheKeyHash> tier2_inflight_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   bool busy_ GUARDED_BY(mu_) = false;
   uint64_t jobs_run_ GUARDED_BY(mu_) = 0;

@@ -1,15 +1,17 @@
 // Compiled-query cache: hit/miss/evict unit behavior, single-flight under
 // concurrency, engine-level telemetry (repeat executions of one plan must
-// hit; structurally different plans must miss), epoch invalidation after
-// catalog / caching-manager mutation, shard sharing (N shards -> exactly one
-// compile), and cell-identity of cached vs freshly compiled executions
-// across num_threads and num_shards in {1, 2, 4}.
+// hit; structurally different plans must miss), per-dataset invalidation
+// (invalidating a dataset retires exactly the modules of plans that read
+// it; unrelated modules stay hot), caching-manager mutation, shard sharing
+// (N shards -> exactly one compile), and cell-identity of cached vs freshly
+// compiled executions across num_threads and num_shards in {1, 2, 4}.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "src/jit/jit_engine.h"
 #include "src/jit/query_cache.h"
 #include "tests/engine_test_util.h"
 
@@ -20,9 +22,8 @@ namespace {
 // shard count in {1, 2, 4} to actually fan out.
 constexpr uint64_t kMorselRows = 16;
 
-jit::QueryCacheKey Key(const std::string& sig, uint64_t catalog_epoch = 0,
-                       uint64_t cache_epoch = 0) {
-  return jit::QueryCacheKey{sig, /*join_strategies=*/"", catalog_epoch, cache_epoch};
+jit::QueryCacheKey Key(const std::string& sig, std::vector<std::string> datasets = {}) {
+  return jit::QueryCacheKey{sig, /*join_strategies=*/"", std::move(datasets)};
 }
 
 jit::CompiledQueryCache::CompileFn DummyCompile(std::atomic<int>* count) {
@@ -73,16 +74,81 @@ TEST(CompiledQueryCacheUnit, HitMissAndLruEviction) {
   EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(CompiledQueryCacheUnit, EpochsPartitionTheKeySpace) {
+TEST(CompiledQueryCacheUnit, DatasetVersionsPartitionTheKeySpace) {
   jit::CompiledQueryCache cache(8);
   std::atomic<int> compiles{0};
   bool hit = false;
-  // Same signature, three distinct keys: base, catalog epoch, cache epoch.
-  ASSERT_TRUE(cache.GetOrCompile(Key("s"), DummyCompile(&compiles), &hit).ok());
-  ASSERT_TRUE(cache.GetOrCompile(Key("s", 1), DummyCompile(&compiles), &hit).ok());
-  ASSERT_TRUE(cache.GetOrCompile(Key("s", 0, 1), DummyCompile(&compiles), &hit).ok());
+  // Same signature, three distinct keys: version 0, version 1, and a second
+  // dataset read alongside version 0.
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@0"}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@1"}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(
+      cache.GetOrCompile(Key("s", {"d@0", "e@0"}), DummyCompile(&compiles), &hit).ok());
   EXPECT_EQ(compiles.load(), 3);
   EXPECT_EQ(cache.size(), 3u);
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@1"}), DummyCompile(&compiles), &hit).ok());
+  EXPECT_TRUE(hit);
+}
+
+TEST(CompiledQueryCacheUnit, KeyReadsMatchesWholeDatasetNames) {
+  const jit::QueryCacheKey k = Key("s", {"a@b@3", "lineitem@12", "orders@0"});
+  EXPECT_TRUE(k.Reads("lineitem"));
+  EXPECT_TRUE(k.Reads("orders"));
+  EXPECT_TRUE(k.Reads("a@b")) << "a name may contain '@'; the version is after the last";
+  EXPECT_FALSE(k.Reads("a"));
+  EXPECT_FALSE(k.Reads("line"));
+  EXPECT_FALSE(k.Reads("lineitem@12"));
+  EXPECT_FALSE(k.Reads("order"));
+  EXPECT_FALSE(Key("s").Reads("lineitem"));
+}
+
+// EraseReading drops exactly the ready entries whose key reads the dataset
+// (at any version) and leaves an in-flight compile of such a key alone.
+TEST(CompiledQueryCacheUnit, EraseReadingDropsExactlyTheReaders) {
+  jit::CompiledQueryCache cache(8);
+  std::atomic<int> compiles{0};
+  bool hit = false;
+  for (const auto& k : {Key("scan_a", {"a@0"}), Key("scan_a", {"a@1"}),
+                        Key("join_ab", {"a@1", "b@0"}), Key("scan_b", {"b@0"}),
+                        Key("scan_ab", {"ab@0"}), Key("no_scan")}) {
+    ASSERT_TRUE(cache.GetOrCompile(k, DummyCompile(&compiles), &hit).ok());
+  }
+  ASSERT_EQ(cache.size(), 6u);
+  EXPECT_EQ(cache.EraseReading("a"), 3u);
+  EXPECT_EQ(cache.size(), 3u);
+  for (const auto& k : {Key("scan_b", {"b@0"}), Key("scan_ab", {"ab@0"}), Key("no_scan")}) {
+    ASSERT_TRUE(cache.GetOrCompile(k, DummyCompile(&compiles), &hit).ok());
+    EXPECT_TRUE(hit) << k.signature << " does not read dataset a and must stay cached";
+  }
+  ASSERT_TRUE(cache.GetOrCompile(Key("join_ab", {"a@1", "b@0"}), DummyCompile(&compiles), &hit)
+                  .ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.EraseReading("missing"), 0u);
+  EXPECT_EQ(cache.size(), 4u);
+
+  // An in-flight compile of a key reading "b" survives EraseReading("b") and
+  // publishes normally.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::thread compiler([&] {
+    bool h = false;
+    auto r = cache.GetOrCompile(
+        Key("scan_b2", {"b@0"}),
+        [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
+          started = true;
+          while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return std::make_shared<const jit::CompiledModule>();
+        },
+        &h);
+    EXPECT_TRUE(r.ok());
+  });
+  while (!started) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(cache.EraseReading("b"), 2u) << "scan_b and join_ab; not the in-flight scan_b2";
+  release = true;
+  compiler.join();
+  EXPECT_EQ(cache.size(), 3u);
+  ASSERT_TRUE(cache.GetOrCompile(Key("scan_b2", {"b@0"}), DummyCompile(&compiles), &hit).ok());
+  EXPECT_TRUE(hit);
 }
 
 TEST(CompiledQueryCacheUnit, FailedCompilesAreNotCached) {
@@ -303,8 +369,10 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
   }
 }
 
-// Epoch invalidation: catalog mutations retire compiled modules.
-TEST(QueryCacheEngine, CatalogMutationInvalidates) {
+// Per-dataset invalidation: a module retires when, and only when, a dataset
+// its plan reads is invalidated. Registering or invalidating any other
+// dataset leaves it hot.
+TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   QueryEngine engine = MakeEngine();
   testutil::RegisterAll(&engine);
   QueryResult before = MustRun(&engine, kAggQuery);
@@ -312,33 +380,161 @@ TEST(QueryCacheEngine, CatalogMutationInvalidates) {
   ASSERT_TRUE(engine.telemetry().jit_cache_hit);
   ASSERT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
-  // Registering any dataset bumps the catalog epoch: the module was built
-  // against schema-derived constants of the old catalog generation.
+  // Registering a dataset the plan does not read changes nothing it baked.
   DatasetInfo extra;
   extra.name = "spam_extra";
   extra.format = DataFormat::kJSON;
   extra.path = testutil::Corpus::Get().dir + "/spam.json";
   extra.type = datagen::SpamJSONSchema();
   ASSERT_TRUE(engine.RegisterDataset(extra).ok());
-
-  QueryResult after = MustRun(&engine, kAggQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "catalog mutation must invalidate";
-  EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
-  ExpectIdentical(before, after, "recompiled after catalog mutation");
-
-  // InvalidateDataset (drop-and-rebuild update story) also retires modules —
-  // the plug-in is evicted, so data pointers and structural indexes change.
   MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "unrelated registration must not invalidate";
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
+
+  // Invalidating a dataset the plan does not read: still hot, same cells.
+  engine.InvalidateDataset("orders_bincol");
+  QueryResult unrelated = MustRun(&engine, kAggQuery);
+  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "unrelated invalidation must not invalidate";
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
+  ExpectIdentical(before, unrelated, "served warm across an unrelated invalidation");
+
+  // Invalidating the dataset it reads (drop-and-rebuild update story): the
+  // plug-in is evicted, so data pointers and structural indexes change and
+  // the module must recompile against the reopened data.
   engine.InvalidateDataset("lineitem_bincol");
   QueryResult reloaded = MustRun(&engine, kAggQuery);
   EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "dataset invalidation must invalidate";
+  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
   ExpectIdentical(before, reloaded, "recompiled after dataset invalidation");
+  MustRun(&engine, kAggQuery);
+  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "the recompiled module serves warm again";
 }
 
-// Epoch invalidation: CachingManager mutations retire compiled modules, and
-// plans rewritten onto cache scans hit on re-execution (their cache-block
-// pointers are bound per run, not baked).
+// The key names the current version of every dataset the plan's leaves read
+// (Scan and CacheScan alike, each once). Erasing on invalidation is not
+// enough on its own: a module compiled against the old version — say by a
+// background compile that lands after the invalidation — is published under
+// the old version's key, which no later lookup computes.
+TEST(QueryCacheEngine, KeyCarriesVersionOfEveryScannedDataset) {
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  ExecContext ctx;
+  ctx.catalog = &engine.catalog();
+  const OpPtr plan = Operator::Join(
+      Operator::Scan("orders_bincol", "o"),
+      Operator::Join(Operator::Scan("lineitem_bincol", "l"),
+                     Operator::CacheScan(7, "c", "scan(lineitem_bincol as c)", "lineitem_bincol"),
+                     Expr::Bool(true)),
+      Expr::Bool(true));
+  const jit::QueryCacheKey before = jit::MakeQueryCacheKey(ctx, plan);
+  EXPECT_EQ(before.datasets,
+            (std::vector<std::string>{"lineitem_bincol@0", "orders_bincol@0"}));
+
+  engine.InvalidateDataset("spam");
+  EXPECT_TRUE(jit::MakeQueryCacheKey(ctx, plan) == before) << "spam is not read";
+
+  engine.InvalidateDataset("orders_bincol");
+  engine.InvalidateDataset("orders_bincol");
+  const jit::QueryCacheKey after = jit::MakeQueryCacheKey(ctx, plan);
+  EXPECT_EQ(after.datasets,
+            (std::vector<std::string>{"lineitem_bincol@0", "orders_bincol@2"}));
+  EXPECT_FALSE(after == before);
+}
+
+// A join retires when either of its inputs is invalidated.
+TEST(QueryCacheEngine, JoinRetiresWhenEitherInputIsInvalidated) {
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  QueryResult before = MustRun(&engine, kJoinQuery);
+  MustRun(&engine, kJoinQuery);
+  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+
+  uint64_t compiles = engine.jit_cache()->stats().compiles;
+  for (const char* input : {"orders_bincol", "lineitem_bincol"}) {
+    engine.InvalidateDataset(input);
+    QueryResult after = MustRun(&engine, kJoinQuery);
+    EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "invalidated join input " << input;
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, ++compiles) << input;
+    ExpectIdentical(before, after, std::string("recompiled after invalidating ") + input);
+    MustRun(&engine, kJoinQuery);
+    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << input;
+  }
+  engine.InvalidateDataset("lineitem_json");
+  MustRun(&engine, kJoinQuery);
+  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "neither join input was invalidated";
+}
+
+// InvalidateDataset erases the dead modules right away: the cache shrinks by
+// exactly the entries whose plans read the dataset.
+TEST(QueryCacheEngine, InvalidateDatasetErasesExactlyItsReaders) {
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  // kAggQuery and kJoinQuery read lineitem_bincol; kGroupQuery and
+  // kUnnestQuery do not.
+  for (const char* q : {kAggQuery, kGroupQuery, kJoinQuery, kUnnestQuery}) MustRun(&engine, q);
+  ASSERT_EQ(engine.jit_cache()->size(), 4u);
+  engine.InvalidateDataset("lineitem_bincol");
+  EXPECT_EQ(engine.jit_cache()->size(), 2u);
+  engine.InvalidateDataset("spam");
+  EXPECT_EQ(engine.jit_cache()->size(), 2u) << "no cached plan reads spam";
+  for (const char* q : {kGroupQuery, kUnnestQuery}) {
+    MustRun(&engine, q);
+    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << q;
+  }
+  engine.InvalidateDataset("orders_denorm");
+  EXPECT_EQ(engine.jit_cache()->size(), 1u);
+  EXPECT_EQ(engine.jit_cache()->stats().evictions, 0u)
+      << "invalidation erases; it is not counted as LRU eviction";
+}
+
+// Scan caches: a plan rewritten onto a cache scan of lineitem_json stays hot
+// while the spam JSON silo is invalidated and its scan cache rebuilt. The
+// rebuild installs a new block, which must not retire modules over other
+// blocks.
+TEST(QueryCacheEngine, CacheScanPlanStaysHotWhileAnotherSiloRebuilds) {
+  const char* spam_query =
+      "SELECT count(*), sum(body_len), max(score) FROM spam WHERE mail_id < 100";
+  // Reference: same caching pipeline, compiled-query cache off (see
+  // CachingManagerMutationInvalidates for why a non-caching engine is not a
+  // bit-level reference).
+  QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0,
+                                 /*enable_caching=*/true);
+  testutil::RegisterAll(&fresh);
+  QueryResult reference = MustRun(&fresh, kGroupQuery);
+  QueryResult spam_reference = MustRun(&fresh, spam_query);
+
+  QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/32,
+                                  /*enable_caching=*/true);
+  testutil::RegisterAll(&engine);
+  MustRun(&engine, kGroupQuery);
+  ASSERT_TRUE(engine.telemetry().used_cache);
+  MustRun(&engine, spam_query);
+  ASSERT_TRUE(engine.telemetry().used_cache);
+  ASSERT_TRUE(engine.telemetry().used_jit);
+  const uint64_t compiles = engine.jit_cache()->stats().compiles;
+
+  for (int slide = 0; slide < 2; ++slide) {
+    engine.InvalidateDataset("spam");
+    // Rebuilds the spam scan cache (a new block id, a new signature).
+    QueryResult spam = MustRun(&engine, spam_query);
+    EXPECT_TRUE(engine.telemetry().used_cache);
+    EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "slide " << slide;
+    ExpectIdentical(spam_reference, spam, "spam after rebuild");
+
+    QueryResult warm = MustRun(&engine, kGroupQuery);
+    EXPECT_TRUE(engine.telemetry().used_cache);
+    EXPECT_TRUE(engine.telemetry().jit_cache_hit)
+        << "lineitem_json's cache-scan plan must stay hot across a spam rebuild (slide "
+        << slide << ")";
+    ExpectIdentical(reference, warm, "lineitem_json after spam rebuild");
+  }
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2) << "one recompile per slide";
+}
+
+// CachingManager mutations retire compiled modules of the plans rewritten
+// onto the affected blocks, and plans rewritten onto cache scans hit on
+// re-execution (their cache-block pointers are bound per run, not baked).
 TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   // Reference: the same caching pipeline with the compiled-query cache
   // disabled, so every run compiles fresh. (A non-caching engine is not a
@@ -353,8 +549,8 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/32,
                                   /*enable_caching=*/true);
   testutil::RegisterAll(&engine);
-  // First run: builds the scan cache (Install bumps the cache epoch), then
-  // compiles the rewritten plan.
+  // First run: builds the scan cache, then compiles the plan rewritten onto
+  // it.
   QueryResult cold = MustRun(&engine, kGroupQuery);
   ASSERT_TRUE(engine.telemetry().used_cache);
   ASSERT_TRUE(engine.telemetry().used_jit);
@@ -369,8 +565,8 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   ExpectIdentical(reference, cold, "caching engine cold");
   ExpectIdentical(reference, warm, "caching engine warm");
 
-  // Mutating the caching manager retires the module; the rebuilt cache gets
-  // a new block id, so the re-run compiles a fresh (re-rewritten) plan.
+  // Dropping the block retires the module: the rebuilt cache gets a new
+  // block id, so the re-run is a new signature and compiles afresh.
   engine.caches().InvalidateDataset("lineitem_json");
   QueryResult rebuilt = MustRun(&engine, kGroupQuery);
   EXPECT_FALSE(engine.telemetry().jit_cache_hit)
