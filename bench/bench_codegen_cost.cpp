@@ -10,7 +10,10 @@
 // per shard before the shared cache). The warm variants abort on a cache
 // miss or a zero hit count, so CI can run them as a regression gate; the
 // warm_after_unrelated_invalidate variants invalidate a dataset the query
-// does not read before the warm run, which must still hit.
+// does not read before the warm run, which must still hit, and the
+// warm_new_literal variants run the warm query with another literal value
+// (`< 100` -> `< 137`): the cache is keyed by plan shape, so that must hit
+// too.
 #include "bench/bench_common.h"
 
 namespace proteus {
@@ -121,15 +124,23 @@ void Register() {
   // shapes. Each cold iteration uses a fresh engine (empty cache); the
   // paired warm variant reports the re-execution's compile cost, which the
   // cache should hold at ~0 ms (the helper aborts on a miss / zero hits).
-  std::vector<std::pair<std::string, std::string>> cache_queries = {
+  // The third field, when set, is the query with a different literal value
+  // for the warm_new_literal variant.
+  struct CacheQuery {
+    std::string name, query, new_literal;
+  };
+  std::vector<CacheQuery> cache_queries = {
       {"fig05_json_projection",
        "SELECT count(*), max(l_quantity), sum(l_extendedprice), min(l_discount) FROM "
-       "lineitem_json WHERE l_orderkey < 100"},
+       "lineitem_json WHERE l_orderkey < 100",
+       "SELECT count(*), max(l_quantity), sum(l_extendedprice), min(l_discount) FROM "
+       "lineitem_json WHERE l_orderkey < 137"},
       {"fig11_json_groupby",
        "SELECT l_linenumber, count(*), sum(l_extendedprice) FROM lineitem_json GROUP BY "
-       "l_linenumber"},
+       "l_linenumber",
+       ""},
   };
-  for (const auto& [name, q] : cache_queries) {
+  for (const auto& [name, q, new_literal] : cache_queries) {
     std::string query = q;
     RegisterMs("codegen_cache/" + name + "/cold",
                [query] { return CacheColdWarm(query).cold_compile_ms; });
@@ -140,6 +151,14 @@ void Register() {
     RegisterMs("codegen_cache/" + name + "/warm_after_unrelated_invalidate", [query] {
       return CacheColdWarm(query, /*warm_runs=*/1, "spam_json").warm_compile_ms;
     });
+    // A new literal value is the same plan shape: the helper aborts on the
+    // warm run's cache miss.
+    if (!new_literal.empty()) {
+      std::string warm = new_literal;
+      RegisterMs("codegen_cache/" + name + "/warm_new_literal", [query, warm] {
+        return CacheColdWarm(query, /*warm_runs=*/1, "", warm).warm_compile_ms;
+      });
+    }
     // Tiered cold start on the same plan shapes: the interpreter serves the
     // first morsels while the module compiles in the background, then the
     // query hot-swaps to generated code. first_result is the time to the

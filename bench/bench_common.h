@@ -434,7 +434,9 @@ inline double ShardedMs(int shards, const std::string& query) {
 /// amortize noise; the hit is asserted on every one. A non-empty
 /// `invalidate_before_warm` names a dataset `query` does not read, which is
 /// invalidated between the cold and the warm runs: compiled modules retire
-/// per dataset, so the warm runs must still hit.
+/// per dataset, so the warm runs must still hit. A non-empty `warm_query`
+/// replaces `query` on the warm runs: the same plan shape with other literal
+/// values, which the module compiled for `query` must serve.
 struct ColdWarmCompile {
   double cold_compile_ms = 0;  ///< first execution: IR gen + LLVM compile
   double warm_compile_ms = 0;  ///< cached re-execution (should be ~0)
@@ -443,21 +445,23 @@ struct ColdWarmCompile {
 };
 
 inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1,
-                                     const std::string& invalidate_before_warm = "") {
+                                     const std::string& invalidate_before_warm = "",
+                                     const std::string& warm_query = "") {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
   // By value: telemetry() returns a copy, so a reference would dangle.
-  auto run = [&]() -> QueryTelemetry {
-    auto r = engine.Execute(query);
+  auto run = [&](const std::string& q) -> QueryTelemetry {
+    auto r = engine.Execute(q);
     if (!r.ok()) {
-      fprintf(stderr, "proteus cache bench: %s\n  %s\n", query.c_str(),
+      fprintf(stderr, "proteus cache bench: %s\n  %s\n", q.c_str(),
               r.status().ToString().c_str());
       std::abort();
     }
     return engine.telemetry();
   };
+  const std::string& warm_text = warm_query.empty() ? query : warm_query;
   ColdWarmCompile out;
-  const QueryTelemetry& cold = run();
+  const QueryTelemetry& cold = run(query);
   if (!cold.used_jit || cold.jit_cache_hit) {
     fprintf(stderr, "cache bench: cold run expected a JIT compile: %s\n", query.c_str());
     std::abort();
@@ -465,10 +469,10 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
   out.cold_compile_ms = cold.compile_ms;
   if (!invalidate_before_warm.empty()) engine.InvalidateDataset(invalidate_before_warm);
   for (int i = 0; i < warm_runs; ++i) {
-    const QueryTelemetry& warm = run();
+    const QueryTelemetry& warm = run(warm_text);
     if (!warm.jit_cache_hit) {
       fprintf(stderr, "cache bench: warm run missed the compiled-query cache: %s\n",
-              query.c_str());
+              warm_text.c_str());
       std::abort();
     }
     out.warm_compile_ms += warm.compile_ms;

@@ -165,12 +165,13 @@ Result<TypeEnv> Operator::OutputEnv(const Catalog& catalog) const {
 
 namespace {
 
-void AppendOutputs(std::ostringstream& os, const std::vector<AggOutput>& outputs) {
+void AppendOutputs(std::ostringstream& os, const std::vector<AggOutput>& outputs,
+                   const LiteralPrinter& literal = nullptr) {
   os << "[";
   for (size_t i = 0; i < outputs.size(); ++i) {
     if (i) os << ", ";
     os << MonoidName(outputs[i].monoid);
-    if (outputs[i].expr) os << "(" << outputs[i].expr->ToString() << ")";
+    if (outputs[i].expr) os << "(" << outputs[i].expr->ToString(literal) << ")";
     os << " as " << outputs[i].name;
   }
   os << "]";
@@ -178,8 +179,10 @@ void AppendOutputs(std::ostringstream& os, const std::vector<AggOutput>& outputs
 
 }  // namespace
 
-std::string Operator::Signature() const {
+std::string Operator::Signature(const LiteralPrinter& literal) const {
   std::ostringstream os;
+  auto expr = [&](const ExprPtr& e) { return e->ToString(literal); };
+  auto child = [&](size_t i) { return children_[i]->Signature(literal); };
   switch (kind_) {
     case OpKind::kScan:
       os << "scan(" << dataset_ << " as " << binding_ << ")";
@@ -188,30 +191,30 @@ std::string Operator::Signature() const {
       os << "cachescan(#" << cache_id_ << " as " << binding_ << ")";
       break;
     case OpKind::kSelect:
-      os << "select{" << (pred_ ? pred_->ToString() : "true") << "}("
-         << children_[0]->Signature() << ")";
+      os << "select{" << (pred_ ? expr(pred_) : "true") << "}(" << child(0) << ")";
       break;
     case OpKind::kJoin:
-      os << (outer_ ? "outerjoin{" : "join{") << (pred_ ? pred_->ToString() : "true") << "}("
-         << children_[0]->Signature() << ", " << children_[1]->Signature() << ")";
+      os << (outer_ ? "outerjoin{" : "join{") << (pred_ ? expr(pred_) : "true");
+      if (left_key_) os << " | hash " << expr(left_key_) << " = " << expr(right_key_);
+      os << "}(" << child(0) << ", " << child(1) << ")";
       break;
     case OpKind::kUnnest:
       os << (outer_ ? "outerunnest{" : "unnest{") << DottedPath(path_) << " as " << binding_;
-      if (pred_) os << " | " << pred_->ToString();
-      os << "}(" << children_[0]->Signature() << ")";
+      if (pred_) os << " | " << expr(pred_);
+      os << "}(" << child(0) << ")";
       break;
     case OpKind::kReduce: {
       os << "reduce{";
-      AppendOutputs(os, outputs_);
-      if (pred_) os << " | " << pred_->ToString();
-      os << "}(" << children_[0]->Signature() << ")";
+      AppendOutputs(os, outputs_, literal);
+      if (pred_) os << " | " << expr(pred_);
+      os << "}(" << child(0) << ")";
       break;
     }
     case OpKind::kNest: {
-      os << "nest{" << group_by_->ToString() << " as " << group_name_ << ", ";
-      AppendOutputs(os, outputs_);
-      if (pred_) os << " | " << pred_->ToString();
-      os << "}(" << children_[0]->Signature() << ")";
+      os << "nest{" << expr(group_by_) << " as " << group_name_ << ", ";
+      AppendOutputs(os, outputs_, literal);
+      if (pred_) os << " | " << expr(pred_);
+      os << "}(" << child(0) << ")";
       break;
     }
   }

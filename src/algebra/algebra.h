@@ -131,8 +131,11 @@ class Operator {
   Result<TypeEnv> OutputEnv(const Catalog& catalog) const;
 
   /// Canonical plan signature: structurally equal subtrees print identically.
-  /// Used by the CachingManager as a matching key (paper §6).
-  std::string Signature() const;
+  /// Used by the CachingManager as a matching key (paper §6). Operators
+  /// print in pre-order, each one's expressions before its children (a
+  /// join's hash keys after its predicate); `literal`, when set, prints
+  /// every literal node in that order in place of its value.
+  std::string Signature(const LiteralPrinter& literal = nullptr) const;
   /// Indented human-readable plan.
   std::string ToString(int indent = 0) const;
 

@@ -1,5 +1,6 @@
 #include "src/expr/expr.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace proteus {
@@ -82,37 +83,56 @@ const char* BinOpName(BinOp op) {
   return "?";
 }
 
-std::string Expr::ToString() const {
+namespace {
+
+/// Shortest round-trip form of a float literal, kept distinct from an
+/// integer literal of the same digits ("91000.01", "1.0", "1e+300").
+std::string FloatLiteralText(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  std::string text(buf, res.ptr);
+  if (text.find_first_of(".en") == std::string::npos) text += ".0";
+  return text;
+}
+
+}  // namespace
+
+std::string Expr::ToString(const LiteralPrinter& literal) const {
   std::ostringstream os;
+  auto sub = [&](size_t i) { return children_[i]->ToString(literal); };
   switch (kind_) {
     case ExprKind::kLiteral:
-      os << literal_.ToString();
+      if (literal) {
+        os << literal(*this);
+      } else if (literal_.is_float()) {
+        os << FloatLiteralText(literal_.f());
+      } else {
+        os << literal_.ToString();
+      }
       break;
     case ExprKind::kVarRef:
       os << name_;
       break;
     case ExprKind::kProj:
-      os << children_[0]->ToString() << "." << name_;
+      os << sub(0) << "." << name_;
       break;
     case ExprKind::kBinary:
-      os << "(" << children_[0]->ToString() << " " << BinOpName(bin_op_) << " "
-         << children_[1]->ToString() << ")";
+      os << "(" << sub(0) << " " << BinOpName(bin_op_) << " " << sub(1) << ")";
       break;
     case ExprKind::kUnary:
-      os << (un_op_ == UnOp::kNot ? "not " : "-") << children_[0]->ToString();
+      os << (un_op_ == UnOp::kNot ? "not " : "-") << sub(0);
       break;
     case ExprKind::kIf:
-      os << "if " << children_[0]->ToString() << " then " << children_[1]->ToString()
-         << " else " << children_[2]->ToString();
+      os << "if " << sub(0) << " then " << sub(1) << " else " << sub(2);
       break;
     case ExprKind::kCast:
-      os << "cast<" << cast_to_->ToString() << ">(" << children_[0]->ToString() << ")";
+      os << "cast<" << cast_to_->ToString() << ">(" << sub(0) << ")";
       break;
     case ExprKind::kRecordCons:
       os << "<";
       for (size_t i = 0; i < children_.size(); ++i) {
         if (i) os << ", ";
-        os << record_names_[i] << ": " << children_[i]->ToString();
+        os << record_names_[i] << ": " << sub(i);
       }
       os << ">";
       break;

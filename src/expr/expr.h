@@ -7,6 +7,7 @@
 // "Expression Generators" component (§4, §5.2).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -34,6 +35,11 @@ enum class UnOp { kNot, kNeg };
 
 class Expr;
 using ExprPtr = std::shared_ptr<Expr>;
+
+/// Prints one literal node of a signature in place of its value: the
+/// compiled-query cache prints a kind placeholder and records the node
+/// (jit::ShapeOfPlan).
+using LiteralPrinter = std::function<std::string(const Expr& literal)>;
 
 class Expr {
  public:
@@ -70,8 +76,11 @@ class Expr {
   void set_type(TypePtr t) { type_ = std::move(t); }
 
   /// Canonical textual form; used for plan signatures (cache matching) and
-  /// debugging. Structurally equal expressions print identically.
-  std::string ToString() const;
+  /// debugging. Structurally equal expressions print identically, and float
+  /// literals print in the shortest form that round-trips, always with a
+  /// '.' or exponent so they never read as integers. `literal`, when set,
+  /// prints each literal node in place of its value.
+  std::string ToString(const LiteralPrinter& literal = nullptr) const;
   bool Equals(const Expr& other) const;
 
   /// Free variables referenced anywhere in this expression.

@@ -7,6 +7,7 @@
 #include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/IR/IRBuilder.h>
 #include <llvm/IR/LLVMContext.h>
+#include <llvm/IR/MDBuilder.h>
 #include <llvm/IR/Module.h>
 #include <llvm/IR/Verifier.h>
 #include <llvm/Passes/PassBuilder.h>
@@ -88,6 +89,13 @@ jit::ParamDesc CacheParam(jit::ParamKind kind, uint64_t cache_id, std::string va
   return d;
 }
 
+jit::ParamDesc LiteralParam(jit::ParamKind kind, uint32_t literal) {
+  jit::ParamDesc d;
+  d.kind = kind;
+  d.literal = literal;
+  return d;
+}
+
 /// Lists (var, path, kind) of every binding a join's build side provides
 /// that the plan needs above the join: those become the packed payload.
 struct PayloadField {
@@ -103,14 +111,22 @@ class Codegen {
   /// Generated code is position-independent: per-execution constants land in
   /// `params` (bound per run) and runtime-table shapes in `layout` (a fresh
   /// QueryRuntime is built from it per run), so one compiled module can be
-  /// cached and reused across executions, threads, and shards.
-  Codegen(ExecContext ctx, jit::RuntimeLayout* layout, jit::ParamTable* params)
+  /// cached and reused across executions, threads, and shards. `literals`
+  /// is the compiled plan's PlanShape::literals: each literal loads from the
+  /// parameter slot of its shape position, so the module serves every plan
+  /// of the same shape, whatever its literal values.
+  Codegen(ExecContext ctx, jit::RuntimeLayout* layout, jit::ParamTable* params,
+          const std::vector<const Expr*>& literals)
       : ectx_(ctx),
         layout_(layout),
         params_(params),
         llctx_(std::make_unique<llvm::LLVMContext>()),
         module_(std::make_unique<llvm::Module>("proteus_module", *llctx_)),
-        b_(*llctx_) {}
+        b_(*llctx_) {
+    for (size_t i = 0; i < literals.size(); ++i) {
+      literal_index_.emplace(literals[i], static_cast<uint32_t>(i));
+    }
+  }
 
   /// Morsel-parameterized compilation (parallel JIT pipelines): emits
   ///   proteus_build(ctx)                       — chain join build sides and a
@@ -185,7 +201,18 @@ class Codegen {
   Status EmitNestMorsel(const Operator& nest);
 
   Result<CgValue> EmitExpr(const ExprPtr& e);
+  Result<CgValue> EmitLiteral(const Expr& e);
   Result<CgValue> EmitBinary(const ExprPtr& e);
+  /// and/or: evaluates the right operand only when the left one does not
+  /// decide the result, as Eval() does (it may raise, e.g. `x / 0`). Null
+  /// operands count as false; the result is a non-null bool.
+  Result<CgValue> EmitShortCircuit(const ExprPtr& e);
+  /// if-then-else: evaluates only the chosen branch, as Eval() does.
+  Result<CgValue> EmitIf(const ExprPtr& e);
+  /// Emits `if (cond && !null) proteus_runtime_error(ctx, code)`. The query
+  /// fails at the next morsel boundary; the code after the check still runs,
+  /// so the caller makes it harmless (srem never sees a zero divisor).
+  void RaiseIf(llvm::Value* cond, llvm::Value* null, jit::RuntimeError code);
   llvm::Value* ToDouble(const CgValue& v) {
     if (v.kind == TypeKind::kFloat64) return v.v;
     if (v.kind == TypeKind::kBool) return b_.CreateUIToFP(v.v, b_.getDoubleTy());
@@ -318,6 +345,7 @@ class Codegen {
   std::unordered_map<const Operator*, uint32_t> group_ids_;
   std::unordered_map<const Operator*, uint32_t> unnest_ids_;
   std::unordered_map<std::string, llvm::Value*> string_globals_;
+  std::unordered_map<const Expr*, uint32_t> literal_index_;  // node -> shape position
   std::vector<std::string> result_columns_;
   bool row_records_ = false;
 };
@@ -537,18 +565,8 @@ llvm::Function* Codegen::Helper(const char* name, llvm::Type* ret,
 
 Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
   switch (e->kind()) {
-    case ExprKind::kLiteral: {
-      const Value& v = e->literal();
-      if (v.is_int()) return CgValue{TypeKind::kInt64, b_.getInt64(v.i())};
-      if (v.is_float())
-        return CgValue{TypeKind::kFloat64, llvm::ConstantFP::get(b_.getDoubleTy(), v.f())};
-      if (v.is_bool()) return CgValue{TypeKind::kBool, b_.getInt1(v.b())};
-      if (v.is_string()) {
-        return CgValue{TypeKind::kString, GlobalString(v.s()),
-                       b_.getInt64(static_cast<int64_t>(v.s().size()))};
-      }
-      return Status::Unimplemented("jit: literal " + v.ToString());
-    }
+    case ExprKind::kLiteral:
+      return EmitLiteral(*e);
     case ExprKind::kVarRef:
     case ExprKind::kProj: {
       FieldPath path;
@@ -585,36 +603,8 @@ Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
       }
       return out;
     }
-    case ExprKind::kIf: {
-      PROTEUS_ASSIGN_OR_RETURN(CgValue c, EmitExpr(e->child(0)));
-      PROTEUS_ASSIGN_OR_RETURN(CgValue t, EmitExpr(e->child(1)));
-      PROTEUS_ASSIGN_OR_RETURN(CgValue f, EmitExpr(e->child(2)));
-      if (t.kind != f.kind) {
-        // Widen int/float branch mismatches to double the way the
-        // arithmetic path does. Other mixes (bool vs numeric, string vs
-        // anything) are rejected by the type checker before either engine
-        // runs, so bailing here keeps the JIT exactly as reachable as the
-        // interpreter — widening them would diverge from Eval(), which
-        // returns the raw branch cell.
-        auto numeric = [](TypeKind k) {
-          return k == TypeKind::kInt64 || k == TypeKind::kFloat64;
-        };
-        if (!numeric(t.kind) || !numeric(f.kind)) {
-          return Status::Unimplemented("jit: if branches of mixed kinds");
-        }
-        t = CgValue{TypeKind::kFloat64, ToDouble(t), nullptr, t.null};
-        f = CgValue{TypeKind::kFloat64, ToDouble(f), nullptr, f.null};
-      }
-      llvm::Value* cond = Truthy(c);  // Eval: a null condition picks else
-      CgValue out{t.kind, b_.CreateSelect(cond, t.v, f.v)};
-      if (t.kind == TypeKind::kString) out.len = b_.CreateSelect(cond, t.len, f.len);
-      if (t.null != nullptr || f.null != nullptr) {
-        llvm::Value* tn = t.null != nullptr ? t.null : b_.getInt1(false);
-        llvm::Value* fn = f.null != nullptr ? f.null : b_.getInt1(false);
-        out.null = b_.CreateSelect(cond, tn, fn);
-      }
-      return out;
-    }
+    case ExprKind::kIf:
+      return EmitIf(e);
     case ExprKind::kCast: {
       PROTEUS_ASSIGN_OR_RETURN(CgValue c, EmitExpr(e->child(0)));
       if (e->cast_to()->kind() == TypeKind::kFloat64) {
@@ -632,16 +622,124 @@ Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
   return Status::Internal("jit: unreachable expr kind");
 }
 
+Result<CgValue> Codegen::EmitLiteral(const Expr& e) {
+  const Value& v = e.literal();
+  if (!v.is_int() && !v.is_float() && !v.is_bool() && !v.is_string()) {
+    return Status::Unimplemented("jit: literal " + v.ToString());
+  }
+  // Never an immediate: the value binds per run from the running plan's
+  // literal at the same shape position (query_cache.h).
+  auto it = literal_index_.find(&e);
+  if (it == literal_index_.end()) {
+    return Status::Internal("jit: literal " + v.ToString() + " outside the plan's shape walk");
+  }
+  auto slot = [&](jit::ParamKind kind) { return ParamI64(LiteralParam(kind, it->second)); };
+  if (v.is_int()) return CgValue{TypeKind::kInt64, slot(jit::ParamKind::kLiteralInt)};
+  if (v.is_float()) {
+    return CgValue{TypeKind::kFloat64,
+                   b_.CreateBitCast(slot(jit::ParamKind::kLiteralFloat), b_.getDoubleTy())};
+  }
+  if (v.is_bool()) {
+    return CgValue{TypeKind::kBool,
+                   b_.CreateICmpNE(slot(jit::ParamKind::kLiteralBool), b_.getInt64(0))};
+  }
+  return CgValue{TypeKind::kString,
+                 b_.CreateIntToPtr(slot(jit::ParamKind::kLiteralStr), b_.getInt8PtrTy()),
+                 slot(jit::ParamKind::kLiteralStrLen)};
+}
+
+Result<CgValue> Codegen::EmitShortCircuit(const ExprPtr& e) {
+  const bool is_and = e->bin_op() == BinOp::kAnd;
+  PROTEUS_ASSIGN_OR_RETURN(CgValue l, EmitExpr(e->child(0)));
+  llvm::Value* lb = Truthy(l);
+  llvm::BasicBlock* decided_bb = b_.GetInsertBlock();
+  auto* rhs_bb = llvm::BasicBlock::Create(*llctx_, is_and ? "and.rhs" : "or.rhs", fn_);
+  auto* merge_bb = llvm::BasicBlock::Create(*llctx_, is_and ? "and.merge" : "or.merge", fn_);
+  if (is_and) {
+    b_.CreateCondBr(lb, rhs_bb, merge_bb);
+  } else {
+    b_.CreateCondBr(lb, merge_bb, rhs_bb);
+  }
+  b_.SetInsertPoint(rhs_bb);
+  PROTEUS_ASSIGN_OR_RETURN(CgValue r, EmitExpr(e->child(1)));
+  llvm::Value* rb = Truthy(r);
+  llvm::BasicBlock* rhs_end = b_.GetInsertBlock();
+  b_.CreateBr(merge_bb);
+  b_.SetInsertPoint(merge_bb);
+  llvm::PHINode* out = b_.CreatePHI(b_.getInt1Ty(), 2);
+  out->addIncoming(b_.getInt1(!is_and), decided_bb);
+  out->addIncoming(rb, rhs_end);
+  return CgValue{TypeKind::kBool, out};
+}
+
+Result<CgValue> Codegen::EmitIf(const ExprPtr& e) {
+  PROTEUS_ASSIGN_OR_RETURN(CgValue c, EmitExpr(e->child(0)));
+  llvm::Value* cond = Truthy(c);  // Eval: a null condition picks else
+  auto* then_bb = llvm::BasicBlock::Create(*llctx_, "if.then", fn_);
+  auto* else_bb = llvm::BasicBlock::Create(*llctx_, "if.else", fn_);
+  auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "if.merge", fn_);
+  b_.CreateCondBr(cond, then_bb, else_bb);
+  CgValue arm[2];
+  llvm::BasicBlock* arm_end[2];
+  llvm::BasicBlock* arm_begin[2] = {then_bb, else_bb};
+  for (int i = 0; i < 2; ++i) {
+    b_.SetInsertPoint(arm_begin[i]);
+    PROTEUS_ASSIGN_OR_RETURN(arm[i], EmitExpr(e->child(static_cast<size_t>(i) + 1)));
+    arm_end[i] = b_.GetInsertBlock();
+    b_.CreateBr(merge_bb);
+  }
+  if (arm[0].kind != arm[1].kind) {
+    // Widen int/float branch mismatches to double the way the arithmetic
+    // path does. Other mixes (bool vs numeric, string vs anything) are
+    // rejected by the type checker before either engine runs, so bailing
+    // here keeps the JIT exactly as reachable as the interpreter — widening
+    // them would diverge from Eval(), which returns the raw branch cell.
+    auto numeric = [](TypeKind k) { return k == TypeKind::kInt64 || k == TypeKind::kFloat64; };
+    if (!numeric(arm[0].kind) || !numeric(arm[1].kind)) {
+      return Status::Unimplemented("jit: if branches of mixed kinds");
+    }
+    for (int i = 0; i < 2; ++i) {
+      b_.SetInsertPoint(arm_end[i]->getTerminator());
+      arm[i] = CgValue{TypeKind::kFloat64, ToDouble(arm[i]), nullptr, arm[i].null};
+    }
+  }
+  b_.SetInsertPoint(merge_bb);
+  auto phi = [&](llvm::Value* t, llvm::Value* f) {
+    llvm::PHINode* p = b_.CreatePHI(t->getType(), 2);
+    p->addIncoming(t, arm_end[0]);
+    p->addIncoming(f, arm_end[1]);
+    return p;
+  };
+  CgValue out{arm[0].kind, phi(arm[0].v, arm[1].v)};
+  if (out.kind == TypeKind::kString) out.len = phi(arm[0].len, arm[1].len);
+  if (arm[0].null != nullptr || arm[1].null != nullptr) {
+    out.null = phi(arm[0].null != nullptr ? arm[0].null : b_.getInt1(false),
+                   arm[1].null != nullptr ? arm[1].null : b_.getInt1(false));
+  }
+  return out;
+}
+
+void Codegen::RaiseIf(llvm::Value* cond, llvm::Value* null, jit::RuntimeError code) {
+  if (null != nullptr) cond = b_.CreateAnd(cond, b_.CreateNot(null));
+  auto* raise_bb = llvm::BasicBlock::Create(*llctx_, "raise", fn_);
+  auto* cont_bb = llvm::BasicBlock::Create(*llctx_, "raise.cont", fn_);
+  b_.CreateCondBr(cond, raise_bb, cont_bb,
+                  llvm::MDBuilder(*llctx_).createBranchWeights(1, 1u << 20));
+  b_.SetInsertPoint(raise_bb);
+  b_.CreateCall(Helper("proteus_runtime_error", b_.getVoidTy(),
+                       {b_.getInt8PtrTy(), b_.getInt32Ty()}),
+                {CtxPtr(), b_.getInt32(static_cast<int32_t>(code))});
+  b_.CreateBr(cont_bb);
+  b_.SetInsertPoint(cont_bb);
+}
+
 Result<CgValue> Codegen::EmitBinary(const ExprPtr& e) {
   BinOp op = e->bin_op();
+  if (op == BinOp::kAnd || op == BinOp::kOr) return EmitShortCircuit(e);
   PROTEUS_ASSIGN_OR_RETURN(CgValue l, EmitExpr(e->child(0)));
   PROTEUS_ASSIGN_OR_RETURN(CgValue r, EmitExpr(e->child(1)));
-  // Eval(): arithmetic / comparison with a null operand is null; and/or fold
-  // null operands to false and always yield a non-null bool.
+  // Eval(): arithmetic / comparison with a null operand is null.
   llvm::Value* nul = OrNull(l.null, r.null);
-
-  if (op == BinOp::kAnd) return CgValue{TypeKind::kBool, b_.CreateAnd(Truthy(l), Truthy(r))};
-  if (op == BinOp::kOr) return CgValue{TypeKind::kBool, b_.CreateOr(Truthy(l), Truthy(r))};
 
   // String comparisons via runtime helpers.
   if (l.kind == TypeKind::kString || r.kind == TypeKind::kString) {
@@ -695,14 +793,20 @@ Result<CgValue> Codegen::EmitBinary(const ExprPtr& e) {
                                            : b_.CreateMul(l.v, r.v);
       return CgValue{TypeKind::kInt64, v, nullptr, nul};
     }
-    case BinOp::kDiv:
-      return CgValue{TypeKind::kFloat64, b_.CreateFDiv(ToDouble(l), ToDouble(r)), nullptr,
-                     nul};
+    case BinOp::kDiv: {
+      // Eval(): a zero divisor of non-null operands fails the query.
+      llvm::Value* den = ToDouble(r);
+      RaiseIf(b_.CreateFCmpOEQ(den, llvm::ConstantFP::get(b_.getDoubleTy(), 0.0)), nul,
+              jit::RuntimeError::kDivisionByZero);
+      return CgValue{TypeKind::kFloat64, b_.CreateFDiv(ToDouble(l), den), nullptr, nul};
+    }
     case BinOp::kMod: {
-      // A null denominator's placeholder payload is 0; srem by 0 traps, so
-      // divide by 1 there — the result is discarded behind the null flag.
-      llvm::Value* den = r.v;
-      if (r.null != nullptr) den = b_.CreateSelect(r.null, b_.getInt64(1), r.v);
+      llvm::Value* zero = b_.CreateICmpEQ(r.v, b_.getInt64(0));
+      RaiseIf(zero, nul, jit::RuntimeError::kModuloByZero);
+      // srem by 0 traps, so divide by 1 there: the query has failed, or the
+      // 0 is a null divisor's placeholder and the result hides behind the
+      // null flag.
+      llvm::Value* den = b_.CreateSelect(zero, b_.getInt64(1), r.v);
       return CgValue{TypeKind::kInt64, b_.CreateSRem(l.v, den), nullptr, nul};
     }
     default:
@@ -2248,10 +2352,11 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
   mpm.run(m, mam);
 }
 
-/// Generates, optimizes, and links `plan` — whose main chain is `pipe` —
-/// into a position-independent jit::CompiledModule (parameter table +
-/// runtime layout instead of baked constants) that the CompiledQueryCache
-/// can reuse across executions, threads, and shards.
+/// Generates, optimizes, and links `plan` — whose main chain is `pipe` and
+/// whose PlanShape::literals are `literals` — into a position-independent
+/// jit::CompiledModule (parameter table + runtime layout instead of baked
+/// constants and literal values) that the CompiledQueryCache can reuse
+/// across executions, threads, shards, and plans of the same shape.
 ///
 /// `tier` selects the compile pipeline. Tier 1 — every foreground path —
 /// optimizes inline at O2 and links through a default LLJIT. Tier 2 — the
@@ -2260,16 +2365,15 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
 /// CodeGenOpt::Aggressive, and defers IR optimization to an O3
 /// IRTransformLayer transform on the materialization path. Entry points and
 /// results are identical across tiers; only the machine code differs.
-Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecContext& ctx,
-                                                                  const OpPtr& plan,
-                                                                  const MorselPipeline& pipe,
-                                                                  int tier = 1) {
+Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
+    const ExecContext& ctx, const OpPtr& plan, const MorselPipeline& pipe,
+    const std::vector<const Expr*>& literals, int tier = 1) {
   InitLLVMOnce();
   OBS_SPAN(ctx.trace, "jit_compile", "tier", tier);
   auto out = std::make_shared<jit::CompiledModule>();
   out->tier = tier;
   jit::ParamTable param_table;
-  Codegen cg(ctx, &out->layout, &param_table);
+  Codegen cg(ctx, &out->layout, &param_table, literals);
   {
     OBS_SPAN(ctx.trace, "ir_gen");
     PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, pipe));
@@ -2361,9 +2465,12 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
 
 namespace jit {
 
-QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
+namespace {
+
+/// MakeQueryCacheKey over an already computed PlanShape::signature.
+QueryCacheKey KeyForShape(const ExecContext& ctx, const OpPtr& plan, std::string signature) {
   QueryCacheKey key;
-  key.signature = plan->Signature();
+  key.signature = std::move(signature);
   // Join strategies are not part of Signature() (the logical plan is the
   // same either way) but the compiled module bakes each table's bucket
   // layout into its RuntimeLayout — two strategy assignments must never
@@ -2395,6 +2502,12 @@ QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
   return key;
 }
 
+}  // namespace
+
+QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
+  return KeyForShape(ctx, plan, ShapeOfPlan(*plan).signature);
+}
+
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
                                                           const OpPtr& plan, int tier) {
   if (plan == nullptr || plan->kind() != OpKind::kReduce) {
@@ -2404,7 +2517,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
   if (!CollectPlanPipeline(plan, &pipe)) {
     return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
-  return CompileAndLink(ctx, plan, pipe, tier);
+  return CompileAndLink(ctx, plan, pipe, ShapeOfPlan(*plan).literals, tier);
 }
 
 }  // namespace jit
@@ -2414,12 +2527,12 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModule(
-    const OpPtr& plan, const MorselPipeline& pipe) {
+    const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape) {
   last_cache_hit_ = false;
   last_compile_ms_ = 0;
   auto compile = [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = CompileAndLink(ctx_, plan, pipe);
+    auto r = CompileAndLink(ctx_, plan, pipe, shape.literals);
     // Recorded on failure too: an aborted codegen attempt (e.g. an
     // Unimplemented feature discovered mid-emission) costs real wall time
     // that fallback telemetry must attribute to compile_ms, not execute_ms.
@@ -2429,7 +2542,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModu
     return r;
   };
   if (ctx_.jit_cache == nullptr || ctx_.catalog == nullptr) return compile();
-  const jit::QueryCacheKey key = jit::MakeQueryCacheKey(ctx_, plan);
+  const jit::QueryCacheKey key = jit::KeyForShape(ctx_, plan, shape.signature);
   // On a hit (or a single-flight wait on another thread's compile)
   // last_compile_ms_ stays 0: this execution generated no IR at all.
   // The probe span covers the whole lookup — a miss nests the jit_compile
@@ -2468,6 +2581,9 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
         "outer joins cannot run in morsel chunks: the unmatched-build drain is global");
   }
 
+  // The running plan's literals: whichever plan of this shape the module
+  // was compiled for, this run binds its own values.
+  const jit::PlanShape shape = jit::ShapeOfPlan(*plan);
   std::shared_ptr<const jit::CompiledModule> cq;
   if (premodule != nullptr) {
     // Tiered swap path: the background thread compiled (and cached) the
@@ -2476,7 +2592,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     last_compile_ms_ = 0;
     cq = std::move(premodule);
   } else {
-    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe));
+    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe, shape));
   }
   last_module_ = cq;
 
@@ -2490,7 +2606,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   rt.cancel = ctx_.cancel;
   std::vector<std::shared_ptr<const CacheBlock>> pinned_blocks;
   PROTEUS_ASSIGN_OR_RETURN(std::vector<int64_t> params,
-                           jit::BindParams(ctx_, cq->params, &pinned_blocks));
+                           jit::BindParams(ctx_, cq->params, shape.literals, &pinned_blocks));
 
   // Shared join builds and a Nest driver leaf's fold run once (radix tables
   // build through the parallel RadixTable::Build path via rt.scheduler),
@@ -2501,7 +2617,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     cq->build_fn(&build_ctx, params.data());
   }
   PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
-  if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
+  if (rt.failed()) return rt.error();
 
   // The global morsel decomposition — the exact frame the interpreter (and,
   // for scan leaves, the shard coordinator) uses, so every engine agrees on
@@ -2576,6 +2692,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     // Morsel boundary: the cooperative cancellation point of the generated
     // engine — generated code never checks mid-morsel.
     PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
+    if (rt.failed()) return rt.error();
     if (ctx_.morsel_hook != nullptr) (*ctx_.morsel_hook)(morsel_begin + m);
     // Trace the dispatch boundary with the *global* morsel index, so a
     // sharded or tiered trace reads in the one decomposition every engine
@@ -2587,7 +2704,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     return Status::OK();
   };
   PROTEUS_RETURN_NOT_OK(ctx_.scheduler->ParallelFor(n, run_one));
-  if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
+  if (rt.failed()) return rt.error();
 
   // Outer-join unmatched drains: serially, deepest join first, once all
   // probe morsels reported. Each drain k ORs every earlier bitmap (all
@@ -2607,7 +2724,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
       }
       cq->drain_fns[k](&drain_ctx, &sinks[n + k], merged.data(), params.data());
     }
-    if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
+    if (rt.failed()) return rt.error();
   }
 
   if (stats != nullptr) {

@@ -21,13 +21,19 @@
 // morsels range over that table's groups.
 //
 // Compiled code is position-independent (src/jit/query_cache.h): data
-// pointers, relation sizes, and plug-in addresses live in a per-execution
-// parameter table, not the instruction stream, so a module compiled once can
-// be cached by plan signature and re-run — across executions, threads, and
-// shards — after a cheap re-bind. When ExecContext::jit_cache is set, the
-// executor looks modules up there before compiling (concurrent lookups of
-// one signature single-flight), and last_cache_hit()/last_compile_ms()
-// report how the plan was served.
+// pointers, relation sizes, plug-in addresses, and the plan's literal values
+// live in a per-execution parameter table, not the instruction stream, so a
+// module compiled once can be cached by plan shape and re-run — across
+// executions, threads, shards, and literal values — after a cheap re-bind.
+// When ExecContext::jit_cache is set, the executor looks modules up there
+// before compiling (concurrent lookups of one shape single-flight), and
+// last_cache_hit()/last_compile_ms() report how the plan was served.
+//
+// Generated `/` and `%` check their divisor: a zero divisor of non-null
+// operands fails the query with the interpreter's status (division by zero
+// / modulo by zero). Like Eval(), the generated code evaluates the right
+// operand of and/or, and the branches of if, only when the result needs
+// them, so a guarded division cannot fail a row the interpreter accepts.
 //
 // Outer joins on the main chain compile too: probe pipelines set per-morsel
 // matched-build bitmaps through their partial sink, and one generated
@@ -139,7 +145,7 @@ class JitExecutor {
   /// background compiler already produced — no cache lookup and no compile
   /// on this thread, which is what makes the swap a morsel-boundary O(bind)
   /// operation. The module must have been compiled for an identical plan
-  /// signature.
+  /// shape (jit::ShapeOfPlan); the run binds `plan`'s own literals.
   Result<PlanPartials> ExecutePartialsPrecompiled(
       const OpPtr& plan, std::shared_ptr<const jit::CompiledModule> module,
       uint64_t morsel_begin, uint64_t morsel_end);
@@ -161,11 +167,11 @@ class JitExecutor {
 
  private:
   /// Resolves the plan to a ready CompiledModule: through the shared
-  /// signature-keyed cache when ExecContext::jit_cache is set (concurrent
+  /// shape-keyed cache when ExecContext::jit_cache is set (concurrent
   /// misses single-flight — one thread compiles, the rest wait and share),
   /// else by compiling directly.
   Result<std::shared_ptr<const jit::CompiledModule>> GetOrCompileModule(
-      const OpPtr& plan, const MorselPipeline& pipe);
+      const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape);
   /// `premodule`, when set, skips module resolution entirely (the tiered
   /// swap path: the background thread compiled it already).
   Result<PlanPartials> RunMorselPipelines(const OpPtr& plan, uint64_t morsel_begin,

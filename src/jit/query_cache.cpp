@@ -3,8 +3,10 @@
 #include <llvm/ExecutionEngine/Orc/LLJIT.h>
 
 #include <chrono>
+#include <cstring>
 #include <sstream>
 
+#include "src/algebra/algebra.h"
 #include "src/common/hash.h"
 #include "src/engine/interp.h"
 #include "src/jit/runtime.h"
@@ -30,14 +32,97 @@ const char* ParamKindName(ParamKind k) {
     case ParamKind::kCacheNumRows: return "cache_rows";
     case ParamKind::kCacheColIntBase: return "cache_int";
     case ParamKind::kCacheColFloatBase: return "cache_float";
+    case ParamKind::kLiteralInt: return "lit_int";
+    case ParamKind::kLiteralFloat: return "lit_float";
+    case ParamKind::kLiteralBool: return "lit_bool";
+    case ParamKind::kLiteralStr: return "lit_str";
+    case ParamKind::kLiteralStrLen: return "lit_strlen";
   }
   return "?";
 }
 
+/// True for the kLiteral* kinds: bound from the running plan's literals,
+/// not from the catalog, plug-ins or caches.
+bool IsLiteralParam(ParamKind kind) {
+  switch (kind) {
+    case ParamKind::kLiteralInt:
+    case ParamKind::kLiteralFloat:
+    case ParamKind::kLiteralBool:
+    case ParamKind::kLiteralStr:
+    case ParamKind::kLiteralStrLen:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The bound value of literal descriptor `d`: the running plan's literal
+/// at the same shape position, checked against the kind the module loads.
+Result<int64_t> BindLiteral(const ParamDesc& d, const std::vector<const Expr*>& literals) {
+  if (d.literal >= literals.size()) {
+    return Status::Internal("jit bind: the running plan has no literal #" +
+                            std::to_string(d.literal));
+  }
+  const Value& v = literals[d.literal]->literal();
+  switch (d.kind) {
+    case ParamKind::kLiteralInt:
+      if (v.is_int()) return v.i();
+      break;
+    case ParamKind::kLiteralFloat:
+      if (v.is_float()) {
+        const double f = v.f();
+        int64_t bits;
+        std::memcpy(&bits, &f, sizeof(bits));
+        return bits;
+      }
+      break;
+    case ParamKind::kLiteralBool:
+      if (v.is_bool()) return v.b() ? 1 : 0;
+      break;
+    case ParamKind::kLiteralStr:
+      if (v.is_string()) {
+        return static_cast<int64_t>(reinterpret_cast<uintptr_t>(v.s().data()));
+      }
+      break;
+    case ParamKind::kLiteralStrLen:
+      if (v.is_string()) return static_cast<int64_t>(v.s().size());
+      break;
+    default:
+      break;
+  }
+  return Status::Internal("jit bind: literal #" + std::to_string(d.literal) +
+                          " of the running plan changed kind under a module");
+}
+
 }  // namespace
+
+PlanShape ShapeOfPlan(const Operator& plan) {
+  PlanShape shape;
+  // Codegen gives each literal node one parameter slot, so a node the plan
+  // reaches twice (a join key is a subtree of its predicate) prints as a
+  // reference to its first position: a plan with two distinct literals
+  // there is another shape.
+  std::unordered_map<const Expr*, size_t> position;
+  shape.signature = plan.Signature([&](const Expr& lit) -> std::string {
+    const auto [it, first] = position.emplace(&lit, shape.literals.size());
+    if (!first) return "?@" + std::to_string(it->second);
+    shape.literals.push_back(&lit);
+    const Value& v = lit.literal();
+    if (v.is_int()) return "?i";
+    if (v.is_float()) return "?f";
+    if (v.is_bool()) return "?b";
+    if (v.is_string()) return "?s";
+    return v.ToString();  // no generated form (codegen declines it): keyed by value
+  });
+  return shape;
+}
 
 std::string ParamDesc::ToString() const {
   std::ostringstream os;
+  if (IsLiteralParam(kind)) {
+    os << ParamKindName(kind) << "[" << literal << "]";
+    return os.str();
+  }
   os << ParamKindName(kind) << "(" << dataset << "#" << cache_id << "." << var;
   if (!path.empty()) os << "." << DottedPath(path);
   os << "@" << column << ")";
@@ -56,11 +141,17 @@ uint32_t ParamTable::Slot(ParamDesc desc) {
 
 Result<std::vector<int64_t>> BindParams(
     const ExecContext& ctx, const std::vector<ParamDesc>& descs,
+    const std::vector<const Expr*>& literals,
     std::vector<std::shared_ptr<const CacheBlock>>* pinned) {
   std::vector<int64_t> out;
   out.reserve(descs.size());
   auto as_i64 = [](const void* p) { return static_cast<int64_t>(reinterpret_cast<uintptr_t>(p)); };
   for (const ParamDesc& d : descs) {
+    if (IsLiteralParam(d.kind)) {
+      PROTEUS_ASSIGN_OR_RETURN(int64_t v, BindLiteral(d, literals));
+      out.push_back(v);
+      continue;
+    }
     switch (d.kind) {
       case ParamKind::kCacheNumRows:
       case ParamKind::kCacheColIntBase:

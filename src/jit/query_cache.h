@@ -1,4 +1,4 @@
-// Compiled-query cache: signature-keyed reuse of JIT-generated engines
+// Compiled-query cache: shape-keyed reuse of JIT-generated engines
 // across executions, threads, and shards.
 //
 // The paper's per-query engine customization (§5.1) pays an IR-generation +
@@ -9,19 +9,27 @@
 // relation sizes, cache-block column bases, plug-in addresses) is hoisted
 // into a *parameter table* — an int64 array described by `ParamDesc` entries,
 // re-bound from the live catalog/plug-ins/caches before every run and passed
-// to the generated functions as an extra argument. Runtime table shapes
+// to the generated functions as an extra argument. The plan's literals live
+// there too, bound from the running plan. Runtime table shapes
 // (join payload widths, group-table layouts, unnest slot count) are recorded
 // in a `RuntimeLayout` so each execution rebuilds a fresh jit::QueryRuntime
 // without touching the codegen.
 //
-// Keying: canonical plan signature (Operator::Signature()) + join strategies
-// + the version of every dataset the plan reads. Invalidation is per
-// dataset: QueryEngine::InvalidateDataset bumps that dataset's catalog
-// version, so only keys of plans that scan it stop matching — and it erases
-// those now-unreachable entries at once (EraseReading) instead of leaving
-// them to age out of the LRU. Scan-cache changes need no version of their
-// own: a CacheScan's signature prints its never-reused block id, so a plan
-// rewritten onto a new, widened or rebuilt block is a new signature.
+// Keying: the plan's *shape* (ShapeOfPlan — Operator::Signature with every
+// literal printed as its kind: ?i, ?f, ?b, ?s) + join strategies + the
+// version of every dataset the plan reads. Literal values are not in the
+// key and not in the instruction stream: codegen loads each literal from
+// the parameter table (ParamKind::kLiteral*), and every run binds them from
+// the plan it is executing, so one module serves every literal of a shape.
+// The shape is taken from the optimized, cache-rewritten plan, so a literal
+// that changes join order, join strategy or the scan-cache rewrite still
+// yields a different key. Invalidation is per dataset:
+// QueryEngine::InvalidateDataset bumps that dataset's catalog version, so
+// only keys of plans that scan it stop matching — and it erases those
+// now-unreachable entries at once (EraseReading) instead of leaving them to
+// age out of the LRU. Scan-cache changes need no version of their own: a
+// CacheScan's signature prints its never-reused block id, so a plan
+// rewritten onto a new, widened or rebuilt block is a new shape.
 //
 // Concurrency: lookups single-flight — when N shard executors (or any N
 // threads) ask for the same key at once, exactly one compiles while the
@@ -52,6 +60,8 @@ namespace proteus {
 
 struct CacheBlock;
 struct ExecContext;
+class Expr;
+class Operator;
 
 namespace obs {
 class TraceRecorder;
@@ -77,6 +87,11 @@ enum class ParamKind : uint8_t {
   kCacheNumRows,     ///< CacheBlock::num_rows (cache-scan loop bound)
   kCacheColIntBase,  ///< CacheColumn::ints.data() (ints / bools / $oid)
   kCacheColFloatBase,///< CacheColumn::floats.data()
+  kLiteralInt,       ///< int literal of the running plan
+  kLiteralFloat,     ///< float literal, its double's bit pattern
+  kLiteralBool,      ///< bool literal, 0 or 1
+  kLiteralStr,       ///< string literal: pointer to its bytes in the plan
+  kLiteralStrLen,    ///< string literal: byte length
 };
 
 struct ParamDesc {
@@ -86,6 +101,7 @@ struct ParamDesc {
   uint64_t cache_id = 0;  ///< cache-block params
   std::string var;        ///< cache column lookup: binding variable
   FieldPath path;         ///< cache column lookup: field path
+  uint32_t literal = 0;   ///< kLiteral*: index into PlanShape::literals
 
   /// Canonical text form — the ParamTable dedup key.
   std::string ToString() const;
@@ -104,11 +120,29 @@ class ParamTable {
   std::unordered_map<std::string, uint32_t> index_;
 };
 
+/// A plan's compiled-module identity. One walk over the plan — operators in
+/// pre-order, each one's expressions (predicate, join keys, group-by,
+/// outputs) before its children — yields both the shape signature, which
+/// prints every literal as its kind (?i, ?f, ?b, ?s; other literals print
+/// their value; a node reached again prints ?@<its position>), and the
+/// plan's literal nodes, each once, in that order. Plans with equal
+/// signatures list their literals in the same positions, which is what
+/// lets a module compiled for one bind another's literals.
+struct PlanShape {
+  std::string signature;
+  std::vector<const Expr*> literals;  ///< nodes owned by the plan
+};
+
+PlanShape ShapeOfPlan(const Operator& plan);
+
 /// Resolves every descriptor against the live catalog / plug-in registry /
-/// caching manager into the int64 parameter vector the generated functions
-/// read. Validates formats and column bounds so a stale module (one that
-/// escaped dataset-version invalidation) fails loudly instead of reading
-/// through a dangling base pointer. Thread-safe: only touches the mutex-guarded
+/// caching manager — and literal descriptors against `literals`, the
+/// running plan's PlanShape::literals — into the int64 parameter vector the
+/// generated functions read. String literals bind as pointers into the plan,
+/// which the caller keeps alive for the run. Validates formats, column
+/// bounds and literal kinds so a stale module (one that escaped
+/// dataset-version invalidation) fails loudly instead of reading through a
+/// dangling base pointer. Thread-safe: only touches the mutex-guarded
 /// PluginRegistry and read-only catalog/cache lookups, so N shard threads
 /// can bind the same module concurrently. `pinned` (optional) receives
 /// shared ownership of every cache block whose column base pointers were
@@ -117,6 +151,7 @@ class ParamTable {
 /// storage mid-execution.
 Result<std::vector<int64_t>> BindParams(
     const ExecContext& ctx, const std::vector<ParamDesc>& descs,
+    const std::vector<const Expr*>& literals,
     std::vector<std::shared_ptr<const CacheBlock>>* pinned = nullptr);
 
 /// Shapes of the runtime tables the generated code indexes by slot: enough
@@ -199,15 +234,15 @@ struct CompiledModule {
   bool ir_verified = false;
 };
 
-/// Cache key: plan signature + join strategies + dataset versions. The join
-/// strategies are part of the key (not of the signature — the logical plan
-/// is unchanged) because a module's RuntimeLayout bakes each build table's
+/// Cache key: plan shape signature + join strategies + dataset versions. The
+/// join strategies are part of the key (not of the signature — the logical
+/// plan is unchanged) because a module's RuntimeLayout bakes each build table's
 /// probe layout: the same plan optimized to a different strategy mix must
 /// compile its own module. The dataset versions are there because codegen
 /// bakes constants derived from each scanned dataset's opened plug-in; a
 /// module is valid for exactly the versions it was compiled against.
 struct QueryCacheKey {
-  std::string signature;
+  std::string signature;  ///< PlanShape::signature
   std::string join_strategies;  ///< comma-joined per-join strategy, plan order
   /// "name@version" of every dataset a Scan or CacheScan leaf reads, sorted
   /// and deduplicated.

@@ -41,6 +41,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_group_key_str", reinterpret_cast<void*>(&proteus_group_key_str)},
       {"proteus_group_slots", reinterpret_cast<void*>(&proteus_group_slots)},
       {"proteus_cancel_requested", reinterpret_cast<void*>(&proteus_cancel_requested)},
+      {"proteus_runtime_error", reinterpret_cast<void*>(&proteus_runtime_error)},
       {"proteus_str_eq", reinterpret_cast<void*>(&proteus_str_eq)},
       {"proteus_str_lt", reinterpret_cast<void*>(&proteus_str_lt)},
       // Per-morsel partial sinks (partial_sink.h).
@@ -73,6 +74,15 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_sink_group_begin_null",
        reinterpret_cast<void*>(&proteus_sink_group_begin_null)},
   };
+}
+
+Status QueryRuntime::error() const {
+  switch (static_cast<RuntimeError>(error_code.load(std::memory_order_acquire))) {
+    case RuntimeError::kNone: return Status::OK();
+    case RuntimeError::kDivisionByZero: return Status::InvalidArgument("division by zero");
+    case RuntimeError::kModuloByZero: return Status::InvalidArgument("modulo by zero");
+  }
+  return Status::Internal("jit runtime: unknown error code");
 }
 
 }  // namespace jit
@@ -441,6 +451,11 @@ int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx) {
 int32_t proteus_cancel_requested(void* ctx) {
   const std::atomic<bool>* cancel = RT(ctx)->cancel;
   return cancel != nullptr && cancel->load(std::memory_order_acquire) ? 1 : 0;
+}
+
+void proteus_runtime_error(void* ctx, int32_t code) {
+  int32_t none = static_cast<int32_t>(proteus::jit::RuntimeError::kNone);
+  RT(ctx)->error_code.compare_exchange_strong(none, code, std::memory_order_acq_rel);
 }
 
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen) {

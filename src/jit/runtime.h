@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/engine/radix_table.h"
 #include "src/plugins/csv_plugin.h"
 #include "src/plugins/json_plugin.h"
@@ -68,6 +69,9 @@ struct UnnestStateRt {
   const char* elem_end = nullptr;
 };
 
+/// Errors generated code raises through proteus_runtime_error.
+enum class RuntimeError : int32_t { kNone = 0, kDivisionByZero = 1, kModuloByZero = 2 };
+
 /// Query-lifetime state shared by every pipeline invocation. During the
 /// morsel-parallel phase everything here is read-only: join tables and
 /// group tables are filled only inside proteus_build (chain join builds, a
@@ -83,8 +87,19 @@ struct QueryRuntime {
   /// The query's cancel flag (ExecContext::cancel), polled by generated
   /// Nest folds through proteus_cancel_requested. Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  bool failed = false;
-  std::string error;
+  /// First error generated code raised (proteus_runtime_error), or kNone.
+  /// Concurrent morsel pipelines may raise at once, so the first write wins
+  /// atomically; the host checks failed() at every morsel boundary and after
+  /// each phase, and returns error().
+  std::atomic<int32_t> error_code{static_cast<int32_t>(RuntimeError::kNone)};
+
+  bool failed() const {
+    return error_code.load(std::memory_order_acquire) !=
+           static_cast<int32_t>(RuntimeError::kNone);
+  }
+  /// The raised error as the interpreter reports it for the same row
+  /// (src/expr/eval.cpp), so both engines fail a query with one status.
+  Status error() const;
 
   uint32_t AddJoin(uint32_t payload_slots, bool partitioned = false) {
     auto t = std::make_unique<JoinTableRt>();
@@ -200,6 +215,11 @@ int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx);
 // Nonzero once the query's cancel flag is set: the poll of a generated Nest
 // fold, which runs as one morsel and so has no morsel boundary of its own.
 int32_t proteus_cancel_requested(void* ctx);
+
+// Fails the query with `code` (a jit::RuntimeError): the generated zero
+// check of `/` and `%` calls it, then continues with a harmless divisor
+// until the host stops the query at the next morsel boundary.
+void proteus_runtime_error(void* ctx, int32_t code);
 
 // Strings.
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen);

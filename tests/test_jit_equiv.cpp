@@ -1447,5 +1447,293 @@ TEST(JitFallbackTelemetry, AllFallbackReasonsReported) {
       << "reasons must be semicolon-joined: " << jit.telemetry.fallback_reason;
 }
 
+// ---------------------------------------------------------------------------
+// Zero divisors: generated `/` and `%` fail the query exactly where Eval()
+// does — same status, every thread count — and never trap or yield inf.
+// ---------------------------------------------------------------------------
+
+TEST(JitZeroDivisor, FailsWithTheInterpretersStatus) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // Column divisors: l_orderkey - 1 is 0 on order 1's lines.
+      {"SELECT count(*), sum(l_orderkey % (l_orderkey - 1)) FROM lineitem_bincol",
+       "modulo by zero"},
+      {"SELECT count(*), sum(l_orderkey / (l_orderkey - 1)) FROM lineitem_bincol",
+       "division by zero"},
+      {"SELECT count(*) FROM lineitem_json WHERE l_quantity / (l_orderkey - 1) > 1.0",
+       "division by zero"},
+      {"SELECT l_linenumber, sum(l_orderkey % (l_orderkey - 1)) FROM lineitem_csv "
+       "GROUP BY l_linenumber",
+       "modulo by zero"},
+      // Literal divisors: bound at run time, so checked at run time too.
+      {"SELECT count(*), sum(l_orderkey % 0) FROM lineitem_json", "modulo by zero"},
+      {"SELECT count(*), sum(l_quantity / 0) FROM lineitem_csv", "division by zero"},
+      {"SELECT count(*), sum(l_quantity / 0.0) FROM lineitem_binrow", "division by zero"},
+  };
+  for (const auto& [q, message] : cases) {
+    RunInfo oracle = RunConfig(q, ExecMode::kInterp, 1);
+    ASSERT_EQ(oracle.status.code(), StatusCode::kInvalidArgument) << q << "\n"
+                                                                  << oracle.status.ToString();
+    EXPECT_EQ(oracle.status.message(), message) << q;
+    for (int threads : {1, 2, 4}) {
+      RunInfo jit = RunConfig(q, ExecMode::kJIT, threads);
+      EXPECT_EQ(jit.status.code(), oracle.status.code())
+          << q << " threads=" << threads << "\n" << jit.status.ToString();
+      EXPECT_EQ(jit.status.message(), oracle.status.message()) << q << " threads=" << threads;
+      EXPECT_TRUE(jit.telemetry.fallback_reason.empty())
+          << q << " fell back: " << jit.telemetry.fallback_reason;
+    }
+  }
+}
+
+// A division that Eval() never evaluates cannot fail the query: the right
+// operand of a decided and/or, the untaken branch of an if, rows that fail
+// the predicate, and null divisors.
+TEST(JitZeroDivisor, UnevaluatedDivisionsDoNotFail) {
+  const std::vector<std::string> queries = {
+      "SELECT count(*) FROM lineitem_json WHERE l_orderkey <> 1 and "
+      "l_quantity / (l_orderkey - 1) > 1.0",
+      "SELECT count(*) FROM lineitem_csv WHERE l_orderkey = 1 or "
+      "l_orderkey % (l_orderkey - 1) = 0",
+      "SELECT count(*), sum(if l_orderkey = 1 then 0 else l_orderkey % (l_orderkey - 1)), "
+      "max(if l_orderkey <> 1 then l_quantity / (l_orderkey - 1) else 0.5) FROM lineitem_bincol",
+      "SELECT count(*), sum(l_orderkey % 0) FROM lineitem_bincol WHERE l_orderkey < 0",
+  };
+  for (const std::string& q : queries) {
+    RunInfo oracle = RunConfig(q, ExecMode::kInterp, 1);
+    ASSERT_TRUE(oracle.status.ok()) << q << "\n" << oracle.status.ToString();
+    for (int threads : {1, 2, 4}) {
+      RunInfo jit = RunConfig(q, ExecMode::kJIT, threads);
+      ASSERT_TRUE(jit.status.ok()) << q << "\n" << jit.status.ToString();
+      EXPECT_TRUE(jit.telemetry.used_jit) << q << ": " << jit.telemetry.fallback_reason;
+      ExpectIdentical(oracle.result, jit.result, q + " @ threads=" + std::to_string(threads));
+    }
+  }
+  // Outer joins: a zero divisor on matched rows fails both engines alike;
+  // the drained (unmatched) rows bind l to null, so there the divisor is
+  // null and the modulo is null, not an error.
+  auto outer = [](std::function<ExprPtr()> divisor) {
+    return [divisor] {
+      return Operator::Reduce(
+          WidowOuterJoin("lineitem_json"),
+          {{Monoid::kCount, nullptr, "n"},
+           {Monoid::kSum, Expr::Bin(BinOp::kMod, Proj("o", "o_orderkey"), divisor()), "s"}});
+    };
+  };
+  auto zero = outer([] {
+    return Expr::Bin(BinOp::kSub, Proj("l", "l_orderkey"), Proj("l", "l_orderkey"));
+  });
+  RunInfo oracle = RunOuterPlan(zero, ExecMode::kInterp, 1);
+  ASSERT_EQ(oracle.status.code(), StatusCode::kInvalidArgument) << oracle.status.ToString();
+  for (int threads : {1, 2, 4}) {
+    RunInfo jit = RunOuterPlan(zero, ExecMode::kJIT, threads);
+    EXPECT_EQ(jit.status.code(), oracle.status.code()) << jit.status.ToString();
+    EXPECT_EQ(jit.status.message(), oracle.status.message());
+  }
+  ExpectJitMatchesInterp(outer([] { return Proj("l", "l_orderkey"); }),
+                         "null divisors of drained outer-join rows");
+}
+
+// ---------------------------------------------------------------------------
+// Literal sweep: one plan shape per literal site, run over many literal
+// values. Every run binds its own literals into the one module compiled for
+// the shape, and must match the interpreter cell for cell.
+// ---------------------------------------------------------------------------
+
+/// A literal kind and the expressions each site builds around a literal of
+/// it (over lineitem variable `l` and orders variable `o`).
+struct LiteralKind {
+  const char* name;
+  std::vector<Value> values;
+  Value other;  ///< a second value of the kind (the group key's else branch)
+  std::function<ExprPtr(const char* l, ExprPtr lit)> pred;    ///< bool over l
+  std::function<ExprPtr(const char* l, ExprPtr lit)> number;  ///< numeric over l
+  std::function<ExprPtr(ExprPtr lit)> cross;                  ///< bool over o and l
+  std::function<ExprPtr(ExprPtr lit)> key;                    ///< int join key over o
+};
+
+std::vector<LiteralKind> LiteralKinds() {
+  auto lt = [](ExprPtr a, ExprPtr b) { return Expr::Bin(BinOp::kLt, a, b); };
+  auto eq = [](ExprPtr a, ExprPtr b) { return Expr::Bin(BinOp::kEq, a, b); };
+  auto ne = [](ExprPtr a, ExprPtr b) { return Expr::Bin(BinOp::kNe, a, b); };
+  auto add = [](ExprPtr a, ExprPtr b) { return Expr::Bin(BinOp::kAdd, a, b); };
+  auto mul = [](ExprPtr a, ExprPtr b) { return Expr::Bin(BinOp::kMul, a, b); };
+  auto one_if = [](ExprPtr c) { return Expr::If(c, Expr::Int(1), Expr::Int(0)); };
+  return {
+      {"int",
+       {Value::Int(0), Value::Int(-5), Value::Int(1), Value::Int(17), Value::Int(30),
+        Value::Int(59), Value::Int(int64_t{1} << 40), Value::Int(30)},
+       Value::Int(7),
+       [=](const char* l, ExprPtr lit) { return lt(Proj(l, "l_orderkey"), lit); },
+       [=](const char* l, ExprPtr lit) { return mul(Proj(l, "l_orderkey"), lit); },
+       [=](ExprPtr lit) {
+         return lt(add(Proj("l", "l_linenumber"), Proj("o", "o_shippriority")), lit);
+       },
+       [=](ExprPtr lit) { return add(Proj("o", "o_orderkey"), lit); }},
+      {"float",
+       {Value::Float(0.0), Value::Float(-0.0), Value::Float(-1.5), Value::Float(0.5),
+        Value::Float(17.25), Value::Float(49.99), Value::Float(1e6)},
+       Value::Float(7.5),
+       [=](const char* l, ExprPtr lit) { return lt(Proj(l, "l_quantity"), lit); },
+       [=](const char* l, ExprPtr lit) { return mul(Proj(l, "l_quantity"), lit); },
+       [=](ExprPtr lit) {
+         return lt(Proj("l", "l_quantity"), mul(Proj("o", "o_totalprice"), lit));
+       },
+       [=](ExprPtr lit) {
+         return add(Proj("o", "o_orderkey"),
+                    Expr::Cast(Type::Int64(), mul(Proj("o", "o_shippriority"), lit)));
+       }},
+      {"bool",
+       {Value::Boolean(true), Value::Boolean(false), Value::Boolean(true)},
+       Value::Boolean(false),
+       [=](const char* l, ExprPtr lit) {
+         return eq(lt(Proj(l, "l_linenumber"), Expr::Int(4)), lit);
+       },
+       [=](const char* l, ExprPtr lit) {
+         return Expr::If(eq(lt(Proj(l, "l_linenumber"), Expr::Int(4)), lit),
+                         Proj(l, "l_quantity"), Expr::Float(0.5));
+       },
+       [=](ExprPtr lit) {
+         return eq(lt(Proj("l", "l_linenumber"), Proj("o", "o_shippriority")), lit);
+       },
+       [=](ExprPtr lit) {
+         return add(Proj("o", "o_orderkey"),
+                    one_if(eq(lt(Expr::Int(2), Proj("o", "o_shippriority")), lit)));
+       }},
+      {"string",
+       {Value::Str(""), Value::Str("AIR"), Value::Str("RAIL"), Value::Str("it's"),
+        Value::Str("say \"hi\" \\ 'there'"), Value::Str("TRUCK"), Value::Str("AIR")},
+       Value::Str("other"),
+       [=](const char* l, ExprPtr lit) { return ne(Proj(l, "l_shipmode"), lit); },
+       [=](const char* l, ExprPtr lit) {
+         return Expr::If(eq(Proj(l, "l_shipmode"), lit), Proj(l, "l_quantity"),
+                         Expr::Float(0.5));
+       },
+       [=](ExprPtr lit) {
+         return Expr::Bin(BinOp::kOr, ne(Proj("l", "l_shipmode"), lit),
+                          ne(Proj("o", "o_comment"), lit));
+       },
+       [=](ExprPtr lit) {
+         return add(Proj("o", "o_orderkey"), one_if(eq(Proj("o", "o_comment"), lit)));
+       }},
+  };
+}
+
+/// One literal site: the plan a literal of `kind` shapes.
+struct LiteralSite {
+  const char* name;
+  std::function<OpPtr(const LiteralKind& kind, ExprPtr lit)> plan;
+};
+
+std::vector<LiteralSite> LiteralSites() {
+  auto orderkeys_match = [] {
+    return Expr::Bin(BinOp::kEq, Proj("o", "o_orderkey"), Proj("l", "l_orderkey"));
+  };
+  return {
+      {"select",
+       [](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(
+             Operator::Select(Operator::Scan("lineitem_csv", "l"), k.pred("l", lit)),
+             {{Monoid::kCount, nullptr, "n"}, {Monoid::kSum, Proj("l", "l_extendedprice"), "s"}});
+       }},
+      {"join_predicate",
+       [=](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(
+             Operator::Join(Operator::Scan("orders_bincol", "o"),
+                            Operator::Scan("lineitem_json", "l"),
+                            Expr::Bin(BinOp::kAnd, orderkeys_match(), k.cross(lit))),
+             {{Monoid::kCount, nullptr, "n"},
+              {Monoid::kMax, Proj("o", "o_totalprice"), "p"},
+              {Monoid::kSum, Proj("l", "l_quantity"), "q"}});
+       }},
+      {"join_key",
+       [](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(
+             Operator::Join(Operator::Scan("orders_json", "o"),
+                            Operator::Scan("lineitem_bincol", "l"),
+                            Expr::Bin(BinOp::kEq, k.key(lit), Proj("l", "l_orderkey"))),
+             {{Monoid::kCount, nullptr, "n"}, {Monoid::kSum, Proj("l", "l_extendedprice"), "s"}});
+       }},
+      {"nest_group_by",
+       [](const LiteralKind& k, ExprPtr lit) {
+         ExprPtr key = Expr::If(Expr::Bin(BinOp::kLt, Proj("l", "l_orderkey"), Expr::Int(30)),
+                                lit, Expr::Lit(k.other));
+         OpPtr nest = Operator::Nest(Operator::Scan("lineitem_bincol", "l"), key, "k",
+                                     {{Monoid::kCount, nullptr, "n"},
+                                      {Monoid::kSum, Proj("l", "l_quantity"), "q"}},
+                                     nullptr, "g");
+         ExprPtr row =
+             Expr::Record({"k", "n", "q"}, {Proj("g", "k"), Proj("g", "n"), Proj("g", "q")});
+         return Operator::Reduce(nest, {{Monoid::kBag, row, "row"}});
+       }},
+      {"aggregate_argument",
+       [](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(Operator::Scan("lineitem_binrow", "l"),
+                                 {{Monoid::kCount, nullptr, "n"},
+                                  {Monoid::kSum, k.number("l", lit), "s"},
+                                  {Monoid::kMax, k.number("l", lit), "m"}});
+       }},
+      {"unnest_predicate",
+       [](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(
+             Operator::Unnest(Operator::Scan("orders_denorm", "o"), {"o", "lineitems"}, "l",
+                              k.pred("l", lit)),
+             {{Monoid::kCount, nullptr, "n"}, {Monoid::kSum, Proj("l", "l_quantity"), "q"}});
+       }},
+      {"outer_join",
+       [=](const LiteralKind& k, ExprPtr lit) {
+         return Operator::Reduce(
+             Operator::Join(Operator::Scan("orders_json", "o"),
+                            Operator::Select(Operator::Scan("lineitem_json", "l"),
+                                             k.pred("l", lit)),
+                            orderkeys_match(), /*outer=*/true),
+             {{Monoid::kCount, nullptr, "n"},
+              {Monoid::kSum, Proj("l", "l_quantity"), "q"},
+              {Monoid::kMax, Proj("o", "o_totalprice"), "p"}});
+       }},
+  };
+}
+
+std::unique_ptr<QueryEngine> SweepEngine(ExecMode mode, int threads) {
+  EngineOptions opts;
+  opts.mode = mode;
+  opts.num_threads = threads;
+  opts.morsel_rows = kDiffMorselRows;
+  // Statistics would let the optimizer re-plan by literal value; the sweep
+  // holds each site to one optimized shape.
+  opts.collect_stats_on_cold_access = false;
+  auto engine = std::make_unique<QueryEngine>(opts);
+  testutil::RegisterAll(engine.get());
+  return engine;
+}
+
+TEST(JitLiteralSweep, OneModulePerShapeMatchesTheInterpreter) {
+  auto interp = SweepEngine(ExecMode::kInterp, 1);
+  for (const LiteralSite& site : LiteralSites()) {
+    for (const LiteralKind& kind : LiteralKinds()) {
+      const std::string shape = std::string(site.name) + "/" + kind.name;
+      std::vector<QueryResult> oracle;
+      for (const Value& v : kind.values) {
+        auto r = interp->ExecutePlan(site.plan(kind, Expr::Lit(v)));
+        ASSERT_TRUE(r.ok()) << shape << " " << v.ToString() << ": " << r.status().ToString();
+        oracle.push_back(std::move(*r));
+      }
+      for (int threads : {1, 2, 4}) {
+        auto jit = SweepEngine(ExecMode::kJIT, threads);
+        for (size_t i = 0; i < kind.values.size(); ++i) {
+          const std::string what = shape + " literal " + kind.values[i].ToString() +
+                                   " threads=" + std::to_string(threads);
+          auto r = jit->ExecutePlan(site.plan(kind, Expr::Lit(kind.values[i])));
+          ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
+          const QueryTelemetry tel = jit->telemetry();
+          ASSERT_TRUE(tel.used_jit) << what << " fell back: " << tel.fallback_reason;
+          EXPECT_EQ(tel.jit_cache_hit, i > 0) << what;
+          ExpectIdentical(oracle[i], *r, what);
+        }
+        EXPECT_EQ(jit->jit_cache()->stats().compiles, 1u) << shape << " threads=" << threads;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace proteus

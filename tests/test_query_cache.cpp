@@ -1,6 +1,9 @@
 // Compiled-query cache: hit/miss/evict unit behavior, single-flight under
 // concurrency, engine-level telemetry (repeat executions of one plan must
-// hit; structurally different plans must miss), per-dataset invalidation
+// hit; structurally different plans must miss), shape keying (plans that
+// differ only in literal values share one module, which binds each run's
+// own literals; a literal of another kind, or one that changes the
+// optimized plan, gets its own module), per-dataset invalidation
 // (invalidating a dataset retires exactly the modules of plans that read
 // it; unrelated modules stay hot), caching-manager mutation, shard sharing
 // (N shards -> exactly one compile), and cell-identity of cached vs freshly
@@ -9,10 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <thread>
 
+#include "src/engine/partial_sink.h"
 #include "src/jit/jit_engine.h"
 #include "src/jit/query_cache.h"
+#include "src/optimizer/optimizer.h"
 #include "tests/engine_test_util.h"
 
 namespace proteus {
@@ -276,7 +282,8 @@ const char* kUnnestQuery =
 
 // Telemetry regression: re-executing one plan must report a cache hit with
 // zero compile cost and an unchanged compile counter; a structurally
-// different plan must miss.
+// different plan must miss. (A plan that differs only in literal values is
+// the same shape and hits: see the ShapeKeying tests below.)
 TEST(QueryCacheEngine, RepeatExecutionHitsAndDifferentPlanMisses) {
   QueryEngine engine = MakeEngine();
   testutil::RegisterAll(&engine);
@@ -573,6 +580,280 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
       << "caching-manager mutation must invalidate";
   EXPECT_GT(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, rebuilt, "caching engine rebuilt");
+}
+
+// ---------------------------------------------------------------------------
+// Shape keying: literal values bind at run time
+// ---------------------------------------------------------------------------
+
+QueryEngine MakeInterpEngine() {
+  EngineOptions opts;
+  opts.mode = ExecMode::kInterp;
+  opts.morsel_rows = kMorselRows;
+  opts.collect_stats_on_cold_access = false;
+  return QueryEngine(std::move(opts));
+}
+
+QueryResult Interpret(const std::string& q) {
+  QueryEngine engine = MakeInterpEngine();
+  testutil::RegisterAll(&engine);
+  return MustRun(&engine, q);
+}
+
+ExecContext ContextOf(QueryEngine* engine) {
+  ExecContext ctx;
+  ctx.catalog = &engine->catalog();
+  ctx.plugins = &engine->plugins();
+  ctx.caches = &engine->caches();
+  ctx.scheduler = &engine->scheduler();
+  ctx.jit_cache = engine->jit_cache();
+  ctx.morsel_rows = engine->options().morsel_rows;
+  ctx.verify_ir = true;
+  return ctx;
+}
+
+TEST(PlanShapeUnit, LiteralsPrintAsKindsInWalkOrder) {
+  auto make = [](ExprPtr key_lit, ExprPtr mode_lit, ExprPtr factor_lit) {
+    ExprPtr pred = Expr::Bin(
+        BinOp::kAnd, Expr::Bin(BinOp::kLt, Expr::Path({"l", "l_orderkey"}), std::move(key_lit)),
+        Expr::Bin(BinOp::kEq, Expr::Path({"l", "l_shipmode"}), std::move(mode_lit)));
+    return Operator::Reduce(
+        Operator::Select(Operator::Scan("lineitem_json", "l"), std::move(pred)),
+        {{Monoid::kSum, Expr::Bin(BinOp::kMul, Expr::Path({"l", "l_tax"}), std::move(factor_lit)),
+          "s"}},
+        Expr::Bool(true));
+  };
+  // The shape's literal list points into the plan, so the plans outlive it.
+  const OpPtr plan_a = make(Expr::Int(30), Expr::Str("RAIL"), Expr::Float(2.5));
+  const OpPtr plan_b = make(Expr::Int(-7), Expr::Str("it's \"x\""), Expr::Float(0.0));
+  const OpPtr plan_c = make(Expr::Float(30.0), Expr::Str("RAIL"), Expr::Float(2.5));
+  const jit::PlanShape a = jit::ShapeOfPlan(*plan_a);
+  for (const char* value : {"30", "RAIL", "2.5", "true"}) {
+    EXPECT_EQ(a.signature.find(value), std::string::npos) << value << " in " << a.signature;
+  }
+  // Pre-order: the Reduce's outputs, then its predicate, then the Select.
+  ASSERT_EQ(a.literals.size(), 4u);
+  EXPECT_TRUE(a.literals[0]->literal().Equals(Value::Float(2.5)));
+  EXPECT_TRUE(a.literals[1]->literal().Equals(Value::Boolean(true)));
+  EXPECT_TRUE(a.literals[2]->literal().Equals(Value::Int(30)));
+  EXPECT_TRUE(a.literals[3]->literal().Equals(Value::Str("RAIL")));
+  EXPECT_NE(a.signature.find("(l.l_tax * ?f)"), std::string::npos) << a.signature;
+  EXPECT_NE(a.signature.find("| ?b"), std::string::npos) << a.signature;
+  EXPECT_NE(a.signature.find("(l.l_orderkey < ?i)"), std::string::npos) << a.signature;
+  EXPECT_NE(a.signature.find("(l.l_shipmode = ?s)"), std::string::npos) << a.signature;
+
+  EXPECT_EQ(a.signature, jit::ShapeOfPlan(*plan_b).signature) << "only literal values differ";
+  EXPECT_NE(a.signature, jit::ShapeOfPlan(*plan_c).signature)
+      << "an int and a float literal are different shapes";
+
+  // One literal node reached twice is one slot, so it is a different shape
+  // from two distinct literals in the same places.
+  const ExprPtr shared = Expr::Int(30);
+  const OpPtr plan_shared = make(shared, Expr::Str("RAIL"), shared);
+  const OpPtr plan_distinct = make(Expr::Int(30), Expr::Str("RAIL"), Expr::Int(30));
+  const jit::PlanShape s = jit::ShapeOfPlan(*plan_shared);
+  EXPECT_EQ(s.literals.size(), 3u) << "each node listed once";
+  EXPECT_NE(s.signature.find("(l.l_orderkey < ?@0)"), std::string::npos) << s.signature;
+  EXPECT_NE(s.signature, jit::ShapeOfPlan(*plan_distinct).signature);
+}
+
+// Regression: float literals used to print with six significant digits, so
+// `salary > 90999.99` and `salary > 91000.01` printed one signature and the
+// second query reused the first one's module — a wrong count. Now the value
+// is not in the key at all (both queries share one module) and each run binds
+// its own literal; plans print floats in full.
+TEST(QueryCacheEngine, CloseFloatLiteralsKeepTheirOwnValues) {
+  const std::string path = testutil::Corpus::Get().dir + "/employees.csv";
+  {
+    std::ofstream csv(path);
+    csv << "1,alice,engineering,98000\n"
+           "2,bob,engineering,91000\n"
+           "3,carol,sales,85000\n";
+  }
+  DatasetInfo info;
+  info.name = "employees";
+  info.format = DataFormat::kCSV;
+  info.path = path;
+  info.type = Type::BagOfRecords({{"id", Type::Int64()},
+                                  {"name", Type::String()},
+                                  {"dept", Type::String()},
+                                  {"salary", Type::Float64()}});
+  QueryEngine engine = MakeEngine();
+  QueryEngine interp = MakeInterpEngine();
+  ASSERT_TRUE(engine.RegisterDataset(info).ok());
+  ASSERT_TRUE(interp.RegisterDataset(info).ok());
+
+  const std::vector<std::pair<std::string, int64_t>> cases = {
+      {"SELECT count(*) FROM employees WHERE salary > 90999.99", 2},
+      {"SELECT count(*) FROM employees WHERE salary > 91000.01", 1},
+      {"SELECT count(*) FROM employees WHERE salary > 90999.99", 2},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [q, expected] = cases[i];
+    QueryResult jit = MustRun(&engine, q);
+    ASSERT_TRUE(engine.telemetry().used_jit) << q;
+    EXPECT_EQ(engine.telemetry().jit_cache_hit, i > 0) << q;
+    QueryResult oracle = MustRun(&interp, q);
+    ASSERT_EQ(oracle.rows.size(), 1u);
+    EXPECT_TRUE(oracle.rows[0][0].Equals(Value::Int(expected))) << q;
+    ExpectIdentical(oracle, jit, q);
+  }
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
+  EXPECT_NE(engine.telemetry().plan.find("90999.99"), std::string::npos)
+      << engine.telemetry().plan;
+}
+
+// One module per plan shape: every literal value of the same kind reuses it,
+// and every run matches the interpreter on its own literal.
+TEST(QueryCacheEngine, SameShapeDifferentLiteralsShareOneModule) {
+  const std::vector<std::string> literals = {"30", "5", "0", "-3", "59", "1000000", "30"};
+  for (int threads : {1, 2, 4}) {
+    QueryEngine engine = MakeEngine(threads);
+    testutil::RegisterAll(&engine);
+    for (size_t i = 0; i < literals.size(); ++i) {
+      const std::string q =
+          "SELECT count(*), sum(l_extendedprice), max(l_quantity) FROM lineitem_json "
+          "WHERE l_orderkey < " + literals[i] + " and l_shipmode <> 'AIR'";
+      QueryResult jit = MustRun(&engine, q);
+      ASSERT_TRUE(engine.telemetry().used_jit) << q;
+      EXPECT_EQ(engine.telemetry().jit_cache_hit, i > 0) << q;
+      if (i > 0) EXPECT_EQ(engine.telemetry().compile_ms, 0.0) << q;
+      ExpectIdentical(Interpret(q), jit, q + " threads=" + std::to_string(threads));
+    }
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u) << "threads=" << threads;
+    EXPECT_EQ(engine.jit_cache()->size(), 1u);
+  }
+}
+
+// The literal's kind is part of the shape: `< 30` compares int64 registers,
+// `< 30.0` widens to double, so each compiles its own module.
+TEST(QueryCacheEngine, IntAndFloatLiteralsGetDifferentModules) {
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  const std::string base =
+      "SELECT count(*), sum(l_quantity) FROM lineitem_bincol WHERE l_orderkey < ";
+  for (const char* lit : {"30", "30.0", "17", "17.5"}) {
+    const std::string q = base + lit;
+    ExpectIdentical(Interpret(q), MustRun(&engine, q), q);
+  }
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
+  EXPECT_EQ(engine.jit_cache()->size(), 2u);
+}
+
+// The key is the *optimized* plan's shape: a literal that changes the
+// estimated cardinality enough to flip the greedy join order produces a
+// different plan, and so a different module.
+TEST(QueryCacheEngine, LiteralThatFlipsJoinOrderGetsItsOwnModule) {
+  EngineOptions opts;
+  opts.mode = ExecMode::kJIT;
+  opts.morsel_rows = kMorselRows;
+  QueryEngine engine(opts);  // statistics on: the optimizer sees min/max
+  testutil::RegisterAll(&engine);
+  // Cold access collects each dataset's statistics.
+  MustRun(&engine, "SELECT count(*) FROM orders_bincol");
+  MustRun(&engine, "SELECT count(*) FROM lineitem_bincol");
+  const uint64_t compiles = engine.jit_cache()->stats().compiles;
+
+  auto join = [](const char* lit) {
+    return std::string(
+               "SELECT count(*), max(o.o_totalprice) FROM orders_bincol o JOIN lineitem_bincol l "
+               "ON o.o_orderkey = l.l_orderkey WHERE l.l_orderkey < ") +
+           lit;
+  };
+  MustRun(&engine, join("3"));
+  const std::string narrow_plan = engine.telemetry().plan;
+  MustRun(&engine, join("59"));
+  const std::string wide_plan = engine.telemetry().plan;
+  ASSERT_NE(narrow_plan.find("lineitem_bincol"), std::string::npos);
+  EXPECT_LT(narrow_plan.find("lineitem_bincol"), narrow_plan.find("orders_bincol"))
+      << "few lineitem rows: lineitem goes first\n" << narrow_plan;
+  EXPECT_LT(wide_plan.find("orders_bincol"), wide_plan.find("lineitem_bincol"))
+      << "most lineitem rows: orders go first\n" << wide_plan;
+  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "a flipped join order is a new shape";
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2);
+
+  // Each order's module then serves its own literals.
+  for (const char* lit : {"2", "58"}) {
+    QueryResult jit = MustRun(&engine, join(lit));
+    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << lit;
+    ExpectIdentical(Interpret(join(lit)), jit, join(lit));
+  }
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2);
+}
+
+// The tiered hot-swap entry runs a module compiled for another plan of the
+// same shape: interpreter morsels [0, k) of plan B, then generated morsels
+// [k, n) of B on the module compiled for plan A. The run binds B's literals.
+TEST(QueryCacheEngine, TieredSwapBindsTheRunningPlansLiterals) {
+  QueryEngine engine = MakeEngine(/*threads=*/2);
+  testutil::RegisterAll(&engine);
+  const ExecContext ctx = ContextOf(&engine);
+  auto physical = [&](ExprPtr key_lit, ExprPtr mode_lit) {
+    ExprPtr pred = Expr::Bin(
+        BinOp::kAnd, Expr::Bin(BinOp::kLt, Expr::Path({"l", "l_orderkey"}), std::move(key_lit)),
+        Expr::Bin(BinOp::kNe, Expr::Path({"l", "l_shipmode"}), std::move(mode_lit)));
+    OpPtr plan = Operator::Reduce(
+        Operator::Select(Operator::Scan("lineitem_json", "l"), std::move(pred)),
+        {{Monoid::kCount, nullptr, "n"},
+         {Monoid::kSum, Expr::Path({"l", "l_extendedprice"}), "s"},
+         {Monoid::kMax, Expr::Path({"l", "l_quantity"}), "q"}});
+    Optimizer optimizer(engine.catalog(), engine.options().optimizer);
+    auto r = optimizer.Optimize(std::move(plan));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return *r;
+  };
+  const OpPtr a = physical(Expr::Int(12), Expr::Str("AIR"));
+  const OpPtr b = physical(Expr::Int(47), Expr::Str("RAIL"));
+  ASSERT_TRUE(jit::MakeQueryCacheKey(ctx, a) == jit::MakeQueryCacheKey(ctx, b));
+  auto module = jit::CompilePlan(ctx, a, /*tier=*/1);
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  EXPECT_TRUE((*module)->ir_verified);
+  EXPECT_EQ((*module)->ir.find("RAIL"), std::string::npos) << "no literal in the module";
+  EXPECT_EQ((*module)->ir.find("AIR"), std::string::npos) << "no literal in the module";
+
+  InterpExecutor interp(ctx);
+  auto oracle = interp.Execute(b);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  auto n = interp.CountPlanMorsels(b);
+  ASSERT_TRUE(n.ok());
+  ASSERT_GT(*n, 2u);
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, *n / 2}) {
+    auto head = interp.ExecutePartials(b, 0, k);
+    ASSERT_TRUE(head.ok()) << head.status().ToString();
+    JitExecutor jit(ctx);
+    auto tail = jit.ExecutePartialsPrecompiled(b, *module, k, *n);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    PlanPartials all = std::move(*head);
+    all.Append(std::move(*tail));
+    auto merged = FinalizePlanPartials(*b, RootNest(b), std::move(all));
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    ExpectIdentical(*oracle, *merged, "swap at morsel " + std::to_string(k));
+  }
+}
+
+// Shards share the engine's cache: a second query of the same shape with a
+// different literal compiles nothing on any shard.
+TEST(QueryCacheEngine, ShardsWithDifferentLiteralsShareOneCompile) {
+  auto query = [](const char* lit) {
+    return std::string(
+               "SELECT count(*), sum(l_extendedprice), max(l_quantity) FROM lineitem_json "
+               "WHERE l_orderkey < ") +
+           lit;
+  };
+  for (int shards : {1, 2, 4}) {
+    QueryEngine engine = MakeEngine(/*threads=*/1, shards);
+    testutil::RegisterAll(&engine);
+    int run = 0;
+    for (const char* lit : {"30", "11", "55", "30"}) {
+      QueryResult sharded = MustRun(&engine, query(lit));
+      ASSERT_EQ(engine.telemetry().shards_used, shards);
+      ASSERT_TRUE(engine.telemetry().used_jit);
+      EXPECT_EQ(engine.telemetry().jit_cache_hit, run++ > 0) << lit << " shards=" << shards;
+      ExpectIdentical(Interpret(query(lit)), sharded,
+                      query(lit) + " shards=" + std::to_string(shards));
+    }
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u) << "shards=" << shards;
+  }
 }
 
 }  // namespace
