@@ -4,7 +4,7 @@
 #include <functional>
 
 #include "src/calculus/calculus.h"
-#include "src/jit/jit_engine.h"
+#include "src/jit/tiered_compiler.h"
 #include "src/parser/parser.h"
 #include "src/shard/coordinator.h"
 #include "src/shard/transport.h"
@@ -308,130 +308,50 @@ void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
 Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, QueryTelemetry& tel,
                                           std::string& ir) {
   auto t0 = std::chrono::steady_clock::now();
-  // Sharded routing: num_shards >= 1 is an explicit opt-in, so shardable
-  // plans go through the coordinator ahead of the JIT/interpreter choice.
-  // Non-shardable plans (outer chain joins, a mid-chain Nest driving the
-  // main chain) fall through to the normal paths below. In JIT mode each
-  // shard runs the plan's morsel-parameterized generated pipelines over its
-  // slice (interpreter partials for plans outside the generated fast path —
-  // bit-identical either way).
-  if (opts_.num_shards >= 1 && ShardCoordinator::PlanIsShardable(physical)) {
-    ShardCoordinator coordinator(ctx, opts_.num_shards, opts_.num_threads,
-                                 opts_.mode == ExecMode::kJIT);
-    LoopbackTransport transport;
-    ShardExecStats shard_stats;
-    auto result = coordinator.Run(physical, &transport, &shard_stats);
-    tel.shards_used = shard_stats.shards_used;
-    tel.bytes_exchanged = shard_stats.bytes_exchanged;
-    tel.threads_used = shard_stats.threads_per_shard;
-    tel.morsels = shard_stats.morsels;
-    tel.tasks_dealt = shard_stats.tasks_dealt;
-    tel.steals = shard_stats.steals;
-    tel.used_jit = shard_stats.jit_shards > 0;
-    tel.jit_parallel = shard_stats.jit_shards > 0;
-    tel.compile_tier = shard_stats.compile_tier;
-    tel.morsels_interpreted = shard_stats.morsels_interpreted;
-    tel.morsels_jit = shard_stats.morsels_jit;
-    tel.swap_ms = shard_stats.swap_ms;
-    tel.first_morsel_ms = shard_stats.first_morsel_ms;
-    tel.ir_verified = shard_stats.jit_shards > 0 && shard_stats.ir_verified;
-    // Shards share the engine's compiled-query cache: N shards of one plan
-    // compile it exactly once (cold) or zero times (warm). With the cache
-    // disabled (jit_cache_capacity = 0) no per-shard compile cost is
-    // observable, so compile telemetry honestly stays at its zeros and
-    // jit_cache_hit stays false — there is no cache to hit.
-    tel.compile_ms = shard_stats.compile_ms;
-    tel.jit_cache_hit = ctx.jit_cache != nullptr && shard_stats.jit_shards > 0 &&
-                               shard_stats.jit_compiles == 0 && shard_stats.jit_cache_hits > 0;
-    // Compiles run inside the fan-out (single-flight: at most one per plan),
-    // so subtracting the measured compile time keeps execute_ms ≈ plan run
-    // time, matching the unsharded JIT branch below.
-    tel.execute_ms = MsSince(t0) - tel.compile_ms;
-    if (opts_.mode == ExecMode::kJIT && shard_stats.jit_shards < shard_stats.shards_used) {
-      tel.fallback_reason =
-          std::to_string(shard_stats.shards_used - shard_stats.jit_shards) +
-          " shard(s) ran the interpreter (plan outside the generated fast path)";
+  const bool use_jit = opts_.mode == ExecMode::kJIT;
+  // One routing decision: num_shards >= 1 is an explicit opt-in, so
+  // shardable plans fan out through the coordinator, whose shards each run
+  // their morsel slice through the region runner; every other plan (outer
+  // chain joins, a Nest-driven main chain, or sharding off) runs whole
+  // through the region runner on the engine's scheduler. The region runner
+  // picks the engine — tiered, generated code, or the interpreter — and
+  // every choice yields the same partials.
+  jit::RegionStats region;
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    if (opts_.num_shards >= 1 && PlanIsShardable(physical)) {
+      ShardCoordinator coordinator(ctx, opts_.num_shards, opts_.num_threads, use_jit);
+      LoopbackTransport transport;
+      ShardExecStats shard_stats;
+      auto r = coordinator.Run(physical, &transport, &shard_stats);
+      tel.shards_used = shard_stats.shards_used;
+      tel.bytes_exchanged = shard_stats.bytes_exchanged;
+      tel.tasks_dealt = shard_stats.tasks_dealt;
+      tel.steals = shard_stats.steals;
+      region = std::move(shard_stats.region);
+      return r;
     }
-    return result;
-  }
-  // Tiered routing (opt-in): the cold query starts on the interpreter
-  // immediately while its module compiles on the background thread, and
-  // hot-swaps to generated code at a morsel boundary; warm queries run as
-  // pure generated code from morsel 0. Plans the controller declines (the
-  // non-shardable shapes) fall through to the normal routes below.
-  if (ctx.tiered != nullptr) {
-    jit::TieredRunStats ts;
-    auto partials = jit::RunTiered(ctx, physical, 0, 0, /*whole_plan=*/true, &ts);
-    if (partials.ok()) {
-      auto result =
-          FinalizePlanPartials(*physical, RootNest(physical), std::move(*partials), ctx.trace);
-      tel.used_jit = ts.morsels_jit > 0;
-      tel.jit_parallel = ts.morsels_jit > 0;
-      tel.compile_tier = ts.compile_tier;
-      tel.morsels_interpreted = ts.morsels_interpreted;
-      tel.morsels_jit = ts.morsels_jit;
-      tel.swap_ms = ts.swap_ms;
-      tel.first_morsel_ms = ts.first_morsel_ms;
-      tel.ir_verified = ts.ir_verified;
-      tel.jit_cache_hit = ts.cache_hit;
-      // The background compile overlapped execution, so execute_ms keeps
-      // the full wall time — there is no foreground compile to subtract.
-      // compile_ms reports the background compile this run observed
-      // (0 when warm, or when the compile outlived the query).
-      tel.compile_ms = ts.compile_ms;
-      tel.execute_ms = MsSince(t0);
-      tel.morsels = ts.morsels_interpreted + ts.morsels_jit;
-      tel.threads_used = opts_.num_threads;
-      if (ts.morsels_jit == 0) {
-        tel.fallback_reason =
-            ts.compile_ms > 0
-                ? "tiered: background compile failed; interpreter completed the query"
-                : "tiered: compile did not land before the query finished";
-      }
-      return result;
-    }
-    if (partials.status().code() != StatusCode::kUnimplemented) {
-      return partials.status();
-    }
-    // Not chunk-decomposable: keep the normal JIT/interpreter routing.
-  }
-  if (opts_.mode == ExecMode::kJIT) {
-    // The generated code is morsel-driven for every plan and thread count —
-    // num_threads == 1 runs the same morsel frame on one worker, so the
-    // thread count can never change the result.
-    JitExecutor jit(ctx);
-    InterpExecutor::ExecStats stats;
-    auto result = jit.Execute(physical, &stats);
-    if (result.ok()) {
-      tel.used_jit = true;
-      tel.jit_parallel = true;
-      // The served module's tier — 1 normally, 2 when a background
-      // promotion already swapped the aggressive module behind this key.
-      tel.compile_tier =
-          jit.last_module() != nullptr ? jit.last_module()->tier : 1;
-      tel.ir_verified = jit.last_module() != nullptr && jit.last_module()->ir_verified;
-      tel.threads_used = stats.threads_used;
-      tel.morsels = stats.morsels;
-      tel.compile_ms = jit.last_compile_ms();
-      tel.jit_cache_hit = jit.last_cache_hit();
-      tel.execute_ms = MsSince(t0) - tel.compile_ms;
-      ir = jit.last_ir();
-      return result;
-    }
-    if (result.status().code() != StatusCode::kUnimplemented) {
-      return result.status();
-    }
-    tel.fallback_reason = result.status().message();
-    // The aborted codegen attempt still cost compile time; record it the
-    // way the success path does so fallback runs stop folding it into
-    // execute_ms with compile_ms stuck at 0.
-    tel.compile_ms = jit.last_compile_ms();
-  }
-  InterpExecutor interp(ctx);
-  auto result = interp.Execute(physical);
-  tel.execute_ms = MsSince(t0) - tel.compile_ms;
-  tel.threads_used = interp.exec_stats().threads_used;
-  tel.morsels = interp.exec_stats().morsels;
+    PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
+                             jit::RunRegion(ctx, physical, std::nullopt, use_jit, &region));
+    return FinalizePlanPartials(*physical, RootNest(physical), std::move(partials), ctx.trace);
+  }();
+
+  tel.used_jit = region.used_jit;
+  tel.jit_parallel = region.used_jit;
+  tel.compile_tier = region.compile_tier;
+  tel.ir_verified = region.ir_verified;
+  tel.jit_cache_hit = region.cache_hit;
+  tel.compile_ms = region.compile_ms;
+  // A foreground compile delayed the morsels, so it leaves execute_ms; a
+  // background compile overlapped them, so the full wall time stays.
+  tel.execute_ms = MsSince(t0) - region.compile_wait_ms;
+  tel.threads_used = region.threads;
+  tel.morsels = region.morsels;
+  tel.morsels_interpreted = region.morsels_interpreted;
+  tel.morsels_jit = region.morsels_jit;
+  tel.swap_ms = region.swap_ms;
+  tel.first_morsel_ms = region.first_morsel_ms;
+  tel.fallback_reason = std::move(region.fallback_reason);
+  if (region.module != nullptr) ir = region.module->ir;
   return result;
 }
 

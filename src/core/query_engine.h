@@ -11,8 +11,10 @@
 // Pipeline per query (paper Fig 2): parse (SQL or comprehension syntax) ->
 // monoid calculus -> normalize -> nested relational algebra -> optimize
 // (pushdowns, join order via plug-in stats) -> cache matching -> code
-// generation (LLVM) -> execution. Plans outside the JIT's fast path fall
-// back to the (morsel-driven) Volcano interpreter transparently.
+// generation (LLVM) -> execution. One region runner (jit::RunRegion)
+// chooses the engine — tiered, generated code, or the morsel-driven
+// interpreter for plans outside the JIT's fast path — for the whole plan or
+// for each shard's morsel slice.
 #pragma once
 
 #include <atomic>
@@ -120,21 +122,22 @@ struct EngineOptions {
 /// Telemetry for the last executed query.
 struct QueryTelemetry {
   double optimize_ms = 0;
-  /// Per-execution JIT compile cost (LLVM IR generation + compilation): 0 on
+  /// This query's JIT compile cost (LLVM IR generation + compilation): 0 on
   /// a compiled-query-cache hit (no IR is generated at all); a failed
-  /// attempt before an interpreter fallback still reports its cost. Sharded
-  /// runs report the summed compile time their shards actually spent — with
-  /// the shared cache that is one compile for all shards, or 0 when warm.
-  /// Tiered runs report the background compile they consumed.
+  /// attempt before an interpreter fallback still reports its cost. Tiered
+  /// runs report the background compile they consumed. Sharded runs sum
+  /// their shards' own compiles (jit::Merge) and count a background compile
+  /// that several shards shared once — with the shared cache that is one
+  /// compile for all shards, or 0 when warm; never another query's compile.
   double compile_ms = 0;
-  /// The last JIT execution was served by the compiled-query cache without
+  /// The JIT execution was served by the compiled-query cache without
   /// compiling. Sharded runs report true when every shard was served warm;
   /// always false when the cache is disabled (jit_cache_capacity = 0).
   bool jit_cache_hit = false;
-  /// Plan run time (excludes optimize/compile). Exception: a sharded JIT
-  /// run with the cache *disabled* folds each shard's in-thread compile
-  /// into this number — per-shard compile time is only observable through
-  /// the shared cache's counters.
+  /// Plan run time: wall time less optimize and the foreground compile the
+  /// morsels waited on (the slowest shard's, for a sharded run — shards
+  /// compile side by side). A tiered run's background compile overlaps the
+  /// interpreter, so its wall time stays whole.
   double execute_ms = 0;
   double cache_build_ms = 0;
   bool used_jit = false;
@@ -143,10 +146,13 @@ struct QueryTelemetry {
   /// benchmark harness (perfbench/) reads it to name the route.
   bool jit_parallel = false;
   bool used_cache = false;
-  int threads_used = 1;    ///< workers that executed the plan (interpreter or parallel JIT)
-  /// Morsels driven through the plan's pipelines. Never 0 for an executed
-  /// query: every plan runs as morsel pipelines, and an empty input still
-  /// drives one empty morsel.
+  /// Workers that ran the main region's morsels (the most in any shard).
+  int threads_used = 1;
+  /// Morsels of the main region's global decomposition — the region under
+  /// the Reduce root, or under a Nest directly under it; join build sides
+  /// and a mid-chain Nest's fold are not counted. The same plan reports the
+  /// same count on every route (interpreter, JIT, sharded, tiered). Never 0
+  /// for an executed query: an empty input still drives one empty morsel.
   uint64_t morsels = 0;
   int shards_used = 0;     ///< shard executors that ran the plan (0 = unsharded)
   uint64_t bytes_exchanged = 0;  ///< serialized partial-result bytes shard→coordinator
@@ -186,11 +192,14 @@ struct QueryTelemetry {
   /// Every generated module that served this query passed the IR contract
   /// verifier (EngineOptions::verify_ir). False when verification is off,
   /// when the interpreter ran, or when a cached module predates a verifying
-  /// engine. Sharded runs report true only if every JIT shard ran verified
-  /// code.
+  /// engine. Sharded runs report true only if every shard that ran
+  /// generated code ran verified code.
   bool ir_verified = false;
-  /// Why the interpreter ran, if it did. A plan rejected for several
-  /// features reports every reason, semicolon-joined.
+  /// Why the interpreter ran, if it did: the codegen's message on every
+  /// route (a plan rejected for several features reports every reason,
+  /// semicolon-joined), prefixed "tiered: background compile failed: " when
+  /// the tiered controller consumed the failed compile. Sharded runs join
+  /// their shards' distinct reasons.
   std::string fallback_reason;
   std::string plan;             ///< physical plan, printable
 };
@@ -212,8 +221,9 @@ struct CallOptions {
   /// returns StatusCode::kCancelled with telemetry.cancelled = true. Must
   /// outlive the call. Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Receives the LLVM IR of the query if it JIT-compiled (cleared at
-  /// entry; empty when the interpreter ran or the module came from cache).
+  /// Receives the LLVM IR of the generated module that served the query —
+  /// compiled now or taken from the cache, on any route (cleared at entry;
+  /// empty when only the interpreter ran).
   std::string* ir = nullptr;
 };
 

@@ -549,10 +549,6 @@ class MorselRunner {
     return partials;
   }
 
-  /// Morsels driven so far, over every region, and the widest fan-out.
-  uint64_t morsels_run() const { return morsels_run_; }
-  uint64_t max_batch() const { return max_batch_; }
-
  private:
   /// The region's pipeline breakers below its chain: every chain join's
   /// build side, then a mid-chain Nest driver leaf's group table. Both
@@ -790,8 +786,6 @@ class MorselRunner {
   /// serially, feeding the trailing slots.
   Status RunPipelines(const MorselPipeline& desc, const std::vector<ScanRange>& morsels,
                       const std::function<Status(EvalEnv&, uint64_t)>& sink) {
-    morsels_run_ += morsels.size();
-    max_batch_ = std::max<uint64_t>(max_batch_, morsels.size());
     std::vector<MatchedBitmaps> bitmaps(morsels.size());
     PROTEUS_RETURN_NOT_OK(ctx_.scheduler->ParallelFor(
         morsels.size(), [&](uint64_t m, int) -> Status {
@@ -817,8 +811,6 @@ class MorselRunner {
   std::unordered_map<const Operator*, std::shared_ptr<SharedJoinBuild>> builds_;
   /// Folded group tables of mid-chain Nest driver leaves.
   std::unordered_map<const Operator*, std::shared_ptr<GroupTable>> nests_;
-  uint64_t morsels_run_ = 0;
-  uint64_t max_batch_ = 0;
 };
 
 /// InterpPartialSession implementation: one MorselRunner whose prepared
@@ -1007,26 +999,8 @@ Result<uint64_t> InterpExecutor::CountPlanMorsels(const OpPtr& plan) {
   return static_cast<uint64_t>(morsels.size());
 }
 
-Result<PlanPartials> InterpExecutor::ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,
-                                                     uint64_t morsel_end) {
-  if (plan->kind() != OpKind::kReduce) {
-    return Status::InvalidArgument("physical plan root must be Reduce");
-  }
-  if (ctx_.scheduler == nullptr) {
-    return Status::InvalidArgument("ExecutePartials requires a TaskScheduler");
-  }
-  exec_stats_ = ExecStats{};
-  MorselRunner runner(ctx_);
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> all, runner.Prepare(plan, /*chunked=*/true));
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> mine,
-                           MorselSlice(all, morsel_begin, morsel_end));
-  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, runner.RunMain(plan, mine));
-  exec_stats_.morsels = morsel_end - morsel_begin;
-  exec_stats_.threads_used = ctx_.scheduler->num_threads();
-  return partials;
-}
-
-Result<QueryResult> InterpExecutor::Execute(const OpPtr& plan) {
+Result<PlanPartials> InterpExecutor::ExecutePartials(const OpPtr& plan,
+                                                     std::optional<ScanRange> slice) {
   if (plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("physical plan root must be Reduce, got:\n" +
                                    plan->ToString());
@@ -1040,11 +1014,20 @@ Result<QueryResult> InterpExecutor::Execute(const OpPtr& plan) {
   // the same per-morsel partial sums (float addition is not associative), so
   // the worker count may only change who runs a morsel, never the fold shape.
   MorselRunner runner(ctx_);
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels, runner.Prepare(plan, false));
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> morsels,
+                           runner.Prepare(plan, /*chunked=*/slice.has_value()));
+  if (slice.has_value()) {
+    PROTEUS_ASSIGN_OR_RETURN(morsels, MorselSlice(morsels, slice->begin, slice->end));
+  }
   PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, runner.RunMain(plan, morsels));
-  exec_stats_.morsels = runner.morsels_run();
-  exec_stats_.threads_used =
-      static_cast<int>(std::min<uint64_t>(ctx_.scheduler->num_threads(), runner.max_batch()));
+  exec_stats_.morsels = morsels.size();
+  exec_stats_.threads_used = static_cast<int>(std::min<uint64_t>(
+      ctx_.scheduler->num_threads(), std::max<uint64_t>(morsels.size(), 1)));
+  return partials;
+}
+
+Result<QueryResult> InterpExecutor::Execute(const OpPtr& plan) {
+  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, ExecutePartials(plan, std::nullopt));
   return FinalizePlanPartials(*plan, RootNest(plan), std::move(partials), ctx_.trace);
 }
 

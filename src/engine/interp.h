@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "src/algebra/algebra.h"
 #include "src/catalog/catalog.h"
@@ -118,10 +119,11 @@ class Cursor {
 
 class InterpExecutor {
  public:
-  /// How the last Execute() ran (surfaced as QueryTelemetry).
+  /// How the last ExecutePartials() / Execute() ran (surfaced through the
+  /// region runner as QueryTelemetry).
   struct ExecStats {
-    int threads_used = 1;
-    uint64_t morsels = 0;  ///< morsels driven, over every region of the plan
+    int threads_used = 1;  ///< workers that ran the main region's morsels
+    uint64_t morsels = 0;  ///< main-region morsels of the global decomposition run
   };
 
   explicit InterpExecutor(ExecContext ctx) : ctx_(ctx) {}
@@ -137,13 +139,13 @@ class InterpExecutor {
   /// calling thread).
   Result<uint64_t> CountPlanMorsels(const OpPtr& plan);
 
-  /// Shard-side execution: runs only morsels [morsel_begin, morsel_end) of
-  /// the global decomposition and returns their per-morsel partial sinks in
-  /// morsel order instead of a final result. Join build sides are
-  /// materialized in full (each shard probes its own copy). Rejects plans
-  /// with outer joins in the probe chain — their unmatched drain is global.
-  Result<PlanPartials> ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,
-                                       uint64_t morsel_end);
+  /// Runs `slice` of the plan's global morsel decomposition (the whole
+  /// decomposition, outer-join drains included, when nullopt) and returns
+  /// the per-morsel partial sinks in morsel order instead of a final result.
+  /// Join build sides are materialized in full (each shard probes its own
+  /// copy). A slice rejects plans with outer joins in the probe chain —
+  /// their unmatched drain is global.
+  Result<PlanPartials> ExecutePartials(const OpPtr& plan, std::optional<ScanRange> slice);
 
   const ExecStats& exec_stats() const { return exec_stats_; }
 

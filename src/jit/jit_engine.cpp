@@ -28,6 +28,7 @@
 #include "src/jit/ir_verifier.h"
 #include "src/jit/query_cache.h"
 #include "src/jit/runtime.h"
+#include "src/jit/tiered_compiler.h"
 #include "src/obs/trace.h"
 
 namespace proteus {
@@ -2527,40 +2528,35 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModule(
-    const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape) {
-  last_cache_hit_ = false;
-  last_compile_ms_ = 0;
+    const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape,
+    jit::RegionStats* stats) {
   auto compile = [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
     auto t0 = std::chrono::steady_clock::now();
     auto r = CompileAndLink(ctx_, plan, pipe, shape.literals);
     // Recorded on failure too: an aborted codegen attempt (e.g. an
     // Unimplemented feature discovered mid-emission) costs real wall time
     // that fallback telemetry must attribute to compile_ms, not execute_ms.
-    last_compile_ms_ = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+    stats->compile_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    stats->compile_wait_ms = stats->compile_ms;
     return r;
   };
   if (ctx_.jit_cache == nullptr || ctx_.catalog == nullptr) return compile();
   const jit::QueryCacheKey key = jit::KeyForShape(ctx_, plan, shape.signature);
   // On a hit (or a single-flight wait on another thread's compile)
-  // last_compile_ms_ stays 0: this execution generated no IR at all.
+  // compile_ms stays 0: this execution generated no IR at all.
   // The probe span covers the whole lookup — a miss nests the jit_compile
   // span inside it, so the probe-only cost is the difference.
   obs::TraceSpan probe(ctx_.trace, "cache_probe");
-  auto r = ctx_.jit_cache->GetOrCompile(key, compile, &last_cache_hit_, ctx_.trace);
-  probe.set_arg0("hit", last_cache_hit_ ? 1 : 0);
+  auto r = ctx_.jit_cache->GetOrCompile(key, compile, &stats->cache_hit, ctx_.trace);
+  probe.set_arg0("hit", stats->cache_hit ? 1 : 0);
   return r;
 }
 
-const std::string& JitExecutor::last_ir() const {
-  static const std::string kEmpty;
-  return last_module_ != nullptr ? last_module_->ir : kEmpty;
-}
-
-Result<PlanPartials> JitExecutor::RunMorselPipelines(
-    const OpPtr& plan, uint64_t morsel_begin, uint64_t morsel_end, bool whole_plan,
-    InterpExecutor::ExecStats* stats, std::shared_ptr<const jit::CompiledModule> premodule) {
+Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional<ScanRange> slice,
+                                                jit::RegionStats* stats,
+                                                std::shared_ptr<const jit::CompiledModule> module) {
   if (plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
@@ -2573,7 +2569,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
   const std::vector<const Operator*> outer = OuterChainJoins(pipe);
-  if (!whole_plan && !outer.empty()) {
+  if (slice.has_value() && !outer.empty()) {
     // Mirror of InterpExecutor::ExecutePartials: a shard sees only its
     // morsel slice, but the unmatched-build drain needs every probe morsel's
     // bitmap — a global view.
@@ -2584,17 +2580,12 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   // The running plan's literals: whichever plan of this shape the module
   // was compiled for, this run binds its own values.
   const jit::PlanShape shape = jit::ShapeOfPlan(*plan);
-  std::shared_ptr<const jit::CompiledModule> cq;
-  if (premodule != nullptr) {
-    // Tiered swap path: the background thread compiled (and cached) the
-    // module already — this thread only binds parameters and runs.
-    last_cache_hit_ = false;
-    last_compile_ms_ = 0;
-    cq = std::move(premodule);
-  } else {
-    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe, shape));
+  // Without a module (the tiered swap path hands one in: the background
+  // thread compiled and cached it already) resolve it through the cache.
+  std::shared_ptr<const jit::CompiledModule> cq = std::move(module);
+  if (cq == nullptr) {
+    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe, shape, stats));
   }
-  last_module_ = cq;
 
   // Fresh per-execution state: runtime tables from the recorded layout, data
   // constants re-bound from the live catalog/plug-ins/caches. The machine
@@ -2628,19 +2619,17 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   } else {
     PROTEUS_ASSIGN_OR_RETURN(all, SplitLeafMorsels(ctx_, *pipe.leaf));
   }
-  if (whole_plan) {
-    morsel_begin = 0;
-    morsel_end = all.size();
-  }
-  PROTEUS_ASSIGN_OR_RETURN(const std::vector<ScanRange> morsels,
-                           MorselSlice(all, morsel_begin, morsel_end));
+  const uint64_t morsel_begin = slice.has_value() ? slice->begin : 0;
+  PROTEUS_ASSIGN_OR_RETURN(
+      const std::vector<ScanRange> morsels,
+      MorselSlice(all, morsel_begin, slice.has_value() ? slice->end : all.size()));
   const size_t n = morsels.size();
 
   // One partial sink per morsel plus one trailing slot per outer-join drain
   // (the shared PlanPartialSlots frame); workers write disjoint slots, so
   // the fan-out needs no locking and the merge below is deterministic in
   // morsel order.
-  const size_t slots = whole_plan ? PlanPartialSlots(pipe, n) : n;
+  const size_t slots = PlanPartialSlots(pipe, n);
   PlanPartials partials;
   partials.nest = nest != nullptr;
   std::vector<JitMorselSink> sinks(slots);
@@ -2727,24 +2716,21 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     if (rt.failed()) return rt.error();
   }
 
-  if (stats != nullptr) {
-    stats->morsels = n;
-    stats->threads_used = static_cast<int>(
-        std::min<uint64_t>(static_cast<uint64_t>(workers), std::max<size_t>(n, 1)));
-  }
+  stats->used_jit = true;
+  stats->compile_tier = cq->tier;
+  stats->ir_verified = cq->ir_verified;
+  stats->module = cq;
+  stats->morsels = n;
+  stats->threads = static_cast<int>(
+      std::min<uint64_t>(static_cast<uint64_t>(workers), std::max<size_t>(n, 1)));
   return partials;
 }
 
-Result<QueryResult> JitExecutor::Execute(const OpPtr& plan, InterpExecutor::ExecStats* stats) {
+Result<QueryResult> JitExecutor::Execute(const OpPtr& plan) {
+  jit::RegionStats stats;
   PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
-                           RunMorselPipelines(plan, 0, 0, /*whole_plan=*/true, stats, nullptr));
+                           ExecuteRegion(plan, std::nullopt, &stats));
   return FinalizePlanPartials(*plan, RootNest(plan), std::move(partials), ctx_.trace);
-}
-
-Result<PlanPartials> JitExecutor::ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,
-                                                  uint64_t morsel_end) {
-  return RunMorselPipelines(plan, morsel_begin, morsel_end, /*whole_plan=*/false, nullptr,
-                            nullptr);
 }
 
 Result<PlanPartials> JitExecutor::ExecutePartialsPrecompiled(
@@ -2753,8 +2739,8 @@ Result<PlanPartials> JitExecutor::ExecutePartialsPrecompiled(
   if (module == nullptr) {
     return Status::InvalidArgument("jit: precompiled module is null");
   }
-  return RunMorselPipelines(plan, morsel_begin, morsel_end, /*whole_plan=*/false, nullptr,
-                            std::move(module));
+  jit::RegionStats stats;
+  return ExecuteRegion(plan, ScanRange{morsel_begin, morsel_end}, &stats, std::move(module));
 }
 
 }  // namespace proteus

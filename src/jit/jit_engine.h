@@ -26,8 +26,8 @@
 // module compiled once can be cached by plan shape and re-run — across
 // executions, threads, shards, and literal values — after a cheap re-bind.
 // When ExecContext::jit_cache is set, the executor looks modules up there
-// before compiling (concurrent lookups of one shape single-flight), and
-// last_cache_hit()/last_compile_ms() report how the plan was served.
+// before compiling (concurrent lookups of one shape single-flight), and the
+// region stats (jit::RegionStats) report how the plan was served.
 //
 // Generated `/` and `%` check their divisor: a zero divisor of non-null
 // operands fails the query with the interpreter's status (division by zero
@@ -62,14 +62,15 @@
 // boolean monoids inside Nest, nullable group keys of a mid-chain Nest, deep
 // paths inside array elements) return
 // Unimplemented — every violation in the plan is reported, semicolon-joined
-// — and the QueryEngine facade transparently falls back to the
+// — and the region runner (jit::RunRegion) transparently falls back to the
 // (morsel-parallel) interpreter — recording the failed attempt's compile
-// time honestly. tests/test_jit_equiv.cpp is the differential harness
+// time and its reason honestly. tests/test_jit_equiv.cpp is the differential harness
 // asserting JIT ≡ interpreter, cell for cell, on everything the JIT
 // accepts.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/algebra/algebra.h"
@@ -80,6 +81,8 @@
 namespace proteus {
 
 namespace jit {
+
+struct RegionStats;
 
 /// Cache key of `plan` under the engine state in `ctx` — exactly the key
 /// JitExecutor uses for its compiled-query-cache lookups, exposed so the
@@ -129,61 +132,42 @@ class JitExecutor {
   /// uses, so results are cell-identical (float bits included) for every
   /// thread count, to the interpreter, and across engines. Used for all
   /// thread counts (1 included): one morsel frame means the thread count can
-  /// never change the fold shape. `stats` (optional) receives the morsel and
-  /// worker counts. Returns Unimplemented for plans (or features) outside
-  /// the generated fast path; callers fall back to the interpreter.
-  Result<QueryResult> Execute(const OpPtr& plan, InterpExecutor::ExecStats* stats = nullptr);
+  /// never change the fold shape. Returns Unimplemented for plans (or
+  /// features) outside the generated fast path.
+  Result<QueryResult> Execute(const OpPtr& plan);
 
-  /// Shard-side execution: runs only morsels [morsel_begin, morsel_end) of
-  /// the global decomposition and returns their per-morsel partial sinks —
-  /// the JIT counterpart of InterpExecutor::ExecutePartials, producing
-  /// bit-identical partials, so shards can mix engines freely.
-  Result<PlanPartials> ExecutePartials(const OpPtr& plan, uint64_t morsel_begin,
-                                       uint64_t morsel_end);
+  /// The region runner's generated-code step: runs `slice` of the global
+  /// decomposition — the whole plan, outer-join drains included, when
+  /// nullopt — off `module`, or off the module resolved through the cache
+  /// (or compiled) when `module` is null, and returns per-morsel partial
+  /// sinks bit-identical to the interpreter's, so shards can mix engines
+  /// freely. Fills `stats` (served module, tier, compile_ms, cache_hit,
+  /// morsels, threads); on Unimplemented, compile_ms still holds the aborted
+  /// attempt's cost.
+  Result<PlanPartials> ExecuteRegion(const OpPtr& plan, std::optional<ScanRange> slice,
+                                     jit::RegionStats* stats,
+                                     std::shared_ptr<const jit::CompiledModule> module = nullptr);
 
-  /// Tiered hot-swap entry: like ExecutePartials, but runs a module the
-  /// background compiler already produced — no cache lookup and no compile
-  /// on this thread, which is what makes the swap a morsel-boundary O(bind)
-  /// operation. The module must have been compiled for an identical plan
-  /// shape (jit::ShapeOfPlan); the run binds `plan`'s own literals.
+  /// Tiered hot-swap entry: runs morsels [morsel_begin, morsel_end) off a
+  /// module the background compiler already produced — no cache lookup and
+  /// no compile on this thread, which is what makes the swap a
+  /// morsel-boundary O(bind) operation. The module must have been compiled
+  /// for an identical plan shape (jit::ShapeOfPlan); the run binds `plan`'s
+  /// own literals.
   Result<PlanPartials> ExecutePartialsPrecompiled(
       const OpPtr& plan, std::shared_ptr<const jit::CompiledModule> module,
       uint64_t morsel_begin, uint64_t morsel_end);
-
-  /// Milliseconds spent generating + compiling IR for the last query. 0 when
-  /// the compiled-query cache (ExecContext::jit_cache) served the plan — a
-  /// cache hit performs no IR generation or compilation at all, only
-  /// parameter binding.
-  double last_compile_ms() const { return last_compile_ms_; }
-  /// Whether the last query was served by the compiled-query cache.
-  bool last_cache_hit() const { return last_cache_hit_; }
-  /// The LLVM IR of the last query (before optimization), for inspection.
-  /// A reference into the retained module — no per-execution copy, so warm
-  /// runs (and shard executors) don't pay O(IR size) per query.
-  const std::string& last_ir() const;
-  /// The module the last execution ran (null before any run). Surfaces the
-  /// served tier to telemetry.
-  std::shared_ptr<const jit::CompiledModule> last_module() const { return last_module_; }
 
  private:
   /// Resolves the plan to a ready CompiledModule: through the shared
   /// shape-keyed cache when ExecContext::jit_cache is set (concurrent
   /// misses single-flight — one thread compiles, the rest wait and share),
-  /// else by compiling directly.
+  /// else by compiling directly. Records compile_ms / cache_hit in `stats`.
   Result<std::shared_ptr<const jit::CompiledModule>> GetOrCompileModule(
-      const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape);
-  /// `premodule`, when set, skips module resolution entirely (the tiered
-  /// swap path: the background thread compiled it already).
-  Result<PlanPartials> RunMorselPipelines(const OpPtr& plan, uint64_t morsel_begin,
-                                          uint64_t morsel_end, bool whole_plan,
-                                          InterpExecutor::ExecStats* stats,
-                                          std::shared_ptr<const jit::CompiledModule> premodule);
+      const OpPtr& plan, const MorselPipeline& pipe, const jit::PlanShape& shape,
+      jit::RegionStats* stats);
 
   ExecContext ctx_;
-  double last_compile_ms_ = 0;
-  bool last_cache_hit_ = false;
-  /// The last module run, kept alive so last_ir() can reference its IR.
-  std::shared_ptr<const jit::CompiledModule> last_module_;
 };
 
 }  // namespace proteus

@@ -229,7 +229,7 @@ struct CompiledModule {
   std::vector<ParamDesc> params;
   /// True when the generated-code contract verifier (src/jit/ir_verifier.h)
   /// ran on this module's IR and passed. Surfaced through
-  /// QueryTelemetry::ir_verified / TieredRunStats / ShardExecStats so a
+  /// jit::RegionStats and QueryTelemetry::ir_verified so a
   /// silently-skipped verifier is detectable, not assumed.
   bool ir_verified = false;
 };

@@ -139,18 +139,9 @@ uint64_t TieredCompiler::jobs_run() const {
 // ---------------------------------------------------------------------------
 
 Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
-                               uint64_t morsel_begin, uint64_t morsel_end, bool whole_plan,
-                               TieredRunStats* stats) {
+                               std::optional<ScanRange> slice, RegionStats* stats) {
   static const TieredOptions kDefaults;
   const TieredOptions& opts = ctx.tiered_opts != nullptr ? *ctx.tiered_opts : kDefaults;
-  if (ctx.tiered == nullptr || ctx.scheduler == nullptr) {
-    return Status::Unimplemented("tiered: no background compiler");
-  }
-  if (!PlanIsShardable(plan)) {
-    // Outer joins in the probe chain need the global unmatched drain; other
-    // shapes are outside the morsel driver. Both keep their normal path.
-    return Status::Unimplemented("tiered: plan is not chunk-decomposable");
-  }
   const auto t0 = std::chrono::steady_clock::now();
   const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
 
@@ -178,43 +169,45 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
     InterpExecutor probe(ctx);
     PROTEUS_ASSIGN_OR_RETURN(total_morsels, probe.CountPlanMorsels(plan));
   }
-  if (whole_plan) {
-    morsel_begin = 0;
-    morsel_end = total_morsels;
-  } else if (morsel_begin > morsel_end || morsel_end > total_morsels) {
+  const ScanRange range = slice.value_or(ScanRange{0, total_morsels});
+  if (range.begin > range.end || range.end > total_morsels) {
     return Status::InvalidArgument(
-        "tiered morsel range [" + std::to_string(morsel_begin) + ", " +
-        std::to_string(morsel_end) + ") out of bounds for " +
-        std::to_string(total_morsels) + " morsels");
+        "tiered morsel range [" + std::to_string(range.begin) + ", " +
+        std::to_string(range.end) + ") out of bounds for " + std::to_string(total_morsels) +
+        " morsels");
   }
 
   PlanPartials out;
-  out.nest = plan->child(0)->kind() == OpKind::kNest;
+  out.nest = RootNest(plan) != nullptr;
 
   // Interpreter chunks until the compile lands. Chunk size = one scheduler
   // fan-out (num_threads morsels) — big enough to keep every worker busy,
   // small enough that the swap is never more than one fan-out away.
   const uint64_t workers = static_cast<uint64_t>(std::max(1, ctx.scheduler->num_threads()));
   const bool forced = opts.force_swap_after_morsels != TieredOptions::kNeverSwap;
-  uint64_t next = morsel_begin;
+  uint64_t next = range.begin;
   bool poll = ticket != nullptr;  // cleared once the ticket is consumed
   bool first_done = false;
+  Status compile_status = Status::OK();
 
   auto take_ticket = [&] {
     poll = false;
     stats->compile_ms = ticket->compile_ms();
+    stats->ticket = ticket;
     // A failed compile is silent: the interpreter finishes the query, and
-    // the recorded compile_ms is the only trace (honest fallback
-    // accounting — the background thread did spend that time).
-    if (ticket->status().ok()) module = ticket->module();
+    // the recorded compile_ms plus the fallback reason are its only trace
+    // (honest fallback accounting — the background thread did spend that
+    // time).
+    compile_status = ticket->status();
+    if (compile_status.ok()) module = ticket->module();
   };
 
-  while (module == nullptr && next < morsel_end) {
+  while (module == nullptr && next < range.end) {
     if (poll && !forced && ticket->Ready()) {
       take_ticket();
       continue;
     }
-    uint64_t chunk = std::min(workers, morsel_end - next);
+    uint64_t chunk = std::min(workers, range.end - next);
     if (poll && forced) {
       const uint64_t budget =
           opts.force_swap_after_morsels > stats->morsels_interpreted
@@ -246,7 +239,7 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
   // Hot-swap: the remaining range runs as generated code off the
   // already-compiled module. Its partials append after the interpreter's —
   // global morsel order — so the fold cannot tell where the swap landed.
-  if (module != nullptr && next < morsel_end) {
+  if (module != nullptr && next < range.end) {
     stats->swap_ms = MsSince(t0);
     // The hot-swap is a point in time, not a duration: generated code takes
     // over at this morsel boundary.
@@ -256,18 +249,25 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
     OBS_SPAN(ctx.trace, "jit_tail", "begin", static_cast<int64_t>(next));
     JitExecutor jit(ctx);
     PROTEUS_ASSIGN_OR_RETURN(PlanPartials tail,
-                             jit.ExecutePartialsPrecompiled(plan, module, next, morsel_end));
-    stats->morsels_jit = morsel_end - next;
-    out.nest = tail.nest;
+                             jit.ExecutePartialsPrecompiled(plan, module, next, range.end));
+    stats->morsels_jit = range.end - next;
     out.Append(std::move(tail));
     if (!first_done) {
       first_done = true;
       stats->first_morsel_ms = MsSince(t0);
     }
   }
-  if (stats->morsels_jit > 0 && module != nullptr) {
+  stats->morsels = range.size();
+  stats->threads = static_cast<int>(std::min(workers, std::max<uint64_t>(range.size(), 1)));
+  if (stats->morsels_jit > 0) {
+    stats->used_jit = true;
     stats->compile_tier = module->tier;
     stats->ir_verified = module->ir_verified;
+    stats->module = module;
+  } else if (!compile_status.ok()) {
+    stats->fallback_reason = "tiered: background compile failed: " + compile_status.message();
+  } else {
+    stats->fallback_reason = "tiered: compile did not land before the query finished";
   }
 
   // Hot-signature promotion: a tier-1 module that keeps earning cache hits
@@ -277,6 +277,65 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
       ctx.jit_cache->HitCount(key) >= opts.tier2_hit_threshold) {
     ctx.tiered->EnqueuePromotion(ctx, plan);
   }
+  return out;
+}
+
+Result<PlanPartials> RunRegion(const ExecContext& ctx, const OpPtr& plan,
+                               std::optional<ScanRange> slice, bool use_jit,
+                               RegionStats* stats) {
+  *stats = RegionStats{};
+  if (use_jit && ctx.tiered != nullptr && PlanIsShardable(plan)) {
+    return RunTiered(ctx, plan, slice, stats);
+  }
+  if (use_jit) {
+    JitExecutor jit(ctx);
+    auto partials = jit.ExecuteRegion(plan, slice, stats);
+    if (partials.ok() || partials.status().code() != StatusCode::kUnimplemented) {
+      return partials;
+    }
+    // Outside the generated fast path: the interpreter produces the same
+    // partials; the aborted attempt's compile_ms stays recorded.
+    stats->fallback_reason = partials.status().message();
+  }
+  InterpExecutor interp(ctx);
+  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, interp.ExecutePartials(plan, slice));
+  stats->morsels = interp.exec_stats().morsels;
+  stats->threads = interp.exec_stats().threads_used;
+  return partials;
+}
+
+RegionStats Merge(const std::vector<RegionStats>& slices) {
+  RegionStats out;
+  out.cache_hit = !slices.empty();
+  out.ir_verified = true;
+  std::vector<const CompileTicket*> counted;
+  for (const RegionStats& s : slices) {
+    const bool shared_compile =
+        s.ticket != nullptr &&
+        std::find(counted.begin(), counted.end(), s.ticket.get()) != counted.end();
+    if (!shared_compile) out.compile_ms += s.compile_ms;
+    if (s.ticket != nullptr && !shared_compile) counted.push_back(s.ticket.get());
+    out.compile_wait_ms = std::max(out.compile_wait_ms, s.compile_wait_ms);
+    out.cache_hit = out.cache_hit && s.cache_hit;
+    if (s.used_jit) {
+      out.used_jit = true;
+      out.ir_verified = out.ir_verified && s.ir_verified;
+      if (out.module == nullptr) out.module = s.module;
+    }
+    out.compile_tier = std::max(out.compile_tier, s.compile_tier);
+    out.morsels += s.morsels;
+    out.morsels_interpreted += s.morsels_interpreted;
+    out.morsels_jit += s.morsels_jit;
+    out.swap_ms = std::max(out.swap_ms, s.swap_ms);
+    out.first_morsel_ms = std::max(out.first_morsel_ms, s.first_morsel_ms);
+    out.threads = std::max(out.threads, s.threads);
+    if (!s.fallback_reason.empty() &&
+        out.fallback_reason.find(s.fallback_reason) == std::string::npos) {
+      if (!out.fallback_reason.empty()) out.fallback_reason += "; ";
+      out.fallback_reason += s.fallback_reason;
+    }
+  }
+  out.ir_verified = out.ir_verified && out.used_jit;
   return out;
 }
 

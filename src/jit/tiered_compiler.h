@@ -32,16 +32,23 @@
 // through a by-value ExecContext and keep the plan alive via its shared_ptr,
 // so the compiler must be destroyed before those subsystems — QueryEngine
 // declares it last for exactly that reason.
+//
+// The region runner (RunRegion) lives here too: the one function that
+// chooses the engine for a plan region — the tiered controller, the
+// generated pipelines, or the interpreter — for both the unsharded engine
+// and every shard, and reports the outcome in one RegionStats.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/algebra/algebra.h"
 #include "src/common/mutex.h"
@@ -73,18 +80,6 @@ struct TieredOptions {
   /// whole query and the compile result is never consumed. kNeverSwap (the
   /// default) restores natural non-blocking polling at morsel boundaries.
   uint64_t force_swap_after_morsels = kNeverSwap;
-};
-
-/// How one tiered run went (surfaced as QueryTelemetry / ShardExecStats).
-struct TieredRunStats {
-  int compile_tier = 0;            ///< tier of the module that ran morsels (0 = interpreter only)
-  uint64_t morsels_interpreted = 0;///< morsels executed before the swap
-  uint64_t morsels_jit = 0;        ///< morsels executed by generated code
-  double swap_ms = 0;              ///< ms from run start to the hot-swap (0 = never swapped)
-  double first_morsel_ms = 0;      ///< ms from run start to the first completed chunk
-  double compile_ms = 0;           ///< background compile ms this run observed (0 if unconsumed)
-  bool cache_hit = false;          ///< a cached module served the run from morsel 0
-  bool ir_verified = false;        ///< the module that served morsels passed the IR verifier
 };
 
 /// One background compile's rendezvous. The query thread polls Ready() at
@@ -137,6 +132,48 @@ class CompileTicket {
   double compile_ms_ GUARDED_BY(mu_) = 0;
 };
 
+/// How one region run went — which engine served it and what that cost.
+/// RunRegion fills one per run: the whole plan of an unsharded query, or
+/// one shard's morsel slice (the coordinator combines those with Merge).
+/// QueryEngine copies it into QueryTelemetry in one place.
+struct RegionStats {
+  bool used_jit = false;      ///< generated code ran (some of) the region's morsels
+  int compile_tier = 0;       ///< tier of that code (0 = interpreter only)
+  bool ir_verified = false;   ///< that code's module passed the IR verifier
+  bool cache_hit = false;     ///< the compiled-query cache served the module, no compile
+  /// Compile ms this run paid for: its own foreground compile (an aborted
+  /// codegen attempt included), or the background compile it consumed
+  /// (`ticket`).
+  double compile_ms = 0;
+  /// The part of compile_ms the run's morsels waited on: the foreground
+  /// compile; 0 for a background compile, which overlaps the interpreter.
+  double compile_wait_ms = 0;
+  /// The background compile whose result (module or failure) this run
+  /// consumed; shards that share one ticket share one compile.
+  std::shared_ptr<const CompileTicket> ticket;
+  uint64_t morsels = 0;              ///< main-region morsels of the global decomposition run
+  uint64_t morsels_interpreted = 0;  ///< tiered: morsels run before the hot-swap
+  uint64_t morsels_jit = 0;          ///< tiered: morsels run by generated code after it
+  double swap_ms = 0;          ///< tiered: ms from run start to the hot-swap (0 = never)
+  double first_morsel_ms = 0;  ///< tiered: ms from run start to the first completed chunk
+  int threads = 1;             ///< workers that ran the region's morsels
+  /// Why the interpreter ran, if it did: the codegen's Unimplemented message,
+  /// or the tiered controller's reason.
+  std::string fallback_reason;
+  /// The generated module that served the run (null when only the
+  /// interpreter ran) — its IR reaches CallOptions::ir.
+  std::shared_ptr<const CompiledModule> module;
+};
+
+/// Combines the RegionStats of a sharded run's slices — the one home of the
+/// shard-combining rules: foreground compiles sum, a background compile
+/// that several shards consumed through one ticket counts once; cache_hit
+/// is an AND over the shards and ir_verified an AND over the shards that
+/// ran generated code; compile_tier, compile_wait_ms (shards compile side
+/// by side), swap and first-morsel ms, and threads take the max; morsel
+/// counts sum; distinct fallback reasons join with "; ".
+RegionStats Merge(const std::vector<RegionStats>& slices);
+
 /// The engine-wide background compile thread. See the file comment.
 class TieredCompiler {
  public:
@@ -185,26 +222,36 @@ class TieredCompiler {
   std::thread worker_;  ///< last member: joined before the queue state dies
 };
 
-/// The tiered execution controller. Runs morsels [morsel_begin, morsel_end)
-/// of `plan`'s global decomposition (the whole plan when `whole_plan`):
-/// warm — a cached module (TryGet, non-blocking) runs everything as
-/// generated code; cold — interpreter chunks (one scheduler fan-out of up to
-/// num_threads morsels each) execute immediately while the module compiles
-/// in the background, and the first morsel boundary that finds the ticket
-/// ready hot-swaps the remaining range to JitExecutor::
-/// ExecutePartialsPrecompiled. Partials append in morsel order either way,
-/// so the caller folds one FinalizePlanPartials frame and results are
-/// cell-identical to pure-interpreter and pure-JIT runs. Also enqueues the
-/// tier-2 promotion once the cache's hit count crosses
-/// TieredOptions::tier2_hit_threshold.
+/// The tiered execution controller. Runs `slice` of `plan`'s global morsel
+/// decomposition (the whole decomposition when nullopt): warm — a cached
+/// module (TryGet, non-blocking) runs everything as generated code; cold —
+/// interpreter chunks (one scheduler fan-out of up to num_threads morsels
+/// each) execute immediately while the module compiles in the background,
+/// and the first morsel boundary that finds the ticket ready hot-swaps the
+/// remaining range to JitExecutor::ExecutePartialsPrecompiled. Partials
+/// append in morsel order either way, so the caller folds one
+/// FinalizePlanPartials frame and results are cell-identical to
+/// pure-interpreter and pure-JIT runs. Also enqueues the tier-2 promotion
+/// once the cache's hit count crosses TieredOptions::tier2_hit_threshold.
 ///
-/// Requires ctx.tiered (the compiler) and ctx.scheduler; reads knobs from
-/// ctx.tiered_opts (defaults when null). Returns Unimplemented for plans the
-/// controller declines (not shardable: outer joins in the probe chain, or
-/// shapes outside the morsel driver) — callers keep their normal path.
+/// Requires ctx.tiered (the compiler), ctx.scheduler and a shardable plan
+/// (PlanIsShardable: outer joins in the probe chain need the global
+/// unmatched drain, a Nest-driven chain has no decomposition before its
+/// fold); reads knobs from ctx.tiered_opts (defaults when null).
 Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
-                               uint64_t morsel_begin, uint64_t morsel_end, bool whole_plan,
-                               TieredRunStats* stats);
+                               std::optional<ScanRange> slice, RegionStats* stats);
+
+/// The region runner: the one place that chooses the engine for a plan
+/// region — `slice` of `plan`'s global morsel decomposition, or the whole
+/// plan (nullopt, outer-join drains included). With `use_jit`, the tiered
+/// controller runs it when ctx.tiered is set and the plan is shardable,
+/// otherwise the generated pipelines; the interpreter runs it when codegen
+/// returns Unimplemented (its message becomes stats->fallback_reason) or
+/// without `use_jit`. Every engine produces the same per-morsel partials,
+/// so the choice never changes the folded result. Resets and fills `stats`.
+Result<PlanPartials> RunRegion(const ExecContext& ctx, const OpPtr& plan,
+                               std::optional<ScanRange> slice, bool use_jit,
+                               RegionStats* stats);
 
 }  // namespace jit
 }  // namespace proteus

@@ -35,6 +35,8 @@ void PutTelemetry(WireWriter* w, const QueryTelemetry& t) {
   w->PutU64(t.tasks_dealt);
   w->PutU64(t.steals);
   w->PutBool(t.cancelled);
+  w->PutStr(t.join_strategy);
+  w->PutBool(t.ir_verified);
   w->PutStr(t.fallback_reason);
   w->PutStr(t.plan);
 }
@@ -64,6 +66,8 @@ Result<QueryTelemetry> GetTelemetry(WireReader* r) {
   PROTEUS_ASSIGN_OR_RETURN(t.tasks_dealt, r->U64());
   PROTEUS_ASSIGN_OR_RETURN(t.steals, r->U64());
   PROTEUS_ASSIGN_OR_RETURN(t.cancelled, r->Bool());
+  PROTEUS_ASSIGN_OR_RETURN(t.join_strategy, r->Str());
+  PROTEUS_ASSIGN_OR_RETURN(t.ir_verified, r->Bool());
   PROTEUS_ASSIGN_OR_RETURN(t.fallback_reason, r->Str());
   PROTEUS_ASSIGN_OR_RETURN(t.plan, r->Str());
   return t;

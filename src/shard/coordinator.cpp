@@ -5,7 +5,6 @@
 
 #include "src/common/counters.h"
 #include "src/common/mutex.h"
-#include "src/jit/query_cache.h"
 #include "src/obs/trace.h"
 #include "src/shard/executor.h"
 #include "src/shard/partial_result.h"
@@ -18,8 +17,6 @@ ShardCoordinator::ShardCoordinator(ExecContext base, int num_shards, int threads
       num_shards_(std::max(1, num_shards)),
       threads_per_shard_(threads_per_shard),
       use_jit_(use_jit) {}
-
-bool ShardCoordinator::PlanIsShardable(const OpPtr& plan) { return proteus::PlanIsShardable(plan); }
 
 Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* transport,
                                           ShardExecStats* stats) {
@@ -38,46 +35,30 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
   std::vector<ScanRange> slices =
       EvenSplit(num_morsels, static_cast<uint64_t>(num_shards_));
 
-  // Snapshot the shared compiled-query cache so the stats can report this
-  // run's compile/hit deltas — the proof that N shards triggered one compile.
-  jit::CompiledQueryCache::Stats cache_before;
-  if (base_.jit_cache != nullptr) cache_before = base_.jit_cache->stats();
-
   // Fan out: one executor thread per shard, each with its own morsel pool.
-  // Shard threads write only to the transport and their status slot; their
+  // Shard threads write only to the transport and their own slots; their
   // execution counters fold back into the coordinator thread afterwards,
   // keeping benchmark accounting aligned with non-sharded runs.
   std::vector<Status> shard_status(slices.size(), Status::OK());
-  std::vector<char> shard_jit(slices.size(), 0);
-  std::vector<char> shard_tiered(slices.size(), 0);
-  std::vector<char> shard_verified(slices.size(), 0);
-  std::vector<int> shard_tier(slices.size(), 0);
-  std::vector<jit::TieredRunStats> shard_tiered_stats(slices.size());
-  std::vector<uint64_t> shard_steals(slices.size(), 0);
-  std::vector<uint64_t> shard_dealt(slices.size(), 0);
+  std::vector<jit::RegionStats> shard_region(slices.size());
+  std::vector<TaskScheduler::BatchStats> shard_pool(slices.size());
   ExecCounters shard_counters;
   Mutex counters_mu;
-  int threads_per_shard = 1;
   {
     std::vector<std::thread> threads;
     threads.reserve(slices.size());
     for (size_t i = 0; i < slices.size(); ++i) {
       threads.emplace_back([&, i] {
         ExecCounters before = GlobalCounters();
+        // Every ParallelFor this shard thread submits (to its private pool)
+        // is credited to its slot.
+        TaskScheduler::StatsScope pool_scope(&shard_pool[i]);
         ShardExecutor executor(static_cast<int>(i), base_, threads_per_shard_, use_jit_);
         ShardTask task{plan, slices[i].begin, slices[i].end};
-        shard_status[i] = executor.Run(task, transport);
-        shard_jit[i] = executor.jit_ran() ? 1 : 0;
-        shard_tiered[i] = executor.tiered_ran() ? 1 : 0;
-        shard_verified[i] = executor.ir_verified() ? 1 : 0;
-        shard_tier[i] = executor.served_tier();
-        shard_steals[i] = executor.steals();
-        shard_dealt[i] = executor.tasks_dealt();
-        if (executor.tiered_ran()) shard_tiered_stats[i] = executor.tiered_stats();
+        shard_status[i] = executor.Run(task, transport, &shard_region[i]);
         ExecCounters delta = GlobalCounters().Since(before);
         MutexLock lk(counters_mu);
         shard_counters += delta;
-        threads_per_shard = executor.num_threads();
       });
     }
     for (auto& t : threads) t.join();
@@ -147,35 +128,11 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
 
   stats->shards_used = static_cast<int>(slices.size());
   stats->bytes_exchanged = transport->bytes_exchanged();
-  stats->threads_per_shard = threads_per_shard;
-  stats->morsels = num_morsels;
-  stats->jit_shards = 0;
-  for (char j : shard_jit) stats->jit_shards += j;
-  // Verified means *every* shard that ran generated code ran a verified
-  // module — one unverified shard (e.g. a cached pre-verifier module) makes
-  // the whole query unverified.
-  stats->ir_verified = stats->jit_shards > 0;
-  for (size_t i = 0; i < slices.size(); ++i) {
-    if (shard_jit[i] != 0 && shard_verified[i] == 0) stats->ir_verified = false;
+  for (const TaskScheduler::BatchStats& pool : shard_pool) {
+    stats->tasks_dealt += pool.dealt;
+    stats->steals += pool.steals;
   }
-  for (size_t i = 0; i < slices.size(); ++i) {
-    stats->steals += shard_steals[i];
-    stats->tasks_dealt += shard_dealt[i];
-    stats->compile_tier = std::max(stats->compile_tier, shard_tier[i]);
-    if (shard_tiered[i] == 0) continue;
-    const jit::TieredRunStats& ts = shard_tiered_stats[i];
-    stats->tiered_shards++;
-    stats->morsels_interpreted += ts.morsels_interpreted;
-    stats->morsels_jit += ts.morsels_jit;
-    stats->swap_ms = std::max(stats->swap_ms, ts.swap_ms);
-    stats->first_morsel_ms = std::max(stats->first_morsel_ms, ts.first_morsel_ms);
-  }
-  if (base_.jit_cache != nullptr) {
-    jit::CompiledQueryCache::Stats after = base_.jit_cache->stats();
-    stats->jit_compiles = after.compiles - cache_before.compiles;
-    stats->jit_cache_hits = after.hits - cache_before.hits;
-    stats->compile_ms = after.compile_ms_total - cache_before.compile_ms_total;
-  }
+  stats->region = jit::Merge(shard_region);
   return FinalizePlanPartials(*plan, nest, std::move(all), base_.trace);
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "src/engine/interp.h"
+#include "src/jit/tiered_compiler.h"
 #include "src/shard/transport.h"
 
 namespace proteus {
@@ -25,37 +26,16 @@ namespace proteus {
 struct ShardExecStats {
   int shards_used = 0;          ///< executors that received a morsel slice
   uint64_t bytes_exchanged = 0; ///< serialized partial bytes through the transport
-  int threads_per_shard = 1;    ///< morsel workers inside each shard
-  uint64_t morsels = 0;         ///< global morsel count across all shards
-  int jit_shards = 0;           ///< shards that ran generated (JIT) pipelines
-  /// Compiled-query cache activity of this run (deltas of the shared
-  /// cache's counters across the shard fan-out). Every ShardExecutor gets
-  /// the coordinator's ExecContext — one cache for all shards — so for a
-  /// cacheable plan jit_compiles is exactly 1 on a cold run (the other
-  /// shards single-flight onto that compile: jit_cache_hits == shards - 1)
-  /// and 0 on a warm one (jit_cache_hits == shards).
-  uint64_t jit_compiles = 0;
-  uint64_t jit_cache_hits = 0;
-  double compile_ms = 0;  ///< wall ms shards spent compiling this run
-  /// Tiered execution across the fan-out (zeros when tiered is off): shards
-  /// that ran the tiered controller, summed interpreter/generated morsel
-  /// counts, the highest tier any shard ran, and the slowest shard's swap /
-  /// first-chunk latencies. Shards swap independently, so mixed states
-  /// (one shard swapped, another finished on the interpreter) are normal.
-  int tiered_shards = 0;
-  uint64_t morsels_interpreted = 0;
-  uint64_t morsels_jit = 0;
-  int compile_tier = 0;
-  double swap_ms = 0;
-  double first_morsel_ms = 0;
-  /// Every shard that ran generated code ran IR-verified modules
-  /// (src/jit/ir_verifier.h). False when no shard ran JIT or when
-  /// verification is off (EngineOptions::verify_ir).
-  bool ir_verified = false;
   /// Work-stealing counters summed over every shard's private morsel pool
   /// (each ShardExecutor owns its scheduler, so these are per-run numbers).
   uint64_t tasks_dealt = 0;
   uint64_t steals = 0;
+  /// The shards' per-slice region stats, combined by jit::Merge. Every
+  /// ShardExecutor gets the coordinator's ExecContext — one compiled-query
+  /// cache for all shards — so a cold cacheable plan compiles once (the
+  /// other shards single-flight onto that compile) and a warm one not at
+  /// all; each slice reports only its own compile, never another query's.
+  jit::RegionStats region;
 };
 
 class ShardCoordinator {
@@ -63,19 +43,14 @@ class ShardCoordinator {
   /// `base` supplies catalog/plug-ins/stats/caches (its scheduler is not
   /// used — each shard owns one). `num_shards` caps the fan-out; fewer run
   /// when the plan yields fewer morsels. `threads_per_shard` sizes each
-  /// shard's morsel pool (shards × workers compose). With `use_jit`, shards
-  /// run morsel-parameterized JIT pipelines where the plan supports them
-  /// (stats->jit_shards reports how many did) — partials are bit-identical
-  /// either way.
+  /// shard's morsel pool (shards × workers compose). Each shard runs its
+  /// slice through the region runner (jit::RunRegion) with `use_jit` —
+  /// partials are bit-identical whichever engine it picks.
   ShardCoordinator(ExecContext base, int num_shards, int threads_per_shard,
                    bool use_jit = false);
 
-  /// True when `plan` decomposes into independent shards (delegates to
-  /// PlanIsShardable: morsel-parallelizable, no outer joins in the chain).
-  static bool PlanIsShardable(const OpPtr& plan);
-
-  /// Executes `plan` (root = Reduce) across shards and merges their partial
-  /// results deterministically in shard order.
+  /// Executes `plan` (root = Reduce; PlanIsShardable) across shards and
+  /// merges their partial results deterministically in shard order.
   Result<QueryResult> Run(const OpPtr& plan, ShardTransport* transport,
                           ShardExecStats* stats);
 

@@ -32,55 +32,22 @@ class ShardExecutor {
   /// `base` supplies catalog/plug-ins/caches *and the coordinator's shared
   /// compiled-query cache* (ExecContext::jit_cache); the executor swaps in
   /// its own scheduler and drops the stats sink (the coordinator already
-  /// collected cold-access stats before fanning out). With `use_jit`, the
-  /// shard resolves the plan through the shared cache and runs its slice
-  /// through the morsel-parameterized pipelines (JitExecutor::
-  /// ExecutePartials) — N shards of one plan trigger exactly one compile,
-  /// because concurrent lookups of the same signature single-flight; plans
-  /// outside the generated fast path fall back to the interpreter's
-  /// partials. Both engines produce bit-identical per-morsel partials, so
-  /// the choice never affects the merged result.
+  /// collected cold-access stats before fanning out). The shard's slice
+  /// runs through the region runner (jit::RunRegion) with `use_jit`: N
+  /// shards of one plan trigger exactly one compile, because concurrent
+  /// lookups of the same shape single-flight, and every engine produces
+  /// bit-identical partials, so the choice never affects the merged result.
   ShardExecutor(int shard_id, const ExecContext& base, int num_threads, bool use_jit = false);
 
-  /// Runs the task's morsel slice and Sends the serialized partials through
-  /// `transport`.
-  Status Run(const ShardTask& task, ShardTransport* transport);
-
-  int shard_id() const { return shard_id_; }
-  int num_threads() const { return scheduler_.num_threads(); }
-  /// Morsels this shard drove (valid after Run).
-  uint64_t morsels_run() const { return morsels_run_; }
-  /// Whether generated pipelines (not the interpreter) ran any of the slice.
-  bool jit_ran() const { return jit_ran_; }
-  /// Whether the tiered controller ran the slice (ExecContext::tiered set
-  /// and the plan accepted); tiered_stats() is valid when true. Each shard
-  /// swaps independently — its controller polls the one shared background
-  /// compile at its own morsel boundaries.
-  bool tiered_ran() const { return tiered_ran_; }
-  const jit::TieredRunStats& tiered_stats() const { return tiered_stats_; }
-  /// Optimization tier of the generated code that ran (part of) the slice:
-  /// 0 when the interpreter ran it all, 1 or 2 otherwise (a background
-  /// promotion can serve tier 2 to a plain warm shard run too).
-  int served_tier() const { return served_tier_; }
-  /// The generated module that ran this slice passed the IR contract
-  /// verifier (meaningful only when jit_ran()).
-  bool ir_verified() const { return ir_verified_; }
-  /// Work-stealing counters of this shard's private morsel pool (lifetime of
-  /// the executor — which is one Run, so they are per-slice numbers).
-  uint64_t steals() const { return scheduler_.total_steals(); }
-  uint64_t tasks_dealt() const { return scheduler_.total_dealt(); }
+  /// Runs the task's morsel slice, Sends the serialized partials through
+  /// `transport`, and reports how the slice ran in `stats`.
+  Status Run(const ShardTask& task, ShardTransport* transport, jit::RegionStats* stats);
 
  private:
   int shard_id_;
   TaskScheduler scheduler_;
   ExecContext ctx_;
   bool use_jit_ = false;
-  bool jit_ran_ = false;
-  bool tiered_ran_ = false;
-  int served_tier_ = 0;
-  bool ir_verified_ = false;
-  uint64_t morsels_run_ = 0;
-  jit::TieredRunStats tiered_stats_;
 };
 
 }  // namespace proteus

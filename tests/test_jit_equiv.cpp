@@ -17,6 +17,7 @@
 #include <atomic>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -1253,6 +1254,163 @@ TEST(TieredSwap, HotSignatureEarnsTierTwo) {
   EXPECT_TRUE(promoted.telemetry.used_jit);
   EXPECT_EQ(promoted.telemetry.morsels_interpreted, 0u);
   ExpectIdentical(cold.result, promoted.result, "tier-1 vs tier-2 module");
+}
+
+// ---------------------------------------------------------------------------
+// One region runner: every route — unsharded or sharded, plain or tiered —
+// chooses its engine in jit::RunRegion and reports through jit::RegionStats,
+// so telemetry means the same thing whichever route served the plan.
+// ---------------------------------------------------------------------------
+
+/// String-keyed equi join: chunk-decomposable (sharding and the tiered
+/// controller accept it) but outside the generated fast path.
+OpPtr StringKeyJoinCount() {
+  OpPtr scan_o = Operator::Scan("orders_json", "o");
+  OpPtr scan_l = Operator::Scan("lineitem_json", "l");
+  ExprPtr pred = Expr::Bin(BinOp::kEq, Proj("o", "o_comment"), Proj("l", "l_comment"));
+  OpPtr join = Operator::Join(scan_o, scan_l, pred, /*outer=*/false);
+  return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
+}
+
+TEST(RegionRunner, EveryRouteKeepsTheCodegenReason) {
+  RunInfo oracle = RunPlanConfig(StringKeyJoinCount, ExecMode::kInterp, 2);
+  ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+  jit::TieredOptions forced;
+  forced.force_swap_after_morsels = 1;  // consume the failed ticket mid-query
+  struct Route {
+    const char* name;
+    int shards;
+    bool tiered;
+  };
+  for (const Route& route : {Route{"shards=1", 1, false}, Route{"shards=2", 2, false},
+                             Route{"tiered", 0, true}, Route{"tiered shards=2", 2, true}}) {
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.num_shards = route.shards;
+    opts.morsel_rows = kDiffMorselRows;
+    opts.tiered = route.tiered;
+    opts.tiered_opts = forced;
+    QueryEngine engine(opts);
+    testutil::RegisterAll(&engine);
+    auto r = engine.ExecutePlan(StringKeyJoinCount());
+    ASSERT_TRUE(r.ok()) << route.name << ": " << r.status().ToString();
+    ExpectIdentical(oracle.result, *r, route.name);
+    const QueryTelemetry t = engine.telemetry();
+    EXPECT_EQ(t.shards_used, route.shards) << route.name;
+    EXPECT_FALSE(t.used_jit) << route.name;
+    EXPECT_GT(t.compile_ms, 0.0) << route.name;
+    EXPECT_NE(t.fallback_reason.find("non-integer join key"), std::string::npos)
+        << route.name << ": " << t.fallback_reason;
+    if (route.tiered) {
+      EXPECT_NE(t.fallback_reason.find("tiered: background compile failed: "), std::string::npos)
+          << route.name << ": " << t.fallback_reason;
+    }
+  }
+}
+
+TEST(RegionRunner, TelemetryAgreesAcrossRoutes) {
+  struct Plan {
+    const char* name;
+    std::function<OpPtr()> make;
+  };
+  const std::vector<Plan> plans = {
+      {"scan-aggregate",
+       [] {
+         OpPtr scan = Operator::Scan("lineitem_json", "l");
+         OpPtr sel = Operator::Select(
+             scan, Expr::Bin(BinOp::kLt, Proj("l", "l_orderkey"), Expr::Int(40)));
+         return Operator::Reduce(sel, {{Monoid::kCount, nullptr, "n"},
+                                       {Monoid::kSum, Proj("l", "l_tax"), "tax"}});
+       }},
+      {"equi join",
+       [] {
+         OpPtr join = Operator::Join(
+             Operator::Scan("orders_json", "o"), Operator::Scan("lineitem_json", "l"),
+             Expr::Bin(BinOp::kEq, Proj("o", "o_orderkey"), Proj("l", "l_orderkey")),
+             /*outer=*/false);
+         return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"},
+                                        {Monoid::kMax, Proj("o", "o_totalprice"), "m"}});
+       }},
+      {"root group-by",
+       [] {
+         return Operator::Reduce(OrderkeyNest("lineitem_json"),
+                                 {{Monoid::kBag, Proj("g", "n"), "n"}});
+       }},
+      {"outer join",
+       [] {
+         OpPtr join = Operator::Join(
+             Operator::Scan("orders_json", "o"), Operator::Scan("lineitem_json", "l"),
+             Expr::Bin(BinOp::kEq, Proj("o", "o_orderkey"), Proj("l", "l_orderkey")),
+             /*outer=*/true);
+         return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
+       }},
+      {"nest-driven",
+       [] {
+         return Operator::Reduce(
+             SelectAboveNest("lineitem_json",
+                             Expr::Bin(BinOp::kGt, Proj("g", "n"), Expr::Int(2))),
+             {{Monoid::kCount, nullptr, "groups"}});
+       }},
+  };
+  struct Route {
+    const char* name;
+    ExecMode mode;
+    int shards;
+    bool tiered;
+  };
+  const std::vector<Route> routes = {
+      {"interpreter", ExecMode::kInterp, 0, false},
+      {"jit", ExecMode::kJIT, 0, false},
+      {"jit shards=2", ExecMode::kJIT, 2, false},
+      {"tiered warm", ExecMode::kJIT, 0, true},
+      {"tiered warm shards=2", ExecMode::kJIT, 2, true},
+  };
+  for (const Plan& plan : plans) {
+    std::optional<RunInfo> first;
+    std::optional<RunInfo> first_jit;
+    for (const Route& route : routes) {
+      const std::string what = std::string(plan.name) + " @ " + route.name;
+      EngineOptions opts;
+      opts.mode = route.mode;
+      opts.num_threads = 2;
+      opts.num_shards = route.shards;
+      opts.morsel_rows = kDiffMorselRows;
+      opts.tiered = route.tiered;
+      opts.tiered_opts.tier2_hit_threshold = 0;  // every JIT route serves tier 1
+      QueryEngine engine(opts);
+      testutil::RegisterAll(&engine);
+      if (route.tiered) {
+        // Warm: the cold run's background compile publishes the module.
+        ASSERT_TRUE(engine.ExecutePlan(plan.make()).ok()) << what;
+        engine.tiered_compiler()->Drain();
+      }
+      auto r = engine.ExecutePlan(plan.make());
+      ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
+      RunInfo run{std::move(*r), engine.telemetry(), Status::OK()};
+      EXPECT_GT(run.telemetry.morsels, 0u) << what;
+      if (route.mode == ExecMode::kJIT) {
+        EXPECT_TRUE(run.telemetry.used_jit) << what << ": " << run.telemetry.fallback_reason;
+        EXPECT_TRUE(run.telemetry.fallback_reason.empty())
+            << what << ": " << run.telemetry.fallback_reason;
+        if (route.tiered) EXPECT_EQ(run.telemetry.morsels_interpreted, 0u) << what;
+        if (!first_jit.has_value()) {
+          first_jit = run;
+        } else {
+          EXPECT_EQ(run.telemetry.used_jit, first_jit->telemetry.used_jit) << what;
+          EXPECT_EQ(run.telemetry.jit_parallel, first_jit->telemetry.jit_parallel) << what;
+          EXPECT_EQ(run.telemetry.compile_tier, first_jit->telemetry.compile_tier) << what;
+          EXPECT_EQ(run.telemetry.ir_verified, first_jit->telemetry.ir_verified) << what;
+        }
+      }
+      if (!first.has_value()) {
+        first = run;
+        continue;
+      }
+      ExpectIdentical(first->result, run.result, what);
+      EXPECT_EQ(run.telemetry.morsels, first->telemetry.morsels)
+          << what << " vs " << routes[0].name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

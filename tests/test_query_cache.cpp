@@ -342,7 +342,7 @@ TEST(QueryCacheEngine, CachedVsFreshCellIdenticalAcrossThreads) {
 
 // The per-shard recompile is fixed: every ShardExecutor shares the engine's
 // cache, so N shards of one plan trigger exactly one compile (cold) and
-// zero (warm) — ShardExecStats deltas surface through the cache stats here.
+// zero (warm) — the engine-wide cache stats prove it here.
 TEST(QueryCacheEngine, ShardsShareOneCompile) {
   // JSON driver: its byte-balanced Split() honors the small morsel_rows, so
   // every shard count actually fans out (bincol morsels snap to 1024-row
@@ -818,7 +818,7 @@ TEST(QueryCacheEngine, TieredSwapBindsTheRunningPlansLiterals) {
   ASSERT_TRUE(n.ok());
   ASSERT_GT(*n, 2u);
   for (uint64_t k : {uint64_t{0}, uint64_t{1}, *n / 2}) {
-    auto head = interp.ExecutePartials(b, 0, k);
+    auto head = interp.ExecutePartials(b, ScanRange{0, k});
     ASSERT_TRUE(head.ok()) << head.status().ToString();
     JitExecutor jit(ctx);
     auto tail = jit.ExecutePartialsPrecompiled(b, *module, k, *n);

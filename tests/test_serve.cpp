@@ -111,12 +111,32 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   QueryResult res;
   res.columns = {"count", "sum"};
   res.rows.push_back({Value::Int(42), Value::Float(13.25)});
+  // Every QueryTelemetry field set to a non-default value, so a field the
+  // codec skips shows up as a default on the far side.
   QueryTelemetry tel;
-  tel.execute_ms = 1.5;
-  tel.used_jit = true;
+  tel.optimize_ms = 0.25;
+  tel.compile_ms = 3.5;
   tel.jit_cache_hit = true;
+  tel.execute_ms = 1.5;
+  tel.cache_build_ms = 0.75;
+  tel.used_jit = true;
+  tel.jit_parallel = true;
+  tel.used_cache = true;
+  tel.threads_used = 3;
+  tel.morsels = 11;
+  tel.shards_used = 2;
+  tel.bytes_exchanged = 4096;
+  tel.compile_tier = 2;
+  tel.morsels_interpreted = 5;
+  tel.morsels_jit = 6;
+  tel.swap_ms = 0.5;
+  tel.first_morsel_ms = 0.125;
   tel.tasks_dealt = 7;
-  tel.cancelled = false;
+  tel.steals = 4;
+  tel.cancelled = true;
+  tel.join_strategy = "shared,partitioned";
+  tel.ir_verified = true;
+  tel.fallback_reason = "why not";
   tel.plan = "Reduce(...)";
 
   Frame f;
@@ -132,9 +152,31 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   auto body = serve::DecodeResultBody(back->body);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   ExpectIdentical(res, body->result, "result round-trip");
-  EXPECT_EQ(body->telemetry.tasks_dealt, 7u);
-  EXPECT_TRUE(body->telemetry.jit_cache_hit);
-  EXPECT_EQ(body->telemetry.plan, tel.plan);
+  const QueryTelemetry& t = body->telemetry;
+  EXPECT_EQ(t.optimize_ms, tel.optimize_ms);
+  EXPECT_EQ(t.compile_ms, tel.compile_ms);
+  EXPECT_TRUE(t.jit_cache_hit);
+  EXPECT_EQ(t.execute_ms, tel.execute_ms);
+  EXPECT_EQ(t.cache_build_ms, tel.cache_build_ms);
+  EXPECT_TRUE(t.used_jit);
+  EXPECT_TRUE(t.jit_parallel);
+  EXPECT_TRUE(t.used_cache);
+  EXPECT_EQ(t.threads_used, tel.threads_used);
+  EXPECT_EQ(t.morsels, tel.morsels);
+  EXPECT_EQ(t.shards_used, tel.shards_used);
+  EXPECT_EQ(t.bytes_exchanged, tel.bytes_exchanged);
+  EXPECT_EQ(t.compile_tier, tel.compile_tier);
+  EXPECT_EQ(t.morsels_interpreted, tel.morsels_interpreted);
+  EXPECT_EQ(t.morsels_jit, tel.morsels_jit);
+  EXPECT_EQ(t.swap_ms, tel.swap_ms);
+  EXPECT_EQ(t.first_morsel_ms, tel.first_morsel_ms);
+  EXPECT_EQ(t.tasks_dealt, 7u);
+  EXPECT_EQ(t.steals, tel.steals);
+  EXPECT_TRUE(t.cancelled);
+  EXPECT_EQ(t.join_strategy, tel.join_strategy);
+  EXPECT_TRUE(t.ir_verified);
+  EXPECT_EQ(t.fallback_reason, tel.fallback_reason);
+  EXPECT_EQ(t.plan, tel.plan);
 }
 
 TEST(ServeProtocol, DecodersRejectTruncationAndTrailingGarbage) {

@@ -10,8 +10,11 @@
 // bookkeeping.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <random>
+#include <thread>
 
 #include "src/shard/coordinator.h"
 #include "src/shard/partial_result.h"
@@ -201,6 +204,99 @@ TEST(ShardedExecution, SingleShardStillCrossesTheWire) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(engine->telemetry().shards_used, 1);
   EXPECT_GT(engine->telemetry().bytes_exchanged, 0u);
+}
+
+// A sharded query's compile telemetry comes from its own slices, never from
+// the engine-wide cache counters: a compile another caller runs on the same
+// engine while this query is in flight must not land in its numbers.
+TEST(ShardedExecution, CompileTelemetryIsPerQuery) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;  // the hook blocks exactly once, when armed
+  bool held = false;
+  bool released = false;
+  EngineOptions opts;
+  opts.mode = ExecMode::kJIT;
+  opts.num_shards = 2;
+  opts.morsel_rows = kTestMorselRows;
+  opts.morsel_boundary_hook = [&](uint64_t) {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!armed) return;
+    armed = false;
+    held = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return released; });
+  };
+  QueryEngine engine(opts);
+  testutil::RegisterAll(&engine);
+
+  const std::string warm_query =
+      "SELECT count(*), sum(l_tax) FROM lineitem_json WHERE l_orderkey < 30";
+  ASSERT_TRUE(engine.Execute(warm_query).ok());  // compiles; the shape is warm now
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    armed = true;
+  }
+  QueryTelemetry held_tel;
+  Status held_status = Status::OK();
+  bool finished = false;
+  std::thread held_query([&] {
+    CallOptions call;
+    call.telemetry = &held_tel;
+    held_status = engine.Execute(warm_query, call).status();
+    std::lock_guard<std::mutex> lk(mu);
+    finished = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return held || finished; });
+  }
+
+  // While the warm query waits at a morsel boundary, a second caller
+  // compiles a shape the engine has never seen.
+  QueryTelemetry other_tel;
+  CallOptions other_call;
+  other_call.telemetry = &other_tel;
+  auto other = engine.Execute(
+      "SELECT max(l_quantity), count(*) FROM lineitem_json WHERE l_linenumber = 2", other_call);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+  }
+  cv.notify_all();
+  held_query.join();
+
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_FALSE(other_tel.jit_cache_hit);
+  EXPECT_GT(other_tel.compile_ms, 0.0);
+  ASSERT_TRUE(held) << "the warm query never reached a morsel boundary";
+  ASSERT_TRUE(held_status.ok()) << held_status.ToString();
+  EXPECT_EQ(held_tel.shards_used, 2);
+  EXPECT_TRUE(held_tel.used_jit) << held_tel.fallback_reason;
+  EXPECT_TRUE(held_tel.jit_cache_hit) << "the held query compiled nothing";
+  EXPECT_EQ(held_tel.compile_ms, 0.0) << "another caller's compile leaked in";
+}
+
+// With the compiled-query cache disabled every shard compiles in its own
+// thread: the query reports those compiles, and execute_ms (wall time less
+// the compile the morsels waited on) stays a real duration.
+TEST(ShardedExecution, CacheDisabledShardsReportTheirCompiles) {
+  EngineOptions opts;
+  opts.mode = ExecMode::kJIT;
+  opts.num_shards = 2;
+  opts.morsel_rows = kTestMorselRows;
+  opts.jit_cache_capacity = 0;
+  QueryEngine engine(opts);
+  testutil::RegisterAll(&engine);
+  auto r = engine.Execute("SELECT count(*), sum(l_tax) FROM lineitem_json WHERE l_orderkey < 30");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryTelemetry t = engine.telemetry();
+  EXPECT_EQ(t.shards_used, 2);
+  EXPECT_TRUE(t.used_jit) << t.fallback_reason;
+  EXPECT_FALSE(t.jit_cache_hit);
+  EXPECT_GT(t.compile_ms, 0.0);
+  EXPECT_GE(t.execute_ms, 0.0);
 }
 
 TEST(ShardedExecution, NonShardablePlansKeepTheirNormalPath) {
