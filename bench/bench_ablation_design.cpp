@@ -113,16 +113,18 @@ void RegisterCachePolicy() {
   auto engine_w = with_strings;
   std::string qw = q1;
   RegisterMs("ablation/cache_policy/strings_cached", [engine_w, qw] {
-    auto r = engine_w->Execute(qw);
+    QueryTelemetry tel;
+    auto r = engine_w->Execute(qw, {.telemetry = &tel});
     if (!r.ok()) std::abort();
-    return engine_w->telemetry().execute_ms;
+    return tel.execute_ms;
   });
   auto engine_n = without_strings;
   std::string qn = q2;
   RegisterMs("ablation/cache_policy/hybrid_oid_reads", [engine_n, qn] {
-    auto r = engine_n->Execute(qn);
+    QueryTelemetry tel;
+    auto r = engine_n->Execute(qn, {.telemetry = &tel});
     if (!r.ok()) std::abort();
-    return engine_n->telemetry().execute_ms;
+    return tel.execute_ms;
   });
 }
 

@@ -36,15 +36,16 @@ QueryEngine& CompileEngine() {
 
 double CompileMs(const std::string& q) {
   QueryEngine& e = CompileEngine();
-  auto r = e.Execute(q);
+  QueryTelemetry tel;
+  auto r = e.Execute(q, {.telemetry = &tel});
   if (!r.ok()) {
     fprintf(stderr, "%s\n", r.status().ToString().c_str());
     std::abort();
   }
-  if (!e.telemetry().used_jit) {
+  if (!tel.used_jit) {
     fprintf(stderr, "query fell back to interpreter: %s\n", q.c_str());
   }
-  return e.telemetry().compile_ms;
+  return tel.compile_ms;
 }
 
 /// One cold tiered execution on a fresh engine (empty cache, background
@@ -73,12 +74,12 @@ TieredColdRunResult TieredColdRun(const std::string& q) {
     opts.morsel_rows = 1024;
     QueryEngine engine(opts);
     RegisterBenchDatasets(&engine);
-    auto r = engine.Execute(q);
+    QueryTelemetry t;
+    auto r = engine.Execute(q, {.telemetry = &t});
     if (!r.ok()) {
       fprintf(stderr, "tiered bench: %s\n  %s\n", q.c_str(), r.status().ToString().c_str());
       std::abort();
     }
-    const QueryTelemetry& t = engine.telemetry();
     if (t.jit_cache_hit) {
       fprintf(stderr, "tiered bench: cold run was served warm: %s\n", q.c_str());
       std::abort();

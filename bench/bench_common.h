@@ -69,10 +69,10 @@ inline EngineOptions BenchEngineOptions() {
 /// BENCH_<fig>.json trajectory file at process exit (see WriteBenchReport).
 ///
 /// Flow: RegisterMs() records each iteration's milliseconds under the
-/// variant's benchmark name; the Proteus helpers (ProteusMs & co.) attach
-/// the engine's QueryTelemetry to a pending slot that the *next* Record()
-/// call consumes — the helper runs inside the timed fn(), so attach always
-/// happens before its own Record. Baseline variants never attach, so their
+/// variant's benchmark name; the Proteus helpers (MeasuredRun and its
+/// callers) attach the query's QueryTelemetry to a pending slot that the
+/// *next* Record() call consumes — the helper runs inside the timed fn(), so
+/// attach always happens before its own Record. Baseline variants never attach, so their
 /// telemetry is null in the JSON: same reporter, same schema, one file.
 class BenchReport {
  public:
@@ -184,6 +184,22 @@ class BenchReport {
   std::vector<std::string> order_;  ///< registration order, for stable output
   std::optional<QueryTelemetry> pending_;
 };
+
+/// Runs one Proteus query on `e`, aborting with `label` on failure, and
+/// attaches its telemetry (CallOptions::telemetry) to the report's pending
+/// slot. Returns that telemetry.
+inline QueryTelemetry MeasuredRun(QueryEngine& e, const std::string& query,
+                                  const std::string& label) {
+  QueryTelemetry tel;
+  auto r = e.Execute(query, {.telemetry = &tel});
+  if (!r.ok()) {
+    fprintf(stderr, "%s: %s\n  %s\n", label.c_str(), query.c_str(),
+            r.status().ToString().c_str());
+    std::abort();
+  }
+  BenchReport::Get().AttachTelemetry(tel);
+  return tel;
+}
 
 /// Tail call for every bench main(): writes BENCH_<fig>.json and returns the
 /// process exit code (0 on success; also 0 when nothing ran, so list/filter
@@ -336,15 +352,9 @@ inline QueryEngine& ThreadedEngine(int threads) {
 
 /// Runs one query on the `threads`-worker engine, returns execution ms.
 inline double ThreadedMs(int threads, const std::string& query) {
-  QueryEngine& e = ThreadedEngine(threads);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus[%d threads]: %s\n  %s\n", threads, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  return MeasuredRun(ThreadedEngine(threads), query,
+                     "proteus[" + std::to_string(threads) + " threads]")
+      .execute_ms;
 }
 
 /// Engine running morsel-parallel *generated* pipelines at a fixed worker
@@ -371,20 +381,14 @@ inline QueryEngine& JitThreadedEngine(int threads) {
 /// a jit-parallel bench variant that silently measured the interpreter
 /// would be the exact reporting bug the telemetry work closed.
 inline double JitThreadedMs(int threads, const std::string& query) {
-  QueryEngine& e = JitThreadedEngine(threads);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus jit[%d threads]: %s\n  %s\n", threads, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  if (!e.telemetry().jit_parallel) {
+  const QueryTelemetry tel = MeasuredRun(JitThreadedEngine(threads), query,
+                                         "proteus jit[" + std::to_string(threads) + " threads]");
+  if (!tel.jit_parallel) {
     fprintf(stderr, "proteus jit[%d threads] fell back to the interpreter: %s\n  %s\n",
-            threads, query.c_str(), e.telemetry().fallback_reason.c_str());
+            threads, query.c_str(), tel.fallback_reason.c_str());
     std::abort();
   }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  return tel.execute_ms;
 }
 
 /// Shard counts exercised by the partitioned scale-out variants.
@@ -414,15 +418,9 @@ inline QueryEngine& ShardedEngine(int shards) {
 
 /// Runs one query on the `shards`-shard engine, returns execution ms.
 inline double ShardedMs(int shards, const std::string& query) {
-  QueryEngine& e = ShardedEngine(shards);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus[%d shards]: %s\n  %s\n", shards, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  return MeasuredRun(ShardedEngine(shards), query,
+                     "proteus[" + std::to_string(shards) + " shards]")
+      .execute_ms;
 }
 
 /// Cold-vs-warm compiled-query-cache measurement: executes `query` twice on
@@ -449,19 +447,20 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
                                      const std::string& warm_query = "") {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
-  // By value: telemetry() returns a copy, so a reference would dangle.
-  auto run = [&](const std::string& q) -> QueryTelemetry {
-    auto r = engine.Execute(q);
+  // Each run reports its own telemetry through CallOptions::telemetry.
+  auto run = [&](const std::string& q) {
+    QueryTelemetry tel;
+    auto r = engine.Execute(q, {.telemetry = &tel});
     if (!r.ok()) {
       fprintf(stderr, "proteus cache bench: %s\n  %s\n", q.c_str(),
               r.status().ToString().c_str());
       std::abort();
     }
-    return engine.telemetry();
+    return tel;
   };
   const std::string& warm_text = warm_query.empty() ? query : warm_query;
   ColdWarmCompile out;
-  const QueryTelemetry& cold = run(query);
+  const QueryTelemetry cold = run(query);
   if (!cold.used_jit || cold.jit_cache_hit) {
     fprintf(stderr, "cache bench: cold run expected a JIT compile: %s\n", query.c_str());
     std::abort();
@@ -469,7 +468,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
   out.cold_compile_ms = cold.compile_ms;
   if (!invalidate_before_warm.empty()) engine.InvalidateDataset(invalidate_before_warm);
   for (int i = 0; i < warm_runs; ++i) {
-    const QueryTelemetry& warm = run(warm_text);
+    const QueryTelemetry warm = run(warm_text);
     if (!warm.jit_cache_hit) {
       fprintf(stderr, "cache bench: warm run missed the compiled-query cache: %s\n",
               warm_text.c_str());
@@ -490,13 +489,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
 
 /// Runs one Proteus query and returns execution ms (excludes compile).
 inline double ProteusMs(const std::string& query) {
-  auto r = Systems::Get().proteus->Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus: %s\n  %s\n", query.c_str(), r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(Systems::Get().proteus->telemetry());
-  return Systems::Get().proteus->telemetry().execute_ms;
+  return MeasuredRun(*Systems::Get().proteus, query, "proteus").execute_ms;
 }
 
 template <typename Engine>

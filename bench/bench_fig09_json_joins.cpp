@@ -112,19 +112,20 @@ void Register() {
           std::move(join),
           {{Monoid::kCount, nullptr, "n"},
            {Monoid::kMax, Expr::Proj(Expr::Var("o"), "o_totalprice"), "maxp"}});
-      auto r = e.ExecutePlan(std::move(plan));
+      QueryTelemetry tel;
+      auto r = e.ExecutePlan(std::move(plan), {.telemetry = &tel});
       if (!r.ok()) {
         fprintf(stderr, "proteus jit[%d threads] outer join failed: %s\n", threads,
                 r.status().ToString().c_str());
         std::abort();
       }
-      if (!e.telemetry().used_jit || !e.telemetry().jit_parallel) {
+      if (!tel.used_jit || !tel.jit_parallel) {
         fprintf(stderr,
                 "proteus jit[%d threads] outer join fell back to the interpreter: %s\n",
-                threads, e.telemetry().fallback_reason.c_str());
+                threads, tel.fallback_reason.c_str());
         std::abort();
       }
-      return e.telemetry().execute_ms;
+      return tel.execute_ms;
     });
   }
 }

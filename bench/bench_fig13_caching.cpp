@@ -33,15 +33,16 @@ QueryEngine& CachedEngine() {
 }
 
 double CachedMs(const std::string& q) {
-  auto r = CachedEngine().Execute(q);
+  QueryTelemetry tel;
+  auto r = CachedEngine().Execute(q, {.telemetry = &tel});
   if (!r.ok()) {
     fprintf(stderr, "cached: %s\n", r.status().ToString().c_str());
     std::abort();
   }
-  if (!CachedEngine().telemetry().used_cache) {
+  if (!tel.used_cache) {
     fprintf(stderr, "warning: query did not hit the cache: %s\n", q.c_str());
   }
-  return CachedEngine().telemetry().execute_ms;
+  return tel.execute_ms;
 }
 
 void Register() {

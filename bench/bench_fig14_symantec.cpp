@@ -238,17 +238,18 @@ struct Workload {
     });
   }
   double proteus_codegen_ms = 0;  ///< accumulated LLVM compile time
+  QueryTelemetry proteus_tel;     ///< the last Proteus query's telemetry
 
   double RunProteus(const std::string& sql) {
     double ms = WallMs([&] {
-      auto r = proteus->Execute(sql);
+      auto r = proteus->Execute(sql, {.telemetry = &proteus_tel});
       if (!r.ok()) {
         fprintf(stderr, "proteus: %s\n  %s\n", sql.c_str(), r.status().ToString().c_str());
         std::abort();
       }
       benchmark::DoNotOptimize(r->rows);
     });
-    proteus_codegen_ms += proteus->telemetry().compile_ms;
+    proteus_codegen_ms += proteus_tel.compile_ms;
     return ms;
   }
 };
@@ -609,7 +610,7 @@ int main(int argc, char** argv) {
     double fed = q.federated();
     BenchReport::Get().Record(base + "Federated", fed);
     double pro = q.proteus();
-    BenchReport::Get().AttachTelemetry(w.proteus->telemetry());
+    BenchReport::Get().AttachTelemetry(w.proteus_tel);
     BenchReport::Get().Record(base + "Proteus", pro);
     pg_total += pg;
     fed_total += fed;

@@ -254,13 +254,13 @@ double JoinQueryMs(const std::string& corpus, JoinStrategyOverride strat, int th
   std::string q = "SELECT count(*), sum(o.o_totalprice), max(l.l_extendedprice) FROM " +
                   corpus + "_orders o JOIN " + corpus +
                   "_probe l ON o.o_orderkey = l.l_orderkey";
-  auto r = e.Execute(q);
+  QueryTelemetry t;
+  auto r = e.Execute(q, {.telemetry = &t});
   if (!r.ok()) {
     fprintf(stderr, "bench_join [%s/%s]: %s\n", corpus.c_str(), StrategyName(strat),
             r.status().ToString().c_str());
     std::abort();
   }
-  const QueryTelemetry& t = e.telemetry();
   if (!t.used_jit || !t.jit_parallel) {
     fprintf(stderr, "bench_join [%s/%s] fell back to the interpreter: %s\n",
             corpus.c_str(), StrategyName(strat), t.fallback_reason.c_str());

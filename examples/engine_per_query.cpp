@@ -27,17 +27,19 @@ int main() {
     return 1;
   }
 
+  // The query's telemetry and generated IR come back through CallOptions.
+  QueryTelemetry tel;
+  std::string ir;
   auto result = engine.Execute(
-      "SELECT count(*) FROM lineitem WHERE l_quantity < 25.0 and l_discount < 0.05");
+      "SELECT count(*) FROM lineitem WHERE l_quantity < 25.0 and l_discount < 0.05",
+      {.telemetry = &tel, .ir = &ir});
   if (!result.ok()) {
     fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
   printf("count = %s\n\n", result->scalar().ToString().c_str());
-  printf("physical plan:\n%s\n", engine.telemetry().plan.c_str());
-  printf("generated LLVM IR (the 'engine' built for this one query):\n\n%s\n",
-         engine.last_ir().c_str());
-  printf("codegen + compile: %.1f ms (paper: at most ~50 ms per query)\n",
-         engine.telemetry().compile_ms);
+  printf("physical plan:\n%s\n", tel.plan.c_str());
+  printf("generated LLVM IR (the 'engine' built for this one query):\n\n%s\n", ir.c_str());
+  printf("codegen + compile: %.1f ms (paper: at most ~50 ms per query)\n", tel.compile_ms);
   return 0;
 }

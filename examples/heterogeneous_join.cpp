@@ -55,16 +55,16 @@ int main() {
       "      s1.id = p, c.age > 18 } "
       "yield bag <id: s1.id, ship: s2.name, child: c.name>";
 
-  auto result = engine.Execute(query);
+  QueryTelemetry tel;
+  auto result = engine.Execute(query, {.telemetry = &tel});
   if (!result.ok()) {
     fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
     return 1;
   }
   printf("query:\n  %s\n\nresult:\n%s\n", query, result->ToString().c_str());
-  printf("physical plan (note the two Unnest operators of Fig 1):\n%s\n",
-         engine.telemetry().plan.c_str());
-  if (!engine.telemetry().fallback_reason.empty()) {
-    printf("(interpreted: %s)\n", engine.telemetry().fallback_reason.c_str());
+  printf("physical plan (note the two Unnest operators of Fig 1):\n%s\n", tel.plan.c_str());
+  if (!tel.fallback_reason.empty()) {
+    printf("(interpreted: %s)\n", tel.fallback_reason.c_str());
   }
   return 0;
 }

@@ -53,10 +53,13 @@ int main() {
 
   // 3. Query across both formats with plain SQL. Proteus generates a custom
   //    engine for this exact query (LLVM), joining CSV rows to JSON objects.
+  //    The query's own telemetry comes back through CallOptions.
+  QueryTelemetry tel;
   auto result = engine.Execute(
       "SELECT count(*), max(r.rating) "
       "FROM employees e JOIN reviews r ON e.id = r.emp_id "
-      "WHERE e.salary > 80000.0");
+      "WHERE e.salary > 80000.0",
+      {.telemetry = &tel});
   if (!result.ok()) {
     fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -64,9 +67,8 @@ int main() {
 
   printf("reviewed employees earning > 80k, best rating:\n%s\n",
          result->ToString().c_str());
-  printf("physical plan:\n%s\n", engine.telemetry().plan.c_str());
+  printf("physical plan:\n%s\n", tel.plan.c_str());
   printf("engine: %s, codegen %.1f ms, execution %.3f ms\n",
-         engine.telemetry().used_jit ? "generated (LLVM)" : "interpreted",
-         engine.telemetry().compile_ms, engine.telemetry().execute_ms);
+         tel.used_jit ? "generated (LLVM)" : "interpreted", tel.compile_ms, tel.execute_ms);
   return 0;
 }

@@ -44,12 +44,12 @@ int main() {
        .path = "/tmp/spam_history.bincol", .type = datagen::SpamBinarySchema()});
 
   auto run = [&](const char* label, const std::string& q) {
-    auto r = engine.Execute(q);
+    QueryTelemetry t;
+    auto r = engine.Execute(q, {.telemetry = &t});
     if (!r.ok()) {
       fprintf(stderr, "%s: %s\n", label, r.status().ToString().c_str());
       exit(1);
     }
-    const auto& t = engine.telemetry();
     printf("%-28s exec %7.2f ms  cache-build %7.2f ms  %s%s%s\n", label, t.execute_ms,
            t.cache_build_ms, t.used_cache ? "[served from cache] " : "",
            t.used_jit ? "[generated engine]" : "[interpreted]",

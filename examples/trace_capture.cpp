@@ -53,9 +53,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  QueryTelemetry t;
   auto result = engine.Execute(
       "SELECT count(*), sum(l_extendedprice), max(l_quantity) FROM lineitem "
-      "WHERE l_orderkey < 300");
+      "WHERE l_orderkey < 300",
+      {.telemetry = &t});
   if (!result.ok()) {
     fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -68,7 +70,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const QueryTelemetry& t = engine.telemetry();
   printf("result:\n%s\n", result->ToString().c_str());
   printf("shards=%d  morsels interpreted=%llu jit=%llu  swap at %.2f ms\n",
          t.shards_used, static_cast<unsigned long long>(t.morsels_interpreted),

@@ -90,20 +90,18 @@ Result<QueryResult> QueryEngine::Execute(const std::string& query, const CallOpt
 }
 
 Result<QueryResult> QueryEngine::ExecutePlan(OpPtr logical_plan, const CallOptions& call) {
-  // Per-query state lives on this call's stack (or in the caller's
-  // out-params) — nothing here touches engine members without a lock, which
-  // is what makes N concurrent ExecutePlan calls on one engine safe.
+  // Per-query state lives on this call's stack or in the caller's
+  // out-params; the engine keeps no copy of it, so N concurrent ExecutePlan
+  // calls on one engine share only its thread-safe subsystems.
   QueryTelemetry local_tel;
   QueryTelemetry& tel = call.telemetry != nullptr ? *call.telemetry : local_tel;
   tel = QueryTelemetry{};
-  std::string local_ir;
-  std::string& ir = call.ir != nullptr ? *call.ir : local_ir;
-  ir.clear();
+  if (call.ir != nullptr) call.ir->clear();
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (opts_.metrics != nullptr) opts_.metrics->GetGauge("proteus_queries_inflight")->Add(1);
 
-  auto result = ExecutePlanInner(std::move(logical_plan), call, tel, ir);
+  auto result = ExecutePlanInner(std::move(logical_plan), call, tel);
   if (!result.ok() && result.status().code() == StatusCode::kCancelled) {
     tel.cancelled = true;
   }
@@ -113,18 +111,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(OpPtr logical_plan, const CallOptio
     RecordMetrics(tel, result.ok());
   }
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
-
-  // Refresh the legacy single-caller mirrors (telemetry() / last_ir()).
-  {
-    MutexLock lk(legacy_mu_);
-    telemetry_ = tel;
-    last_ir_ = ir;
-  }
   return result;
 }
 
 Result<QueryResult> QueryEngine::ExecutePlanInner(OpPtr logical_plan, const CallOptions& call,
-                                                  QueryTelemetry& tel, std::string& ir) {
+                                                  QueryTelemetry& tel) {
   // Per-query trace reset — but only when this query runs alone. A straggler
   // background compile that published after this point intentionally lands
   // in this query's snapshot (it shows the compile landing); with other
@@ -161,7 +152,7 @@ Result<QueryResult> QueryEngine::ExecutePlanInner(OpPtr logical_plan, const Call
   }
   tel.plan = physical->ToString();
   AppendJoinStrategies(*physical, &tel.join_strategy);
-  return Run(std::move(physical), call, tel, ir);
+  return Run(std::move(physical), call, tel);
 }
 
 Status QueryEngine::PopulateCaches(const OpPtr& physical) {
@@ -232,8 +223,8 @@ Status QueryEngine::PopulateCaches(const OpPtr& physical) {
   return Status::OK();
 }
 
-Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel,
-                                     std::string& ir) {
+Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call,
+                                     QueryTelemetry& tel) {
   ExecContext ctx;
   ctx.catalog = &catalog_;
   ctx.plugins = &plugins_;
@@ -262,7 +253,7 @@ Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call, Qu
   Result<QueryResult> result = [&] {
     TaskScheduler::StatsScope stats_scope(&query_stats);
     OBS_SPAN(ctx.trace, "execute");
-    return RunInner(ctx, std::move(physical), tel, ir);
+    return RunInner(ctx, std::move(physical), tel, call.ir);
   }();
   if (tel.shards_used == 0) {
     tel.steals = query_stats.steals;
@@ -306,7 +297,7 @@ void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
 }
 
 Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, QueryTelemetry& tel,
-                                          std::string& ir) {
+                                          std::string* ir) {
   auto t0 = std::chrono::steady_clock::now();
   const bool use_jit = opts_.mode == ExecMode::kJIT;
   // One routing decision: num_shards >= 1 is an explicit opt-in, so
@@ -351,7 +342,7 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
   tel.swap_ms = region.swap_ms;
   tel.first_morsel_ms = region.first_morsel_ms;
   tel.fallback_reason = std::move(region.fallback_reason);
-  if (region.module != nullptr) ir = region.module->ir;
+  if (ir != nullptr && region.module != nullptr) *ir = region.module->ir;
   return result;
 }
 

@@ -23,7 +23,6 @@
 #include <string>
 
 #include "src/catalog/catalog.h"
-#include "src/common/mutex.h"
 #include "src/common/task_scheduler.h"
 #include "src/engine/cache.h"
 #include "src/engine/interp.h"
@@ -119,7 +118,7 @@ struct EngineOptions {
   std::function<void(uint64_t)> morsel_boundary_hook;
 };
 
-/// Telemetry for the last executed query.
+/// Telemetry of one query, delivered through CallOptions::telemetry.
 struct QueryTelemetry {
   double optimize_ms = 0;
   /// This query's JIT compile cost (LLVM IR generation + compilation): 0 on
@@ -205,10 +204,14 @@ struct QueryTelemetry {
 };
 
 /// Per-call knobs for Execute() / ExecutePlan(). All optional; the
-/// parameterless overloads pass the defaults. Concurrent callers sharing one
-/// engine should pass their own `telemetry` (and `ir` if they want it): the
-/// legacy engine-level telemetry()/last_ir() accessors are last-writer-wins
-/// under concurrency and only meaningful for single-caller use.
+/// parameterless overloads pass the defaults. The out-params are the only
+/// way a query's telemetry and IR reach its caller — the engine keeps no
+/// copy of either — so N concurrent callers on one engine each read exactly
+/// their own query's numbers:
+///
+///   QueryTelemetry tel;
+///   auto r = engine.Execute(sql, {.telemetry = &tel});
+///   if (r.ok() && !tel.used_jit) printf("%s\n", tel.fallback_reason.c_str());
 struct CallOptions {
   /// Receives this query's telemetry (reset at entry). Per-query scheduler
   /// attribution (tasks_dealt / steals) is exact even with N concurrent
@@ -223,7 +226,7 @@ struct CallOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Receives the LLVM IR of the generated module that served the query —
   /// compiled now or taken from the cache, on any route (cleared at entry;
-  /// empty when only the interpreter ran).
+  /// empty when only the interpreter ran). Null = the IR is never copied.
   std::string* ir = nullptr;
 };
 
@@ -250,32 +253,13 @@ class QueryEngine {
   /// one engine — they share the catalog, plug-ins, scan caches, compiled-
   /// query cache, tiered compiler, and the one process-wide TaskScheduler
   /// (so concurrent queries interleave at morsel granularity instead of
-  /// queueing whole-query). Pass CallOptions::telemetry to get this query's
-  /// numbers without racing on the engine-level accessor.
+  /// queueing whole-query). Each caller reads its own query's numbers
+  /// through CallOptions::telemetry / CallOptions::ir; a query takes no
+  /// engine-wide lock.
   Result<QueryResult> ExecutePlan(OpPtr logical_plan) {
     return ExecutePlan(std::move(logical_plan), CallOptions{});
   }
   Result<QueryResult> ExecutePlan(OpPtr logical_plan, const CallOptions& call);
-
-  /// Telemetry of the most recently completed query (last-writer-wins).
-  /// Single-caller convenience: concurrent callers must pass
-  /// CallOptions::telemetry instead — this snapshot may belong to any of
-  /// them. Do not call while another thread is mid-ExecutePlan if the torn
-  /// read matters; the engine keeps it coherent (mutex-copied), but which
-  /// query it describes is unspecified.
-  QueryTelemetry telemetry() const EXCLUDES(legacy_mu_) {
-    MutexLock lk(legacy_mu_);
-    return telemetry_;
-  }
-  /// LLVM IR of the last JIT-compiled query (empty if interpreter ran).
-  /// Same last-writer-wins caveat as telemetry().
-  std::string last_ir() const EXCLUDES(legacy_mu_) {
-    MutexLock lk(legacy_mu_);
-    return last_ir_;
-  }
-  /// Queries currently inside ExecutePlan (also exported as the
-  /// proteus_queries_inflight gauge when options().metrics is set).
-  int inflight() const { return inflight_.load(std::memory_order_acquire); }
 
   Catalog& catalog() { return catalog_; }
   CachingManager& caches() { return caches_; }
@@ -296,15 +280,13 @@ class QueryEngine {
   /// Snapshot(capture) to scope a window independently of resets.
   obs::TraceRecorder* trace() { return trace_recorder_.get(); }
   const EngineOptions& options() const { return opts_; }
-  void set_mode(ExecMode m) { opts_.mode = m; }
 
  private:
   Result<QueryResult> ExecutePlanInner(OpPtr logical_plan, const CallOptions& call,
-                                       QueryTelemetry& tel, std::string& ir);
-  Result<QueryResult> Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel,
-                          std::string& ir);
+                                       QueryTelemetry& tel);
+  Result<QueryResult> Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel);
   Result<QueryResult> RunInner(ExecContext& ctx, OpPtr physical, QueryTelemetry& tel,
-                               std::string& ir);
+                               std::string* ir);
   Status PopulateCaches(const OpPtr& physical);
   void RecordMetrics(const QueryTelemetry& tel, bool ok) const;
 
@@ -326,12 +308,6 @@ class QueryEngine {
   /// auto-Clear (only a sole caller resets the recorder) and feeds the
   /// proteus_queries_inflight gauge.
   std::atomic<int> inflight_{0};
-  /// Guards the legacy single-caller mirrors below. Every query copies its
-  /// telemetry/IR here on completion (last writer wins); per-query truth is
-  /// whatever the caller received through CallOptions.
-  mutable Mutex legacy_mu_;
-  QueryTelemetry telemetry_ GUARDED_BY(legacy_mu_);
-  std::string last_ir_ GUARDED_BY(legacy_mu_);
 };
 
 }  // namespace proteus

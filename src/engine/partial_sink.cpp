@@ -118,15 +118,28 @@ std::vector<Aggregator> MakeReduceAggs(const Operator& reduce) {
 QueryResult FinalizeReduce(const Operator& reduce, std::vector<Aggregator>& aggs) {
   const auto& outputs = reduce.outputs();
   QueryResult result;
-  // A single collection output of records unfolds into a row set.
+  // A single collection output of records unfolds into a row set. Its
+  // columns come from the plan, not from a first row, so an empty answer
+  // names the same columns as a full one.
   if (outputs.size() == 1 && IsCollectionMonoid(outputs[0].monoid)) {
     Value collected = aggs[0].Final();
     const ValueList& items = collected.list();
-    bool records = !items.empty() && items[0].is_record();
-    if (records) {
-      result.columns = items[0].record().names;
+    const ExprPtr& head = outputs[0].expr;
+    const TypePtr& type = head->type();
+    if (head->kind() == ExprKind::kRecordCons) {
+      result.columns = head->record_names();
+      for (const auto& item : items) result.rows.push_back(item.record().values);
+    } else if (type != nullptr && type->kind() == TypeKind::kRecord) {
+      // A record yielded whole keeps its source's field order (each JSON
+      // object's own), so its cells align to the type's fields by name; a
+      // field the record lacks reads as null.
+      for (const Field& f : type->fields()) result.columns.push_back(f.name);
       for (const auto& item : items) {
-        result.rows.push_back(item.record().values);
+        std::vector<Value>& row = result.rows.emplace_back();
+        for (const auto& name : result.columns) {
+          Result<Value> cell = item.GetField(name);
+          row.push_back(cell.ok() ? std::move(*cell) : Value::Null());
+        }
       }
     } else {
       result.columns = {outputs[0].name};

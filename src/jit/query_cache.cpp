@@ -413,26 +413,6 @@ void CompiledQueryCache::EvictOverCapacityLocked() {
   }
 }
 
-void CompiledQueryCache::Erase(const QueryCacheKey& key) {
-  MutexLock lk(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second.state != Entry::State::kReady) return;
-  lru_.erase(it->second.lru_it);
-  map_.erase(it);
-}
-
-void CompiledQueryCache::Clear() {
-  MutexLock lk(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->second.state == Entry::State::kReady) {
-      lru_.erase(it->second.lru_it);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 size_t CompiledQueryCache::EraseReading(const std::string& dataset) {
   // Moved out and released after the unlock: tearing down an LLJIT is not
   // free, and concurrent lookups need not wait for it.

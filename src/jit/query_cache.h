@@ -314,13 +314,9 @@ class CompiledQueryCache {
   /// count is what proves a signature hot); resets if the entry is evicted.
   uint64_t HitCount(const QueryCacheKey& key) const EXCLUDES(mu_);
 
-  /// Drops one entry / every entry / every entry whose key reads `dataset`
-  /// (in-flight compiles are left to finish and publish; Clear and
-  /// EraseReading only remove ready entries). EraseReading returns the
-  /// number of entries removed; the modules it drops are destroyed after
-  /// the cache lock is released.
-  void Erase(const QueryCacheKey& key) EXCLUDES(mu_);
-  void Clear() EXCLUDES(mu_);
+  /// Drops every ready entry whose key reads `dataset` (in-flight compiles
+  /// are left to finish and publish) and returns how many it removed; the
+  /// modules it drops are destroyed after the cache lock is released.
   size_t EraseReading(const std::string& dataset) EXCLUDES(mu_);
 
   size_t size() const EXCLUDES(mu_);

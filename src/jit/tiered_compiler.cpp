@@ -52,7 +52,6 @@ void TieredCompiler::WorkerLoop() {
     job();
     mu_.Lock();
     busy_ = false;
-    ++jobs_run_;
     if (queue_.empty()) idle_cv_.NotifyAll();
   }
 }
@@ -127,11 +126,6 @@ void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
 void TieredCompiler::Drain() {
   MutexLock lk(mu_);
   while (!queue_.empty() || busy_) idle_cv_.Wait(mu_);
-}
-
-uint64_t TieredCompiler::jobs_run() const {
-  MutexLock lk(mu_);
-  return jobs_run_;
 }
 
 // ---------------------------------------------------------------------------

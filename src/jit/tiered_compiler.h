@@ -202,12 +202,10 @@ class TieredCompiler {
   /// query path never waits here).
   void Drain() EXCLUDES(mu_);
 
-  uint64_t jobs_run() const EXCLUDES(mu_);
-
  private:
   void WorkerLoop() EXCLUDES(mu_);
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar cv_;       ///< worker wake
   CondVar idle_cv_;  ///< Drain wake
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
@@ -218,7 +216,6 @@ class TieredCompiler {
   std::unordered_set<QueryCacheKey, QueryCacheKeyHash> tier2_inflight_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   bool busy_ GUARDED_BY(mu_) = false;
-  uint64_t jobs_run_ GUARDED_BY(mu_) = 0;
   std::thread worker_;  ///< last member: joined before the queue state dies
 };
 

@@ -24,15 +24,16 @@ class CachingTest : public ::testing::Test {
 
 TEST_F(CachingTest, FirstQueryBuildsCacheSecondUsesIt) {
   std::string q = "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30";
-  auto r1 = engine_->Execute(q);
+  QueryTelemetry tel;
+  auto r1 = engine_->Execute(q, {.telemetry = &tel});
   ASSERT_TRUE(r1.ok());
   EXPECT_GT(engine_->caches().num_blocks(), 0u);
-  double first_build = engine_->telemetry().cache_build_ms;
+  double first_build = tel.cache_build_ms;
   EXPECT_GT(first_build, 0.0);
 
-  auto r2 = engine_->Execute(q);
+  auto r2 = engine_->Execute(q, {.telemetry = &tel});
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  EXPECT_TRUE(tel.used_cache);
   EXPECT_TRUE(r1->EqualsUnordered(*r2));
 }
 
@@ -41,9 +42,11 @@ TEST_F(CachingTest, CacheSharedAcrossDifferentQueriesOnSameFields) {
                   .ok());
   size_t blocks = engine_->caches().num_blocks();
   // Different predicate, same fields: full sub-tree scan match applies.
-  auto r = engine_->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 50");
+  QueryTelemetry tel;
+  auto r = engine_->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 50",
+                            {.telemetry = &tel});
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  EXPECT_TRUE(tel.used_cache);
   EXPECT_EQ(engine_->caches().num_blocks(), blocks);  // no new block
 }
 
@@ -55,10 +58,11 @@ TEST_F(CachingTest, WiderFieldSetReplacesNarrowBlock) {
   auto r = engine_->Execute(
       "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30");
   ASSERT_TRUE(r.ok());
+  QueryTelemetry tel;
   auto r2 = engine_->Execute(
-      "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30");
+      "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30", {.telemetry = &tel});
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  EXPECT_TRUE(tel.used_cache);
   EXPECT_NEAR(r->scalar().AsFloat(), r2->scalar().AsFloat(), 1e-9);
 }
 
@@ -68,9 +72,10 @@ TEST_F(CachingTest, StringPredicateUsesHybridOidReads) {
   std::string q = "SELECT count(*) FROM lineitem_json WHERE l_shipmode = 'AIR'";
   auto r1 = engine_->Execute(q);
   ASSERT_TRUE(r1.ok());
-  auto r2 = engine_->Execute(q);
+  QueryTelemetry tel;
+  auto r2 = engine_->Execute(q, {.telemetry = &tel});
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  EXPECT_TRUE(tel.used_cache);
   int64_t expected = 0;
   for (const auto& row : Corpus::Get().lineitem.rows()) {
     if (row[6].s() == "AIR") ++expected;

@@ -20,8 +20,10 @@ class EngineTest : public ::testing::TestWithParam<ExecMode> {
     testutil::RegisterAll(engine_.get());
   }
 
-  QueryResult MustRun(const std::string& q) {
-    auto r = engine_->Execute(q);
+  /// `tel` and `ir`, when given, receive the query's telemetry and IR.
+  QueryResult MustRun(const std::string& q, QueryTelemetry* tel = nullptr,
+                      std::string* ir = nullptr) {
+    auto r = engine_->Execute(q, {.telemetry = tel, .ir = ir});
     EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
     return r.ok() ? *r : QueryResult{};
   }
@@ -231,12 +233,13 @@ TEST_P(EngineTest, ErrorsSurfaceCleanly) {
 }
 
 TEST_P(EngineTest, TelemetryReportsEngineChoice) {
-  MustRun("SELECT count(*) FROM lineitem_bincol WHERE l_orderkey < 20");
-  const QueryTelemetry& t = engine_->telemetry();
+  QueryTelemetry t;
+  std::string ir;
+  MustRun("SELECT count(*) FROM lineitem_bincol WHERE l_orderkey < 20", &t, &ir);
   if (GetParam() == ExecMode::kJIT) {
     EXPECT_TRUE(t.used_jit) << t.fallback_reason;
     EXPECT_GT(t.compile_ms, 0.0);
-    EXPECT_FALSE(engine_->last_ir().empty());
+    EXPECT_FALSE(ir.empty());
   } else {
     EXPECT_FALSE(t.used_jit);
   }

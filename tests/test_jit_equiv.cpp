@@ -42,9 +42,10 @@ QueryResult RunMode(const std::string& q, ExecMode mode, bool* used_jit) {
   opts.mode = mode;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute(q);
+  QueryTelemetry tel;
+  auto r = engine.Execute(q, {.telemetry = &tel});
   EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
-  if (used_jit != nullptr) *used_jit = engine.telemetry().used_jit;
+  if (used_jit != nullptr) *used_jit = tel.used_jit;
   return r.ok() ? *r : QueryResult{};
 }
 
@@ -63,11 +64,10 @@ RunInfo RunConfig(const std::string& q, ExecMode mode, int threads, int shards =
   opts.morsel_rows = kDiffMorselRows;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute(q);
   RunInfo info;
+  auto r = engine.Execute(q, {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
   return info;
 }
 
@@ -78,11 +78,10 @@ RunInfo RunPlanConfig(const std::function<OpPtr()>& make_plan, ExecMode mode, in
   opts.morsel_rows = kDiffMorselRows;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.ExecutePlan(make_plan());
   RunInfo info;
+  auto r = engine.ExecutePlan(make_plan(), {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
   return info;
 }
 
@@ -214,9 +213,10 @@ TEST(JitEquivRandom, CachedRunsMatchUncached) {
       "SELECT count(*), max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30";
   auto first = cached.Execute(q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = cached.Execute(q);
+  QueryTelemetry tel;
+  auto second = cached.Execute(q, {.telemetry = &tel});
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(cached.telemetry().used_cache);
+  EXPECT_TRUE(tel.used_cache);
 
   QueryResult oracle = RunMode(q, ExecMode::kInterp, nullptr);
   EXPECT_TRUE(first->EqualsUnordered(oracle, 1e-6));
@@ -430,11 +430,10 @@ RunInfo RunOuterPlan(const std::function<OpPtr()>& make_plan, ExecMode mode, int
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
   RegisterOuterCorpus(&engine);
-  auto r = engine.ExecutePlan(make_plan());
   RunInfo info;
+  auto r = engine.ExecutePlan(make_plan(), {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
   return info;
 }
 
@@ -609,15 +608,16 @@ TEST(JitOuterJoin, WarmCacheStaysCellIdentical) {
                                {Proj("o", "o_orderkey"), Proj("l", "l_quantity")});
     return Operator::Reduce(WidowOuterJoin("lineitem_json"), {{Monoid::kBag, rec, "rows"}});
   };
-  auto cold = engine.ExecutePlan(make_plan());
+  QueryTelemetry tel;
+  auto cold = engine.ExecutePlan(make_plan(), {.telemetry = &tel});
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  auto warm = engine.ExecutePlan(make_plan());
+  EXPECT_TRUE(tel.used_jit) << tel.fallback_reason;
+  EXPECT_FALSE(tel.jit_cache_hit);
+  auto warm = engine.ExecutePlan(make_plan(), {.telemetry = &tel});
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
-  EXPECT_EQ(engine.telemetry().compile_ms, 0.0);
+  EXPECT_TRUE(tel.used_jit);
+  EXPECT_TRUE(tel.jit_cache_hit);
+  EXPECT_EQ(tel.compile_ms, 0.0);
   ExpectIdentical(*cold, *warm, "outer join cold vs warm cache");
 }
 
@@ -635,11 +635,12 @@ TEST(JitOuterJoin, ShardedEnginesDeclineButStillRunJit) {
   RegisterOuterCorpus(&engine);
   OpPtr plan = Operator::Reduce(WidowOuterJoin("lineitem_json"),
                                 {{Monoid::kCount, nullptr, "n"}});
-  auto r = engine.ExecutePlan(std::move(plan));
+  QueryTelemetry tel;
+  auto r = engine.ExecutePlan(std::move(plan), {.telemetry = &tel});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine.telemetry().shards_used, 0);
-  EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-  EXPECT_TRUE(engine.telemetry().jit_parallel);
+  EXPECT_EQ(tel.shards_used, 0);
+  EXPECT_TRUE(tel.used_jit) << tel.fallback_reason;
+  EXPECT_TRUE(tel.jit_parallel);
 }
 
 // ---------------------------------------------------------------------------
@@ -820,12 +821,13 @@ TEST(JitMidChainNest, ShardedAndTieredEnginesDeclineNestLeaf) {
     opts.morsel_rows = kDiffMorselRows;
     QueryEngine engine(opts);
     testutil::RegisterAll(&engine);
-    auto r = engine.ExecutePlan(make_plan());
+    QueryTelemetry tel;
+    auto r = engine.ExecutePlan(make_plan(), {.telemetry = &tel});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(engine.telemetry().shards_used, 0);
-    EXPECT_EQ(engine.telemetry().morsels_interpreted, 0u);
-    EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-    EXPECT_GT(engine.telemetry().morsels, 0u);
+    EXPECT_EQ(tel.shards_used, 0);
+    EXPECT_EQ(tel.morsels_interpreted, 0u);
+    EXPECT_TRUE(tel.used_jit) << tel.fallback_reason;
+    EXPECT_GT(tel.morsels, 0u);
   }
 }
 
@@ -1048,11 +1050,10 @@ std::unique_ptr<QueryEngine> MakeTieredEngine(const jit::TieredOptions& topts, i
 /// One Execute() on a caller-owned engine (tiered tests rerun the same
 /// engine to exercise the shared cache and the background compiler).
 RunInfo RunOn(QueryEngine* engine, const std::string& q) {
-  auto r = engine->Execute(q);
   RunInfo info;
+  auto r = engine->Execute(q, {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine->telemetry();
   return info;
 }
 
@@ -1205,10 +1206,10 @@ TEST(TieredSwap, FailedCompileInterpreterCompletesSilently) {
   // the failure is observed mid-query, not raced past.
   topts.force_swap_after_morsels = 1;
   auto engine = MakeTieredEngine(topts, /*threads=*/2);
-  auto r = engine->ExecutePlan(make_plan());
+  QueryTelemetry t;
+  auto r = engine->ExecutePlan(make_plan(), {.telemetry = &t});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ExpectIdentical(oracle.result, *r, "tiered, failed compile");
-  const QueryTelemetry& t = engine->telemetry();
   EXPECT_EQ(t.morsels_jit, 0u);
   EXPECT_GT(t.morsels_interpreted, 0u);
   EXPECT_EQ(t.compile_tier, 0);
@@ -1292,12 +1293,14 @@ TEST(RegionRunner, EveryRouteKeepsTheCodegenReason) {
     opts.tiered_opts = forced;
     QueryEngine engine(opts);
     testutil::RegisterAll(&engine);
-    auto r = engine.ExecutePlan(StringKeyJoinCount());
+    QueryTelemetry t;
+    std::string ir = "stale IR from an earlier query";
+    auto r = engine.ExecutePlan(StringKeyJoinCount(), {.telemetry = &t, .ir = &ir});
     ASSERT_TRUE(r.ok()) << route.name << ": " << r.status().ToString();
     ExpectIdentical(oracle.result, *r, route.name);
-    const QueryTelemetry t = engine.telemetry();
     EXPECT_EQ(t.shards_used, route.shards) << route.name;
     EXPECT_FALSE(t.used_jit) << route.name;
+    EXPECT_TRUE(ir.empty()) << route.name << ": the interpreter served it, yet IR came back";
     EXPECT_GT(t.compile_ms, 0.0) << route.name;
     EXPECT_NE(t.fallback_reason.find("non-integer join key"), std::string::npos)
         << route.name << ": " << t.fallback_reason;
@@ -1357,6 +1360,7 @@ TEST(RegionRunner, TelemetryAgreesAcrossRoutes) {
     ExecMode mode;
     int shards;
     bool tiered;
+    bool forced_swap = false;  ///< cold tiered run, swapped after one morsel
   };
   const std::vector<Route> routes = {
       {"interpreter", ExecMode::kInterp, 0, false},
@@ -1364,6 +1368,7 @@ TEST(RegionRunner, TelemetryAgreesAcrossRoutes) {
       {"jit shards=2", ExecMode::kJIT, 2, false},
       {"tiered warm", ExecMode::kJIT, 0, true},
       {"tiered warm shards=2", ExecMode::kJIT, 2, true},
+      {"tiered forced swap", ExecMode::kJIT, 0, true, true},
   };
   for (const Plan& plan : plans) {
     std::optional<RunInfo> first;
@@ -1377,22 +1382,32 @@ TEST(RegionRunner, TelemetryAgreesAcrossRoutes) {
       opts.morsel_rows = kDiffMorselRows;
       opts.tiered = route.tiered;
       opts.tiered_opts.tier2_hit_threshold = 0;  // every JIT route serves tier 1
+      if (route.forced_swap) opts.tiered_opts.force_swap_after_morsels = 1;
       QueryEngine engine(opts);
       testutil::RegisterAll(&engine);
-      if (route.tiered) {
+      if (route.tiered && !route.forced_swap) {
         // Warm: the cold run's background compile publishes the module.
         ASSERT_TRUE(engine.ExecutePlan(plan.make()).ok()) << what;
         engine.tiered_compiler()->Drain();
       }
-      auto r = engine.ExecutePlan(plan.make());
+      RunInfo run;
+      std::string ir = "stale IR from an earlier query";
+      auto r = engine.ExecutePlan(plan.make(), {.telemetry = &run.telemetry, .ir = &ir});
       ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
-      RunInfo run{std::move(*r), engine.telemetry(), Status::OK()};
+      run.result = std::move(*r);
       EXPECT_GT(run.telemetry.morsels, 0u) << what;
+      // CallOptions::ir carries the served module's IR on every JIT route
+      // and is cleared when the interpreter ran.
+      EXPECT_EQ(ir.find("proteus_pipeline") != std::string::npos, run.telemetry.used_jit)
+          << what;
+      EXPECT_EQ(ir.empty(), !run.telemetry.used_jit) << what;
       if (route.mode == ExecMode::kJIT) {
         EXPECT_TRUE(run.telemetry.used_jit) << what << ": " << run.telemetry.fallback_reason;
         EXPECT_TRUE(run.telemetry.fallback_reason.empty())
             << what << ": " << run.telemetry.fallback_reason;
-        if (route.tiered) EXPECT_EQ(run.telemetry.morsels_interpreted, 0u) << what;
+        if (route.tiered && !route.forced_swap) {
+          EXPECT_EQ(run.telemetry.morsels_interpreted, 0u) << what;
+        }
         if (!first_jit.has_value()) {
           first_jit = run;
         } else {
@@ -1411,6 +1426,75 @@ TEST(RegionRunner, TelemetryAgreesAcrossRoutes) {
           << what << " vs " << routes[0].name;
     }
   }
+}
+
+// An empty answer names its columns from the plan, not from a first row it
+// does not have: each query below reports the same columns with and without
+// rows, on every route.
+TEST(EmptyAnswer, NamesTheColumnsOfItsNonEmptyVariant) {
+  struct Query {
+    const char* name;
+    const char* sql;  ///< %s = the l_orderkey bound
+  };
+  const std::vector<Query> queries = {
+      {"two columns", "SELECT l_orderkey, l_quantity FROM lineitem_json WHERE l_orderkey < %s"},
+      {"one column", "SELECT l_quantity FROM lineitem_csv WHERE l_orderkey < %s"},
+      {"group by",
+       "SELECT l_linenumber, count(*) FROM lineitem_json WHERE l_orderkey < %s "
+       "GROUP BY l_linenumber"},
+  };
+  struct Route {
+    const char* name;
+    ExecMode mode;
+    int shards;
+  };
+  const std::vector<Route> routes = {
+      {"interpreter", ExecMode::kInterp, 0},
+      {"jit", ExecMode::kJIT, 0},
+      {"jit shards=2", ExecMode::kJIT, 2},
+  };
+  auto with_bound = [](const char* sql, const char* bound) {
+    char buf[256];
+    snprintf(buf, sizeof(buf), sql, bound);
+    return std::string(buf);
+  };
+  for (const Query& q : queries) {
+    for (const Route& route : routes) {
+      const std::string what = std::string(q.name) + " @ " + route.name;
+      RunInfo rows = RunConfig(with_bound(q.sql, "2"), route.mode, 2, route.shards);
+      RunInfo empty = RunConfig(with_bound(q.sql, "0"), route.mode, 2, route.shards);
+      ASSERT_TRUE(rows.status.ok()) << what << ": " << rows.status.ToString();
+      ASSERT_TRUE(empty.status.ok()) << what << ": " << empty.status.ToString();
+      ASSERT_FALSE(rows.result.rows.empty()) << what;
+      EXPECT_TRUE(empty.result.rows.empty()) << what;
+      EXPECT_EQ(empty.result.columns, rows.result.columns) << what;
+      EXPECT_EQ(empty.telemetry.used_jit, route.mode == ExecMode::kJIT)
+          << what << ": " << empty.telemetry.fallback_reason;
+      EXPECT_EQ(empty.telemetry.shards_used, route.shards) << what;
+    }
+  }
+}
+
+// A record yielded whole takes its columns from its static type, and each
+// cell lands under its own name even when every JSON object orders its
+// fields differently.
+TEST(EmptyAnswer, WholeRecordCellsAlignToTheirTypesFields) {
+  const char* q = "for { l <- %s, l.l_orderkey < %s } yield bag l";
+  auto run = [&](const char* ds, const char* bound) {
+    char buf[128];
+    snprintf(buf, sizeof(buf), q, ds, bound);
+    return RunConfig(buf, ExecMode::kInterp, 2);
+  };
+  RunInfo ordered = run("lineitem_json", "3");
+  RunInfo shuffled = run("lineitem_json_shuffled", "3");
+  RunInfo empty = run("lineitem_json_shuffled", "0");
+  ASSERT_TRUE(ordered.status.ok()) << ordered.status.ToString();
+  ASSERT_TRUE(shuffled.status.ok()) << shuffled.status.ToString();
+  ASSERT_TRUE(empty.status.ok()) << empty.status.ToString();
+  ASSERT_FALSE(ordered.result.rows.empty());
+  ExpectIdentical(ordered.result, shuffled.result, "shuffled vs ordered JSON fields");
+  EXPECT_TRUE(empty.result.rows.empty());
+  EXPECT_EQ(empty.result.columns, ordered.result.columns);
 }
 
 // ---------------------------------------------------------------------------
@@ -1440,11 +1524,10 @@ RunInfo RunSkewQuery(const std::string& q, ExecMode mode, int threads,
     auto w = engine.Execute(q);
     EXPECT_TRUE(w.ok()) << w.status().ToString();
   }
-  auto r = engine.Execute(q);
   RunInfo info;
+  auto r = engine.Execute(q, {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
   return info;
 }
 
@@ -1880,9 +1963,10 @@ TEST(JitLiteralSweep, OneModulePerShapeMatchesTheInterpreter) {
         for (size_t i = 0; i < kind.values.size(); ++i) {
           const std::string what = shape + " literal " + kind.values[i].ToString() +
                                    " threads=" + std::to_string(threads);
-          auto r = jit->ExecutePlan(site.plan(kind, Expr::Lit(kind.values[i])));
+          QueryTelemetry tel;
+          auto r = jit->ExecutePlan(site.plan(kind, Expr::Lit(kind.values[i])),
+                                    {.telemetry = &tel});
           ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
-          const QueryTelemetry tel = jit->telemetry();
           ASSERT_TRUE(tel.used_jit) << what << " fell back: " << tel.fallback_reason;
           EXPECT_EQ(tel.jit_cache_hit, i > 0) << what;
           ExpectIdentical(oracle[i], *r, what);

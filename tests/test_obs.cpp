@@ -445,11 +445,12 @@ TEST(EngineTrace, TieredShardedTraceShowsTheFullStory) {
   opts.morsel_rows = kTestMorselRows;
   opts.tiered_opts.force_swap_after_morsels = 1;
   auto engine = MakeEngine(opts);
-  auto r = engine->Execute(kAggQuery);
+  QueryTelemetry tel;
+  auto r = engine->Execute(kAggQuery, {.telemetry = &tel});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(engine->telemetry().shards_used, 2);
-  ASSERT_GT(engine->telemetry().morsels_jit, 0u);
-  ASSERT_GT(engine->telemetry().morsels_interpreted, 0u);
+  ASSERT_EQ(tel.shards_used, 2);
+  ASSERT_GT(tel.morsels_jit, 0u);
+  ASSERT_GT(tel.morsels_interpreted, 0u);
 
   obs::QueryTrace t = engine->trace()->Snapshot();
   EXPECT_TRUE(t.HasSpan("cache_probe"));
@@ -521,17 +522,19 @@ TEST(EngineTelemetry, StealCountersFoldAcrossShards) {
   opts.num_threads = 2;
   opts.morsel_rows = kTestMorselRows;
   auto engine = MakeEngine(opts);
-  ASSERT_TRUE(engine->Execute(kAggQuery).ok());
+  QueryTelemetry tel;
+  ASSERT_TRUE(engine->Execute(kAggQuery, {.telemetry = &tel}).ok());
   // The 2-worker run dealt at least one task per morsel batch; steals are
   // scheduling-dependent, but dealt is deterministic and non-zero.
-  EXPECT_GT(engine->telemetry().tasks_dealt, 0u);
+  EXPECT_GT(tel.tasks_dealt, 0u);
 
   EngineOptions sharded = opts;
   sharded.num_shards = 2;
   auto se = MakeEngine(sharded);
-  ASSERT_TRUE(se->Execute(kAggQuery).ok());
-  ASSERT_EQ(se->telemetry().shards_used, 2);
-  EXPECT_GT(se->telemetry().tasks_dealt, 0u);
+  QueryTelemetry se_tel;
+  ASSERT_TRUE(se->Execute(kAggQuery, {.telemetry = &se_tel}).ok());
+  ASSERT_EQ(se_tel.shards_used, 2);
+  EXPECT_GT(se_tel.tasks_dealt, 0u);
 }
 
 }  // namespace

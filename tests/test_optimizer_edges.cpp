@@ -60,26 +60,27 @@ TEST_F(EdgeTest, ConstantFalsePredicateShortCircuits) {
 }
 
 TEST_F(EdgeTest, ConstantTruePredicateDropsSelect) {
+  QueryTelemetry tel;
   auto r = engine_->Execute(
-      "for { l <- lineitem_bincol, 1 < 2 } yield count");
+      "for { l <- lineitem_bincol, 1 < 2 } yield count", {.telemetry = &tel});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->scalar().i(),
             static_cast<int64_t>(testutil::Corpus::Get().lineitem.num_rows()));
   // The folded-away predicate leaves a plan with no Select at all.
-  EXPECT_EQ(engine_->telemetry().plan.find("Select"), std::string::npos)
-      << engine_->telemetry().plan;
+  EXPECT_EQ(tel.plan.find("Select"), std::string::npos) << tel.plan;
 }
 
 TEST_F(EdgeTest, CrossProductWithoutKeysCompilesToNestedLoop) {
   // No equi predicate: the JIT generates a nested loop over the frozen
   // build rows — no interpreter fallback anymore.
+  QueryTelemetry tel;
   auto r = engine_->Execute(
       "SELECT count(*) FROM orders_bincol o JOIN orders_json oj ON "
-      "o.o_totalprice > oj.o_totalprice WHERE o.o_orderkey < 4 and oj.o_orderkey < 4");
+      "o.o_totalprice > oj.o_totalprice WHERE o.o_orderkey < 4 and oj.o_orderkey < 4",
+      {.telemetry = &tel});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(engine_->telemetry().used_jit);
-  EXPECT_TRUE(engine_->telemetry().fallback_reason.empty())
-      << engine_->telemetry().fallback_reason;
+  EXPECT_TRUE(tel.used_jit);
+  EXPECT_TRUE(tel.fallback_reason.empty()) << tel.fallback_reason;
   // Oracle.
   const auto& orders = testutil::Corpus::Get().orders;
   int64_t expected = 0;
@@ -140,9 +141,11 @@ TEST_F(EdgeTest, ComprehensionToStringRoundTripsThroughParser) {
 }
 
 TEST_F(EdgeTest, TelemetryPlanPrintsStableShape) {
-  ASSERT_TRUE(
-      engine_->Execute("SELECT count(*) FROM lineitem_csv WHERE l_orderkey < 5").ok());
-  const std::string& plan = engine_->telemetry().plan;
+  QueryTelemetry tel;
+  auto r = engine_->Execute("SELECT count(*) FROM lineitem_csv WHERE l_orderkey < 5",
+                            {.telemetry = &tel});
+  ASSERT_TRUE(r.ok());
+  const std::string& plan = tel.plan;
   EXPECT_NE(plan.find("Reduce"), std::string::npos);
   EXPECT_NE(plan.find("Scan lineitem_csv"), std::string::npos);
   EXPECT_NE(plan.find("fields=[l_orderkey]"), std::string::npos);

@@ -109,9 +109,10 @@ TEST(ParallelExecution, ParallelMatchesJitOracle) {
 
 TEST(ParallelExecution, TelemetryReportsThreadsAndMorsels) {
   auto engine = MakeEngine(4);
-  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  QueryTelemetry t;
+  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000",
+                           {.telemetry = &t});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine->telemetry();
   EXPECT_FALSE(t.used_jit);
   EXPECT_GT(t.morsels, 1u) << "corpus should split into multiple morsels";
   EXPECT_GE(t.threads_used, 1);
@@ -129,11 +130,13 @@ TEST(ParallelExecution, JitModeRoutesEveryPlanToWorkers) {
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
 
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
+  QueryTelemetry tel;
+  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30",
+                          {.telemetry = &tel});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_parallel);
-  EXPECT_GT(engine.telemetry().morsels, 0u);
+  EXPECT_TRUE(tel.used_jit);
+  EXPECT_TRUE(tel.jit_parallel);
+  EXPECT_GT(tel.morsels, 0u);
 
   // Nest-of-Nest: the inner Nest sits mid-chain under the outer one. It
   // folds first; the outer Nest's per-morsel partials range over its groups.
@@ -145,11 +148,12 @@ TEST(ParallelExecution, JitModeRoutesEveryPlanToWorkers) {
       Operator::Nest(inner, Expr::Proj(Expr::Var("g"), "ln"), "ln2",
                      {{Monoid::kCount, nullptr, "c"}}, nullptr, "h");
   auto nested =
-      engine.ExecutePlan(Operator::Reduce(outer_nest, {{Monoid::kCount, nullptr, "n"}}));
+      engine.ExecutePlan(Operator::Reduce(outer_nest, {{Monoid::kCount, nullptr, "n"}}),
+                         {.telemetry = &tel});
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
-  EXPECT_GT(engine.telemetry().morsels, 0u);
-  EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-  EXPECT_TRUE(engine.telemetry().jit_parallel);
+  EXPECT_GT(tel.morsels, 0u);
+  EXPECT_TRUE(tel.used_jit) << tel.fallback_reason;
+  EXPECT_TRUE(tel.jit_parallel);
 }
 
 TEST(ParallelExecution, JitPathStaysSingleThreadedAndCorrect) {
@@ -159,9 +163,11 @@ TEST(ParallelExecution, JitPathStaysSingleThreadedAndCorrect) {
   opts.mode = ExecMode::kJIT;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
+  QueryTelemetry tel;
+  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30",
+                          {.telemetry = &tel});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(engine.telemetry().threads_used, 1);
+  EXPECT_EQ(tel.threads_used, 1);
 }
 
 TEST(ParallelExecution, OuterJoinRunsMorselParallelAndMatches) {
@@ -188,11 +194,12 @@ TEST(ParallelExecution, OuterJoinRunsMorselParallelAndMatches) {
   for (bool project : {false, true}) {
     auto a = MakeEngine(1)->ExecutePlan(make_plan(project));
     auto b8 = MakeEngine(8);
-    auto b = b8->ExecutePlan(make_plan(project));
+    QueryTelemetry b8_tel;
+    auto b = b8->ExecutePlan(make_plan(project), {.telemetry = &b8_tel});
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdentical(*a, *b, project ? "outer join rows" : "outer join count");
-    EXPECT_GT(b8->telemetry().morsels, 0u) << "outer joins run morsel-parallel now";
+    EXPECT_GT(b8_tel.morsels, 0u) << "outer joins run morsel-parallel now";
   }
 }
 
@@ -211,9 +218,10 @@ TEST(ParallelExecution, HardwareConcurrencyResolvesInTelemetry) {
   EXPECT_GE(resolved, 1);
   EXPECT_EQ(engine.options().num_threads, resolved);
 
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  QueryTelemetry t;
+  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000",
+                          {.telemetry = &t});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine.telemetry();
   EXPECT_GT(t.morsels, 0u);
   EXPECT_EQ(t.threads_used,
             static_cast<int>(std::min<uint64_t>(static_cast<uint64_t>(resolved), t.morsels)));

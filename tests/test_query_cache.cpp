@@ -1,5 +1,5 @@
 // Compiled-query cache: hit/miss/evict unit behavior, single-flight under
-// concurrency, engine-level telemetry (repeat executions of one plan must
+// concurrency, per-query telemetry (repeat executions of one plan must
 // hit; structurally different plans must miss), shape keying (plans that
 // differ only in literal values share one module, which binds each run's
 // own literals; a literal of another kind, or one that changes the
@@ -247,8 +247,11 @@ QueryEngine MakeEngine(int threads = 1, int shards = 0, size_t cache_capacity = 
   return QueryEngine(std::move(opts));
 }
 
-QueryResult MustRun(QueryEngine* e, const std::string& q) {
-  auto r = e->Execute(q);
+/// Runs `q`, failing the test on an error. `tel` and `ir`, when given,
+/// receive the query's telemetry and generated IR (CallOptions).
+QueryResult MustRun(QueryEngine* e, const std::string& q, QueryTelemetry* tel = nullptr,
+                    std::string* ir = nullptr) {
+  auto r = e->Execute(q, {.telemetry = tel, .ir = ir});
   EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
   return r.ok() ? std::move(*r) : QueryResult{};
 }
@@ -286,33 +289,35 @@ const char* kUnnestQuery =
 // the same shape and hits: see the ShapeKeying tests below.)
 TEST(QueryCacheEngine, RepeatExecutionHitsAndDifferentPlanMisses) {
   QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
+  std::string ir;
   testutil::RegisterAll(&engine);
   ASSERT_NE(engine.jit_cache(), nullptr);
 
-  QueryResult first = MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
+  QueryResult first = MustRun(&engine, kAggQuery, &tel);
+  ASSERT_TRUE(tel.used_jit);
+  EXPECT_FALSE(tel.jit_cache_hit);
+  EXPECT_GT(tel.compile_ms, 0.0);
   const uint64_t compiles_after_first = engine.jit_cache()->stats().compiles;
   EXPECT_EQ(compiles_after_first, 1u);
 
-  QueryResult second = MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
-  EXPECT_EQ(engine.telemetry().compile_ms, 0.0)
+  QueryResult second = MustRun(&engine, kAggQuery, &tel, &ir);
+  ASSERT_TRUE(tel.used_jit);
+  EXPECT_TRUE(tel.jit_cache_hit);
+  EXPECT_EQ(tel.compile_ms, 0.0)
       << "a warm execution must perform zero IR generation/compilation";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first)
       << "compile counter must not move on a warm run";
   ExpectIdentical(first, second, "cached vs fresh execution");
-  EXPECT_FALSE(engine.last_ir().empty()) << "hits still expose the module's IR";
+  EXPECT_FALSE(ir.empty()) << "hits still expose the module's IR";
 
   // Different signature -> miss (and the old entry stays warm).
-  MustRun(&engine, kGroupQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
+  MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit);
+  EXPECT_GT(tel.compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first + 1);
-  MustRun(&engine, kAggQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
+  MustRun(&engine, kAggQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit);
 }
 
 // Cached re-executions are cell-identical to a fresh compile, for every
@@ -321,18 +326,20 @@ TEST(QueryCacheEngine, CachedVsFreshCellIdenticalAcrossThreads) {
   for (const char* query : {kAggQuery, kGroupQuery, kJoinQuery, kUnnestQuery}) {
     // Reference: cache disabled — every execution compiles fresh.
     QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0);
+    QueryTelemetry fresh_tel;
     testutil::RegisterAll(&fresh);
     ASSERT_EQ(fresh.jit_cache(), nullptr);
-    QueryResult reference = MustRun(&fresh, query);
-    ASSERT_TRUE(fresh.telemetry().used_jit) << query;
+    QueryResult reference = MustRun(&fresh, query, &fresh_tel);
+    ASSERT_TRUE(fresh_tel.used_jit) << query;
 
     for (int threads : {1, 2, 4}) {
       QueryEngine engine = MakeEngine(threads);
+      QueryTelemetry tel;
       testutil::RegisterAll(&engine);
-      QueryResult cold = MustRun(&engine, query);
-      EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-      QueryResult warm = MustRun(&engine, query);
-      EXPECT_TRUE(engine.telemetry().jit_cache_hit) << query;
+      QueryResult cold = MustRun(&engine, query, &tel);
+      EXPECT_FALSE(tel.jit_cache_hit);
+      QueryResult warm = MustRun(&engine, query, &tel);
+      EXPECT_TRUE(tel.jit_cache_hit) << query;
       std::string ctx = std::string(query) + " threads=" + std::to_string(threads);
       ExpectIdentical(reference, cold, ctx + " cold");
       ExpectIdentical(reference, warm, ctx + " warm");
@@ -356,19 +363,20 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
 
   for (int shards : {1, 2, 4}) {
     QueryEngine engine = MakeEngine(/*threads=*/1, shards);
+    QueryTelemetry tel;
     testutil::RegisterAll(&engine);
-    QueryResult cold = MustRun(&engine, query);
-    ASSERT_EQ(engine.telemetry().shards_used, shards);
-    ASSERT_TRUE(engine.telemetry().used_jit);
+    QueryResult cold = MustRun(&engine, query, &tel);
+    ASSERT_EQ(tel.shards_used, shards);
+    ASSERT_TRUE(tel.used_jit);
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u)
         << shards << " shards must trigger exactly one compile";
-    EXPECT_FALSE(engine.telemetry().jit_cache_hit);
+    EXPECT_FALSE(tel.jit_cache_hit);
 
-    QueryResult warm = MustRun(&engine, query);
+    QueryResult warm = MustRun(&engine, query, &tel);
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit)
+    EXPECT_TRUE(tel.jit_cache_hit)
         << "warm sharded run must be served entirely from the cache";
-    EXPECT_EQ(engine.telemetry().compile_ms, 0.0);
+    EXPECT_EQ(tel.compile_ms, 0.0);
 
     std::string ctx = "shards=" + std::to_string(shards);
     ExpectIdentical(reference, cold, ctx + " cold");
@@ -381,10 +389,11 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
 // dataset leaves it hot.
 TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
   testutil::RegisterAll(&engine);
   QueryResult before = MustRun(&engine, kAggQuery);
-  MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+  MustRun(&engine, kAggQuery, &tel);
+  ASSERT_TRUE(tel.jit_cache_hit);
   ASSERT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
   // Registering a dataset the plan does not read changes nothing it baked.
@@ -394,14 +403,14 @@ TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   extra.path = testutil::Corpus::Get().dir + "/spam.json";
   extra.type = datagen::SpamJSONSchema();
   ASSERT_TRUE(engine.RegisterDataset(extra).ok());
-  MustRun(&engine, kAggQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "unrelated registration must not invalidate";
+  MustRun(&engine, kAggQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit) << "unrelated registration must not invalidate";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
   // Invalidating a dataset the plan does not read: still hot, same cells.
   engine.InvalidateDataset("orders_bincol");
-  QueryResult unrelated = MustRun(&engine, kAggQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "unrelated invalidation must not invalidate";
+  QueryResult unrelated = MustRun(&engine, kAggQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit) << "unrelated invalidation must not invalidate";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
   ExpectIdentical(before, unrelated, "served warm across an unrelated invalidation");
 
@@ -409,13 +418,13 @@ TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   // plug-in is evicted, so data pointers and structural indexes change and
   // the module must recompile against the reopened data.
   engine.InvalidateDataset("lineitem_bincol");
-  QueryResult reloaded = MustRun(&engine, kAggQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "dataset invalidation must invalidate";
-  EXPECT_GT(engine.telemetry().compile_ms, 0.0);
+  QueryResult reloaded = MustRun(&engine, kAggQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit) << "dataset invalidation must invalidate";
+  EXPECT_GT(tel.compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
   ExpectIdentical(before, reloaded, "recompiled after dataset invalidation");
-  MustRun(&engine, kAggQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "the recompiled module serves warm again";
+  MustRun(&engine, kAggQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit) << "the recompiled module serves warm again";
 }
 
 // The key names the current version of every dataset the plan's leaves read
@@ -452,30 +461,32 @@ TEST(QueryCacheEngine, KeyCarriesVersionOfEveryScannedDataset) {
 // A join retires when either of its inputs is invalidated.
 TEST(QueryCacheEngine, JoinRetiresWhenEitherInputIsInvalidated) {
   QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
   testutil::RegisterAll(&engine);
   QueryResult before = MustRun(&engine, kJoinQuery);
-  MustRun(&engine, kJoinQuery);
-  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+  MustRun(&engine, kJoinQuery, &tel);
+  ASSERT_TRUE(tel.jit_cache_hit);
 
   uint64_t compiles = engine.jit_cache()->stats().compiles;
   for (const char* input : {"orders_bincol", "lineitem_bincol"}) {
     engine.InvalidateDataset(input);
-    QueryResult after = MustRun(&engine, kJoinQuery);
-    EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "invalidated join input " << input;
+    QueryResult after = MustRun(&engine, kJoinQuery, &tel);
+    EXPECT_FALSE(tel.jit_cache_hit) << "invalidated join input " << input;
     EXPECT_EQ(engine.jit_cache()->stats().compiles, ++compiles) << input;
     ExpectIdentical(before, after, std::string("recompiled after invalidating ") + input);
-    MustRun(&engine, kJoinQuery);
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << input;
+    MustRun(&engine, kJoinQuery, &tel);
+    EXPECT_TRUE(tel.jit_cache_hit) << input;
   }
   engine.InvalidateDataset("lineitem_json");
-  MustRun(&engine, kJoinQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit) << "neither join input was invalidated";
+  MustRun(&engine, kJoinQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit) << "neither join input was invalidated";
 }
 
 // InvalidateDataset erases the dead modules right away: the cache shrinks by
 // exactly the entries whose plans read the dataset.
 TEST(QueryCacheEngine, InvalidateDatasetErasesExactlyItsReaders) {
   QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
   testutil::RegisterAll(&engine);
   // kAggQuery and kJoinQuery read lineitem_bincol; kGroupQuery and
   // kUnnestQuery do not.
@@ -486,8 +497,8 @@ TEST(QueryCacheEngine, InvalidateDatasetErasesExactlyItsReaders) {
   engine.InvalidateDataset("spam");
   EXPECT_EQ(engine.jit_cache()->size(), 2u) << "no cached plan reads spam";
   for (const char* q : {kGroupQuery, kUnnestQuery}) {
-    MustRun(&engine, q);
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << q;
+    MustRun(&engine, q, &tel);
+    EXPECT_TRUE(tel.jit_cache_hit) << q;
   }
   engine.InvalidateDataset("orders_denorm");
   EXPECT_EQ(engine.jit_cache()->size(), 1u);
@@ -513,25 +524,26 @@ TEST(QueryCacheEngine, CacheScanPlanStaysHotWhileAnotherSiloRebuilds) {
 
   QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/32,
                                   /*enable_caching=*/true);
+  QueryTelemetry tel;
   testutil::RegisterAll(&engine);
-  MustRun(&engine, kGroupQuery);
-  ASSERT_TRUE(engine.telemetry().used_cache);
-  MustRun(&engine, spam_query);
-  ASSERT_TRUE(engine.telemetry().used_cache);
-  ASSERT_TRUE(engine.telemetry().used_jit);
+  MustRun(&engine, kGroupQuery, &tel);
+  ASSERT_TRUE(tel.used_cache);
+  MustRun(&engine, spam_query, &tel);
+  ASSERT_TRUE(tel.used_cache);
+  ASSERT_TRUE(tel.used_jit);
   const uint64_t compiles = engine.jit_cache()->stats().compiles;
 
   for (int slide = 0; slide < 2; ++slide) {
     engine.InvalidateDataset("spam");
     // Rebuilds the spam scan cache (a new block id, a new signature).
-    QueryResult spam = MustRun(&engine, spam_query);
-    EXPECT_TRUE(engine.telemetry().used_cache);
-    EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "slide " << slide;
+    QueryResult spam = MustRun(&engine, spam_query, &tel);
+    EXPECT_TRUE(tel.used_cache);
+    EXPECT_FALSE(tel.jit_cache_hit) << "slide " << slide;
     ExpectIdentical(spam_reference, spam, "spam after rebuild");
 
-    QueryResult warm = MustRun(&engine, kGroupQuery);
-    EXPECT_TRUE(engine.telemetry().used_cache);
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit)
+    QueryResult warm = MustRun(&engine, kGroupQuery, &tel);
+    EXPECT_TRUE(tel.used_cache);
+    EXPECT_TRUE(tel.jit_cache_hit)
         << "lineitem_json's cache-scan plan must stay hot across a spam rebuild (slide "
         << slide << ")";
     ExpectIdentical(reference, warm, "lineitem_json after spam rebuild");
@@ -549,24 +561,26 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   // raw JSON scans, so partial sums fold in a different order.)
   QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0,
                                  /*enable_caching=*/true);
+  QueryTelemetry fresh_tel;
   testutil::RegisterAll(&fresh);
-  QueryResult reference = MustRun(&fresh, kGroupQuery);
-  ASSERT_TRUE(fresh.telemetry().used_cache);
+  QueryResult reference = MustRun(&fresh, kGroupQuery, &fresh_tel);
+  ASSERT_TRUE(fresh_tel.used_cache);
 
   QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/32,
                                   /*enable_caching=*/true);
+  QueryTelemetry tel;
   testutil::RegisterAll(&engine);
   // First run: builds the scan cache, then compiles the plan rewritten onto
   // it.
-  QueryResult cold = MustRun(&engine, kGroupQuery);
-  ASSERT_TRUE(engine.telemetry().used_cache);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
+  QueryResult cold = MustRun(&engine, kGroupQuery, &tel);
+  ASSERT_TRUE(tel.used_cache);
+  ASSERT_TRUE(tel.used_jit);
+  EXPECT_FALSE(tel.jit_cache_hit);
   const uint64_t compiles_cold = engine.jit_cache()->stats().compiles;
 
   // Second run: same rewrite, no new installs -> warm.
-  QueryResult warm = MustRun(&engine, kGroupQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit)
+  QueryResult warm = MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit)
       << "cache-scan plans must be reusable across executions";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, cold, "caching engine cold");
@@ -575,8 +589,8 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   // Dropping the block retires the module: the rebuilt cache gets a new
   // block id, so the re-run is a new signature and compiles afresh.
   engine.caches().InvalidateDataset("lineitem_json");
-  QueryResult rebuilt = MustRun(&engine, kGroupQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit)
+  QueryResult rebuilt = MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit)
       << "caching-manager mutation must invalidate";
   EXPECT_GT(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, rebuilt, "caching engine rebuilt");
@@ -679,6 +693,7 @@ TEST(QueryCacheEngine, CloseFloatLiteralsKeepTheirOwnValues) {
                                   {"dept", Type::String()},
                                   {"salary", Type::Float64()}});
   QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
   QueryEngine interp = MakeInterpEngine();
   ASSERT_TRUE(engine.RegisterDataset(info).ok());
   ASSERT_TRUE(interp.RegisterDataset(info).ok());
@@ -690,17 +705,17 @@ TEST(QueryCacheEngine, CloseFloatLiteralsKeepTheirOwnValues) {
   };
   for (size_t i = 0; i < cases.size(); ++i) {
     const auto& [q, expected] = cases[i];
-    QueryResult jit = MustRun(&engine, q);
-    ASSERT_TRUE(engine.telemetry().used_jit) << q;
-    EXPECT_EQ(engine.telemetry().jit_cache_hit, i > 0) << q;
+    QueryResult jit = MustRun(&engine, q, &tel);
+    ASSERT_TRUE(tel.used_jit) << q;
+    EXPECT_EQ(tel.jit_cache_hit, i > 0) << q;
     QueryResult oracle = MustRun(&interp, q);
     ASSERT_EQ(oracle.rows.size(), 1u);
     EXPECT_TRUE(oracle.rows[0][0].Equals(Value::Int(expected))) << q;
     ExpectIdentical(oracle, jit, q);
   }
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
-  EXPECT_NE(engine.telemetry().plan.find("90999.99"), std::string::npos)
-      << engine.telemetry().plan;
+  EXPECT_NE(tel.plan.find("90999.99"), std::string::npos)
+      << tel.plan;
 }
 
 // One module per plan shape: every literal value of the same kind reuses it,
@@ -709,15 +724,16 @@ TEST(QueryCacheEngine, SameShapeDifferentLiteralsShareOneModule) {
   const std::vector<std::string> literals = {"30", "5", "0", "-3", "59", "1000000", "30"};
   for (int threads : {1, 2, 4}) {
     QueryEngine engine = MakeEngine(threads);
+    QueryTelemetry tel;
     testutil::RegisterAll(&engine);
     for (size_t i = 0; i < literals.size(); ++i) {
       const std::string q =
           "SELECT count(*), sum(l_extendedprice), max(l_quantity) FROM lineitem_json "
           "WHERE l_orderkey < " + literals[i] + " and l_shipmode <> 'AIR'";
-      QueryResult jit = MustRun(&engine, q);
-      ASSERT_TRUE(engine.telemetry().used_jit) << q;
-      EXPECT_EQ(engine.telemetry().jit_cache_hit, i > 0) << q;
-      if (i > 0) EXPECT_EQ(engine.telemetry().compile_ms, 0.0) << q;
+      QueryResult jit = MustRun(&engine, q, &tel);
+      ASSERT_TRUE(tel.used_jit) << q;
+      EXPECT_EQ(tel.jit_cache_hit, i > 0) << q;
+      if (i > 0) EXPECT_EQ(tel.compile_ms, 0.0) << q;
       ExpectIdentical(Interpret(q), jit, q + " threads=" + std::to_string(threads));
     }
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u) << "threads=" << threads;
@@ -749,6 +765,7 @@ TEST(QueryCacheEngine, LiteralThatFlipsJoinOrderGetsItsOwnModule) {
   opts.morsel_rows = kMorselRows;
   QueryEngine engine(opts);  // statistics on: the optimizer sees min/max
   testutil::RegisterAll(&engine);
+  QueryTelemetry tel;
   // Cold access collects each dataset's statistics.
   MustRun(&engine, "SELECT count(*) FROM orders_bincol");
   MustRun(&engine, "SELECT count(*) FROM lineitem_bincol");
@@ -760,22 +777,22 @@ TEST(QueryCacheEngine, LiteralThatFlipsJoinOrderGetsItsOwnModule) {
                "ON o.o_orderkey = l.l_orderkey WHERE l.l_orderkey < ") +
            lit;
   };
-  MustRun(&engine, join("3"));
-  const std::string narrow_plan = engine.telemetry().plan;
-  MustRun(&engine, join("59"));
-  const std::string wide_plan = engine.telemetry().plan;
+  MustRun(&engine, join("3"), &tel);
+  const std::string narrow_plan = tel.plan;
+  MustRun(&engine, join("59"), &tel);
+  const std::string wide_plan = tel.plan;
   ASSERT_NE(narrow_plan.find("lineitem_bincol"), std::string::npos);
   EXPECT_LT(narrow_plan.find("lineitem_bincol"), narrow_plan.find("orders_bincol"))
       << "few lineitem rows: lineitem goes first\n" << narrow_plan;
   EXPECT_LT(wide_plan.find("orders_bincol"), wide_plan.find("lineitem_bincol"))
       << "most lineitem rows: orders go first\n" << wide_plan;
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "a flipped join order is a new shape";
+  EXPECT_FALSE(tel.jit_cache_hit) << "a flipped join order is a new shape";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2);
 
   // Each order's module then serves its own literals.
   for (const char* lit : {"2", "58"}) {
-    QueryResult jit = MustRun(&engine, join(lit));
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit) << lit;
+    QueryResult jit = MustRun(&engine, join(lit), &tel);
+    EXPECT_TRUE(tel.jit_cache_hit) << lit;
     ExpectIdentical(Interpret(join(lit)), jit, join(lit));
   }
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2);
@@ -842,13 +859,14 @@ TEST(QueryCacheEngine, ShardsWithDifferentLiteralsShareOneCompile) {
   };
   for (int shards : {1, 2, 4}) {
     QueryEngine engine = MakeEngine(/*threads=*/1, shards);
+    QueryTelemetry tel;
     testutil::RegisterAll(&engine);
     int run = 0;
     for (const char* lit : {"30", "11", "55", "30"}) {
-      QueryResult sharded = MustRun(&engine, query(lit));
-      ASSERT_EQ(engine.telemetry().shards_used, shards);
-      ASSERT_TRUE(engine.telemetry().used_jit);
-      EXPECT_EQ(engine.telemetry().jit_cache_hit, run++ > 0) << lit << " shards=" << shards;
+      QueryResult sharded = MustRun(&engine, query(lit), &tel);
+      ASSERT_EQ(tel.shards_used, shards);
+      ASSERT_TRUE(tel.used_jit);
+      EXPECT_EQ(tel.jit_cache_hit, run++ > 0) << lit << " shards=" << shards;
       ExpectIdentical(Interpret(query(lit)), sharded,
                       query(lit) + " shards=" + std::to_string(shards));
     }

@@ -97,11 +97,12 @@ TEST(ShardedExecution, ResultsIdenticalAcrossShardCounts) {
     ASSERT_TRUE(baseline.ok()) << q << "\n" << baseline.status().ToString();
     for (int shards : {1, 2, 4}) {
       auto engine = MakeEngine(shards);
-      auto r = engine->Execute(q);
+      QueryTelemetry tel;
+      auto r = engine->Execute(q, {.telemetry = &tel});
       ASSERT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
       ExpectIdentical(*baseline, *r, q + " @ " + std::to_string(shards) + " shards");
-      EXPECT_GT(engine->telemetry().shards_used, 0) << q;
-      EXPECT_GT(engine->telemetry().bytes_exchanged, 0u)
+      EXPECT_GT(tel.shards_used, 0) << q;
+      EXPECT_GT(tel.bytes_exchanged, 0u)
           << q << ": shard partials must cross the wire";
     }
   }
@@ -185,9 +186,10 @@ TEST(ShardedExecution, MatchesJitOracle) {
 
 TEST(ShardedExecution, TelemetryReportsShardsAndBytes) {
   auto engine = MakeEngine(4);
-  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  QueryTelemetry t;
+  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000",
+                           {.telemetry = &t});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine->telemetry();
   EXPECT_FALSE(t.used_jit);
   EXPECT_EQ(t.shards_used, 4) << "corpus splits into >= 4 morsels, so all shards run";
   EXPECT_GT(t.bytes_exchanged, 0u);
@@ -200,10 +202,11 @@ TEST(ShardedExecution, SingleShardStillCrossesTheWire) {
   // as a smoke test for the wire format and as the degenerate case of the
   // identity guarantee.
   auto engine = MakeEngine(1);
-  auto r = engine->Execute(Workload()[0]);
+  QueryTelemetry tel;
+  auto r = engine->Execute(Workload()[0], {.telemetry = &tel});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine->telemetry().shards_used, 1);
-  EXPECT_GT(engine->telemetry().bytes_exchanged, 0u);
+  EXPECT_EQ(tel.shards_used, 1);
+  EXPECT_GT(tel.bytes_exchanged, 0u);
 }
 
 // A sharded query's compile telemetry comes from its own slices, never from
@@ -289,9 +292,10 @@ TEST(ShardedExecution, CacheDisabledShardsReportTheirCompiles) {
   opts.jit_cache_capacity = 0;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute("SELECT count(*), sum(l_tax) FROM lineitem_json WHERE l_orderkey < 30");
+  QueryTelemetry t;
+  auto r = engine.Execute("SELECT count(*), sum(l_tax) FROM lineitem_json WHERE l_orderkey < 30",
+                          {.telemetry = &t});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry t = engine.telemetry();
   EXPECT_EQ(t.shards_used, 2);
   EXPECT_TRUE(t.used_jit) << t.fallback_reason;
   EXPECT_FALSE(t.jit_cache_hit);
@@ -313,12 +317,13 @@ TEST(ShardedExecution, NonShardablePlansKeepTheirNormalPath) {
   };
   auto unsharded = MakeEngine(0)->ExecutePlan(make_plan());
   auto engine = MakeEngine(4);
-  auto sharded = engine->ExecutePlan(make_plan());
+  QueryTelemetry tel;
+  auto sharded = engine->ExecutePlan(make_plan(), {.telemetry = &tel});
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   ExpectIdentical(*unsharded, *sharded, "outer join under num_shards=4");
-  EXPECT_EQ(engine->telemetry().shards_used, 0);
-  EXPECT_EQ(engine->telemetry().bytes_exchanged, 0u);
+  EXPECT_EQ(tel.shards_used, 0);
+  EXPECT_EQ(tel.bytes_exchanged, 0u);
 }
 
 TEST(ShardedExecution, ComposesWithCaching) {
@@ -328,15 +333,16 @@ TEST(ShardedExecution, ComposesWithCaching) {
   auto sharded_engine = MakeEngine(2, 1, /*caching=*/true);
   const std::string q =
       "SELECT count(*), sum(l_extendedprice) FROM lineitem_csv WHERE l_orderkey < 40";
+  QueryTelemetry tel;
   for (int round = 0; round < 2; ++round) {  // cold build, then cache hit
     auto a = baseline_engine->Execute(q);
-    auto b = sharded_engine->Execute(q);
+    auto b = sharded_engine->Execute(q, {.telemetry = &tel});
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdentical(*a, *b, "cached CSV aggregate, round " + std::to_string(round));
   }
-  EXPECT_TRUE(sharded_engine->telemetry().used_cache);
-  EXPECT_GT(sharded_engine->telemetry().shards_used, 0);
+  EXPECT_TRUE(tel.used_cache);
+  EXPECT_GT(tel.shards_used, 0);
 }
 
 // ---------------------------------------------------------------------------
