@@ -172,7 +172,6 @@ class BenchReport {
       << ",\"threads_used\":" << t.threads_used << ",\"morsels\":" << t.morsels
       << ",\"shards_used\":" << t.shards_used
       << ",\"bytes_exchanged\":" << t.bytes_exchanged
-      << ",\"compile_tier\":" << t.compile_tier
       << ",\"morsels_interpreted\":" << t.morsels_interpreted
       << ",\"morsels_jit\":" << t.morsels_jit << ",\"tasks_dealt\":" << t.tasks_dealt
       << ",\"steals\":" << t.steals << ",\"join_strategy\":\"" << t.join_strategy

@@ -40,7 +40,6 @@ TELEMETRY_FIELDS = {
     "morsels": int,
     "shards_used": int,
     "bytes_exchanged": int,
-    "compile_tier": int,
     "morsels_interpreted": int,
     "morsels_jit": int,
     "tasks_dealt": int,

@@ -168,36 +168,13 @@ Status QueryEngine::PopulateCaches(const OpPtr& physical) {
         info->format != DataFormat::kJSON) {
       continue;
     }
-    // Already cached for this scan shape *and* covering this query's numeric
+    // Already cached for this scan shape *and* covering this query's
     // fields? If the existing block is too narrow, build a wider one
     // (Install() replaces covered same-signature blocks).
     OpPtr probe = Operator::Scan(scan->dataset(), scan->binding());
     const auto existing = caches_.FindMatch(*probe);
     if (existing != nullptr) {
-      bool covered = true;
-      for (const auto& p : scan->scan_fields()) {
-        if (existing->Find(scan->binding(), p) != nullptr) continue;
-        // Missing column: only acceptable when the leaf is one the policy
-        // would not cache anyway (strings, collections).
-        const Type* t = &info->record_type();
-        TypePtr leaf;
-        bool resolvable = true;
-        for (size_t i = 0; i < p.size() && resolvable; ++i) {
-          auto ft = t->FieldType(p[i]);
-          if (!ft.ok()) {
-            resolvable = false;
-            break;
-          }
-          leaf = *ft;
-          if (leaf->kind() == TypeKind::kRecord) t = leaf.get();
-        }
-        if (resolvable && leaf != nullptr &&
-            (leaf->is_numeric() || leaf->kind() == TypeKind::kBool)) {
-          covered = false;
-          break;
-        }
-      }
-      if (covered) continue;
+      if (caches_.Covers(*existing, *scan, info->record_type())) continue;
       // Widen: union of old columns' paths and the new field set.
       std::vector<FieldPath> fields = scan->scan_fields();
       for (const auto& col : existing->cols) {
@@ -328,7 +305,6 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
 
   tel.used_jit = region.used_jit;
   tel.jit_parallel = region.used_jit;
-  tel.compile_tier = region.compile_tier;
   tel.ir_verified = region.ir_verified;
   tel.jit_cache_hit = region.cache_hit;
   tel.compile_ms = region.compile_ms;

@@ -75,16 +75,15 @@ struct EngineOptions {
   size_t jit_cache_capacity = 32;
   /// Tiered execution (opt-in): cold queries start on the morsel-parallel
   /// interpreter immediately while their module compiles on a background
-  /// thread, then hot-swap to the generated pipelines at a morsel boundary;
-  /// hot signatures earn an aggressive tier-2 recompile behind the same
-  /// cache key. Results are cell-identical to both pure-interpreter and
-  /// pure-JIT runs — partials merge in global morsel order regardless of
-  /// where the swap lands. Applies in kJIT mode to chunk-decomposable plans
-  /// (the shardable shape); others keep their normal path. Telemetry:
-  /// compile_tier, morsels_interpreted, morsels_jit, swap_ms,
-  /// first_morsel_ms.
+  /// thread (the same O2 compile a foreground miss runs, through the
+  /// compiled-query cache), then hot-swap to the generated pipelines at a
+  /// morsel boundary. Results are cell-identical to both pure-interpreter
+  /// and pure-JIT runs — partials merge in global morsel order regardless
+  /// of where the swap lands. Applies in kJIT mode to chunk-decomposable
+  /// plans (the shardable shape); others keep their normal path. Telemetry:
+  /// morsels_interpreted, morsels_jit, swap_ms, first_morsel_ms.
   bool tiered = false;
-  /// Knobs and deterministic test hooks for tiered execution.
+  /// Deterministic test hooks for tiered execution.
   jit::TieredOptions tiered_opts;
   /// Query tracing (opt-in): record per-thread spans across every execution
   /// layer — optimizer, cache probes, compiles, join builds, per-morsel
@@ -110,11 +109,11 @@ struct EngineOptions {
   bool verify_ir = true;
 #endif
   /// Deterministic test hook: called with the global morsel index at the top
-  /// of every morsel any driver (interpreter or JIT) of this engine is about
-  /// to run, after the cancel check. Tests block in it to hold a query at a
-  /// morsel boundary — e.g. to land a cancellation at a known execution
-  /// point. Shared by every concurrent query of the engine; leave unset in
-  /// production.
+  /// of every main-region morsel any driver (interpreter or JIT) of this
+  /// engine is about to run, after the cancel check. Tests block in it to
+  /// hold a query at a morsel boundary — e.g. to land a cancellation at a
+  /// known execution point. Shared by every concurrent query of the engine;
+  /// leave unset in production.
   std::function<void(uint64_t)> morsel_boundary_hook;
 };
 
@@ -124,10 +123,10 @@ struct QueryTelemetry {
   /// This query's JIT compile cost (LLVM IR generation + compilation): 0 on
   /// a compiled-query-cache hit (no IR is generated at all); a failed
   /// attempt before an interpreter fallback still reports its cost. Tiered
-  /// runs report the background compile they consumed. Sharded runs sum
-  /// their shards' own compiles (jit::Merge) and count a background compile
-  /// that several shards shared once — with the shared cache that is one
-  /// compile for all shards, or 0 when warm; never another query's compile.
+  /// runs report the background compile they consumed (0 when the cache
+  /// served it). Sharded runs sum their shards' compiles (jit::Merge); the
+  /// shared cache compiles a plan once for all shards, so that is one
+  /// compile, or 0 when warm; never another query's compile.
   double compile_ms = 0;
   /// The JIT execution was served by the compiled-query cache without
   /// compiling. Sharded runs report true when every shard was served warm;
@@ -155,12 +154,6 @@ struct QueryTelemetry {
   uint64_t morsels = 0;
   int shards_used = 0;     ///< shard executors that ran the plan (0 = unsharded)
   uint64_t bytes_exchanged = 0;  ///< serialized partial-result bytes shard→coordinator
-  /// Optimization tier of the generated code that ran morsels this query:
-  /// 0 = none (interpreter only — including a tiered run whose compile never
-  /// landed), 1 = the default pipeline, 2 = the aggressive background
-  /// recompile. Non-tiered JIT runs report 1. Sharded tiered runs report the
-  /// highest tier any shard ran.
-  int compile_tier = 0;
   /// Tiered runs: morsels the interpreter executed before the hot-swap and
   /// morsels the generated code executed after it (summed across shards).
   /// Both zero on non-tiered paths.

@@ -74,32 +74,41 @@ std::shared_ptr<const CacheBlock> CachingManager::FindById(uint64_t id) const {
   return it == blocks_.end() ? nullptr : it->second;
 }
 
+std::optional<TypeKind> CachingManager::CachedLeafType(const Type& record_type,
+                                                       const FieldPath& path) const {
+  const Type* t = &record_type;
+  TypePtr leaf;
+  for (const auto& name : path) {
+    auto ft = t->FieldType(name);
+    if (!ft.ok()) return std::nullopt;
+    leaf = *ft;
+    if (leaf->kind() == TypeKind::kRecord) t = leaf.get();
+  }
+  if (leaf == nullptr) return std::nullopt;
+  if (leaf->kind() == TypeKind::kString) {
+    return policy_.cache_strings ? std::optional<TypeKind>(TypeKind::kString) : std::nullopt;
+  }
+  if (leaf->kind() == TypeKind::kDate) return TypeKind::kInt64;
+  if (leaf->is_numeric() || leaf->kind() == TypeKind::kBool) return leaf->kind();
+  return std::nullopt;
+}
+
+bool CachingManager::Covers(const CacheBlock& block, const Operator& scan,
+                            const Type& record_type) const {
+  for (const auto& p : scan.scan_fields()) {
+    if (block.Find(scan.binding(), p) == nullptr && CachedLeafType(record_type, p)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 OpPtr CachingManager::RewriteWithCaches(OpPtr plan, const Catalog& catalog) const {
   if (plan->kind() == OpKind::kScan) {
     const auto b = FindMatch(*plan);
     if (b == nullptr) return plan;
-    // Check coverage: every numeric scan field must be a cache column;
-    // strings may fall back to hybrid raw reads through the OID column.
     auto info = catalog.Get(plan->dataset());
-    if (!info.ok()) return plan;
-    for (const auto& p : plan->scan_fields()) {
-      if (b->Find(plan->binding(), p) != nullptr) continue;
-      // Absent from cache: acceptable only for non-numeric leaves.
-      const Type* t = &(*info)->record_type();
-      TypePtr leaf;
-      bool resolvable = true;
-      for (size_t i = 0; i < p.size() && resolvable; ++i) {
-        auto ft = t->FieldType(p[i]);
-        if (!ft.ok()) {
-          resolvable = false;
-          break;
-        }
-        leaf = *ft;
-        if (leaf->kind() == TypeKind::kRecord) t = leaf.get();
-      }
-      if (!resolvable || leaf == nullptr) return plan;
-      if (leaf->is_numeric()) return plan;  // cache too narrow: keep raw scan
-    }
+    if (!info.ok() || !Covers(*b, *plan, (*info)->record_type())) return plan;
     OpPtr cs = Operator::CacheScan(b->id, plan->binding(), b->signature, plan->dataset());
     cs->set_scan_fields(plan->scan_fields());
     return cs;
@@ -168,27 +177,12 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
   // a serial build, whatever the morsel boundaries.
   std::vector<CacheColumn> cols;
   for (const auto& p : fields) {
-    const Type* t = &info.record_type();
-    TypePtr leaf;
-    bool ok = true;
-    for (size_t i = 0; i < p.size(); ++i) {
-      auto ft = t->FieldType(p[i]);
-      if (!ft.ok()) {
-        ok = false;
-        break;
-      }
-      leaf = *ft;
-      if (leaf->kind() == TypeKind::kRecord) t = leaf.get();
-    }
-    if (!ok || leaf == nullptr) continue;
-    bool is_string = leaf->kind() == TypeKind::kString;
-    if (is_string && !policy_.cache_strings) continue;
-    if (!is_string && !leaf->is_numeric() && leaf->kind() != TypeKind::kBool) continue;
-
+    const std::optional<TypeKind> type = CachedLeafType(info.record_type(), p);
+    if (!type) continue;
     CacheColumn col;
     col.var = binding;
     col.path = p;
-    col.type = leaf->kind() == TypeKind::kDate ? TypeKind::kInt64 : leaf->kind();
+    col.type = *type;
     if (col.type == TypeKind::kFloat64) {
       col.floats.assign(n, 0.0);
     } else if (col.type == TypeKind::kString) {

@@ -111,20 +111,29 @@ class CachingManager {
   std::shared_ptr<const CacheBlock> FindMatch(const Operator& op) const;
   std::shared_ptr<const CacheBlock> FindById(uint64_t id) const;
 
+  /// True when `block` covers scan `scan` over records of `record_type`:
+  /// every scan field BuildScanCache would cache is one of its columns. The
+  /// fields it would not cache (strings unless cache_strings, collections,
+  /// unresolvable paths) are read raw through the block's OID column. The
+  /// one coverage rule: QueryEngine::PopulateCaches widens a block that
+  /// fails it, RewriteWithCaches rewrites a scan only onto a block that
+  /// passes it.
+  bool Covers(const CacheBlock& block, const Operator& scan, const Type& record_type) const;
+
   /// Rewrites `plan`, replacing every cached subtree with a CacheScan leaf
   /// (full sub-tree matching, bottom-up — paper §6 "Cache Matching"). A scan
-  /// is replaced only when the cache covers all its numeric fields; string
-  /// fields fall back to hybrid raw reads via the cached OID column.
+  /// is replaced only when its block Covers() it; uncached fields fall back
+  /// to hybrid raw reads via the cached OID column.
   OpPtr RewriteWithCaches(OpPtr plan, const Catalog& catalog) const;
 
-  /// Builds a scan-shaped cache for `dataset`: evaluates the numeric leaf
-  /// fields in `fields` for every record of `plugin` into binary columns,
-  /// always including the OID column. This is the paper's leaf-level caching
-  /// operator ("convert input raw values to a binary format"). With a
-  /// `scheduler`, the cold-access drain runs morsel-parallel: the record
-  /// range is split via the plug-in Split() API and workers fill disjoint
-  /// slices of the preallocated columns — the built block is byte-identical
-  /// to a serial build.
+  /// Builds a scan-shaped cache for `dataset`: evaluates the cacheable leaf
+  /// fields in `fields` (CachedLeafType) for every record of `plugin` into
+  /// binary columns, always including the OID column. This is the paper's
+  /// leaf-level caching operator ("convert input raw values to a binary
+  /// format"). With a `scheduler`, the cold-access drain runs
+  /// morsel-parallel: the record range is split via the plug-in Split() API
+  /// and workers fill disjoint slices of the preallocated columns — the
+  /// built block is byte-identical to a serial build.
   Result<uint64_t> BuildScanCache(InputPlugin* plugin, const DatasetInfo& info,
                                   const std::string& binding,
                                   const std::vector<FieldPath>& fields,
@@ -142,6 +151,11 @@ class CachingManager {
   std::vector<std::shared_ptr<const CacheBlock>> blocks() const;
 
  private:
+  /// The column type `path`'s leaf in `record_type` caches as under this
+  /// policy — numeric and bool leaves, strings only with cache_strings — or
+  /// nullopt when BuildScanCache leaves it to raw reads.
+  std::optional<TypeKind> CachedLeafType(const Type& record_type, const FieldPath& path) const;
+
   void MaybeEvictLocked() REQUIRES(mu_);
   size_t TotalBytesLocked() const REQUIRES(mu_);
 

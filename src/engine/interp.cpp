@@ -525,10 +525,12 @@ class MorselRunner {
     return SplitLeaf(*main_.leaf);
   }
 
-  /// Runs worker pipelines of the prepared main region over `morsels` into
-  /// fresh per-slot partial sinks (one slot per morsel plus one trailing
-  /// slot per outer-join drain).
-  Result<PlanPartials> RunMain(const OpPtr& plan, const std::vector<ScanRange>& morsels) {
+  /// Runs worker pipelines of the prepared main region over `morsels` — the
+  /// global morsels `first`, `first + 1`, ... — into fresh per-slot partial
+  /// sinks (one slot per morsel plus one trailing slot per outer-join
+  /// drain).
+  Result<PlanPartials> RunMain(const OpPtr& plan, const std::vector<ScanRange>& morsels,
+                               uint64_t first) {
     const Operator* nest = RootNest(plan);
     const uint64_t slots = PlanPartialSlots(main_, morsels.size());
     PlanPartials partials;
@@ -536,15 +538,19 @@ class MorselRunner {
     if (nest != nullptr) {
       partials.group_morsels.resize(slots);
       for (auto& p : partials.group_morsels) p.count_bytes = false;
-      PROTEUS_RETURN_NOT_OK(RunPipelines(main_, morsels, [&](EvalEnv& row, uint64_t m) {
-        return partials.group_morsels[m].AddRow(*nest, row);
-      }));
+      PROTEUS_RETURN_NOT_OK(RunPipelines(
+          main_, morsels,
+          [&](EvalEnv& row, uint64_t m) { return partials.group_morsels[m].AddRow(*nest, row); },
+          first));
     } else {
       partials.agg_morsels.reserve(slots);
       for (uint64_t m = 0; m < slots; ++m) partials.agg_morsels.push_back(MakeReduceAggs(*plan));
-      PROTEUS_RETURN_NOT_OK(RunPipelines(main_, morsels, [&](EvalEnv& row, uint64_t m) {
-        return AccumulateReduceRow(*plan, row, &partials.agg_morsels[m]);
-      }));
+      PROTEUS_RETURN_NOT_OK(RunPipelines(
+          main_, morsels,
+          [&](EvalEnv& row, uint64_t m) {
+            return AccumulateReduceRow(*plan, row, &partials.agg_morsels[m]);
+          },
+          first));
     }
     return partials;
   }
@@ -783,15 +789,21 @@ class MorselRunner {
   /// Runs one pipeline instance per morsel, fanning out over the scheduler;
   /// `sink(row, slot)` receives every produced row (workers write disjoint
   /// per-morsel slots, so sinks need no locking). Outer-join drains follow
-  /// serially, feeding the trailing slots.
+  /// serially, feeding the trailing slots. Every morsel checks for
+  /// cancellation; only the main region's (`main_first` set: the global
+  /// index of morsels[0]) call the morsel hook and open an interp_morsel
+  /// span, with the global index — as the generated engine does.
   Status RunPipelines(const MorselPipeline& desc, const std::vector<ScanRange>& morsels,
-                      const std::function<Status(EvalEnv&, uint64_t)>& sink) {
+                      const std::function<Status(EvalEnv&, uint64_t)>& sink,
+                      std::optional<uint64_t> main_first = std::nullopt) {
     std::vector<MatchedBitmaps> bitmaps(morsels.size());
     PROTEUS_RETURN_NOT_OK(ctx_.scheduler->ParallelFor(
         morsels.size(), [&](uint64_t m, int) -> Status {
           PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
-          if (ctx_.morsel_hook != nullptr) (*ctx_.morsel_hook)(m);
-          OBS_SPAN(ctx_.trace, "interp_morsel", "morsel", static_cast<int64_t>(m));
+          const uint64_t global = main_first.value_or(0) + m;
+          if (main_first && ctx_.morsel_hook != nullptr) (*ctx_.morsel_hook)(global);
+          obs::TraceSpan span(main_first ? ctx_.trace : nullptr, "interp_morsel", "morsel",
+                              static_cast<int64_t>(global));
           PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
                                    MakePipeline(desc, morsels[m], &bitmaps[m]));
           PROTEUS_RETURN_NOT_OK(cursor->Open());
@@ -832,7 +844,7 @@ class PartialSessionImpl final : public InterpPartialSession {
   Status RunChunk(uint64_t morsel_begin, uint64_t morsel_end, PlanPartials* out) override {
     PROTEUS_ASSIGN_OR_RETURN(std::vector<ScanRange> mine,
                              MorselSlice(morsels_, morsel_begin, morsel_end));
-    PROTEUS_ASSIGN_OR_RETURN(PlanPartials chunk, runner_.RunMain(plan_, mine));
+    PROTEUS_ASSIGN_OR_RETURN(PlanPartials chunk, runner_.RunMain(plan_, mine, morsel_begin));
     out->nest = chunk.nest;
     out->Append(std::move(chunk));
     return Status::OK();
@@ -1019,7 +1031,8 @@ Result<PlanPartials> InterpExecutor::ExecutePartials(const OpPtr& plan,
   if (slice.has_value()) {
     PROTEUS_ASSIGN_OR_RETURN(morsels, MorselSlice(morsels, slice->begin, slice->end));
   }
-  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials, runner.RunMain(plan, morsels));
+  PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
+                           runner.RunMain(plan, morsels, slice ? slice->begin : 0));
   exec_stats_.morsels = morsels.size();
   exec_stats_.threads_used = static_cast<int>(std::min<uint64_t>(
       ctx_.scheduler->num_threads(), std::max<uint64_t>(morsels.size(), 1)));

@@ -87,10 +87,12 @@ struct ExecContext {
   /// tiered chunks inherit the pointer with the context.
   const std::atomic<bool>* cancel = nullptr;
   /// Deterministic test hook: when set, called with the global morsel index
-  /// at the top of every morsel a driver (interpreter or JIT) is about to
-  /// run — after the cancel check. Tests block in it to hold a query at a
-  /// morsel boundary (e.g. to land a cancel or an admission probe at a known
-  /// execution point). Null in production.
+  /// at the top of every main-region morsel (the region under the Reduce
+  /// root; not join build sides or a Nest fold) a driver (interpreter or
+  /// JIT) is about to run — after the cancel check — once per morsel on
+  /// every route. Tests block in it to hold a query at a morsel boundary
+  /// (e.g. to land a cancel or an admission probe at a known execution
+  /// point). Null in production.
   const std::function<void(uint64_t)>* morsel_hook = nullptr;
   /// Run the generated-code contract verifier (src/jit/ir_verifier.h) on
   /// every module after LLVM's structural verifyModule. Mirrors

@@ -1,9 +1,6 @@
 #include "src/jit/jit_engine.h"
 #include <cstdlib>
 
-#include <llvm/ExecutionEngine/Orc/CompileUtils.h>
-#include <llvm/ExecutionEngine/Orc/IRTransformLayer.h>
-#include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
 #include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/IR/IRBuilder.h>
 #include <llvm/IR/LLVMContext.h>
@@ -2335,10 +2332,10 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
   return Status::OK();
 }
 
-/// Runs the standard pass pipeline at `level` over `m` (mem2reg/SROA
-/// promotes the virtual buffers to registers, the rest fuses the pipeline
-/// into tight loops).
-void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
+/// Runs the standard O2 pass pipeline over `m` (mem2reg/SROA promotes the
+/// virtual buffers to registers, the rest fuses the pipeline into tight
+/// loops).
+void RunPassPipeline(llvm::Module& m) {
   llvm::PassBuilder pb;
   llvm::LoopAnalysisManager lam;
   llvm::FunctionAnalysisManager fam;
@@ -2349,7 +2346,7 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
   pb.registerFunctionAnalyses(fam);
   pb.registerLoopAnalyses(lam);
   pb.crossRegisterProxies(lam, fam, cam, mam);
-  auto mpm = pb.buildPerModuleDefaultPipeline(level);
+  auto mpm = pb.buildPerModuleDefaultPipeline(llvm::OptimizationLevel::O2);
   mpm.run(m, mam);
 }
 
@@ -2357,22 +2354,14 @@ void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
 /// whose PlanShape::literals are `literals` — into a position-independent
 /// jit::CompiledModule (parameter table + runtime layout instead of baked
 /// constants and literal values) that the CompiledQueryCache can reuse
-/// across executions, threads, shards, and plans of the same shape.
-///
-/// `tier` selects the compile pipeline. Tier 1 — every foreground path —
-/// optimizes inline at O2 and links through a default LLJIT. Tier 2 — the
-/// background recompile of a proven-hot signature — builds its LLJIT around
-/// an ORC ConcurrentIRCompiler whose target machine codegens at
-/// CodeGenOpt::Aggressive, and defers IR optimization to an O3
-/// IRTransformLayer transform on the materialization path. Entry points and
-/// results are identical across tiers; only the machine code differs.
+/// across executions, threads, shards, and plans of the same shape. The IR
+/// is optimized at O2 and linked through a default LLJIT.
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     const ExecContext& ctx, const OpPtr& plan, const MorselPipeline& pipe,
-    const std::vector<const Expr*>& literals, int tier = 1) {
+    const std::vector<const Expr*>& literals) {
   InitLLVMOnce();
-  OBS_SPAN(ctx.trace, "jit_compile", "tier", tier);
+  OBS_SPAN(ctx.trace, "jit_compile");
   auto out = std::make_shared<jit::CompiledModule>();
-  out->tier = tier;
   jit::ParamTable param_table;
   Codegen cg(ctx, &out->layout, &param_table, literals);
   {
@@ -2397,32 +2386,14 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     out->ir_verified = true;
   }
 
-  if (tier < 2) RunPassPipeline(*module, llvm::OptimizationLevel::O2);
+  RunPassPipeline(*module);
 
-  llvm::orc::LLJITBuilder builder;
-  if (tier >= 2) {
-    builder.setCompileFunctionCreator(
-        [](llvm::orc::JITTargetMachineBuilder jtmb)
-            -> llvm::Expected<std::unique_ptr<llvm::orc::IRCompileLayer::IRCompiler>> {
-          jtmb.setCodeGenOptLevel(llvm::CodeGenOpt::Aggressive);
-          return std::make_unique<llvm::orc::ConcurrentIRCompiler>(std::move(jtmb));
-        });
-  }
-  auto jit_or = builder.create();
+  auto jit_or = llvm::orc::LLJITBuilder().create();
   if (!jit_or) {
     return Status::Internal("jit: LLJIT creation failed: " +
                             llvm::toString(jit_or.takeError()));
   }
   out->jit = std::move(*jit_or);
-  if (tier >= 2) {
-    out->jit->getIRTransformLayer().setTransform(
-        [](llvm::orc::ThreadSafeModule tsm, const llvm::orc::MaterializationResponsibility&)
-            -> llvm::Expected<llvm::orc::ThreadSafeModule> {
-          tsm.withModuleDo(
-              [](llvm::Module& m) { RunPassPipeline(m, llvm::OptimizationLevel::O3); });
-          return std::move(tsm);
-        });
-  }
 
   llvm::orc::SymbolMap symbols;
   for (const auto& [name, addr] : jit::RuntimeSymbols()) {
@@ -2510,7 +2481,7 @@ QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
 }
 
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
-                                                          const OpPtr& plan, int tier) {
+                                                          const OpPtr& plan) {
   if (plan == nullptr || plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
@@ -2518,7 +2489,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
   if (!CollectPlanPipeline(plan, &pipe)) {
     return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
-  return CompileAndLink(ctx, plan, pipe, ShapeOfPlan(*plan).literals, tier);
+  return CompileAndLink(ctx, plan, pipe, ShapeOfPlan(*plan).literals);
 }
 
 }  // namespace jit
@@ -2717,7 +2688,6 @@ Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional
   }
 
   stats->used_jit = true;
-  stats->compile_tier = cq->tier;
   stats->ir_verified = cq->ir_verified;
   stats->module = cq;
   stats->morsels = n;

@@ -86,33 +86,31 @@ struct RegionStats;
 
 /// Cache key of `plan` under the engine state in `ctx` — exactly the key
 /// JitExecutor uses for its compiled-query-cache lookups, exposed so the
-/// tiered controller can probe (TryGet), read hit counts, and Promote behind
+/// tiered controller can probe (TryGet) and compile (GetOrCompile) behind
 /// the same key.
 QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan);
 
-/// Compiles `plan` to a ready CompiledModule without consulting any cache.
-/// `tier` selects the optimization pipeline: 1 = the default O2 compile
-/// (what every foreground path uses), 2 = the aggressive background
-/// recompile — CodeGenOpt::Aggressive codegen on an ORC ConcurrentIRCompiler
-/// plus an O3 IRTransformLayer pass — that the tiered controller requests
-/// once a signature proves hot. Returns Unimplemented for plans outside the
-/// generated fast path.
+/// Compiles `plan` to a ready CompiledModule without consulting any cache,
+/// through the one O2 pipeline every compile uses. Returns Unimplemented for
+/// plans outside the generated fast path.
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
-                                                          const OpPtr& plan, int tier);
+                                                          const OpPtr& plan);
 
 // ---- Benchmark-harness compatibility: delete in the next benchmark PR -----
 // perfbench/replay.cpp is frozen with the benchmark and still names the
-// codegen mode that once chose between whole-relation and morsel code. Every
-// plan now compiles to morsel pipelines, so these overloads accept the mode
-// and ignore it. Engine code never uses them.
+// codegen mode that once chose between whole-relation and morsel code, and
+// the optimization tier that once chose between two compile pipelines.
+// Every plan now compiles to morsel pipelines at one level, so these
+// overloads accept the mode and the tier and ignore them. Engine code never
+// uses them.
 enum class CodegenMode : uint8_t { kWholeRelation, kMorsel };
 inline QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode) {
   return MakeQueryCacheKey(ctx, plan);
 }
 inline Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
                                                                  const OpPtr& plan, CodegenMode,
-                                                                 int tier) {
-  return CompilePlan(ctx, plan, tier);
+                                                                 int /*tier*/) {
+  return CompilePlan(ctx, plan);
 }
 // ---- end of benchmark-harness compatibility --------------------------------
 
@@ -141,7 +139,7 @@ class JitExecutor {
   /// nullopt — off `module`, or off the module resolved through the cache
   /// (or compiled) when `module` is null, and returns per-morsel partial
   /// sinks bit-identical to the interpreter's, so shards can mix engines
-  /// freely. Fills `stats` (served module, tier, compile_ms, cache_hit,
+  /// freely. Fills `stats` (served module, compile_ms, cache_hit,
   /// morsels, threads); on Unimplemented, compile_ms still holds the aborted
   /// attempt's cost.
   Result<PlanPartials> ExecuteRegion(const OpPtr& plan, std::optional<ScanRange> slice,

@@ -297,7 +297,6 @@ Result<std::shared_ptr<const CompiledModule>> CompiledQueryCache::GetOrCompile(
     if (it == map_.end()) break;  // miss: this thread compiles
     if (it->second.state == Entry::State::kReady) {
       stats_.hits++;
-      it->second.hits++;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       if (cache_hit != nullptr) *cache_hit = true;
       std::shared_ptr<const CompiledModule> module = it->second.module;
@@ -368,38 +367,8 @@ std::shared_ptr<const CompiledModule> CompiledQueryCache::TryGet(const QueryCach
   auto it = map_.find(key);
   if (it == map_.end() || it->second.state != Entry::State::kReady) return nullptr;
   stats_.hits++;
-  it->second.hits++;
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return it->second.module;
-}
-
-bool CompiledQueryCache::Promote(const QueryCacheKey& key,
-                                 std::shared_ptr<const CompiledModule> module) {
-  if (module == nullptr) return false;
-  MutexLock lk(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    Entry e;
-    e.state = Entry::State::kReady;
-    e.module = std::move(module);
-    lru_.push_front(key);
-    e.lru_it = lru_.begin();
-    map_.emplace(key, std::move(e));
-    stats_.promotions++;
-    EvictOverCapacityLocked();
-    return true;
-  }
-  if (it->second.state != Entry::State::kReady) return false;
-  it->second.module = std::move(module);
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  stats_.promotions++;
-  return true;
-}
-
-uint64_t CompiledQueryCache::HitCount(const QueryCacheKey& key) const {
-  MutexLock lk(mu_);
-  auto it = map_.find(key);
-  return it != map_.end() ? it->second.hits : 0;
 }
 
 void CompiledQueryCache::EvictOverCapacityLocked() {

@@ -206,12 +206,6 @@ struct CompiledModule {
   using DrainFn = void (*)(void*, void*, const uint8_t*, const int64_t*);
 
   std::unique_ptr<llvm::orc::LLJIT> jit;  ///< owns the machine code
-  /// Optimization tier this module was compiled at: 1 = the default pipeline
-  /// (O2, the cold/tier-1 compile), 2 = the aggressive background recompile
-  /// (CodeGenOpt::Aggressive + O3 transform layer) the tiered controller
-  /// requests once the cache proves a signature hot. Same entry points, same
-  /// results — only the machine code differs.
-  int tier = 1;
   std::vector<std::string> columns;
   bool row_records = false;
   std::string ir;  ///< unoptimized IR, for inspection
@@ -276,7 +270,6 @@ class CompiledQueryCache {
     uint64_t evictions = 0;   ///< entries dropped by the LRU
     uint64_t single_flight_waits = 0;  ///< lookups that blocked on another
                                        ///< thread's in-progress compile
-    uint64_t promotions = 0;           ///< ready modules replaced via Promote()
     double compile_ms_total = 0;       ///< wall ms spent inside compile fns
   };
 
@@ -301,19 +294,6 @@ class CompiledQueryCache {
   /// wait on a compile: not-ready simply means "keep interpreting".
   std::shared_ptr<const CompiledModule> TryGet(const QueryCacheKey& key) EXCLUDES(mu_);
 
-  /// Replaces the ready entry of `key` with `module` (or inserts one if the
-  /// key is absent — e.g. the original entry aged out of the LRU while the
-  /// recompile ran). Used by the tier-2 path to swap an aggressive module in
-  /// behind the same cache key; executions already holding the old
-  /// shared_ptr finish on it safely. A key mid-compile is left alone
-  /// (returns false) so single-flight waiters never see their entry mutate.
-  bool Promote(const QueryCacheKey& key, std::shared_ptr<const CompiledModule> module)
-      EXCLUDES(mu_);
-
-  /// Lifetime hits of `key`'s entry (0 when absent). Survives Promote (the
-  /// count is what proves a signature hot); resets if the entry is evicted.
-  uint64_t HitCount(const QueryCacheKey& key) const EXCLUDES(mu_);
-
   /// Drops every ready entry whose key reads `dataset` (in-flight compiles
   /// are left to finish and publish) and returns how many it removed; the
   /// modules it drops are destroyed after the cache lock is released.
@@ -329,7 +309,6 @@ class CompiledQueryCache {
     State state = State::kCompiling;
     std::shared_ptr<const CompiledModule> module;
     std::list<QueryCacheKey>::iterator lru_it;  ///< valid when kReady
-    uint64_t hits = 0;  ///< lifetime hits; the tier-2 hotness signal
   };
 
   void EvictOverCapacityLocked() REQUIRES(mu_);

@@ -58,69 +58,45 @@ void TieredCompiler::WorkerLoop() {
 
 std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext& ctx,
                                                               OpPtr plan, int delay_ms) {
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
-  MutexLock lk(mu_);
-  auto f = inflight_.find(key);
-  if (f != inflight_.end()) return f->second;
+  QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
   auto ticket = std::make_shared<CompileTicket>();
-  inflight_.emplace(key, ticket);
   // The job captures ctx by value (borrowed engine subsystems — the engine
   // destroys this compiler first) and the plan by shared_ptr (keeps every
   // Operator* in the collected pipeline alive for the background walk).
-  queue_.push_back([this, ctx, plan = std::move(plan), key, ticket, delay_ms] {
-    if (delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    }
+  auto job = [ctx, plan = std::move(plan), key = std::move(key), ticket, delay_ms] {
     if (ctx.trace != nullptr) ctx.trace->LabelThisThread("background-compiler");
-    const auto t0 = std::chrono::steady_clock::now();
-    Result<std::shared_ptr<const CompiledModule>> r = [&] {
-      // The span must close before Fulfill below: waiters proceed the moment
-      // the ticket is fulfilled, and the query can snapshot its trace before
+    // Only a real compile sleeps, spans and records its time: a job the
+    // cache serves (an earlier shard's job compiled the key) reports 0, as
+    // a foreground cache hit does.
+    double ms = 0;
+    auto compile = [&]() -> Result<std::shared_ptr<const CompiledModule>> {
+      if (delay_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      const auto t0 = std::chrono::steady_clock::now();
+      // The span closes before Fulfill below: waiters proceed the moment the
+      // ticket is fulfilled, and the query can snapshot its trace before
       // this thread is scheduled again — a still-open span would be missing
       // from the export.
       OBS_SPAN(ctx.trace, "background_compile");
-      if (ctx.jit_cache != nullptr) {
-        bool hit = false;
-        return ctx.jit_cache->GetOrCompile(
-            key, [&] { return CompilePlan(ctx, plan, /*tier=*/1); }, &hit, ctx.trace);
-      }
-      return CompilePlan(ctx, plan, /*tier=*/1);
-    }();
-    const double ms = MsSince(t0);
-    {
-      MutexLock lk2(mu_);
-      inflight_.erase(key);
-    }
+      auto r = CompilePlan(ctx, plan);
+      ms = MsSince(t0);
+      return r;
+    };
+    Result<std::shared_ptr<const CompiledModule>> r =
+        ctx.jit_cache != nullptr
+            ? ctx.jit_cache->GetOrCompile(key, compile, /*cache_hit=*/nullptr, ctx.trace)
+            : compile();
     if (r.ok()) {
       ticket->Fulfill(Status::OK(), std::move(*r), ms);
     } else {
       ticket->Fulfill(r.status(), nullptr, ms);
     }
-  });
+  };
+  {
+    MutexLock lk(mu_);
+    queue_.push_back(std::move(job));
+  }
   cv_.NotifyOne();
   return ticket;
-}
-
-void TieredCompiler::EnqueuePromotion(const ExecContext& ctx, OpPtr plan) {
-  if (ctx.jit_cache == nullptr) return;
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
-  MutexLock lk(mu_);
-  if (!tier2_inflight_.insert(key).second) return;
-  queue_.push_back([this, ctx, plan = std::move(plan), key] {
-    if (ctx.trace != nullptr) ctx.trace->LabelThisThread("background-compiler");
-    auto r = [&] {
-      // Same publish-before-visibility rule as the tier-1 job: the span
-      // closes before Promote makes the tier-2 module observable.
-      OBS_SPAN(ctx.trace, "background_promotion");
-      return CompilePlan(ctx, plan, /*tier=*/2);
-    }();
-    // A failed aggressive recompile is silent: the tier-1 module keeps
-    // serving, exactly as before the promotion attempt.
-    if (r.ok()) ctx.jit_cache->Promote(key, std::move(*r));
-    MutexLock lk2(mu_);
-    tier2_inflight_.erase(key);
-  });
-  cv_.NotifyOne();
 }
 
 void TieredCompiler::Drain() {
@@ -187,7 +163,6 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
   auto take_ticket = [&] {
     poll = false;
     stats->compile_ms = ticket->compile_ms();
-    stats->ticket = ticket;
     // A failed compile is silent: the interpreter finishes the query, and
     // the recorded compile_ms plus the fallback reason are its only trace
     // (honest fallback accounting — the background thread did spend that
@@ -255,21 +230,12 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
   stats->threads = static_cast<int>(std::min(workers, std::max<uint64_t>(range.size(), 1)));
   if (stats->morsels_jit > 0) {
     stats->used_jit = true;
-    stats->compile_tier = module->tier;
     stats->ir_verified = module->ir_verified;
     stats->module = module;
   } else if (!compile_status.ok()) {
     stats->fallback_reason = "tiered: background compile failed: " + compile_status.message();
   } else {
     stats->fallback_reason = "tiered: compile did not land before the query finished";
-  }
-
-  // Hot-signature promotion: a tier-1 module that keeps earning cache hits
-  // gets the aggressive recompile queued behind the same key.
-  if (module != nullptr && module->tier == 1 && ctx.jit_cache != nullptr &&
-      opts.tier2_hit_threshold > 0 &&
-      ctx.jit_cache->HitCount(key) >= opts.tier2_hit_threshold) {
-    ctx.tiered->EnqueuePromotion(ctx, plan);
   }
   return out;
 }
@@ -302,13 +268,8 @@ RegionStats Merge(const std::vector<RegionStats>& slices) {
   RegionStats out;
   out.cache_hit = !slices.empty();
   out.ir_verified = true;
-  std::vector<const CompileTicket*> counted;
   for (const RegionStats& s : slices) {
-    const bool shared_compile =
-        s.ticket != nullptr &&
-        std::find(counted.begin(), counted.end(), s.ticket.get()) != counted.end();
-    if (!shared_compile) out.compile_ms += s.compile_ms;
-    if (s.ticket != nullptr && !shared_compile) counted.push_back(s.ticket.get());
+    out.compile_ms += s.compile_ms;
     out.compile_wait_ms = std::max(out.compile_wait_ms, s.compile_wait_ms);
     out.cache_hit = out.cache_hit && s.cache_hit;
     if (s.used_jit) {
@@ -316,7 +277,6 @@ RegionStats Merge(const std::vector<RegionStats>& slices) {
       out.ir_verified = out.ir_verified && s.ir_verified;
       if (out.module == nullptr) out.module = s.module;
     }
-    out.compile_tier = std::max(out.compile_tier, s.compile_tier);
     out.morsels += s.morsels;
     out.morsels_interpreted += s.morsels_interpreted;
     out.morsels_jit += s.morsels_jit;

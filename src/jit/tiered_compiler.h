@@ -13,22 +13,17 @@
 // morsel order through FinalizePlanPartials, the result is cell-identical
 // (float bits + row order) no matter where the swap lands — including
 // "never" (the compile outlives the query, or fails: the interpreter simply
-// finishes, and the only trace is the recorded compile time).
+// finishes, and the only trace is the recorded compile time). The background
+// compile is the same O2 compile every foreground path runs.
 //
-// Tiers: the background compile produces the default tier-1 module (the O2
-// pipeline every foreground path uses). Once the compiled-query cache's hit
-// count proves a signature hot, the controller enqueues a tier-2 recompile —
-// CodeGenOpt::Aggressive codegen on an ORC ConcurrentIRCompiler plus an O3
-// IRTransformLayer pass — and Promote()s it behind the same cache key with
-// single-flight semantics; in-flight executions finish safely on the module
-// they hold.
-//
-// Concurrency: one worker thread per TieredCompiler (one per engine), a
-// mutex/cv job queue, and per-key coalescing — N shard controllers that ask
-// for one plan share a single CompileTicket, and the compile itself goes
-// through CompiledQueryCache::GetOrCompile, so it also single-flights
-// against any foreground compile and publishes the module for every later
-// run. Jobs borrow engine-owned subsystems (catalog, plug-ins, caches)
+// Concurrency: one worker thread per TieredCompiler (one per engine) and a
+// mutex/cv job queue. Every request queues its own job and ticket; the
+// compiled-query cache is the one de-duplication: each job goes through
+// CompiledQueryCache::GetOrCompile, so it single-flights against any
+// foreground compile and publishes the module for every later run. N shard
+// controllers that ask for one plan therefore compile it once — the serial
+// worker's later jobs are cache hits, which report no compile time. Jobs
+// borrow engine-owned subsystems (catalog, plug-ins, caches)
 // through a by-value ExecContext and keep the plan alive via its shared_ptr,
 // so the compiler must be destroyed before those subsystems — QueryEngine
 // declares it last for exactly that reason.
@@ -46,8 +41,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/algebra/algebra.h"
@@ -60,17 +53,14 @@
 namespace proteus {
 namespace jit {
 
-/// Knobs (and deterministic test hooks) of tiered execution.
+/// Deterministic test hooks of tiered execution.
 struct TieredOptions {
   static constexpr uint64_t kNeverSwap = ~0ull;
 
-  /// Lifetime cache-hit count at which a tier-1 signature earns the
-  /// background aggressive (tier-2) recompile. 0 disables promotion.
-  uint64_t tier2_hit_threshold = 3;
-
-  /// Test hook: artificial delay (ms) inside the background compile job —
+  /// Test hook: artificial delay (ms) before a background job's compile —
   /// forces a deterministically slow compile so tests can pin the swap
-  /// mid-query (or past the query's end).
+  /// mid-query (or past the query's end). A job the cache serves does not
+  /// sleep.
   int compile_delay_ms = 0;
 
   /// Test hook: interpret exactly this many morsels, then *block* on the
@@ -95,8 +85,9 @@ class CompileTicket {
     MutexLock lk(mu_);
     while (!done_) cv_.Wait(mu_);
   }
-  /// Valid once Ready(): the compile outcome and its wall time. A failed
-  /// compile leaves module() null and status() the error.
+  /// Valid once Ready(): the compile outcome and its wall time (0 when the
+  /// cache served the module). A failed compile leaves module() null and
+  /// status() the error.
   Status status() const EXCLUDES(mu_) {
     MutexLock lk(mu_);
     return status_;
@@ -138,19 +129,15 @@ class CompileTicket {
 /// QueryEngine copies it into QueryTelemetry in one place.
 struct RegionStats {
   bool used_jit = false;      ///< generated code ran (some of) the region's morsels
-  int compile_tier = 0;       ///< tier of that code (0 = interpreter only)
   bool ir_verified = false;   ///< that code's module passed the IR verifier
   bool cache_hit = false;     ///< the compiled-query cache served the module, no compile
   /// Compile ms this run paid for: its own foreground compile (an aborted
-  /// codegen attempt included), or the background compile it consumed
-  /// (`ticket`).
+  /// codegen attempt included), or the background compile whose ticket it
+  /// consumed; 0 when the cache served the module.
   double compile_ms = 0;
   /// The part of compile_ms the run's morsels waited on: the foreground
   /// compile; 0 for a background compile, which overlaps the interpreter.
   double compile_wait_ms = 0;
-  /// The background compile whose result (module or failure) this run
-  /// consumed; shards that share one ticket share one compile.
-  std::shared_ptr<const CompileTicket> ticket;
   uint64_t morsels = 0;              ///< main-region morsels of the global decomposition run
   uint64_t morsels_interpreted = 0;  ///< tiered: morsels run before the hot-swap
   uint64_t morsels_jit = 0;          ///< tiered: morsels run by generated code after it
@@ -166,12 +153,12 @@ struct RegionStats {
 };
 
 /// Combines the RegionStats of a sharded run's slices — the one home of the
-/// shard-combining rules: foreground compiles sum, a background compile
-/// that several shards consumed through one ticket counts once; cache_hit
-/// is an AND over the shards and ir_verified an AND over the shards that
-/// ran generated code; compile_tier, compile_wait_ms (shards compile side
-/// by side), swap and first-morsel ms, and threads take the max; morsel
-/// counts sum; distinct fallback reasons join with "; ".
+/// shard-combining rules: compile ms sum (a compile the cache de-duplicated
+/// reports 0 on every shard but the one that ran it); cache_hit is an AND
+/// over the shards and ir_verified an AND over the shards that ran
+/// generated code; compile_wait_ms (shards compile side by side), swap and
+/// first-morsel ms, and threads take the max; morsel counts sum; distinct
+/// fallback reasons join with "; ".
 RegionStats Merge(const std::vector<RegionStats>& slices);
 
 /// The engine-wide background compile thread. See the file comment.
@@ -184,19 +171,13 @@ class TieredCompiler {
   TieredCompiler(const TieredCompiler&) = delete;
   TieredCompiler& operator=(const TieredCompiler&) = delete;
 
-  /// Enqueues a tier-1 morsel-mode compile of `plan`. Requests for a key
-  /// already in flight return the existing ticket (N shards, one compile);
-  /// with ctx.jit_cache set the compile runs through GetOrCompile, so it
-  /// single-flights against foreground compiles too and publishes the module
-  /// for every later run. `delay_ms` is the TieredOptions::compile_delay_ms
-  /// test hook.
+  /// Enqueues a compile of `plan` with its own ticket. With ctx.jit_cache
+  /// set the job runs through GetOrCompile, so it single-flights against
+  /// every other compile of the key and publishes the module for every
+  /// later run; a job the cache serves fulfills its ticket with compile_ms
+  /// 0. `delay_ms` is the TieredOptions::compile_delay_ms test hook.
   std::shared_ptr<CompileTicket> EnqueueCompile(const ExecContext& ctx, OpPtr plan,
                                                 int delay_ms) EXCLUDES(mu_);
-
-  /// Enqueues a tier-2 (aggressive) recompile of `plan`, swapping the result
-  /// behind its cache key via Promote(). Single-flight per key; a no-op
-  /// without a cache (there would be nothing to promote into).
-  void EnqueuePromotion(const ExecContext& ctx, OpPtr plan) EXCLUDES(mu_);
 
   /// Blocks until every queued job has run (tests and benches only — the
   /// query path never waits here).
@@ -209,11 +190,6 @@ class TieredCompiler {
   CondVar cv_;       ///< worker wake
   CondVar idle_cv_;  ///< Drain wake
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  /// Key → shared ticket of the in-flight tier-1 compile (coalescing).
-  std::unordered_map<QueryCacheKey, std::shared_ptr<CompileTicket>, QueryCacheKeyHash> inflight_
-      GUARDED_BY(mu_);
-  /// Keys with a tier-2 recompile queued or running (single-flight).
-  std::unordered_set<QueryCacheKey, QueryCacheKeyHash> tier2_inflight_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   bool busy_ GUARDED_BY(mu_) = false;
   std::thread worker_;  ///< last member: joined before the queue state dies
@@ -228,8 +204,7 @@ class TieredCompiler {
 /// remaining range to JitExecutor::ExecutePartialsPrecompiled. Partials
 /// append in morsel order either way, so the caller folds one
 /// FinalizePlanPartials frame and results are cell-identical to
-/// pure-interpreter and pure-JIT runs. Also enqueues the tier-2 promotion
-/// once the cache's hit count crosses TieredOptions::tier2_hit_threshold.
+/// pure-interpreter and pure-JIT runs.
 ///
 /// Requires ctx.tiered (the compiler), ctx.scheduler and a shardable plan
 /// (PlanIsShardable: outer joins in the probe chain need the global

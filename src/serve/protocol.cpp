@@ -27,7 +27,6 @@ void PutTelemetry(WireWriter* w, const QueryTelemetry& t) {
   w->PutU64(t.morsels);
   w->PutI64(t.shards_used);
   w->PutU64(t.bytes_exchanged);
-  w->PutI64(t.compile_tier);
   w->PutU64(t.morsels_interpreted);
   w->PutU64(t.morsels_jit);
   w->PutF64(t.swap_ms);
@@ -57,8 +56,6 @@ Result<QueryTelemetry> GetTelemetry(WireReader* r) {
   PROTEUS_ASSIGN_OR_RETURN(int64_t shards, r->I64());
   t.shards_used = static_cast<int>(shards);
   PROTEUS_ASSIGN_OR_RETURN(t.bytes_exchanged, r->U64());
-  PROTEUS_ASSIGN_OR_RETURN(int64_t tier, r->I64());
-  t.compile_tier = static_cast<int>(tier);
   PROTEUS_ASSIGN_OR_RETURN(t.morsels_interpreted, r->U64());
   PROTEUS_ASSIGN_OR_RETURN(t.morsels_jit, r->U64());
   PROTEUS_ASSIGN_OR_RETURN(t.swap_ms, r->F64());

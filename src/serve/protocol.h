@@ -36,7 +36,7 @@
 namespace proteus::serve {
 
 /// Protocol version this build speaks. A mismatched peer gets kError.
-constexpr uint8_t kProtocolVersion = 3;
+constexpr uint8_t kProtocolVersion = 4;
 
 /// Upper bound on a single frame's payload (guards the u32 length prefix:
 /// a malformed peer cannot make the reader allocate unbounded memory).

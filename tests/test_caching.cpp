@@ -122,6 +122,36 @@ TEST(CachingManager, FormatBiasedEviction) {
   EXPECT_EQ(mgr.blocks()[0]->source_format, DataFormat::kJSON);
 }
 
+// One coverage rule: a block covers a scan when every field BuildScanCache
+// would cache under the policy is one of its columns. PopulateCaches widens
+// on it and RewriteWithCaches rewrites on it, so they cannot disagree.
+TEST(CachingManager, CoverageFollowsTheCachedLeafTest) {
+  const TypePtr record = Type::Record({{"n", Type::Int64()},
+                                       {"flag", Type::Bool()},
+                                       {"s", Type::String()},
+                                       {"tags", Type::Collection(CollectionKind::kList,
+                                                                 Type::Int64())}});
+  CacheBlock block;
+  CacheColumn n;
+  n.var = "x";
+  n.path = {"n"};
+  block.cols.push_back(n);
+  auto scan = [](std::vector<FieldPath> fields) {
+    OpPtr s = Operator::Scan("ds", "x");
+    s->set_scan_fields(std::move(fields));
+    return s;
+  };
+  const CachingManager plain({.enabled = true});
+  EXPECT_TRUE(plain.Covers(block, *scan({{"n"}}), *record));
+  // Uncached leaves are read raw through the OID column: strings (by
+  // default), collections and paths the record type does not resolve.
+  EXPECT_TRUE(plain.Covers(block, *scan({{"n"}, {"s"}, {"tags"}, {"gone"}}), *record));
+  // A missing bool is a missing cacheable column, like a missing number.
+  EXPECT_FALSE(plain.Covers(block, *scan({{"n"}, {"flag"}}), *record));
+  const CachingManager strings({.enabled = true, .cache_strings = true});
+  EXPECT_FALSE(strings.Covers(block, *scan({{"n"}, {"s"}}), *record));
+}
+
 TEST(CachingManager, SignatureMatchIsExact) {
   CachingManager mgr({.enabled = true});
   CacheBlock b;

@@ -822,7 +822,7 @@ TEST(QueryCacheEngine, TieredSwapBindsTheRunningPlansLiterals) {
   const OpPtr a = physical(Expr::Int(12), Expr::Str("AIR"));
   const OpPtr b = physical(Expr::Int(47), Expr::Str("RAIL"));
   ASSERT_TRUE(jit::MakeQueryCacheKey(ctx, a) == jit::MakeQueryCacheKey(ctx, b));
-  auto module = jit::CompilePlan(ctx, a, /*tier=*/1);
+  auto module = jit::CompilePlan(ctx, a);
   ASSERT_TRUE(module.ok()) << module.status().ToString();
   EXPECT_TRUE((*module)->ir_verified);
   EXPECT_EQ((*module)->ir.find("RAIL"), std::string::npos) << "no literal in the module";

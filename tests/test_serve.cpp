@@ -126,7 +126,6 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   tel.morsels = 11;
   tel.shards_used = 2;
   tel.bytes_exchanged = 4096;
-  tel.compile_tier = 2;
   tel.morsels_interpreted = 5;
   tel.morsels_jit = 6;
   tel.swap_ms = 0.5;
@@ -144,6 +143,8 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   f.query_id = 99;
   f.body = serve::EncodeResultBody(res, tel);
   const std::string bytes = serve::EncodeFrame(f);
+  // Header after the u32 length prefix: 'P' 'R', then the layout version.
+  EXPECT_EQ(static_cast<uint8_t>(bytes[6]), 4);
   // Strip the u32 length prefix the socket layer consumes.
   auto back = serve::DecodeFramePayload(std::string_view(bytes).substr(4));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -165,7 +166,6 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   EXPECT_EQ(t.morsels, tel.morsels);
   EXPECT_EQ(t.shards_used, tel.shards_used);
   EXPECT_EQ(t.bytes_exchanged, tel.bytes_exchanged);
-  EXPECT_EQ(t.compile_tier, tel.compile_tier);
   EXPECT_EQ(t.morsels_interpreted, tel.morsels_interpreted);
   EXPECT_EQ(t.morsels_jit, tel.morsels_jit);
   EXPECT_EQ(t.swap_ms, tel.swap_ms);
