@@ -1,6 +1,7 @@
-// Monoid accumulators: the one fold behind every Reduce and Nest partial
-// sink — the interpreter's, and the generated engine's boxed per-morsel
-// sinks (partial_sink.h).
+// Monoid accumulators: the fold behind every Reduce partial sink — the
+// interpreter's, and the generated engine's boxed per-morsel sinks
+// (partial_sink.h) — and behind a GroupTable's Aggregator column (the Nest
+// outputs its 8-byte slots cannot hold).
 #pragma once
 
 #include <memory>
@@ -64,6 +65,9 @@ class Aggregator {
 
   /// The folded result; the monoid's zero element if nothing was added.
   Value Final() const;
+  /// max/min: the current extreme, null until a value was added. Generated
+  /// group loops read string extremes in place through it.
+  const Value& extreme() const { return extreme_; }
 
   /// Encodes the complete accumulator state (monoid included) so a partial
   /// aggregate can cross the shard wire; Deserialize rebuilds an accumulator
@@ -91,7 +95,7 @@ class Aggregator {
   ValueList items_;   // bag/list/set
   /// kSet only: item hash -> indices into items_ (rebuilt on deserialize).
   /// Lazily allocated so the overwhelmingly more common non-set
-  /// accumulators — e.g. every group × output cell of a group-by partial —
+  /// accumulators — e.g. a group table's bag or list column cells —
   /// don't carry an empty hash map.
   using SetIndex = std::unordered_map<uint64_t, std::vector<uint32_t>>;
   std::unique_ptr<SetIndex> set_index_;

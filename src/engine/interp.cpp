@@ -391,7 +391,7 @@ class GroupCursor : public Cursor {
  public:
   GroupCursor(const GroupTable& groups, const Operator& op, ScanRange range)
       : groups_(groups), op_(op), pos_(range.begin),
-        end_(std::min<uint64_t>(range.end, groups.keys.size())) {}
+        end_(std::min<uint64_t>(range.end, groups.size())) {}
 
   Status Open() override { return Status::OK(); }
 
@@ -536,8 +536,7 @@ class MorselRunner {
     PlanPartials partials;
     partials.nest = nest != nullptr;
     if (nest != nullptr) {
-      partials.group_morsels.resize(slots);
-      for (auto& p : partials.group_morsels) p.count_bytes = false;
+      partials.group_morsels.assign(slots, GroupTable(GroupLayout::ForNest(*nest)));
       PROTEUS_RETURN_NOT_OK(RunPipelines(
           main_, morsels,
           [&](EvalEnv& row, uint64_t m) { return partials.group_morsels[m].AddRow(*nest, row); },
@@ -573,13 +572,13 @@ class MorselRunner {
   /// leaf splits its folded groups evenly, scans go through
   /// SplitLeafMorsels.
   Result<std::vector<ScanRange>> SplitLeaf(const Operator& leaf) {
-    if (leaf.kind() == OpKind::kNest) return SplitRowMorsels(ctx_, nests_.at(&leaf)->keys.size());
+    if (leaf.kind() == OpKind::kNest) return SplitRowMorsels(ctx_, nests_.at(&leaf)->size());
     return SplitLeafMorsels(ctx_, leaf);
   }
 
   /// Folds the input region of mid-chain Nest `nest` into nests_[nest] —
-  /// as a single morsel, in row order, the fold the generated engine's
-  /// packed group table performs too (outer-join drains of the region
+  /// as a single morsel, in row order, into the GroupTable the generated
+  /// engine's fold fills too (outer-join drains of the region
   /// follow its probe rows). The cancel flag is checked every
   /// kDefaultMorselRows folded rows, the promptness of a morsel boundary.
   Status FoldNest(const Operator& nest) {
@@ -588,13 +587,15 @@ class MorselRunner {
       return Status::InvalidArgument("nest input has no pipeline chain");
     }
     PROTEUS_RETURN_NOT_OK(PrepareRegion(desc));
-    auto groups = std::make_shared<GroupTable>();
+    auto groups = std::make_shared<GroupTable>(GroupLayout::ForNest(nest));
     uint64_t rows = 0;
     auto fold = [&](EvalEnv& row, uint64_t) -> Status {
       if (rows++ % kDefaultMorselRows == 0) PROTEUS_RETURN_NOT_OK(CheckCancelled(ctx_));
       return groups->AddRow(nest, row);
     };
     PROTEUS_RETURN_NOT_OK(RunPipelines(desc, {ScanRange{0, UINT64_MAX}}, fold));
+    // Materialization estimate: 48 bytes per distinct group.
+    GlobalCounters().bytes_materialized += 48 * groups->size();
     nests_[&nest] = std::move(groups);
     return Status::OK();
   }

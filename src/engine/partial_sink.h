@@ -11,7 +11,8 @@
 // fold the same per-morsel partials in the same (global morsel) order.
 #pragma once
 
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/algebra/algebra.h"
@@ -26,43 +27,136 @@ namespace obs {
 class TraceRecorder;
 }  // namespace obs
 
-/// Hash group table of a Nest operator. The single home of the grouping
-/// semantics: a Nest below the root folds its whole input into one, in row
+/// Where a Nest output's fold state lives in a GroupTable row: one 8-byte
+/// slot (int64, double bits, or a 0/1 bool) plus a seen flag, or — for
+/// outputs a slot cannot hold — a boxed Aggregator in the table's
+/// Aggregator column.
+enum class GroupSlot : uint8_t { kInt = 0, kFloat = 1, kBool = 2, kAggregator = 3 };
+
+/// Kind of a group key in a GroupTable's key column.
+enum class GroupKeyTag : uint8_t { kNull = 0, kInt = 1, kFloat = 2, kBool = 3, kString = 4 };
+
+/// The shape of a Nest's group table, derived from the Nest's outputs alone
+/// (ForNest), so every engine, morsel, shard and tiered swap of one plan
+/// builds tables that merge column for column:
+///   count, and int/date/bool sums          -> kInt slot
+///   float sums and float max/min           -> kFloat slot
+///   int/date max/min                       -> kInt slot
+///   bool max/min and bool and/or           -> kBool slot
+///   collection monoids, string max/min and
+///   outputs of any other or unknown type   -> kAggregator column
+struct GroupLayout {
+  struct Output {
+    Monoid monoid;
+    GroupSlot slot;
+    bool operator==(const Output& o) const { return monoid == o.monoid && slot == o.slot; }
+  };
+  std::vector<Output> outputs;
+
+  static GroupLayout ForNest(const Operator& nest);
+  bool operator==(const GroupLayout& o) const { return outputs == o.outputs; }
+  bool operator!=(const GroupLayout& o) const { return !(*this == o); }
+  std::string ToString() const;
+};
+
+/// The one group table of a Nest, shared by both engines at every Nest
+/// position. A Nest below the root folds its whole input into one, in row
 /// order; a Nest under the root fills one per morsel and folds them together
 /// in morsel order (first-appearance group order then matches a row-order
 /// scan's).
-struct GroupTable {
-  std::vector<Value> keys;
-  std::vector<std::vector<Aggregator>> aggs;
-  std::unordered_map<uint64_t, std::vector<size_t>> index;
-  /// Per-morsel partials set this false and the merged distinct-group total
-  /// is counted once instead, so bytes_materialized for a group-by matches
-  /// a single-table fold regardless of morsel count.
-  bool count_bytes = true;
+///
+/// Columns, one entry per group in first-appearance order:
+///   - the key: a tag, 8 bits (int, bool, or the double's bit pattern) and,
+///     for strings, bytes in one shared buffer. Keys hash and compare with
+///     Value::Equals semantics — 0.0 and -0.0 are one group, an int key and
+///     an equal float key are one group, NaN never matches — and all null
+///     keys form one group;
+///   - a slot row of layout().outputs.size() 8-byte slots followed by one
+///     seen byte per output, padded to whole words. A slot starts at 0
+///     (1 for `and`); its seen byte turns 1 when a non-null input folds into
+///     it (count never sets it). Unseen max/min finalize to null and an
+///     unseen sum to Int(0), as Aggregator does;
+///   - the Aggregator column: one boxed Aggregator per kAggregator output.
+/// A flat open-addressing index over the key hashes finds a key's group.
+///
+/// The interpreter writes it from evaluated Values (AddRow); generated code
+/// calls Upsert once per row and updates the returned slot row inline
+/// (src/jit/jit_engine.cpp), reaching the Aggregator column through
+/// AggregatorAt.
+class GroupTable {
+ public:
+  GroupTable() : GroupTable(GroupLayout{}) {}
+  explicit GroupTable(GroupLayout layout);
 
-  Status AddRow(const Operator& op, const EvalEnv& row);
+  const GroupLayout& layout() const { return layout_; }
+  size_t size() const { return key_tag_.size(); }
 
-  /// Raw-value row path used by generated (JIT) per-morsel pipelines, which
-  /// hold the already-evaluated key in a register: finds or creates `key`'s
-  /// group and returns its index; the caller then Add()s into aggs[group].
-  /// Same first-appearance group order as AddRow.
-  size_t UpsertKey(const Operator& op, Value key) { return FindOrAdd(op, std::move(key)); }
+  /// Interpreter row path: runs `row` through the Nest's predicate, then
+  /// folds its key and outputs.
+  Status AddRow(const Operator& nest, const EvalEnv& row);
 
-  /// Folds `other` into this table, appending unseen groups in `other`'s
-  /// first-appearance order.
-  void MergeFrom(const Operator& op, GroupTable&& other);
+  /// Finds or appends the group of the key (tag, bits, str[0, len)) and
+  /// returns its slot row, valid until the next Upsert. `bits` is ignored
+  /// for null and string keys, `str` for the others.
+  int64_t* Upsert(GroupKeyTag tag, int64_t bits, const char* str, size_t len);
 
-  /// Output record of group `g` ({group_name: key, <output aggregates>...}).
-  Value GroupRecord(const Operator& op, size_t g) const;
+  int64_t* SlotRow(size_t g) { return slots_.data() + g * row_words_; }
+  const int64_t* SlotRow(size_t g) const { return slots_.data() + g * row_words_; }
+  /// Group index of a row pointer Upsert or SlotRow returned.
+  size_t GroupOf(const int64_t* row) const {
+    return static_cast<size_t>(row - slots_.data()) / row_words_;
+  }
+  /// The boxed accumulator of kAggregator output `output` in group `g`.
+  Aggregator& AggregatorAt(size_t g, size_t output) {
+    return aggs_[g * num_aggs_ + agg_index_[output]];
+  }
+  const Aggregator& AggregatorAt(size_t g, size_t output) const {
+    return aggs_[g * num_aggs_ + agg_index_[output]];
+  }
 
-  /// Wire round-trip for the shard boundary. The hash index is rebuilt on
-  /// deserialization; the reconstructed table merges and finalizes
-  /// identically to the original.
+  GroupKeyTag KeyTag(size_t g) const { return static_cast<GroupKeyTag>(key_tag_[g]); }
+  int64_t KeyBits(size_t g) const { return key_bits_[g]; }
+  std::string_view KeyString(size_t g) const {
+    return std::string_view(key_bytes_).substr(static_cast<size_t>(key_bits_[g]), key_len_[g]);
+  }
+
+  /// Group `g`'s key and folded output `output` as boxed Values.
+  Value Key(size_t g) const;
+  Value Cell(size_t g, size_t output) const;
+  /// Output record of group `g` ({group_name: key, <outputs>...}).
+  Value GroupRecord(const Operator& nest, size_t g) const;
+
+  /// Folds `other` (same layout) into this table, appending unseen groups
+  /// in `other`'s first-appearance order.
+  void MergeFrom(GroupTable&& other);
+
+  /// Wire round-trip for the shard boundary: the layout, then the columns.
+  /// The hash index is rebuilt on deserialization; the reconstructed table
+  /// merges and finalizes identically to the original. Malformed input
+  /// (truncated columns, out-of-range tags or string spans, an Aggregator
+  /// whose monoid disagrees with the layout) returns InvalidArgument.
   void Serialize(WireWriter* w) const;
   static Result<GroupTable> Deserialize(WireReader* r);
 
  private:
-  size_t FindOrAdd(const Operator& op, Value key);
+  bool KeyEquals(size_t g, GroupKeyTag tag, int64_t bits, const char* str, size_t len) const;
+  size_t Append(GroupKeyTag tag, int64_t bits, const char* str, size_t len, uint64_t hash);
+  void Grow();
+
+  GroupLayout layout_;
+  size_t row_words_ = 0;
+  std::vector<int64_t> init_row_;     ///< a fresh group's slot row
+  std::vector<uint32_t> agg_index_;   ///< output -> Aggregator column index
+  size_t num_aggs_ = 0;
+
+  std::vector<uint8_t> key_tag_;
+  std::vector<int64_t> key_bits_;     ///< string keys: offset into key_bytes_
+  std::vector<uint32_t> key_len_;     ///< string keys: byte length, else 0
+  std::string key_bytes_;
+  std::vector<uint64_t> key_hash_;
+  std::vector<int64_t> slots_;        ///< group-major, row_words_ per group
+  std::vector<Aggregator> aggs_;      ///< group-major, num_aggs_ per group
+  std::vector<uint32_t> index_;       ///< group + 1 per bucket, 0 = empty
 };
 
 /// The binding a Nest's grouped record is published under.
@@ -111,16 +205,17 @@ Result<QueryResult> FinalizePlanPartials(const Operator& reduce, const Operator*
 /// the C entry points below. The generated function keeps per-tuple work in
 /// registers and crosses this boundary only at the partial-sink granularity
 /// the interpreter's morsel executor uses too — a scalar flush per morsel,
-/// a group upsert per grouped row, a boxed row per emitted row — so a JIT
-/// morsel partial is bit-indistinguishable from an interpreter one and both
-/// merge through the same FinalizePlanPartials fold.
+/// a group-table upsert per grouped row, a boxed row per emitted row — so a
+/// JIT morsel partial is bit-indistinguishable from an interpreter one and
+/// both merge through the same FinalizePlanPartials fold.
 struct JitMorselSink {
   /// Scalar-aggregate or collection root: the morsel's accumulator vector
   /// (MakeReduceAggs shape).
   std::vector<Aggregator>* aggs = nullptr;
-  /// Nest directly under the root: the morsel's group table + the Nest op.
+  /// Nest directly under the root: the morsel's group table, which the
+  /// generated code upserts into and updates in place
+  /// (proteus_morsel_groups hands it over).
   GroupTable* groups = nullptr;
-  const Operator* nest = nullptr;
   /// Collection root: result column names; row_records is true when the
   /// head expression was a record constructor (rows box into records with
   /// these names, matching what Eval() produces for the interpreter).
@@ -137,7 +232,6 @@ struct JitMorselSink {
   /// Null when the plan has no outer chain joins.
   std::vector<std::vector<uint8_t>>* matched = nullptr;
 
-  size_t cur_group = 0;       ///< group of the row being aggregated
   std::vector<Value> staged;  ///< cells of the row being emitted
 };
 
@@ -157,19 +251,9 @@ void proteus_sink_agg_flush_int(void* sink, uint32_t i, int64_t v, int64_t rows)
 void proteus_sink_agg_flush_double(void* sink, uint32_t i, double v, int64_t rows);
 void proteus_sink_agg_flush_bool(void* sink, uint32_t i, int32_t v, int64_t rows);
 
-// Nest under the root: begin a grouped row (upsert its key), then fold each
-// output's evaluated value. The null variant covers SQL-null group keys
-// (e.g. rows drained from an outer join grouping on a probe-side field).
-void proteus_sink_group_begin_int(void* sink, int64_t key);
-void proteus_sink_group_begin_double(void* sink, double key);
-void proteus_sink_group_begin_bool(void* sink, int32_t key);
-void proteus_sink_group_begin_str(void* sink, const char* p, int64_t len);
-void proteus_sink_group_begin_null(void* sink);
-void proteus_sink_group_agg_count(void* sink, uint32_t i);
-void proteus_sink_group_agg_int(void* sink, uint32_t i, int64_t v);
-void proteus_sink_group_agg_double(void* sink, uint32_t i, double v);
-void proteus_sink_group_agg_bool(void* sink, uint32_t i, int32_t v);
-void proteus_sink_group_agg_str(void* sink, uint32_t i, const char* p, int64_t len);
+// Nest under the root: the morsel's GroupTable*, which the generated code
+// then drives through the proteus_group_* helpers (src/jit/runtime.h).
+void* proteus_morsel_groups(void* sink);
 
 // Collection root: stage one row's cells, then box it into the morsel's
 // collection accumulator. emit_null stages a SQL-null cell (outer-join

@@ -183,12 +183,29 @@ class Codegen {
   /// restoring nullable fields' null flags from the trailing mask slot
   /// (shared by the probe loop and the unmatched drain).
   void RebindPayload(const Operator& op, llvm::Value* row_ptr);
-  /// Folds a mid-chain Nest's input region into a packed group table — one
+  /// A value as the (tag, bits, str, len) arguments of the group-table
+  /// helpers: its GroupKeyTag (kNull when its null flag is set), int/bool
+  /// value or double bits, and string bytes.
+  struct TaggedValue {
+    llvm::Value* tag;
+    llvm::Value* bits;
+    llvm::Value* str;
+    llvm::Value* len;
+  };
+  TaggedValue Tagged(const CgValue& v);
+  /// proteus_group_upsert of `key` into `table`: the group's slot row.
+  llvm::Value* EmitGroupUpsert(llvm::Value* table, const CgValue& key);
+  /// Folds the current row's outputs of Nest `op` into slot row `row` of
+  /// `table` — the GroupTable fold, inline: slots and seen bytes updated in
+  /// place, Aggregator-column outputs through proteus_group_agg.
+  Status EmitGroupUpdate(const Operator& op, const GroupLayout& layout, llvm::Value* table,
+                         llvm::Value* row);
+  /// Folds a mid-chain Nest's input region into its GroupTable — one
   /// whole-relation pass in row order, inside proteus_build — registered in
   /// group_ids_ for the group loops that read it.
   Status EmitNestFold(const Operator& op);
-  /// Loops groups [lo, hi) of a folded Nest's table, binding the group
-  /// record's fields, and runs `consume` per group.
+  /// Loops groups [lo, hi) of a folded Nest's table (hi = null: all of
+  /// them), binding the group record's fields, and runs `consume` per group.
   Status EmitNestGroups(const Operator& op, llvm::Value* lo, llvm::Value* hi,
                         const Consume& consume);
   Status EmitFilter(const ExprPtr& pred, const Consume& consume);
@@ -341,6 +358,8 @@ class Codegen {
   /// field of that join can be null.
   std::unordered_map<const Operator*, int> join_null_slots_;
   std::unordered_map<const Operator*, uint32_t> group_ids_;
+  /// Folded Nests some of whose keys can be SQL null.
+  std::unordered_set<const Operator*> nullable_group_keys_;
   std::unordered_map<const Operator*, uint32_t> unnest_ids_;
   std::unordered_map<std::string, llvm::Value*> string_globals_;
   std::unordered_map<const Expr*, uint32_t> literal_index_;  // node -> shape position
@@ -448,13 +467,22 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
   return Status::Unimplemented(joined);
 }
 
-/// Kind of a Nest output's slot in the packed group table (and of the
-/// group-record field it binds): count and integer aggregates are int64,
-/// float-typed aggregates double.
-Result<TypeKind> NestSlotKind(const AggOutput& o) {
-  if (o.monoid == Monoid::kCount) return TypeKind::kInt64;
-  if (!o.expr->type()) return Status::Internal("jit: un-typechecked nest output");
-  return o.expr->type()->kind() == TypeKind::kFloat64 ? TypeKind::kFloat64 : TypeKind::kInt64;
+/// Type of a Nest output's field in the group record generated code binds:
+/// the kind of its GroupTable slot, or — for a string max/min held in the
+/// Aggregator column — the string it folds.
+Result<TypePtr> GroupFieldType(const AggOutput& o, GroupSlot slot) {
+  switch (slot) {
+    case GroupSlot::kInt: return Type::Int64();
+    case GroupSlot::kFloat: return Type::Float64();
+    case GroupSlot::kBool: return Type::Bool();
+    case GroupSlot::kAggregator:
+      if ((o.monoid == Monoid::kMax || o.monoid == Monoid::kMin) && o.expr->type() != nullptr &&
+          o.expr->type()->kind() == TypeKind::kString) {
+        return Type::String();
+      }
+      break;
+  }
+  return Status::Unimplemented("jit: nest output '" + o.name + "' has no generated slot");
 }
 
 Result<TypePtr> Codegen::VarType(const std::string& var) const {
@@ -532,9 +560,11 @@ Status Codegen::Prepare(const OpPtr& op) {
       // above a Nest can type its fields.
       if (!op->group_by()->type()) return Status::Internal("jit: un-typechecked group key");
       std::vector<Field> fields{{op->group_name(), op->group_by()->type()}};
-      for (const auto& o : op->outputs()) {
-        PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
-        fields.push_back({o.name, k == TypeKind::kFloat64 ? Type::Float64() : Type::Int64()});
+      const GroupLayout layout = GroupLayout::ForNest(*op);
+      for (size_t i = 0; i < op->outputs().size(); ++i) {
+        PROTEUS_ASSIGN_OR_RETURN(TypePtr t,
+                                 GroupFieldType(op->outputs()[i], layout.outputs[i].slot));
+        fields.push_back({op->outputs()[i].name, std::move(t)});
       }
       var_types_[NestBinding(*op)] = Type::Record(std::move(fields));
       return Status::OK();
@@ -1644,39 +1674,120 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
 // Nest
 // ---------------------------------------------------------------------------
 
-Status Codegen::EmitNestFold(const Operator& op) {
-  // Agg slot layout + init values.
-  std::vector<TypeKind> slot_kinds;
-  std::vector<int64_t> init;
-  for (const auto& o : op.outputs()) {
-    PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
-    slot_kinds.push_back(k);
-    int64_t zero = 0;
-    if (o.monoid == Monoid::kMax) {
-      if (k == TypeKind::kFloat64) {
-        double d = -std::numeric_limits<double>::infinity();
-        std::memcpy(&zero, &d, 8);
+Codegen::TaggedValue Codegen::Tagged(const CgValue& v) {
+  auto tag = [&](GroupKeyTag t) { return b_.getInt32(static_cast<uint32_t>(t)); };
+  TaggedValue out;
+  out.bits = b_.getInt64(0);
+  out.str = llvm::ConstantPointerNull::get(b_.getInt8PtrTy());
+  out.len = b_.getInt64(0);
+  if (v.kind == TypeKind::kString) {
+    out.tag = tag(GroupKeyTag::kString);
+    out.str = v.v;
+    out.len = v.len;
+  } else if (v.kind == TypeKind::kFloat64) {
+    out.tag = tag(GroupKeyTag::kFloat);
+    out.bits = b_.CreateBitCast(v.v, b_.getInt64Ty());
+  } else if (v.kind == TypeKind::kBool) {
+    out.tag = tag(GroupKeyTag::kBool);
+    out.bits = b_.CreateZExt(v.v, b_.getInt64Ty());
+  } else {
+    out.tag = tag(GroupKeyTag::kInt);
+    out.bits = v.v;
+  }
+  if (v.null != nullptr) out.tag = b_.CreateSelect(v.null, tag(GroupKeyTag::kNull), out.tag);
+  return out;
+}
+
+llvm::Value* Codegen::EmitGroupUpsert(llvm::Value* table, const CgValue& key) {
+  auto* i8p = b_.getInt8PtrTy();
+  auto* i64 = b_.getInt64Ty();
+  const TaggedValue k = Tagged(key);
+  return b_.CreateCall(Helper("proteus_group_upsert", i64->getPointerTo(),
+                              {i8p, b_.getInt32Ty(), i64, i8p, i64}),
+                       {table, k.tag, k.bits, k.str, k.len});
+}
+
+Status Codegen::EmitGroupUpdate(const Operator& op, const GroupLayout& layout,
+                                llvm::Value* table, llvm::Value* row) {
+  auto* i8p = b_.getInt8PtrTy();
+  auto* i64 = b_.getInt64Ty();
+  const size_t n = op.outputs().size();
+  llvm::Value* row_bytes = b_.CreateBitCast(row, i8p);
+  for (size_t i = 0; i < n; ++i) {
+    const AggOutput& o = op.outputs()[i];
+    const GroupSlot slot = layout.outputs[i].slot;
+    llvm::Value* slot_ptr = b_.CreateGEP(i64, row, b_.getInt64(i));
+    llvm::Value* raw = b_.CreateLoad(i64, slot_ptr);
+    if (o.monoid == Monoid::kCount) {
+      b_.CreateStore(b_.CreateAdd(raw, b_.getInt64(1)), slot_ptr);
+      continue;
+    }
+    PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
+    if (slot == GroupSlot::kAggregator) {
+      // A null value boxes as kNull, which the helper skips.
+      const TaggedValue t = Tagged(v);
+      b_.CreateCall(Helper("proteus_group_agg", b_.getVoidTy(),
+                           {i8p, i64->getPointerTo(), b_.getInt32Ty(), b_.getInt32Ty(), i64,
+                            i8p, i64}),
+                    {table, row, b_.getInt32(static_cast<uint32_t>(i)), t.tag, t.bits, t.str,
+                     t.len});
+      continue;
+    }
+    if (v.kind == TypeKind::kString || (v.kind == TypeKind::kFloat64 && slot != GroupSlot::kFloat)) {
+      return Status::Unimplemented("jit: nest output '" + o.name +
+                                   "' does not fit its group slot");
+    }
+    llvm::Value* seen_ptr = b_.CreateGEP(b_.getInt8Ty(), row_bytes, b_.getInt64(8 * n + i));
+    llvm::Value* seen = b_.CreateLoad(b_.getInt8Ty(), seen_ptr);
+    llvm::Value* unseen = b_.CreateICmpEQ(seen, b_.getInt8(0));
+    llvm::Value* updated;
+    if (slot == GroupSlot::kFloat) {
+      // Same fold as GroupTable's: sums add in row order from 0.0, max/min
+      // replace on the first value or a strict ordered win.
+      llvm::Value* acc = b_.CreateBitCast(raw, b_.getDoubleTy());
+      llvm::Value* x = ToDouble(v);
+      llvm::Value* res;
+      if (o.monoid == Monoid::kSum) {
+        res = b_.CreateFAdd(acc, x);
       } else {
-        zero = std::numeric_limits<int64_t>::min();
+        llvm::Value* wins = o.monoid == Monoid::kMax ? b_.CreateFCmpOGT(x, acc)
+                                                     : b_.CreateFCmpOLT(x, acc);
+        res = b_.CreateSelect(b_.CreateOr(unseen, wins), x, acc);
       }
-    } else if (o.monoid == Monoid::kMin) {
-      if (k == TypeKind::kFloat64) {
-        double d = std::numeric_limits<double>::infinity();
-        std::memcpy(&zero, &d, 8);
-      } else {
-        zero = std::numeric_limits<int64_t>::max();
+      updated = b_.CreateBitCast(res, i64);
+    } else {
+      llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, i64) : v.v;
+      switch (o.monoid) {
+        case Monoid::kSum: updated = b_.CreateAdd(raw, x); break;
+        case Monoid::kAnd: updated = b_.CreateAnd(raw, x); break;
+        case Monoid::kOr: updated = b_.CreateOr(raw, x); break;
+        default: {
+          llvm::Value* wins = o.monoid == Monoid::kMax ? b_.CreateICmpSGT(x, raw)
+                                                       : b_.CreateICmpSLT(x, raw);
+          updated = b_.CreateSelect(b_.CreateOr(unseen, wins), x, raw);
+        }
       }
     }
-    init.push_back(zero);
+    llvm::Value* new_seen = b_.getInt8(1);
+    if (v.null != nullptr) {
+      // Null inputs do not contribute to aggregates (Eval semantics).
+      updated = b_.CreateSelect(v.null, raw, updated);
+      new_seen = b_.CreateSelect(v.null, seen, new_seen);
+    }
+    b_.CreateStore(updated, slot_ptr);
+    b_.CreateStore(new_seen, seen_ptr);
   }
+  return Status::OK();
+}
 
+Status Codegen::EmitNestFold(const Operator& op) {
   if (!op.group_by()->type()) return Status::Internal("jit: un-typechecked group key");
-  const bool string_keys = op.group_by()->type()->kind() == TypeKind::kString;
-  uint32_t table = layout_->AddGroup(string_keys, init);
-  group_ids_[&op] = table;
+  const GroupLayout layout = GroupLayout::ForNest(op);
+  const uint32_t id = layout_->AddGroup(layout);
+  group_ids_[&op] = id;
   auto* i8p = b_.getInt8PtrTy();
-  auto* i64p = b_.getInt64Ty()->getPointerTo();
-  llvm::Value* table_v = b_.getInt32(table);
+  llvm::Value* table = b_.CreateCall(Helper("proteus_group_table", i8p, {i8p, b_.getInt32Ty()}),
+                                     {CtxPtr(), b_.getInt32(id)});
   // Rows folded so far: the cancel flag is polled every kDefaultMorselRows
   // of them (the fold is one morsel, so it has no boundary of its own).
   llvm::Value* folded = EntryCounter("folded");
@@ -1701,72 +1812,10 @@ Status Codegen::EmitNestFold(const Operator& op) {
     b_.SetInsertPoint(row_bb);
 
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
-    if (key.null != nullptr) {
-      // The packed int64/string group table cannot represent a null key;
-      // only nests directly under the root (boxed-Value group tables) can.
-      return Status::Unimplemented("jit: nullable group key in a mid-chain nest");
-    }
-    llvm::Value* slots;
-    if (string_keys) {
-      slots = b_.CreateCall(Helper("proteus_group_upsert_str", i64p,
-                                   {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                            {CtxPtr(), table_v, key.v, key.len});
-    } else {
-      // Float keys round-trip through the int64 key slot as their raw bit
-      // pattern — grouping on bit equality, which the group loop bitcasts
-      // back to a double binding.
-      llvm::Value* k64;
-      if (key.kind == TypeKind::kBool) {
-        k64 = b_.CreateZExt(key.v, b_.getInt64Ty());
-      } else if (key.kind == TypeKind::kFloat64) {
-        k64 = b_.CreateBitCast(key.v, b_.getInt64Ty());
-      } else {
-        k64 = key.v;
-      }
-      slots = b_.CreateCall(Helper("proteus_group_upsert", i64p,
-                                   {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                            {CtxPtr(), table_v, k64});
-    }
-    for (size_t i = 0; i < op.outputs().size(); ++i) {
-      const AggOutput& o = op.outputs()[i];
-      llvm::Value* slot_ptr = b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i));
-      llvm::Value* raw = b_.CreateLoad(b_.getInt64Ty(), slot_ptr);
-      llvm::Value* updated;
-      if (o.monoid == Monoid::kCount) {
-        updated = b_.CreateAdd(raw, b_.getInt64(1));
-      } else {
-        PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-        if (slot_kinds[i] == TypeKind::kFloat64) {
-          llvm::Value* acc = b_.CreateBitCast(raw, b_.getDoubleTy());
-          llvm::Value* x = ToDouble(v);
-          llvm::Value* res;
-          if (o.monoid == Monoid::kSum) {
-            res = b_.CreateFAdd(acc, x);
-          } else if (o.monoid == Monoid::kMax) {
-            res = b_.CreateSelect(b_.CreateFCmpOGT(x, acc), x, acc);
-          } else {
-            res = b_.CreateSelect(b_.CreateFCmpOLT(x, acc), x, acc);
-          }
-          updated = b_.CreateBitCast(res, b_.getInt64Ty());
-        } else {
-          llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, b_.getInt64Ty())
-                                                     : v.v;
-          if (o.monoid == Monoid::kSum) {
-            updated = b_.CreateAdd(raw, x);
-          } else if (o.monoid == Monoid::kMax) {
-            updated = b_.CreateSelect(b_.CreateICmpSGT(x, raw), x, raw);
-          } else {
-            updated = b_.CreateSelect(b_.CreateICmpSLT(x, raw), x, raw);
-          }
-        }
-        if (v.null != nullptr) {
-          // Null inputs do not contribute to aggregates (Eval semantics).
-          updated = b_.CreateSelect(v.null, raw, updated);
-        }
-      }
-      b_.CreateStore(updated, slot_ptr);
-    }
-    return Status::OK();
+    // The group loops reading this table bind a null flag on the key only
+    // when some folded key could be null.
+    if (key.null != nullptr) nullable_group_keys_.insert(&op);
+    return EmitGroupUpdate(op, layout, table, EmitGroupUpsert(table, key));
   };
   return EmitProduce(op.child(0), [&]() { return EmitFilter(op.pred(), update); });
 }
@@ -1775,60 +1824,86 @@ Status Codegen::EmitNestGroups(const Operator& op, llvm::Value* lo, llvm::Value*
                                const Consume& consume) {
   const TypeKind key_kind = op.group_by()->type()->kind();
   auto* i8p = b_.getInt8PtrTy();
-  auto* i64p = b_.getInt64Ty()->getPointerTo();
-  llvm::Value* table_v = b_.getInt32(group_ids_.at(&op));
+  auto* i64 = b_.getInt64Ty();
+  const uint32_t id = group_ids_.at(&op);
+  const GroupLayout& layout = layout_->groups[id];
+  const size_t n = op.outputs().size();
+  llvm::Value* table = b_.CreateCall(Helper("proteus_group_table", i8p, {i8p, b_.getInt32Ty()}),
+                                     {CtxPtr(), b_.getInt32(id)});
+  if (hi == nullptr) {
+    hi = b_.CreateCall(Helper("proteus_group_count", i64, {i8p}), {table});
+  }
+  // proteus_group_row's view of one group (layout in runtime.h).
+  llvm::Value* view = EntryAlloca(i64, b_.getInt64(4 + 2 * n), "group_row");
+  auto field = [&](size_t k) { return b_.CreateLoad(i64, b_.CreateGEP(i64, view, b_.getInt64(k))); };
   const std::string& gvar = NestBinding(op);
-  // Only fields some expression reads are bound: a group-key or slot read
-  // is a runtime call the optimizer cannot drop.
-  auto needed = [&](const std::string& field) {
+  // Only fields some expression reads are bound.
+  auto needed = [&](const std::string& name) {
     auto it = needed_.find(gvar);
     return it != needed_.end() &&
-           std::find(it->second.begin(), it->second.end(), FieldPath{field}) != it->second.end();
+           std::find(it->second.begin(), it->second.end(), FieldPath{name}) != it->second.end();
   };
-  bool any_output = false;
-  for (const auto& o : op.outputs()) any_output = any_output || needed(o.name);
   return EmitRangeLoop(lo, hi, [&](llvm::Value* g) -> Status {
+    b_.CreateCall(Helper("proteus_group_row", b_.getVoidTy(), {i8p, i64, i64->getPointerTo()}),
+                  {table, g, view});
     if (needed(op.group_name())) {
       CgValue keyv;
+      llvm::Value* raw = field(0);
       if (key_kind == TypeKind::kString) {
-        llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
         keyv.kind = TypeKind::kString;
-        keyv.v = b_.CreateCall(Helper("proteus_group_key_str", i8p,
-                                      {i8p, b_.getInt32Ty(), b_.getInt64Ty(),
-                                       b_.getInt64Ty()->getPointerTo()}),
-                               {CtxPtr(), table_v, g, len_ptr});
-        keyv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
+        keyv.v = b_.CreateIntToPtr(raw, i8p);
+        keyv.len = field(1);
+      } else if (key_kind == TypeKind::kBool) {
+        keyv.kind = TypeKind::kBool;
+        keyv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
+      } else if (key_kind == TypeKind::kFloat64) {
+        keyv.kind = TypeKind::kFloat64;
+        keyv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
       } else {
-        llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", b_.getInt64Ty(),
-                                                {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                                         {CtxPtr(), table_v, g});
-        if (key_kind == TypeKind::kBool) {
-          keyv.kind = TypeKind::kBool;
-          keyv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
-        } else if (key_kind == TypeKind::kFloat64) {
-          keyv.kind = TypeKind::kFloat64;
-          keyv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
-        } else {
-          keyv.kind = TypeKind::kInt64;
-          keyv.v = raw;
-        }
+        keyv.kind = TypeKind::kInt64;
+        keyv.v = raw;
+      }
+      if (nullable_group_keys_.count(&op) != 0) {
+        keyv.null = b_.CreateICmpNE(field(2), b_.getInt64(0));
       }
       bindings_[Key(gvar, {op.group_name()})] = keyv;
     }
-    if (any_output) {
-      llvm::Value* slots = b_.CreateCall(
-          Helper("proteus_group_slots", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-          {CtxPtr(), table_v, g});
-      for (size_t i = 0; i < op.outputs().size(); ++i) {
-        const AggOutput& o = op.outputs()[i];
-        PROTEUS_ASSIGN_OR_RETURN(TypeKind k, NestSlotKind(o));
-        llvm::Value* raw = b_.CreateLoad(
-            b_.getInt64Ty(), b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i)));
-        CgValue cv;
-        cv.kind = k;
-        cv.v = k == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy()) : raw;
-        bindings_[Key(gvar, {o.name})] = cv;
+    llvm::Value* row = b_.CreateIntToPtr(field(3), i64->getPointerTo());
+    llvm::Value* row_bytes = b_.CreateBitCast(row, i8p);
+    for (size_t i = 0; i < n; ++i) {
+      const AggOutput& o = op.outputs()[i];
+      if (!needed(o.name)) continue;
+      const GroupSlot slot = layout.outputs[i].slot;
+      const bool extreme = o.monoid == Monoid::kMax || o.monoid == Monoid::kMin;
+      CgValue cv;
+      if (slot == GroupSlot::kAggregator) {
+        // A string max/min (Prepare typed nothing else here): its extreme,
+        // read in place; a null address is the unseen (null) extreme.
+        llvm::Value* addr = field(4 + 2 * i);
+        cv.kind = TypeKind::kString;
+        cv.v = b_.CreateIntToPtr(addr, i8p);
+        cv.len = field(5 + 2 * i);
+        cv.null = b_.CreateICmpEQ(addr, b_.getInt64(0));
+      } else {
+        llvm::Value* raw = b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt64(i)));
+        if (slot == GroupSlot::kFloat) {
+          cv.kind = TypeKind::kFloat64;
+          cv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
+        } else if (slot == GroupSlot::kBool) {
+          cv.kind = TypeKind::kBool;
+          cv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
+        } else {
+          cv.kind = TypeKind::kInt64;
+          cv.v = raw;
+        }
+        if (extreme) {
+          // An unseen max/min is SQL null, as GroupTable::Cell reports it.
+          llvm::Value* seen = b_.CreateLoad(
+              b_.getInt8Ty(), b_.CreateGEP(b_.getInt8Ty(), row_bytes, b_.getInt64(8 * n + i)));
+          cv.null = b_.CreateICmpEQ(seen, b_.getInt8(0));
+        }
       }
+      bindings_[Key(gvar, {o.name})] = cv;
     }
     return consume();
   });
@@ -1859,10 +1934,7 @@ Status Codegen::EmitProduce(const OpPtr& op, const Consume& consume) {
       // loop in place.
       if (op.get() == driver_leaf_) return EmitNestGroups(*op, begin_arg_, end_arg_, consume);
       PROTEUS_RETURN_NOT_OK(EmitNestFold(*op));
-      llvm::Value* count = b_.CreateCall(
-          Helper("proteus_group_count", b_.getInt64Ty(), {b_.getInt8PtrTy(), b_.getInt32Ty()}),
-          {CtxPtr(), b_.getInt32(group_ids_.at(op.get()))});
-      return EmitNestGroups(*op, b_.getInt64(0), count, consume);
+      return EmitNestGroups(*op, b_.getInt64(0), nullptr, consume);
     }
     case OpKind::kReduce:
       return Status::Internal("jit: nested Reduce");
@@ -2095,104 +2167,20 @@ Status Codegen::EmitMorselRoot(const OpPtr& reduce, const Operator* nest) {
   return EmitReduceRoot(reduce);
 }
 
-/// Nest directly under the root: per-row group upsert into this morsel's
-/// GroupTable partial through the sink entry points. The merged groups
-/// stream through the Reduce root in FinalizePlanPartials — the same code
-/// the interpreter's parallel path runs — so group order and aggregate bits
-/// match it exactly.
+/// Nest directly under the root: one upsert per row into this morsel's
+/// GroupTable partial, then the slot updates inline — the fold a mid-chain
+/// Nest emits too. The merged groups stream through the Reduce root in
+/// FinalizePlanPartials — the same code the interpreter's parallel path
+/// runs — so group order and aggregate bits match it exactly.
 Status Codegen::EmitNestMorsel(const Operator& op) {
-  auto* i8p = b_.getInt8PtrTy();
   if (!op.group_by()->type()) return Status::Internal("jit: un-typechecked group key");
-  for (const auto& o : op.outputs()) {
-    if (o.monoid != Monoid::kCount && !o.expr->type()) {
-      return Status::Internal("jit: un-typechecked nest output");
-    }
-  }
-
+  const GroupLayout layout = GroupLayout::ForNest(op);
+  auto* i8p = b_.getInt8PtrTy();
+  llvm::Value* table =
+      b_.CreateCall(Helper("proteus_morsel_groups", i8p, {i8p}), {SinkPtr()});
   Consume update = [&]() -> Status {
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
-    auto begin_typed = [&]() {
-      if (key.kind == TypeKind::kString) {
-        b_.CreateCall(Helper("proteus_sink_group_begin_str", b_.getVoidTy(),
-                             {i8p, i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), key.v, key.len});
-      } else if (key.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper("proteus_sink_group_begin_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty()}),
-                      {SinkPtr(), b_.CreateZExt(key.v, b_.getInt32Ty())});
-      } else if (key.kind == TypeKind::kFloat64) {
-        // Float keys box through Value::Float — the interpreter's exact
-        // group key, so hashing/equality/order cannot diverge from it.
-        b_.CreateCall(Helper("proteus_sink_group_begin_double", b_.getVoidTy(),
-                             {i8p, b_.getDoubleTy()}),
-                      {SinkPtr(), key.v});
-      } else {
-        b_.CreateCall(Helper("proteus_sink_group_begin_int", b_.getVoidTy(),
-                             {i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), key.v});
-      }
-    };
-    if (key.null == nullptr) {
-      begin_typed();
-    } else {
-      // The boxed group table holds Value::Null keys the same way the
-      // interpreter's does (drain rows grouping on a probe-side field).
-      auto* typed_bb = llvm::BasicBlock::Create(*llctx_, "group.key", fn_);
-      auto* null_bb = llvm::BasicBlock::Create(*llctx_, "group.nullkey", fn_);
-      auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "group.merge", fn_);
-      b_.CreateCondBr(key.null, null_bb, typed_bb);
-      b_.SetInsertPoint(typed_bb);
-      begin_typed();
-      b_.CreateBr(merge_bb);
-      b_.SetInsertPoint(null_bb);
-      b_.CreateCall(Helper("proteus_sink_group_begin_null", b_.getVoidTy(), {i8p}),
-                    {SinkPtr()});
-      b_.CreateBr(merge_bb);
-      b_.SetInsertPoint(merge_bb);
-    }
-    for (size_t i = 0; i < op.outputs().size(); ++i) {
-      const AggOutput& o = op.outputs()[i];
-      llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
-      if (o.monoid == Monoid::kCount) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_count", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty()}),
-                      {SinkPtr(), idx});
-        continue;
-      }
-      PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-      // Dispatch on the emitted kind so the boxed value the sink Add()s has
-      // the same Value kind the interpreter's Eval() would produce. Null
-      // inputs skip the call — Aggregator::Add(null) is a no-op anyway.
-      llvm::BasicBlock* agg_merge = nullptr;
-      if (v.null != nullptr) {
-        auto* agg_bb = llvm::BasicBlock::Create(*llctx_, "group.agg", fn_);
-        agg_merge = llvm::BasicBlock::Create(*llctx_, "group.agg.merge", fn_);
-        b_.CreateCondBr(v.null, agg_merge, agg_bb);
-        b_.SetInsertPoint(agg_bb);
-      }
-      if (v.kind == TypeKind::kFloat64) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_double", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getDoubleTy()}),
-                      {SinkPtr(), idx, v.v});
-      } else if (v.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt32Ty()}),
-                      {SinkPtr(), idx, b_.CreateZExt(v.v, b_.getInt32Ty())});
-      } else if (v.kind == TypeKind::kString) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_str", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v.v, v.len});
-      } else {
-        b_.CreateCall(Helper("proteus_sink_group_agg_int", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v.v});
-      }
-      if (agg_merge != nullptr) {
-        b_.CreateBr(agg_merge);
-        b_.SetInsertPoint(agg_merge);
-      }
-    }
-    return Status::OK();
+    return EmitGroupUpdate(op, layout, table, EmitGroupUpsert(table, key));
   };
   return EmitProduce(op.child(0), [&]() { return EmitFilter(op.pred(), update); });
 }
@@ -2605,12 +2593,8 @@ Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional
   partials.nest = nest != nullptr;
   std::vector<JitMorselSink> sinks(slots);
   if (nest != nullptr) {
-    partials.group_morsels.resize(slots);
-    for (size_t m = 0; m < slots; ++m) {
-      partials.group_morsels[m].count_bytes = false;
-      sinks[m].groups = &partials.group_morsels[m];
-      sinks[m].nest = nest;
-    }
+    partials.group_morsels.assign(slots, GroupTable(GroupLayout::ForNest(*nest)));
+    for (size_t m = 0; m < slots; ++m) sinks[m].groups = &partials.group_morsels[m];
   } else {
     partials.agg_morsels.reserve(slots);
     for (size_t m = 0; m < slots; ++m) partials.agg_morsels.push_back(MakeReduceAggs(*plan));

@@ -17,7 +17,7 @@
 // cell-identical for every thread count and across engines; num_threads is
 // purely a performance knob even with codegen on. A Nest below the root is
 // a pipeline breaker: proteus_build folds its input region — serially, in
-// row order — into a packed group table, and the pipeline function's
+// row order — into the typed GroupTable, and the pipeline function's
 // morsels range over that table's groups.
 //
 // Compiled code is position-independent (src/jit/query_cache.h): data
@@ -54,13 +54,12 @@
 // the choice is invisible to results; it is baked into the compiled module
 // and therefore part of the query-cache key. Non-equi joins compile to a
 // nested loop over the frozen build rows (the interpreter's exact match
-// enumeration), and float group keys box through the same Value-keyed group
-// table the interpreter uses.
+// enumeration), and every Nest folds into the same typed GroupTable the
+// interpreter writes (partial_sink.h), float keys included.
 //
 // Plans using features still outside the generated fast path (non-integer
 // equi-join keys, outer joins off the main pipeline chain, collection or
-// boolean monoids inside Nest, nullable group keys of a mid-chain Nest, deep
-// paths inside array elements) return
+// boolean monoids inside Nest, deep paths inside array elements) return
 // Unimplemented — every violation in the plan is reported, semicolon-joined
 // — and the region runner (jit::RunRegion) transparently falls back to the
 // (morsel-parallel) interpreter — recording the failed attempt's compile

@@ -252,7 +252,7 @@ Result<std::vector<int64_t>> BindParams(
 
 void InitRuntimeFromLayout(const RuntimeLayout& layout, QueryRuntime* rt) {
   for (const auto& j : layout.joins) rt->AddJoin(j.payload_slots, j.partitioned);
-  for (const auto& g : layout.groups) rt->AddGroup(g.string_keys, g.init);
+  for (const GroupLayout& g : layout.groups) rt->AddGroup(g);
   rt->num_unnests = layout.num_unnests;
 }
 

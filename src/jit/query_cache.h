@@ -48,6 +48,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/status.h"
+#include "src/engine/partial_sink.h"
 #include "src/plugins/plugin.h"
 
 namespace llvm {
@@ -162,19 +163,15 @@ struct RuntimeLayout {
     bool partitioned = false;    ///< probe layout of the build RadixTable
   };
   std::vector<JoinSpec> joins;
-  struct GroupSpec {
-    bool string_keys = false;
-    std::vector<int64_t> init;  ///< per-slot init bit patterns
-  };
-  std::vector<GroupSpec> groups;
+  std::vector<GroupLayout> groups;  ///< one per mid-chain Nest group table
   uint32_t num_unnests = 0;
 
   uint32_t AddJoin(uint32_t payload_slots, bool partitioned = false) {
     joins.push_back({payload_slots, partitioned});
     return static_cast<uint32_t>(joins.size() - 1);
   }
-  uint32_t AddGroup(bool string_keys, std::vector<int64_t> init) {
-    groups.push_back({string_keys, std::move(init)});
+  uint32_t AddGroup(GroupLayout layout) {
+    groups.push_back(std::move(layout));
     return static_cast<uint32_t>(groups.size() - 1);
   }
   uint32_t AddUnnest() { return num_unnests++; }

@@ -34,12 +34,11 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_join_probe_row", reinterpret_cast<void*>(&proteus_join_probe_row)},
       {"proteus_join_rows", reinterpret_cast<void*>(&proteus_join_rows)},
       {"proteus_join_payload_at", reinterpret_cast<void*>(&proteus_join_payload_at)},
+      {"proteus_group_table", reinterpret_cast<void*>(&proteus_group_table)},
       {"proteus_group_upsert", reinterpret_cast<void*>(&proteus_group_upsert)},
-      {"proteus_group_upsert_str", reinterpret_cast<void*>(&proteus_group_upsert_str)},
+      {"proteus_group_agg", reinterpret_cast<void*>(&proteus_group_agg)},
       {"proteus_group_count", reinterpret_cast<void*>(&proteus_group_count)},
-      {"proteus_group_key", reinterpret_cast<void*>(&proteus_group_key)},
-      {"proteus_group_key_str", reinterpret_cast<void*>(&proteus_group_key_str)},
-      {"proteus_group_slots", reinterpret_cast<void*>(&proteus_group_slots)},
+      {"proteus_group_row", reinterpret_cast<void*>(&proteus_group_row)},
       {"proteus_cancel_requested", reinterpret_cast<void*>(&proteus_cancel_requested)},
       {"proteus_runtime_error", reinterpret_cast<void*>(&proteus_runtime_error)},
       {"proteus_str_eq", reinterpret_cast<void*>(&proteus_str_eq)},
@@ -49,21 +48,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_sink_agg_flush_double",
        reinterpret_cast<void*>(&proteus_sink_agg_flush_double)},
       {"proteus_sink_agg_flush_bool", reinterpret_cast<void*>(&proteus_sink_agg_flush_bool)},
-      {"proteus_sink_group_begin_int",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_int)},
-      {"proteus_sink_group_begin_double",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_double)},
-      {"proteus_sink_group_begin_bool",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_bool)},
-      {"proteus_sink_group_begin_str",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_str)},
-      {"proteus_sink_group_agg_count",
-       reinterpret_cast<void*>(&proteus_sink_group_agg_count)},
-      {"proteus_sink_group_agg_int", reinterpret_cast<void*>(&proteus_sink_group_agg_int)},
-      {"proteus_sink_group_agg_double",
-       reinterpret_cast<void*>(&proteus_sink_group_agg_double)},
-      {"proteus_sink_group_agg_bool", reinterpret_cast<void*>(&proteus_sink_group_agg_bool)},
-      {"proteus_sink_group_agg_str", reinterpret_cast<void*>(&proteus_sink_group_agg_str)},
+      {"proteus_morsel_groups", reinterpret_cast<void*>(&proteus_morsel_groups)},
       {"proteus_sink_emit_int", reinterpret_cast<void*>(&proteus_sink_emit_int)},
       {"proteus_sink_emit_double", reinterpret_cast<void*>(&proteus_sink_emit_double)},
       {"proteus_sink_emit_bool", reinterpret_cast<void*>(&proteus_sink_emit_bool)},
@@ -71,8 +56,6 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_sink_emit_end", reinterpret_cast<void*>(&proteus_sink_emit_end)},
       {"proteus_sink_emit_null", reinterpret_cast<void*>(&proteus_sink_emit_null)},
       {"proteus_sink_join_matched", reinterpret_cast<void*>(&proteus_sink_join_matched)},
-      {"proteus_sink_group_begin_null",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_null)},
   };
 }
 
@@ -98,7 +81,8 @@ using proteus::CsvPlugin;
 using proteus::JsonPlugin;
 using proteus::JsonToken;
 using proteus::JsonTokenType;
-using proteus::jit::GroupTableRt;
+using proteus::GroupKeyTag;
+using proteus::GroupTable;
 using proteus::jit::JoinTableRt;
 using proteus::jit::MorselCtx;
 using proteus::jit::QueryRuntime;
@@ -181,53 +165,6 @@ bool FindElemField(const char* s, const char* e, const char* name, int64_t name_
 
 const JsonToken* JsonTok(const void* plugin, uint64_t oid, uint64_t path_hash) {
   return static_cast<const JsonPlugin*>(plugin)->FindTokenByHash(oid, path_hash);
-}
-
-uint32_t GroupFind(GroupTableRt& g, uint64_t hash, int64_t ikey, const char* skey,
-                   int64_t slen) {
-  if (g.buckets.empty()) {
-    g.buckets.assign(1024, 0xFFFFFFFFu);
-    g.mask = 1023;
-  }
-  // Grow at 70% load.
-  auto count = static_cast<uint32_t>(g.string_keys ? g.skeys.size() : g.ikeys.size());
-  if (count * 10 > (g.mask + 1) * 7) {
-    uint32_t new_size = (g.mask + 1) * 2;
-    g.buckets.assign(new_size, 0xFFFFFFFFu);
-    g.mask = new_size - 1;
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t h = g.string_keys
-                       ? proteus::HashString(g.skeys[i])
-                       : proteus::HashMix64(static_cast<uint64_t>(g.ikeys[i]));
-      uint32_t b = static_cast<uint32_t>(h) & g.mask;
-      while (g.buckets[b] != 0xFFFFFFFFu) b = (b + 1) & g.mask;
-      g.buckets[b] = i;
-    }
-  }
-  uint32_t b = static_cast<uint32_t>(hash) & g.mask;
-  while (true) {
-    uint32_t idx = g.buckets[b];
-    if (idx == 0xFFFFFFFFu) {
-      // Insert new group.
-      uint32_t gi;
-      if (g.string_keys) {
-        gi = static_cast<uint32_t>(g.skeys.size());
-        g.skeys.emplace_back(skey, static_cast<size_t>(slen));
-      } else {
-        gi = static_cast<uint32_t>(g.ikeys.size());
-        g.ikeys.push_back(ikey);
-      }
-      g.buckets[b] = gi;
-      g.slots.insert(g.slots.end(), g.init_slots.begin(), g.init_slots.end());
-      return gi;
-    }
-    bool match = g.string_keys
-                     ? (static_cast<int64_t>(g.skeys[idx].size()) == slen &&
-                        std::memcmp(g.skeys[idx].data(), skey, static_cast<size_t>(slen)) == 0)
-                     : g.ikeys[idx] == ikey;
-    if (match) return idx;
-    b = (b + 1) & g.mask;
-  }
 }
 
 }  // namespace
@@ -419,33 +356,58 @@ const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row) {
   return t.payload.data() + static_cast<size_t>(row) * t.slots_per_row;
 }
 
-int64_t* proteus_group_upsert(void* ctx, uint32_t table, int64_t key) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  uint32_t idx = GroupFind(g, proteus::HashMix64(static_cast<uint64_t>(key)), key, nullptr, 0);
-  return g.slots.data() + static_cast<size_t>(idx) * g.slots_per_group;
+void* proteus_group_table(void* ctx, uint32_t table) { return RT(ctx)->groups[table].get(); }
+
+int64_t* proteus_group_upsert(void* table, int32_t tag, int64_t bits, const char* str,
+                              int64_t len) {
+  return static_cast<GroupTable*>(table)->Upsert(static_cast<GroupKeyTag>(tag), bits, str,
+                                                 static_cast<size_t>(len));
 }
 
-int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, int64_t len) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  uint32_t idx = GroupFind(g, proteus::HashBytes(key, static_cast<size_t>(len)), 0, key, len);
-  return g.slots.data() + static_cast<size_t>(idx) * g.slots_per_group;
+void proteus_group_agg(void* table, int64_t* row, uint32_t output, int32_t tag, int64_t bits,
+                       const char* str, int64_t len) {
+  auto* t = static_cast<GroupTable*>(table);
+  proteus::Value v;
+  switch (static_cast<GroupKeyTag>(tag)) {
+    case GroupKeyTag::kNull: return;  // nulls do not contribute to aggregates
+    case GroupKeyTag::kInt: v = proteus::Value::Int(bits); break;
+    case GroupKeyTag::kFloat: {
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      v = proteus::Value::Float(d);
+      break;
+    }
+    case GroupKeyTag::kBool: v = proteus::Value::Boolean(bits != 0); break;
+    case GroupKeyTag::kString:
+      v = proteus::Value::Str(std::string(str, static_cast<size_t>(len)));
+      break;
+  }
+  t->AggregatorAt(t->GroupOf(row), output).Add(v);
 }
 
-uint64_t proteus_group_count(void* ctx, uint32_t table) { return RT(ctx)->groups[table]->size(); }
+uint64_t proteus_group_count(void* table) { return static_cast<GroupTable*>(table)->size(); }
 
-int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx) {
-  return RT(ctx)->groups[table]->ikeys[idx];
-}
-
-const char* proteus_group_key_str(void* ctx, uint32_t table, uint64_t idx, int64_t* len) {
-  const std::string& s = RT(ctx)->groups[table]->skeys[idx];
-  *len = static_cast<int64_t>(s.size());
-  return s.data();
-}
-
-int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  return g.slots.data() + idx * g.slots_per_group;
+void proteus_group_row(void* table, uint64_t g, int64_t* out) {
+  auto* t = static_cast<GroupTable*>(table);
+  const GroupKeyTag tag = t->KeyTag(g);
+  if (tag == GroupKeyTag::kString) {
+    const std::string_view s = t->KeyString(g);
+    out[0] = reinterpret_cast<int64_t>(s.data());
+    out[1] = static_cast<int64_t>(s.size());
+  } else {
+    out[0] = t->KeyBits(g);
+    out[1] = 0;
+  }
+  out[2] = tag == GroupKeyTag::kNull ? 1 : 0;
+  out[3] = reinterpret_cast<int64_t>(t->SlotRow(g));
+  const auto& outputs = t->layout().outputs;
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    if (outputs[i].slot != proteus::GroupSlot::kAggregator) continue;
+    const proteus::Value& extreme = t->AggregatorAt(g, i).extreme();
+    const bool str = extreme.is_string();
+    out[4 + 2 * i] = str ? reinterpret_cast<int64_t>(extreme.s().data()) : 0;
+    out[5 + 2 * i] = str ? static_cast<int64_t>(extreme.s().size()) : 0;
+  }
 }
 
 int32_t proteus_cancel_requested(void* ctx) {

@@ -4,7 +4,8 @@
 // appropriate from the generated code").
 //
 // Every generated function receives a MorselCtx* over the query's
-// QueryRuntime. Join tables, mid-chain Nest group tables, and unnest cursors
+// QueryRuntime. Join tables, mid-chain Nest group tables (the GroupTable of
+// partial_sink.h, which root-Nest morsel sinks use too), and unnest cursors
 // live here; query results live in the per-morsel partial sinks
 // (partial_sink.h). Tight per-tuple work (field loads from binary data,
 // predicate evaluation, aggregation arithmetic) is emitted as straight LLVM
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/engine/partial_sink.h"
 #include "src/engine/radix_table.h"
 #include "src/plugins/csv_plugin.h"
 #include "src/plugins/json_plugin.h"
@@ -38,23 +40,6 @@ struct JoinTableRt {
   std::vector<int64_t> keys;
   std::vector<int64_t> payload;  ///< row-major, slots_per_row per entry
   uint32_t slots_per_row = 0;
-};
-
-/// Hash grouping state of a mid-chain Nest: int64 or string keys, packed
-/// 8-byte agg slots. Filled by one serial fold in the build pipeline, then
-/// read-only while morsel pipelines loop its groups.
-struct GroupTableRt {
-  uint64_t size() const { return string_keys ? skeys.size() : ikeys.size(); }
-
-  bool string_keys = false;
-  std::vector<int64_t> ikeys;
-  std::vector<std::string> skeys;
-  std::vector<int64_t> slots;  ///< group-major, slots_per_group per group
-  uint32_t slots_per_group = 0;
-  std::vector<int64_t> init_slots;
-  // open addressing over key hash -> group index
-  std::vector<uint32_t> buckets;
-  uint32_t mask = 0;
 };
 
 /// Lazy JSON array iteration state for generated Unnest loops.
@@ -79,7 +64,7 @@ enum class RuntimeError : int32_t { kNone = 0, kDivisionByZero = 1, kModuloByZer
 /// once before the fan-out. Per-task mutable state lives in MorselCtx.
 struct QueryRuntime {
   std::vector<std::unique_ptr<JoinTableRt>> joins;
-  std::vector<std::unique_ptr<GroupTableRt>> groups;
+  std::vector<std::unique_ptr<GroupTable>> groups;
   uint32_t num_unnests = 0;
   /// Parallel radix build for join tables (byte-identical layout to the
   /// serial build); null builds serially.
@@ -108,12 +93,8 @@ struct QueryRuntime {
     joins.push_back(std::move(t));
     return static_cast<uint32_t>(joins.size() - 1);
   }
-  uint32_t AddGroup(bool string_keys, std::vector<int64_t> init) {
-    auto t = std::make_unique<GroupTableRt>();
-    t->string_keys = string_keys;
-    t->slots_per_group = static_cast<uint32_t>(init.size());
-    t->init_slots = std::move(init);
-    groups.push_back(std::move(t));
+  uint32_t AddGroup(GroupLayout layout) {
+    groups.push_back(std::make_unique<GroupTable>(std::move(layout)));
     return static_cast<uint32_t>(groups.size() - 1);
   }
   uint32_t AddUnnest() { return num_unnests++; }
@@ -201,16 +182,25 @@ int64_t proteus_join_probe_row(void* ctx, uint32_t table);
 int64_t proteus_join_rows(void* ctx, uint32_t table);
 const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row);
 
-// Hash grouping of mid-chain nests: upserts run in the single-call build
-// pipeline, the key/slot reads in the morsel pipelines that loop the folded
-// groups. Group-bys directly under the root go through the partial-sink
-// entry points (partial_sink.h) instead.
-int64_t* proteus_group_upsert(void* ctx, uint32_t table, int64_t key);
-int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, int64_t len);
-uint64_t proteus_group_count(void* ctx, uint32_t table);
-int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx);
-const char* proteus_group_key_str(void* ctx, uint32_t table, uint64_t idx, int64_t* len);
-int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx);
+// Group tables (GroupTable*, from proteus_group_table for a mid-chain Nest
+// or proteus_morsel_groups for a Nest under the root). A fold calls
+// proteus_group_upsert once per row — `tag` is a GroupKeyTag, `bits` the
+// int/bool value or the double's bit pattern, (str, len) a string key — and
+// updates the returned slot row inline; kAggregator outputs (string
+// max/min) fold through proteus_group_agg, which boxes (tag, bits, str,
+// len) the same way into group `row`'s Aggregator `output`. A group loop
+// reads group `g` through proteus_group_row into `out`:
+//   out[0] key bits (string keys: the bytes' address), out[1] string key
+//   length, out[2] 1 for the null key, out[3] the slot row's address, then
+//   per output i: out[4 + 2i] / out[5 + 2i] the address (0 = null) and
+//   length of a string extreme held in the Aggregator column.
+void* proteus_group_table(void* ctx, uint32_t table);
+int64_t* proteus_group_upsert(void* table, int32_t tag, int64_t bits, const char* str,
+                              int64_t len);
+void proteus_group_agg(void* table, int64_t* row, uint32_t output, int32_t tag, int64_t bits,
+                       const char* str, int64_t len);
+uint64_t proteus_group_count(void* table);
+void proteus_group_row(void* table, uint64_t g, int64_t* out);
 
 // Nonzero once the query's cancel flag is set: the poll of a generated Nest
 // fold, which runs as one morsel and so has no morsel boundary of its own.

@@ -73,6 +73,7 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
   const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
   PlanPartials all;
   all.nest = nest != nullptr;
+  const GroupLayout layout = nest != nullptr ? GroupLayout::ForNest(*nest) : GroupLayout{};
   const double collect_start_us = base_.trace != nullptr ? base_.trace->NowUs() : 0;
   for (size_t i = 0; i < slices.size(); ++i) {
     PROTEUS_ASSIGN_OR_RETURN(std::string bytes, transport->Collect(static_cast<int>(i)));
@@ -88,11 +89,11 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
                               " morsel partials, expected " + std::to_string(slices[i].size()));
     }
     // Validate against the plan before any merge: a wire-valid payload
-    // whose aggregate vectors don't match the plan's outputs would index
-    // out of bounds in the fold (arity) or land in the wrong Final() branch
-    // (monoid). The wire format is the trust boundary — a socket transport
+    // whose aggregate vectors or group-table layouts don't match the plan's
+    // outputs would index out of bounds in the fold (arity) or land in the
+    // wrong Final() branch (monoid, slot). The wire format is the trust boundary — a socket transport
     // hands us whatever the peer sent.
-    const auto& outputs = nest != nullptr ? nest->outputs() : plan->outputs();
+    const auto& outputs = plan->outputs();
     auto check_aggs = [&](const std::vector<Aggregator>& aggs) -> Status {
       if (aggs.size() != outputs.size()) {
         return Status::Internal("shard " + std::to_string(i) +
@@ -113,9 +114,11 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
     for (const auto& aggs : partial.partials.agg_morsels) {
       PROTEUS_RETURN_NOT_OK(check_aggs(aggs));
     }
-    for (const auto& table : partial.partials.group_morsels) {
-      for (const auto& aggs : table.aggs) {
-        PROTEUS_RETURN_NOT_OK(check_aggs(aggs));
+    for (const GroupTable& table : partial.partials.group_morsels) {
+      if (table.layout() != layout) {
+        return Status::Internal("shard " + std::to_string(i) + " sent group layout " +
+                                table.layout().ToString() + ", expected " +
+                                layout.ToString());
       }
     }
     all.Append(std::move(partial.partials));

@@ -7,7 +7,7 @@ namespace proteus {
 namespace {
 constexpr char kMagic0 = 'P';
 constexpr char kMagic1 = 'S';
-constexpr uint8_t kVersion = 1;
+constexpr uint8_t kVersion = 2;
 }  // namespace
 
 PartialResult PartialResult::FromPartials(PlanPartials p) {

@@ -9,9 +9,11 @@
 // same envelope instead of inventing another one.
 //
 // Layout (see src/common/wire.h for primitive encodings):
-//   magic "PS" | version u8 | kind u8 | payload
+//   magic "PS" | version u8 (2) | kind u8 | payload
 //   kAggregates: u64 morsel count, then per morsel: u64 agg count + aggs
-//   kGroups:     u64 morsel count, then per morsel: one GroupTable
+//   kGroups:     u64 morsel count, then per morsel: one GroupTable — its
+//                layout (monoid and slot per output), then its key, slot
+//                and Aggregator columns (GroupTable::Serialize)
 //   kRows:       u64 column count + names, u64 row count, then per row:
 //                u64 cell count + values
 #pragma once

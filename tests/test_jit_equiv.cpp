@@ -648,8 +648,8 @@ TEST(JitOuterJoin, ShardedEnginesDeclineButStillRunJit) {
 
 // ---------------------------------------------------------------------------
 // Mid-chain Nest as a pipeline breaker: the Nest's input region folds first
-// — one morsel, in row order, into a packed group table in generated code
-// and a boxed GroupTable in the interpreter — and the region above is driven
+// — one morsel, in row order, into the one typed GroupTable both engines
+// write — and the region above is driven
 // over its groups, split into morsels. Small morsels split the ~60 orderkey
 // groups into several morsels, so the group-range decomposition and the
 // partial merge are exercised at every thread count.
@@ -2013,6 +2013,191 @@ TEST(JitLiteralSweep, OneModulePerShapeMatchesTheInterpreter) {
         }
         EXPECT_EQ(jit->jit_cache()->stats().compiles, 1u) << shape << " threads=" << threads;
       }
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// The one typed group table: both engines fold every Nest position into the
+// same GroupTable (key column with Value::Equals semantics, 8-byte slots
+// plus seen flags, an Aggregator column for string extremes), so float
+// keys, string max/min and high-cardinality merges stay cell-identical.
+// ---------------------------------------------------------------------------
+
+/// Nest(l <- lineitem_bincol) keyed by if l_linenumber < 4 then 0.0 else
+/// -0.0, counting n: one group under Value::Equals (0.0 == -0.0).
+OpPtr SignedZeroKeyNest() {
+  ExprPtr key = Expr::If(Expr::Bin(BinOp::kLt, Proj("l", "l_linenumber"), Expr::Int(4)),
+                         Expr::Float(0.0), Expr::Float(-0.0));
+  return Operator::Nest(Operator::Scan("lineitem_bincol", "l"), key, "k",
+                        {{Monoid::kCount, nullptr, "n"}}, nullptr, "g");
+}
+
+TEST(JitGroupTable, SignedZeroFloatKeysFormOneGroupInBothNestPositions) {
+  auto mid_chain = [] {
+    return Operator::Reduce(
+        Operator::Select(SignedZeroKeyNest(),
+                         Expr::Bin(BinOp::kGt, Proj("g", "n"), Expr::Int(0))),
+        {{Monoid::kCount, nullptr, "groups"}});
+  };
+  auto root = [] {
+    ExprPtr rec = Expr::Record({"k", "n"}, {Proj("g", "k"), Proj("g", "n")});
+    return Operator::Reduce(SignedZeroKeyNest(), {{Monoid::kBag, rec, "rows"}});
+  };
+  ExpectJitMatchesInterp(mid_chain, "signed-zero keys, mid-chain nest");
+  ExpectJitMatchesInterp(root, "signed-zero keys, root nest");
+  for (int threads : {1, 2, 4}) {
+    RunInfo jit = RunOuterPlan(mid_chain, ExecMode::kJIT, threads);
+    ASSERT_TRUE(jit.status.ok()) << jit.status.ToString();
+    ASSERT_EQ(jit.result.rows.size(), 1u);
+    EXPECT_TRUE(jit.result.rows[0][0].Equals(Value::Int(1)))
+        << "0.0 and -0.0 are one group: " << jit.result.rows[0][0].ToString();
+    jit = RunOuterPlan(root, ExecMode::kJIT, threads);
+    ASSERT_TRUE(jit.status.ok()) << jit.status.ToString();
+    EXPECT_EQ(jit.result.rows.size(), 1u) << "threads=" << threads;
+  }
+}
+
+TEST(JitGroupTable, StringExtremesCompileInBothNestPositions) {
+  // max/min(l_shipmode) live in the table's Aggregator column; a mid-chain
+  // group loop reads the extremes in place.
+  auto nest = [] {
+    return Operator::Nest(Operator::Scan("lineitem_bincol", "l"), Proj("l", "l_linenumber"),
+                          "ln",
+                          {{Monoid::kCount, nullptr, "n"},
+                           {Monoid::kMax, Proj("l", "l_shipmode"), "hi"},
+                           {Monoid::kMin, Proj("l", "l_shipmode"), "lo"}},
+                          nullptr, "g");
+  };
+  ExprPtr rec = Expr::Record({"ln", "n", "hi", "lo"},
+                             {Proj("g", "ln"), Proj("g", "n"), Proj("g", "hi"), Proj("g", "lo")});
+  ExpectJitMatchesInterp(
+      [&] {
+        return Operator::Reduce(
+            Operator::Select(nest(), Expr::Bin(BinOp::kGt, Proj("g", "n"), Expr::Int(0))),
+            {{Monoid::kBag, rec, "rows"}});
+      },
+      "string max/min, mid-chain nest");
+  ExpectJitMatchesInterp([&] { return Operator::Reduce(nest(), {{Monoid::kBag, rec, "rows"}}); },
+                         "string max/min, root nest");
+}
+
+/// highcard_denorm: 4000 orders, o_custkey = 7 * o_orderkey mod 3000 (3000
+/// int keys: 1000 shared by two orders far apart, 2000 by one), with 0, 1 or
+/// 2 lineitems each — every fifth order has none, so its outer-unnest row
+/// carries only null inputs.
+const std::string& HighCardCorpusPath() {
+  static const std::string path = [] {
+    const std::string p = testutil::Corpus::Get().dir + "/highcard_denorm.json";
+    std::ofstream f(p);
+    for (int i = 1; i <= 4000; ++i) {
+      f << "{\"o_orderkey\":" << i << ",\"o_custkey\":" << (7 * i) % 3000
+        << ",\"o_totalprice\":" << 1.5 * i << ",\"lineitems\":[";
+      const int lines = i % 5 == 0 ? 0 : (i % 3 == 0 ? 2 : 1);
+      for (int ln = 1; ln <= lines; ++ln) {
+        if (ln > 1) f << ",";
+        f << "{\"l_orderkey\":" << i << ",\"l_linenumber\":" << (i * ln) % 11
+          << ",\"l_quantity\":" << 0.25 * ((i * 13 + ln) % 97) << ",\"l_extendedprice\":"
+          << 10.125 * ((i + ln) % 89) << ",\"l_discount\":0.01,\"l_tax\":0.02,"
+          << "\"l_shipmode\":\"AIR\",\"l_comment\":\"c\"}";
+      }
+      f << "]}\n";
+    }
+    return p;
+  }();
+  return path;
+}
+
+/// GROUP BY o_custkey over the outer unnest of highcard_denorm:
+/// count/sum/max/min over int (l_linenumber) and float (l_quantity,
+/// l_extendedprice) inputs.
+OpPtr HighCardGroupPlan() {
+  OpPtr unnest = Operator::Unnest(Operator::Scan("highcard_denorm", "o"), {"o", "lineitems"},
+                                  "l", nullptr, /*outer=*/true);
+  OpPtr nest = Operator::Nest(unnest, Proj("o", "o_custkey"), "ck",
+                              {{Monoid::kCount, nullptr, "n"},
+                               {Monoid::kSum, Proj("l", "l_quantity"), "sq"},
+                               {Monoid::kSum, Proj("l", "l_linenumber"), "sl"},
+                               {Monoid::kMax, Proj("l", "l_quantity"), "mq"},
+                               {Monoid::kMax, Proj("l", "l_linenumber"), "ml"},
+                               {Monoid::kMin, Proj("l", "l_extendedprice"), "pe"},
+                               {Monoid::kMin, Proj("l", "l_linenumber"), "nl"}},
+                              nullptr, "g");
+  std::vector<std::string> names = {"ck", "n", "sq", "sl", "mq", "ml", "pe", "nl"};
+  std::vector<ExprPtr> cells;
+  for (const auto& name : names) cells.push_back(Proj("g", name.c_str()));
+  return Operator::Reduce(nest, {{Monoid::kBag, Expr::Record(names, cells), "rows"}});
+}
+
+RunInfo RunHighCard(ExecMode mode, int threads, int shards, bool tiered) {
+  EngineOptions opts;
+  opts.mode = mode;
+  opts.num_threads = threads;
+  opts.num_shards = shards;
+  opts.morsel_rows = kDiffMorselRows;
+  opts.tiered = tiered;
+  opts.tiered_opts.force_swap_after_morsels = 5;
+  QueryEngine engine(opts);
+  DatasetInfo info;
+  info.name = "highcard_denorm";
+  info.format = DataFormat::kJSON;
+  info.path = HighCardCorpusPath();
+  info.type = datagen::OrdersDenormSchema();
+  EXPECT_TRUE(engine.RegisterDataset(info).ok());
+  RunInfo run;
+  auto r = engine.ExecutePlan(HighCardGroupPlan(), {.telemetry = &run.telemetry});
+  run.status = r.status();
+  if (r.ok()) run.result = std::move(*r);
+  return run;
+}
+
+TEST(JitGroupTable, HighCardinalityGroupsCellIdenticalEverywhere) {
+  RunInfo oracle = RunHighCard(ExecMode::kInterp, 1, 0, false);
+  ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+  ASSERT_EQ(oracle.result.rows.size(), 3000u);
+  ASSERT_GT(oracle.telemetry.morsels, 100u) << "many small morsels";
+  // Groups whose every input is null: sum 0, max/min null — Aggregator's
+  // empty-state cells.
+  size_t null_only = 0;
+  for (const auto& row : oracle.result.rows) {
+    if (!row[4].is_null()) continue;
+    ++null_only;
+    EXPECT_TRUE(row[2].is_int() && row[2].i() == 0) << row[2].ToString();
+    EXPECT_TRUE(row[3].is_int() && row[3].i() == 0) << row[3].ToString();
+    EXPECT_TRUE(row[5].is_null() && row[6].is_null() && row[7].is_null());
+  }
+  EXPECT_GT(null_only, 100u);
+
+  struct Config {
+    std::string name;
+    ExecMode mode;
+    int threads;
+    int shards;
+    bool tiered;
+  };
+  const std::vector<Config> configs = {
+      {"jit threads=1", ExecMode::kJIT, 1, 0, false},
+      {"jit threads=2", ExecMode::kJIT, 2, 0, false},
+      {"jit threads=4", ExecMode::kJIT, 4, 0, false},
+      {"interp threads=4", ExecMode::kInterp, 4, 0, false},
+      {"interp shards=2", ExecMode::kInterp, 2, 2, false},
+      {"jit shards=2", ExecMode::kJIT, 2, 2, false},
+      {"tiered forced swap", ExecMode::kJIT, 2, 0, true},
+  };
+  for (const Config& c : configs) {
+    RunInfo run = RunHighCard(c.mode, c.threads, c.shards, c.tiered);
+    ASSERT_TRUE(run.status.ok()) << c.name << ": " << run.status.ToString();
+    ExpectIdentical(oracle.result, run.result, "high-cardinality group-by @ " + c.name);
+    if (c.mode == ExecMode::kJIT) {
+      EXPECT_TRUE(run.telemetry.used_jit) << c.name << ": " << run.telemetry.fallback_reason;
+    }
+    if (c.shards > 0) {
+      EXPECT_EQ(run.telemetry.shards_used, c.shards) << c.name;
+    }
+    if (c.tiered) {
+      EXPECT_GT(run.telemetry.morsels_interpreted, 0u) << "the swap landed mid-query";
+      EXPECT_GT(run.telemetry.morsels_jit, 0u) << "the swap landed mid-query";
     }
   }
 }

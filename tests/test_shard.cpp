@@ -12,6 +12,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -418,26 +419,51 @@ TEST(PartialResultWire, AggregatorRoundTripProperty) {
   }
 }
 
-TEST(PartialResultWire, GroupTableRoundTrip) {
-  // A real Nest operator drives AddRow; the reconstructed table must
-  // produce the same group records in the same first-appearance order, and
-  // keep merging correctly.
-  OpPtr scan = Operator::Scan("d", "x");
-  ExprPtr by = Expr::Proj(Expr::Var("x"), "k");
-  OpPtr nest = Operator::Nest(
-      scan, by, "k",
-      {{Monoid::kCount, nullptr, "c"}, {Monoid::kSum, Expr::Proj(Expr::Var("x"), "v"), "s"}});
-
-  auto row = [](int64_t k, double v) {
-    EvalEnv env;
-    env["x"] = Value::MakeRecord({"k", "v"}, {Value::Int(k), Value::Float(v)});
-    return env;
+/// Nest over d (x: {k int, v float, s string}) by x.k: c = count,
+/// sv = sum(v), mv = max(v), ms = max(s) — typechecked, so its table holds
+/// an int slot, two float slots and one Aggregator column.
+OpPtr TypedWireNest() {
+  TypeEnv env{{"x", Type::Record({{"k", Type::Int64()},
+                                  {"v", Type::Float64()},
+                                  {"s", Type::String()}})}};
+  auto field = [&](const char* name) {
+    ExprPtr e = Expr::Proj(Expr::Var("x"), name);
+    EXPECT_TRUE(TypeCheck(e, env).ok());
+    return e;
   };
-  GroupTable t;
-  t.count_bytes = false;
+  return Operator::Nest(Operator::Scan("d", "x"), field("k"), "k",
+                        {{Monoid::kCount, nullptr, "c"},
+                         {Monoid::kSum, field("v"), "sv"},
+                         {Monoid::kMax, field("v"), "mv"},
+                         {Monoid::kMax, field("s"), "ms"}});
+}
+
+EvalEnv WireRow(Value k, Value v, Value s) {
+  EvalEnv env;
+  env["x"] = Value::MakeRecord({"k", "v", "s"}, {std::move(k), std::move(v), std::move(s)});
+  return env;
+}
+
+TEST(PartialResultWire, GroupTableRoundTrip) {
+  // A real Nest operator drives AddRow; the reconstructed table must carry
+  // the same layout and produce the same group records in the same
+  // first-appearance order, and keep merging correctly.
+  OpPtr nest = TypedWireNest();
+  const GroupLayout layout = GroupLayout::ForNest(*nest);
+  ASSERT_EQ(layout.ToString(), "[count:int, sum:float, max:float, max:aggregator]");
+
+  GroupTable t(layout);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(t.AddRow(*nest, row(i % 7, 0.5 * i)).ok());
+    // Every 9th row has a null key (one null group); key 6 only ever sees
+    // null inputs (sum 0, max null).
+    Value key = i % 9 == 0 ? Value::Null() : Value::Int(i % 7);
+    const bool null_inputs = i % 7 == 6;
+    ASSERT_TRUE(t.AddRow(*nest, WireRow(key, null_inputs ? Value::Null() : Value::Float(0.5 * i),
+                                        null_inputs ? Value::Null()
+                                                    : Value::Str("s" + std::to_string(i))))
+                    .ok());
   }
+  ASSERT_EQ(t.size(), 8u);  // keys 0..6 plus null
 
   WireWriter w;
   t.Serialize(&w);
@@ -446,27 +472,131 @@ TEST(PartialResultWire, GroupTableRoundTrip) {
   auto back = GroupTable::Deserialize(&r);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_TRUE(r.AtEnd());
-  ASSERT_EQ(back->keys.size(), t.keys.size());
-  for (size_t g = 0; g < t.keys.size(); ++g) {
+  EXPECT_EQ(back->layout(), layout);
+  ASSERT_EQ(back->size(), t.size());
+  for (size_t g = 0; g < t.size(); ++g) {
     EXPECT_TRUE(t.GroupRecord(*nest, g).Equals(back->GroupRecord(*nest, g)))
         << "group " << g;
+    if (t.Key(g).Equals(Value::Int(6))) {
+      EXPECT_TRUE(back->Cell(g, 1).Equals(Value::Int(0))) << "unseen sum is 0";
+      EXPECT_TRUE(back->Cell(g, 2).is_null()) << "unseen max is null";
+      EXPECT_TRUE(back->Cell(g, 3).is_null()) << "unseen string max is null";
+    }
   }
 
   // Merging new rows into the reconstructed table must find existing groups
   // (the rebuilt hash index) rather than duplicating them.
-  GroupTable more;
-  more.count_bytes = false;
+  GroupTable more(layout);
   for (int i = 0; i < 14; ++i) {
-    ASSERT_TRUE(more.AddRow(*nest, row(i % 7, 1.0)).ok());
+    ASSERT_TRUE(
+        more.AddRow(*nest, WireRow(Value::Int(i % 7), Value::Float(1.0), Value::Str("z"))).ok());
   }
-  GroupTable expect = t;      // copy
+  GroupTable expect = t;  // copy
   GroupTable more_copy = more;
-  expect.MergeFrom(*nest, std::move(more_copy));
-  back->MergeFrom(*nest, std::move(more));
-  ASSERT_EQ(back->keys.size(), expect.keys.size());
-  for (size_t g = 0; g < expect.keys.size(); ++g) {
+  expect.MergeFrom(std::move(more_copy));
+  back->MergeFrom(std::move(more));
+  ASSERT_EQ(back->size(), expect.size());
+  for (size_t g = 0; g < expect.size(); ++g) {
     EXPECT_TRUE(expect.GroupRecord(*nest, g).Equals(back->GroupRecord(*nest, g)))
         << "merged group " << g;
+  }
+}
+
+TEST(PartialResultWire, GroupTableKeysFollowValueEquals) {
+  // 0.0 and -0.0 are one group, an int key and an equal float key are one
+  // group (the first-seen key names it), NaN never matches, null keys
+  // share one group — Value::Equals, exactly.
+  OpPtr nest = TypedWireNest();
+  GroupTable t(GroupLayout::ForNest(*nest));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Value k : {Value::Float(0.0), Value::Float(-0.0), Value::Int(2), Value::Float(2.0),
+                  Value::Float(nan), Value::Float(nan), Value::Null(), Value::Null(),
+                  Value::Str("a"), Value::Str("a"), Value::Boolean(true), Value::Int(1)}) {
+    ASSERT_TRUE(t.AddRow(*nest, WireRow(k, Value::Float(1.0), Value::Str("x"))).ok());
+  }
+  ASSERT_EQ(t.size(), 8u);
+  EXPECT_TRUE(t.Key(1).is_int()) << "Int(2) named the group Float(2.0) joined";
+  EXPECT_TRUE(t.Cell(0, 0).Equals(Value::Int(2)));  // 0.0 and -0.0
+  EXPECT_TRUE(t.Cell(1, 0).Equals(Value::Int(2)));  // 2 and 2.0
+  EXPECT_TRUE(t.Cell(2, 0).Equals(Value::Int(1)));  // NaN
+  EXPECT_TRUE(t.Cell(3, 0).Equals(Value::Int(1)));  // NaN
+  EXPECT_TRUE(t.Cell(4, 0).Equals(Value::Int(2)));  // null, null
+  EXPECT_TRUE(t.Cell(5, 0).Equals(Value::Int(2)));  // "a", "a"
+}
+
+TEST(PartialResultWire, GroupTableDecoderRejectsMalformedColumns) {
+  // Hand-built payloads (GroupTable::Serialize's layout) that decode to a
+  // Status, never a crash.
+  auto header = [](WireWriter* w, uint64_t groups) {
+    w->PutU64(1);  // one output: count in an int slot
+    w->PutU8(static_cast<uint8_t>(Monoid::kCount));
+    w->PutU8(static_cast<uint8_t>(GroupSlot::kInt));
+    w->PutU64(groups);
+  };
+  {
+    // A well-formed one-group table decodes.
+    WireWriter w;
+    header(&w, 1);
+    w.PutStr(std::string(1, static_cast<char>(GroupKeyTag::kString)));
+    w.PutI64(0);  // offset
+    w.PutU64(3);  // length
+    w.PutStr("abc");
+    w.PutI64(5);  // the count slot
+    w.PutI64(0);  // seen bytes
+    std::string bytes = w.Take();
+    WireReader r(bytes);
+    auto t = GroupTable::Deserialize(&r);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_TRUE(t->Key(0).Equals(Value::Str("abc")));
+    EXPECT_TRUE(t->Cell(0, 0).Equals(Value::Int(5)));
+  }
+  {
+    // A string key whose length runs past the key buffer.
+    WireWriter w;
+    header(&w, 1);
+    w.PutStr(std::string(1, static_cast<char>(GroupKeyTag::kString)));
+    w.PutI64(1);
+    w.PutU64(1000);
+    w.PutStr("abc");
+    w.PutI64(5);
+    w.PutI64(0);
+    std::string bytes = w.Take();
+    WireReader r(bytes);
+    auto t = GroupTable::Deserialize(&r);
+    ASSERT_FALSE(t.ok());
+    EXPECT_NE(t.status().message().find("runs past"), std::string::npos)
+        << t.status().ToString();
+  }
+  {
+    // A key column cut short: two groups announced, one key's bits sent.
+    WireWriter w;
+    header(&w, 2);
+    w.PutStr(std::string(2, static_cast<char>(GroupKeyTag::kInt)));
+    w.PutI64(7);
+    w.PutU64(0);
+    std::string bytes = w.Take();
+    WireReader r(bytes);
+    EXPECT_FALSE(GroupTable::Deserialize(&r).ok());
+  }
+  {
+    // An unknown key tag, and a duplicate key.
+    for (const std::string& tags : {std::string("\x09"), std::string("\x01\x01")}) {
+      WireWriter w;
+      header(&w, tags.size());
+      w.PutStr(tags);
+      for (size_t g = 0; g < tags.size(); ++g) {
+        w.PutI64(3);
+        w.PutU64(0);
+      }
+      w.PutStr("");
+      for (size_t g = 0; g < tags.size(); ++g) {
+        w.PutI64(1);
+        w.PutI64(0);
+      }
+      std::string bytes = w.Take();
+      WireReader r(bytes);
+      EXPECT_FALSE(GroupTable::Deserialize(&r).ok()) << tags.size();
+    }
   }
 }
 
@@ -556,8 +686,7 @@ TEST(PartialResultWire, MalformedMatrixAcrossAllKinds) {
     OpPtr nest = Operator::Nest(
         scan, by, "k",
         {{Monoid::kCount, nullptr, "c"}, {Monoid::kSum, Expr::Proj(Expr::Var("x"), "v"), "s"}});
-    GroupTable t;
-    t.count_bytes = false;
+    GroupTable t(GroupLayout::ForNest(*nest));
     for (int i = 0; i < 12; ++i) {
       EvalEnv env;
       env["x"] = Value::MakeRecord({"k", "v"}, {Value::Int(i % 3), Value::Float(0.25 * i)});
@@ -616,31 +745,33 @@ TEST(PartialResultWire, RejectsDeeplyNestedValues) {
   EXPECT_TRUE(back->Equals(nested));
 }
 
+/// Loopback transport that rewrites shard 0's decoded payload in flight.
+class CorruptingTransport : public ShardTransport {
+ public:
+  explicit CorruptingTransport(std::function<void(PartialResult*)> corrupt)
+      : corrupt_(std::move(corrupt)) {}
+  Status Send(int shard_id, std::string bytes) override {
+    return inner_.Send(shard_id, std::move(bytes));
+  }
+  Result<std::string> Collect(int shard_id) override {
+    PROTEUS_ASSIGN_OR_RETURN(std::string bytes, inner_.Collect(shard_id));
+    PROTEUS_ASSIGN_OR_RETURN(PartialResult partial, PartialResult::Deserialize(bytes));
+    if (shard_id == 0) corrupt_(&partial);
+    return partial.Serialize();
+  }
+  uint64_t bytes_exchanged() const override { return inner_.bytes_exchanged(); }
+
+ private:
+  std::function<void(PartialResult*)> corrupt_;
+  LoopbackTransport inner_;
+};
+
+
 TEST(ShardedExecution, CoordinatorRejectsMismatchedPartials) {
   // The wire format is the coordinator's trust boundary: a wire-valid
   // payload whose aggregate vectors don't match the plan's outputs — wrong
   // arity, wrong monoid — must be rejected before the merge, not crash it.
   // Corrupt one shard's payload in flight.
-  class CorruptingTransport : public ShardTransport {
-   public:
-    explicit CorruptingTransport(std::function<void(PartialResult*)> corrupt)
-        : corrupt_(std::move(corrupt)) {}
-    Status Send(int shard_id, std::string bytes) override {
-      return inner_.Send(shard_id, std::move(bytes));
-    }
-    Result<std::string> Collect(int shard_id) override {
-      PROTEUS_ASSIGN_OR_RETURN(std::string bytes, inner_.Collect(shard_id));
-      PROTEUS_ASSIGN_OR_RETURN(PartialResult partial, PartialResult::Deserialize(bytes));
-      if (shard_id == 0) corrupt_(&partial);
-      return partial.Serialize();
-    }
-    uint64_t bytes_exchanged() const override { return inner_.bytes_exchanged(); }
-
-   private:
-    std::function<void(PartialResult*)> corrupt_;
-    LoopbackTransport inner_;
-  };
-
   auto engine = MakeEngine(0);
   ExecContext ctx;
   ctx.catalog = &engine->catalog();
@@ -679,6 +810,32 @@ TEST(ShardedExecution, CoordinatorRejectsMismatchedPartials) {
     EXPECT_NE(r.status().message().find(c.needle), std::string::npos)
         << r.status().ToString();
   }
+}
+
+TEST(ShardedExecution, CoordinatorRejectsMismatchedGroupLayout) {
+  // A group table whose column layout disagrees with the plan's Nest
+  // outputs is rejected before the merge.
+  auto engine = MakeEngine(0);
+  ExecContext ctx;
+  ctx.catalog = &engine->catalog();
+  ctx.plugins = &engine->plugins();
+  ctx.caches = &engine->caches();
+  ctx.morsel_rows = kTestMorselRows;
+  OpPtr nest = Operator::Nest(Operator::Scan("lineitem_json", "l"),
+                              Expr::Proj(Expr::Var("l"), "l_linenumber"), "ln",
+                              {{Monoid::kCount, nullptr, "n"}}, nullptr, "g");
+  OpPtr plan = Operator::Reduce(nest, {{Monoid::kCount, nullptr, "groups"}});
+  ShardCoordinator coordinator(ctx, /*num_shards=*/2, /*threads_per_shard=*/1);
+  CorruptingTransport transport([](PartialResult* p) {
+    GroupLayout wrong;
+    wrong.outputs.push_back({Monoid::kCount, GroupSlot::kFloat});
+    for (GroupTable& t : p->partials.group_morsels) t = GroupTable(wrong);
+  });
+  ShardExecStats stats;
+  auto r = coordinator.Run(plan, &transport, &stats);
+  ASSERT_FALSE(r.ok()) << "a mismatched group layout must be rejected";
+  EXPECT_NE(r.status().message().find("group layout"), std::string::npos)
+      << r.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
