@@ -82,7 +82,18 @@ void Register() {
         "SELECT count(*) FROM orders_denorm o, UNNEST(o.lineitems) l WHERE "
         "l.l_orderkey < " +
         std::to_string(key);
-    RegisterMs(tag + "Proteus", [q] { return ProteusMs(q); });
+    // Aborts if telemetry shows the interpreter served it: generated
+    // element reads that silently fell back would still print a plausible
+    // time (same guard as Q5_outerjoin).
+    RegisterMs(tag + "Proteus", [q] {
+      const QueryTelemetry tel = MeasuredRun(*Systems::Get().proteus, q, "proteus");
+      if (!tel.used_jit) {
+        fprintf(stderr, "proteus unnest fell back to the interpreter: %s\n",
+                tel.fallback_reason.c_str());
+        std::abort();
+      }
+      return tel.execute_ms;
+    });
     BenchQuery bq;
     bq.table = "denorm";
     bq.aggs = {{AggKind::kCount, ""}};

@@ -1,6 +1,7 @@
 #include "src/engine/cache.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/common/counters.h"
 
@@ -96,7 +97,8 @@ std::optional<TypeKind> CachingManager::CachedLeafType(const Type& record_type,
 bool CachingManager::Covers(const CacheBlock& block, const Operator& scan,
                             const Type& record_type) const {
   for (const auto& p : scan.scan_fields()) {
-    if (block.Find(scan.binding(), p) == nullptr && CachedLeafType(record_type, p)) {
+    if (block.Find(scan.binding(), p) == nullptr && CachedLeafType(record_type, p) &&
+        std::find(block.raw_only.begin(), block.raw_only.end(), p) == block.raw_only.end()) {
       return false;
     }
   }
@@ -122,31 +124,23 @@ OpPtr CachingManager::RewriteWithCaches(OpPtr plan, const Catalog& catalog) cons
 
 namespace {
 
-/// Converts one raw read into its cache-column slot. NotFound (optional JSON
-/// field) stores the monoid zero — the preallocated slot already holds it —
-/// and hybrid readers re-check the raw object when exactness matters.
-Status StoreCacheValue(InputPlugin* plugin, const FieldPath& path, uint64_t oid,
-                       CacheColumn* col) {
+/// Converts one raw read into its cache-column slot. Returns false, leaving
+/// the slot untouched, when the record holds no value there (NotFound: an
+/// absent JSON field; or null).
+Result<bool> StoreCacheValue(InputPlugin* plugin, const FieldPath& path, uint64_t oid,
+                             CacheColumn* col) {
   auto v = plugin->ReadValue(oid, path);
   if (!v.ok()) {
-    if (v.status().code() == StatusCode::kNotFound) return Status::OK();
+    if (v.status().code() == StatusCode::kNotFound) return false;
     return v.status();
   }
+  if (v->is_null()) return false;
   switch (col->type) {
-    case TypeKind::kInt64:
-      col->ints[oid] = v->is_null() ? 0 : v->i();
-      return Status::OK();
-    case TypeKind::kBool:
-      col->ints[oid] = !v->is_null() && v->b() ? 1 : 0;
-      return Status::OK();
-    case TypeKind::kFloat64:
-      col->floats[oid] = v->is_null() ? 0.0 : v->AsFloat();
-      return Status::OK();
-    case TypeKind::kString:
-      col->strs[oid] = v->is_null() ? "" : v->s();
-      return Status::OK();
-    default:
-      return Status::Internal("unexpected cache column type");
+    case TypeKind::kInt64: col->ints[oid] = v->i(); return true;
+    case TypeKind::kBool: col->ints[oid] = v->b() ? 1 : 0; return true;
+    case TypeKind::kFloat64: col->floats[oid] = v->AsFloat(); return true;
+    case TypeKind::kString: col->strs[oid] = v->s(); return true;
+    default: return Status::Internal("unexpected cache column type");
   }
 }
 
@@ -193,6 +187,9 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
     cols.push_back(std::move(col));
   }
 
+  // missing[c]: some record holds no value for column c (any worker may set
+  // it; ParallelFor's join orders the writes before the reads below).
+  std::vector<std::atomic<bool>> missing(cols.size());
   if (!cols.empty() && n > 0) {
     // Cold-access drain, morsel-parallel when a scheduler is available
     // (ROADMAP item "parallel cache population"): the plug-in Split() API
@@ -205,8 +202,10 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
     if (morsels.empty()) morsels.push_back({0, n});
     auto fill = [&](uint64_t m, int) -> Status {
       for (uint64_t oid = morsels[m].begin; oid < morsels[m].end; ++oid) {
-        for (auto& col : cols) {
-          PROTEUS_RETURN_NOT_OK(StoreCacheValue(plugin, col.path, oid, &col));
+        for (size_t c = 0; c < cols.size(); ++c) {
+          PROTEUS_ASSIGN_OR_RETURN(bool stored,
+                                   StoreCacheValue(plugin, cols[c].path, oid, &cols[c]));
+          if (!stored) missing[c].store(true, std::memory_order_relaxed);
         }
       }
       return Status::OK();
@@ -218,9 +217,13 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
     }
   }
 
-  for (auto& col : cols) {
-    GlobalCounters().bytes_materialized += col.bytes();
-    block.cols.push_back(std::move(col));
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (missing[c].load(std::memory_order_relaxed)) {
+      block.raw_only.push_back(cols[c].path);
+      continue;
+    }
+    GlobalCounters().bytes_materialized += cols[c].bytes();
+    block.cols.push_back(std::move(cols[c]));
   }
   return Install(std::move(block));
 }

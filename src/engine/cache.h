@@ -61,6 +61,10 @@ struct CacheBlock {
   DataFormat source_format = DataFormat::kBinaryColumn;
   uint64_t num_rows = 0;
   std::vector<CacheColumn> cols;
+  /// Cacheable fields left out of `cols` because some record holds no value
+  /// for them (an absent field or a JSON null, which a binary cell cannot
+  /// tell from 0): scans read them raw through the OID column.
+  std::vector<FieldPath> raw_only;
   uint64_t last_used_tick = 0;
 
   size_t bytes() const {
@@ -112,9 +116,10 @@ class CachingManager {
   std::shared_ptr<const CacheBlock> FindById(uint64_t id) const;
 
   /// True when `block` covers scan `scan` over records of `record_type`:
-  /// every scan field BuildScanCache would cache is one of its columns. The
-  /// fields it would not cache (strings unless cache_strings, collections,
-  /// unresolvable paths) are read raw through the block's OID column. The
+  /// every scan field BuildScanCache would cache is one of its columns or
+  /// raw_only fields. The fields it would not cache (strings unless
+  /// cache_strings, collections, unresolvable paths) and the raw_only ones
+  /// are read raw through the block's OID column. The
   /// one coverage rule: QueryEngine::PopulateCaches widens a block that
   /// fails it, RewriteWithCaches rewrites a scan only onto a block that
   /// passes it.
@@ -128,7 +133,8 @@ class CachingManager {
 
   /// Builds a scan-shaped cache for `dataset`: evaluates the cacheable leaf
   /// fields in `fields` (CachedLeafType) for every record of `plugin` into
-  /// binary columns, always including the OID column. This is the paper's
+  /// binary columns, always including the OID column; a field some record
+  /// holds no value for is listed raw_only instead. This is the paper's
   /// leaf-level caching operator ("convert input raw values to a binary
   /// format"). With a `scheduler`, the cold-access drain runs
   /// morsel-parallel: the record range is split via the plug-in Split() API

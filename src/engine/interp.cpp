@@ -57,15 +57,13 @@ class ScanCursor : public Cursor {
     GlobalCounters().virtual_calls++;
     if (oid_ >= n_) return false;
     GlobalCounters().tuples_scanned++;
-    PROTEUS_ASSIGN_OR_RETURN(Value rec, ReadOne(oid_));
+    PROTEUS_ASSIGN_OR_RETURN(Value rec, plugin_->ReadRecord(oid_, fields_));
     (*row)[op_.binding()] = std::move(rec);
     ++oid_;
     return true;
   }
 
- protected:
-  virtual Result<Value> ReadOne(uint64_t oid) { return plugin_->ReadRecord(oid, fields_); }
-
+ private:
   const ExecContext& ctx_;
   const Operator& op_;
   ScanRange range_;
@@ -73,57 +71,6 @@ class ScanCursor : public Cursor {
   std::vector<FieldPath> fields_;
   uint64_t n_ = 0;
   uint64_t oid_ = 0;
-};
-
-/// JSON objects with optional fields: a requested-but-absent field binds
-/// null instead of failing the scan.
-class LenientScanCursor : public ScanCursor {
- public:
-  using ScanCursor::ScanCursor;
-
- protected:
-  Result<Value> ReadOne(uint64_t oid) override {
-    std::vector<std::string> names;
-    std::vector<Value> values;
-    for (const auto& p : fields_) {
-      auto v = plugin_->ReadValue(oid, p);
-      Value out = Value::Null();
-      if (v.ok()) {
-        out = std::move(*v);
-      } else if (v.status().code() != StatusCode::kNotFound) {
-        return v.status();
-      }
-      // Re-nest deep paths one level at a time.
-      for (size_t k = p.size(); k-- > 1;) out = Value::MakeRecord({p[k]}, {std::move(out)});
-      names.push_back(p[0]);
-      values.push_back(std::move(out));
-    }
-    // Merge duplicate heads (e.g. origin.ip + origin.country).
-    std::vector<std::string> merged_names;
-    std::vector<Value> merged_values;
-    for (size_t i = 0; i < names.size(); ++i) {
-      bool merged = false;
-      for (size_t j = 0; j < merged_names.size(); ++j) {
-        if (merged_names[j] == names[i] && merged_values[j].is_record() &&
-            values[i].is_record()) {
-          const auto& a = merged_values[j].record();
-          const auto& b = values[i].record();
-          std::vector<std::string> ns = a.names;
-          std::vector<Value> vs = a.values;
-          ns.insert(ns.end(), b.names.begin(), b.names.end());
-          vs.insert(vs.end(), b.values.begin(), b.values.end());
-          merged_values[j] = Value::MakeRecord(std::move(ns), std::move(vs));
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) {
-        merged_names.push_back(names[i]);
-        merged_values.push_back(values[i]);
-      }
-    }
-    return Value::MakeRecord(std::move(merged_names), std::move(merged_values));
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -178,61 +125,24 @@ class CacheScanCursor : public Cursor {
   Result<bool> Next(EvalEnv* row) override {
     GlobalCounters().virtual_calls++;
     if (row_ >= limit_) return false;
-    std::vector<std::string> names;
-    std::vector<Value> values;
-    for (const auto& p : fields_) {
+    auto read = [&](const FieldPath& p) -> Result<Value> {
       const CacheColumn* c = block_->Find(op_.binding(), p);
-      Value v;
-      if (c != nullptr) {
-        GlobalCounters().cache_field_accesses++;
-        switch (c->type) {
-          case TypeKind::kInt64:
-          case TypeKind::kDate: v = Value::Int(c->ints[row_]); break;
-          case TypeKind::kBool: v = Value::Boolean(c->ints[row_] != 0); break;
-          case TypeKind::kFloat64: v = Value::Float(c->floats[row_]); break;
-          case TypeKind::kString: v = Value::Str(c->strs[row_]); break;
-          default: return Status::Internal("bad cache column type");
-        }
-      } else {
+      if (c == nullptr) {
         // Raw fallback through the OID (paper: caching only the OID can be
         // sufficient; Q12-style string predicates still touch the file).
-        auto raw = plugin_->ReadValue(static_cast<uint64_t>(oid_col_->ints[row_]), p);
-        if (raw.ok()) {
-          v = std::move(*raw);
-        } else if (raw.status().code() == StatusCode::kNotFound) {
-          v = Value::Null();
-        } else {
-          return raw.status();
-        }
+        return plugin_->ReadValue(static_cast<uint64_t>(oid_col_->ints[row_]), p);
       }
-      for (size_t k = p.size(); k-- > 1;) v = Value::MakeRecord({p[k]}, {std::move(v)});
-      names.push_back(p[0]);
-      values.push_back(std::move(v));
-    }
-    // Merge duplicate heads (nested sub-records split across columns).
-    std::vector<std::string> mn;
-    std::vector<Value> mv;
-    for (size_t i = 0; i < names.size(); ++i) {
-      bool merged = false;
-      for (size_t j = 0; j < mn.size(); ++j) {
-        if (mn[j] == names[i] && mv[j].is_record() && values[i].is_record()) {
-          const auto& a = mv[j].record();
-          const auto& b = values[i].record();
-          std::vector<std::string> ns = a.names;
-          std::vector<Value> vs = a.values;
-          ns.insert(ns.end(), b.names.begin(), b.names.end());
-          vs.insert(vs.end(), b.values.begin(), b.values.end());
-          mv[j] = Value::MakeRecord(std::move(ns), std::move(vs));
-          merged = true;
-          break;
-        }
+      GlobalCounters().cache_field_accesses++;
+      switch (c->type) {
+        case TypeKind::kInt64:
+        case TypeKind::kDate: return Value::Int(c->ints[row_]);
+        case TypeKind::kBool: return Value::Boolean(c->ints[row_] != 0);
+        case TypeKind::kFloat64: return Value::Float(c->floats[row_]);
+        case TypeKind::kString: return Value::Str(c->strs[row_]);
+        default: return Status::Internal("bad cache column type");
       }
-      if (!merged) {
-        mn.push_back(names[i]);
-        mv.push_back(values[i]);
-      }
-    }
-    (*row)[op_.binding()] = Value::MakeRecord(std::move(mn), std::move(mv));
+    };
+    PROTEUS_ASSIGN_OR_RETURN((*row)[op_.binding()], AssembleRecord(fields_, read));
     ++row_;
     return true;
   }
@@ -697,15 +607,9 @@ class MorselRunner {
     for (size_t i = desc.ops.size(); i-- > 0;) {
       const Operator& op = *desc.ops[i];
       switch (op.kind()) {
-        case OpKind::kScan: {
-          PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx_.catalog->Get(op.dataset()));
-          if (info->format == DataFormat::kJSON) {
-            cursor.reset(new LenientScanCursor(ctx_, op, range));
-          } else {
-            cursor.reset(new ScanCursor(ctx_, op, range));
-          }
+        case OpKind::kScan:
+          cursor.reset(new ScanCursor(ctx_, op, range));
           break;
-        }
         case OpKind::kCacheScan:
           cursor.reset(new CacheScanCursor(ctx_, op, range));
           break;

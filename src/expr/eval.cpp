@@ -63,7 +63,12 @@ Result<Value> Eval(const ExprPtr& expr, const EvalEnv& env) {
     case ExprKind::kProj: {
       PROTEUS_ASSIGN_OR_RETURN(Value in, Eval(expr->child(0), env));
       if (in.is_null()) return Value::Null();
-      return in.GetField(expr->field());
+      // A field the record lacks reads as null: the type checker rejects
+      // fields the schema does not declare, so a miss here is an absent
+      // field of schema-flexible JSON (an array element without it).
+      auto field = in.GetField(expr->field());
+      if (!field.ok() && field.status().code() == StatusCode::kNotFound) return Value::Null();
+      return field;
     }
     case ExprKind::kBinary: {
       BinOp op = expr->bin_op();

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,17 +52,19 @@ struct CgValue {
   llvm::Value* len = nullptr;  // strings only: i64
   /// SQL-null flag (i1), or nullptr when the value is provably non-null.
   /// Set for outer-join/outer-unnest null bindings (constant true) and for
-  /// join-key JSON field reads (a proteus_json_has check), and propagated
+  /// every JSON read, top-level or array element (the read helper's
+  /// presence: an absent field or a JSON null is SQL null), and propagated
   /// through expressions with the interpreter's Eval() semantics: arithmetic
   /// and comparisons yield null if an operand is null, and/or fold null
   /// operands to false, predicates treat null as false, aggregates skip null
-  /// inputs. Other field reads stay unflagged — absent JSON fields read 0/""
-  /// there, the engine's long-standing generated-code semantics.
+  /// inputs.
   llvm::Value* null = nullptr;
 };
 
+/// Where a scan variable's records come from: a plug-in's raw data, or a
+/// cache block (plus, for its uncached fields, the plug-in it was built
+/// from; null when the block has no source dataset).
 struct ScanSource {
-  DataFormat format;
   InputPlugin* plugin = nullptr;
   std::shared_ptr<const CacheBlock> cache;  ///< shared: survives eviction
   std::string dataset;    ///< catalog name (raw formats; hybrid cache reads)
@@ -170,6 +173,25 @@ class Codegen {
   Status EmitProduce(const OpPtr& op, const Consume& consume);
   Status EmitScan(const OpPtr& op, const Consume& consume);
   Status EmitCacheScan(const OpPtr& op, const Consume& consume);
+  /// Reads field `path`, of primitive `kind`, of record `oid` from `src`'s
+  /// plug-in — the one place codegen knows a raw format. Scans bind their
+  /// fields through it, cache scans the fields their block lacks. JSON reads
+  /// carry the helper's presence as their null flag.
+  Result<CgValue> EmitFieldRead(const ScanSource& src, llvm::Value* oid, const FieldPath& path,
+                                TypeKind kind);
+  /// Calls the typed read helper `<family>_<int|double|bool|str>` for `kind`
+  /// on `args` plus the out slots it writes the value through (strings:
+  /// bytes and length). A `nullable` family returns the value's presence as
+  /// an i32, and a zero result becomes the value's null flag.
+  CgValue EmitTypedRead(const std::string& family, TypeKind kind,
+                        std::vector<llvm::Value*> args, bool nullable);
+  /// True when `var` is bound by a scan whose records (or uncached fields)
+  /// come from a JSON plug-in.
+  bool JsonSource(const std::string& var) const {
+    auto it = sources_.find(var);
+    return it != sources_.end() && it->second.plugin != nullptr &&
+           it->second.plugin->info().format == DataFormat::kJSON;
+  }
   Status EmitUnnest(const OpPtr& op, const Consume& consume);
   Status EmitJoin(const OpPtr& op, const Consume& consume);
   Status EmitJoinBuild(const Operator& op);
@@ -342,10 +364,6 @@ class Codegen {
   const Operator* drain_join_ = nullptr;
   llvm::Value* drain_matched_arg_ = nullptr;
   std::vector<uint32_t> outer_join_tables_;
-  // Keys (var.path) read by any join key expression: JSON reads of these
-  // carry a proteus_json_has null check so null-key build/probe semantics
-  // match the interpreter's (null keys never match).
-  std::unordered_set<std::string> key_paths_;
 
   std::unordered_map<std::string, CgValue> bindings_;       // virtual buffers
   std::unordered_map<std::string, llvm::Value*> oids_;      // var -> current oid (i64)
@@ -391,24 +409,6 @@ void CollectExprPaths(const ExprPtr& e,
     return;
   }
   for (const auto& c : e->children()) CollectExprPaths(c, out);
-}
-
-/// Collects the (var, path) keys every join key expression in the plan
-/// reads. JSON scans of those fields emit a presence check alongside the
-/// value read — the null-key join semantics the interpreter gets for free
-/// from boxed Values.
-void CollectJoinKeyPaths(const OpPtr& op, std::unordered_set<std::string>* out) {
-  if (op->kind() == OpKind::kJoin) {
-    std::unordered_map<std::string, std::vector<FieldPath>> paths;
-    CollectExprPaths(op->left_key(), &paths);
-    CollectExprPaths(op->right_key(), &paths);
-    for (const auto& [var, ps] : paths) {
-      for (const auto& p : ps) {
-        out->insert(p.empty() ? var : var + "." + DottedPath(p));
-      }
-    }
-  }
-  for (const auto& c : op->children()) CollectJoinKeyPaths(c, out);
 }
 
 Status Codegen::CheckSupported(const OpPtr& op) const {
@@ -514,7 +514,7 @@ Status Codegen::Prepare(const OpPtr& op) {
       PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ectx_.catalog->Get(op->dataset()));
       PROTEUS_ASSIGN_OR_RETURN(InputPlugin * plugin,
                                ectx_.plugins->GetOrOpen(*info, ectx_.stats));
-      sources_[op->binding()] = {info->format, plugin, nullptr, op->dataset(), 0};
+      sources_[op->binding()] = {plugin, nullptr, op->dataset(), 0};
       var_types_[op->binding()] = info->type->elem();
       break;
     }
@@ -522,8 +522,7 @@ Status Codegen::Prepare(const OpPtr& op) {
       if (ectx_.caches == nullptr) return Status::Internal("jit: cache scan w/o manager");
       auto blk = ectx_.caches->FindById(op->cache_id());
       if (blk == nullptr) return Status::NotFound("jit: cache block evicted");
-      ScanSource src{DataFormat::kCacheBlock, nullptr, std::move(blk), op->dataset(),
-                     op->cache_id()};
+      ScanSource src{nullptr, std::move(blk), op->dataset(), op->cache_id()};
       if (!op->dataset().empty()) {
         PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ectx_.catalog->Get(op->dataset()));
         PROTEUS_ASSIGN_OR_RETURN(src.plugin, ectx_.plugins->GetOrOpen(*info, ectx_.stats));
@@ -938,159 +937,119 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
     for (const auto& p : fields) {
       auto lk = LeafKind(var, p);
       if (!lk.ok()) continue;  // collections (unnest paths) are read lazily
-      TypeKind kind = *lk;
-      CgValue cv;
-      cv.kind = kind;
-      switch (src.format) {
-        case DataFormat::kBinaryColumn: {
-          auto* plugin = static_cast<BinColPlugin*>(src.plugin);
-          const BinColReader* r = plugin->reader();
-          int ci = r->ColumnIndex(p[0]);
-          if (ci < 0) return Status::Internal("jit: missing bincol column " + p[0]);
-          auto col = static_cast<uint32_t>(ci);
-          if (kind == TypeKind::kInt64) {
-            llvm::Value* base =
-                ParamI64(DataParam(jit::ParamKind::kBinColIntBase, src.dataset, col));
-            cv.v = LoadAt(b_.getInt64Ty(),
-                          b_.CreateAdd(base, b_.CreateMul(oid, b_.getInt64(8))));
-          } else if (kind == TypeKind::kFloat64) {
-            llvm::Value* base =
-                ParamI64(DataParam(jit::ParamKind::kBinColFloatBase, src.dataset, col));
-            cv.v = LoadAt(b_.getDoubleTy(),
-                          b_.CreateAdd(base, b_.CreateMul(oid, b_.getInt64(8))));
-          } else if (kind == TypeKind::kBool) {
-            llvm::Value* base =
-                ParamI64(DataParam(jit::ParamKind::kBinColBoolBase, src.dataset, col));
-            llvm::Value* byte = LoadAt(b_.getInt8Ty(), b_.CreateAdd(base, oid));
-            cv.v = b_.CreateICmpNE(byte, b_.getInt8(0));
-          } else {  // string: offsets + data
-            llvm::Value* offs =
-                ParamI64(DataParam(jit::ParamKind::kBinColStrOffsets, src.dataset, col));
-            llvm::Value* data =
-                ParamI64(DataParam(jit::ParamKind::kBinColStrData, src.dataset, col));
-            llvm::Value* o1 = LoadAt(b_.getInt64Ty(),
-                                     b_.CreateAdd(offs, b_.CreateMul(oid, b_.getInt64(8))));
-            llvm::Value* o2 = LoadAt(
-                b_.getInt64Ty(),
-                b_.CreateAdd(offs, b_.CreateMul(b_.CreateAdd(oid, b_.getInt64(1)),
-                                                b_.getInt64(8))));
-            cv.v = b_.CreateIntToPtr(b_.CreateAdd(data, o1), b_.getInt8PtrTy());
-            cv.len = b_.CreateSub(o2, o1);
-          }
-          break;
-        }
-        case DataFormat::kBinaryRow: {
-          auto* plugin = static_cast<BinRowPlugin*>(src.plugin);
-          const BinRowReader* r = plugin->reader();
-          int ci = r->ColumnIndex(p[0]);
-          if (ci < 0) return Status::Internal("jit: missing binrow column " + p[0]);
-          llvm::Value* base = ParamI64(DataParam(jit::ParamKind::kBinRowRowsBase, src.dataset));
-          llvm::Value* addr = b_.CreateAdd(
-              base, b_.CreateAdd(b_.CreateMul(oid, b_.getInt64(r->row_width())),
-                                 b_.getInt64(8 * static_cast<uint64_t>(ci))));
-          if (kind == TypeKind::kInt64) {
-            cv.v = LoadAt(b_.getInt64Ty(), addr);
-          } else if (kind == TypeKind::kFloat64) {
-            cv.v = LoadAt(b_.getDoubleTy(), addr);
-          } else if (kind == TypeKind::kBool) {
-            cv.v = b_.CreateICmpNE(LoadAt(b_.getInt64Ty(), addr), b_.getInt64(0));
-          } else {  // packed (u32 off, u32 len) into the heap
-            llvm::Value* off = b_.CreateZExt(LoadAt(b_.getInt32Ty(), addr), b_.getInt64Ty());
-            llvm::Value* len = b_.CreateZExt(
-                LoadAt(b_.getInt32Ty(), b_.CreateAdd(addr, b_.getInt64(4))), b_.getInt64Ty());
-            llvm::Value* heap =
-                ParamI64(DataParam(jit::ParamKind::kBinRowHeapBase, src.dataset));
-            cv.v = b_.CreateIntToPtr(b_.CreateAdd(heap, off), b_.getInt8PtrTy());
-            cv.len = len;
-          }
-          break;
-        }
-        case DataFormat::kCSV: {
-          auto* plugin = static_cast<CsvPlugin*>(src.plugin);
-          int ci = plugin->ColumnIndex(p[0]);
-          if (ci < 0) return Status::Internal("jit: missing csv column " + p[0]);
-          llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
-          llvm::Value* col = b_.getInt32(static_cast<uint32_t>(ci));
-          auto* i8p = b_.getInt8PtrTy();
-          if (kind == TypeKind::kInt64) {
-            cv.v = b_.CreateCall(Helper("proteus_csv_int", b_.getInt64Ty(),
-                                        {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
-                                 {pp, oid, col});
-          } else if (kind == TypeKind::kFloat64) {
-            cv.v = b_.CreateCall(Helper("proteus_csv_double", b_.getDoubleTy(),
-                                        {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
-                                 {pp, oid, col});
-          } else if (kind == TypeKind::kBool) {
-            llvm::Value* i = b_.CreateCall(Helper("proteus_csv_int", b_.getInt64Ty(),
-                                                  {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
-                                           {pp, oid, col});
-            cv.v = b_.CreateICmpNE(i, b_.getInt64(0));
-          } else {
-            llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-            cv.v = b_.CreateCall(
-                Helper("proteus_csv_str", i8p,
-                       {i8p, b_.getInt64Ty(), b_.getInt32Ty(), b_.getInt64Ty()->getPointerTo()}),
-                {pp, oid, col, len_ptr});
-            cv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-          }
-          break;
-        }
-        case DataFormat::kJSON: {
-          llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
-          llvm::Value* h = b_.getInt64(HashString(DottedPath(p)));
-          auto* i8p = b_.getInt8PtrTy();
-          const bool keyed = key_paths_.count(Key(var, p)) != 0;
-          if (kind == TypeKind::kInt64 && keyed) {
-            // Join-key int fields fuse presence + read into one structural
-            // index lookup (absent = SQL null; null keys never match).
-            llvm::Value* out_ptr = EntryAlloca(b_.getInt64Ty());
-            llvm::Value* has = b_.CreateCall(
-                Helper("proteus_json_int_opt", b_.getInt32Ty(),
-                       {i8p, b_.getInt64Ty(), b_.getInt64Ty(),
-                        b_.getInt64Ty()->getPointerTo()}),
-                {pp, oid, h, out_ptr});
-            cv.v = b_.CreateLoad(b_.getInt64Ty(), out_ptr);
-            cv.null = b_.CreateICmpEQ(has, b_.getInt32(0));
-          } else if (kind == TypeKind::kInt64) {
-            cv.v = b_.CreateCall(Helper("proteus_json_int", b_.getInt64Ty(),
-                                        {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                                 {pp, oid, h});
-          } else if (kind == TypeKind::kFloat64) {
-            cv.v = b_.CreateCall(Helper("proteus_json_double", b_.getDoubleTy(),
-                                        {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                                 {pp, oid, h});
-          } else if (kind == TypeKind::kBool) {
-            llvm::Value* i = b_.CreateCall(Helper("proteus_json_bool", b_.getInt64Ty(),
-                                                  {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                                           {pp, oid, h});
-            cv.v = b_.CreateICmpNE(i, b_.getInt64(0));
-          } else {
-            llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-            cv.v = b_.CreateCall(
-                Helper("proteus_json_str", i8p,
-                       {i8p, b_.getInt64Ty(), b_.getInt64Ty(), b_.getInt64Ty()->getPointerTo()}),
-                {pp, oid, h, len_ptr});
-            cv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-          }
-          if (keyed && cv.null == nullptr) {
-            // Non-int join-key fields: absent JSON fields must behave as
-            // SQL null (null keys never match), not as the reader's 0/""
-            // default.
-            cv.null = b_.CreateICmpEQ(
-                b_.CreateCall(Helper("proteus_json_has", b_.getInt32Ty(),
-                                     {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                              {pp, oid, h}),
-                b_.getInt32(0));
-          }
-          break;
-        }
-        case DataFormat::kCacheBlock:
-          return Status::Internal("jit: cache scans take the EmitCacheScan path");
-      }
-      bindings_[Key(var, p)] = cv;
+      PROTEUS_ASSIGN_OR_RETURN(bindings_[Key(var, p)], EmitFieldRead(src, oid, p, *lk));
     }
     return consume();
   });
+}
+
+Result<CgValue> Codegen::EmitFieldRead(const ScanSource& src, llvm::Value* oid,
+                                       const FieldPath& path, TypeKind kind) {
+  const DataFormat format = src.plugin->info().format;
+  switch (format) {
+    case DataFormat::kBinaryColumn: {
+      const BinColReader* r = static_cast<BinColPlugin*>(src.plugin)->reader();
+      int ci = r->ColumnIndex(path[0]);
+      if (ci < 0) return Status::Internal("jit: missing bincol column " + path[0]);
+      auto col = static_cast<uint32_t>(ci);
+      auto base = [&](jit::ParamKind k) { return ParamI64(DataParam(k, src.dataset, col)); };
+      auto at8 = [&](llvm::Value* array, llvm::Value* i) {
+        return b_.CreateAdd(array, b_.CreateMul(i, b_.getInt64(8)));
+      };
+      CgValue cv;
+      cv.kind = kind;
+      if (kind == TypeKind::kInt64) {
+        cv.v = LoadAt(b_.getInt64Ty(), at8(base(jit::ParamKind::kBinColIntBase), oid));
+      } else if (kind == TypeKind::kFloat64) {
+        cv.v = LoadAt(b_.getDoubleTy(), at8(base(jit::ParamKind::kBinColFloatBase), oid));
+      } else if (kind == TypeKind::kBool) {
+        llvm::Value* byte =
+            LoadAt(b_.getInt8Ty(), b_.CreateAdd(base(jit::ParamKind::kBinColBoolBase), oid));
+        cv.v = b_.CreateICmpNE(byte, b_.getInt8(0));
+      } else {  // string: offsets + data
+        llvm::Value* offs = base(jit::ParamKind::kBinColStrOffsets);
+        llvm::Value* o1 = LoadAt(b_.getInt64Ty(), at8(offs, oid));
+        llvm::Value* o2 = LoadAt(b_.getInt64Ty(), at8(offs, b_.CreateAdd(oid, b_.getInt64(1))));
+        cv.v = b_.CreateIntToPtr(b_.CreateAdd(base(jit::ParamKind::kBinColStrData), o1),
+                                 b_.getInt8PtrTy());
+        cv.len = b_.CreateSub(o2, o1);
+      }
+      return cv;
+    }
+    case DataFormat::kBinaryRow: {
+      const BinRowReader* r = static_cast<BinRowPlugin*>(src.plugin)->reader();
+      int ci = r->ColumnIndex(path[0]);
+      if (ci < 0) return Status::Internal("jit: missing binrow column " + path[0]);
+      llvm::Value* base = ParamI64(DataParam(jit::ParamKind::kBinRowRowsBase, src.dataset));
+      llvm::Value* addr = b_.CreateAdd(
+          base, b_.CreateAdd(b_.CreateMul(oid, b_.getInt64(r->row_width())),
+                             b_.getInt64(8 * static_cast<uint64_t>(ci))));
+      CgValue cv;
+      cv.kind = kind;
+      if (kind == TypeKind::kInt64) {
+        cv.v = LoadAt(b_.getInt64Ty(), addr);
+      } else if (kind == TypeKind::kFloat64) {
+        cv.v = LoadAt(b_.getDoubleTy(), addr);
+      } else if (kind == TypeKind::kBool) {
+        cv.v = b_.CreateICmpNE(LoadAt(b_.getInt64Ty(), addr), b_.getInt64(0));
+      } else {  // packed (u32 off, u32 len) into the heap
+        llvm::Value* off = b_.CreateZExt(LoadAt(b_.getInt32Ty(), addr), b_.getInt64Ty());
+        llvm::Value* len = b_.CreateZExt(
+            LoadAt(b_.getInt32Ty(), b_.CreateAdd(addr, b_.getInt64(4))), b_.getInt64Ty());
+        llvm::Value* heap = ParamI64(DataParam(jit::ParamKind::kBinRowHeapBase, src.dataset));
+        cv.v = b_.CreateIntToPtr(b_.CreateAdd(heap, off), b_.getInt8PtrTy());
+        cv.len = len;
+      }
+      return cv;
+    }
+    case DataFormat::kCSV: {
+      int ci = static_cast<CsvPlugin*>(src.plugin)->ColumnIndex(path[0]);
+      if (ci < 0) return Status::Internal("jit: missing csv column " + path[0]);
+      llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
+      return EmitTypedRead("proteus_csv", kind,
+                           {pp, oid, b_.getInt32(static_cast<uint32_t>(ci))},
+                           /*nullable=*/false);
+    }
+    case DataFormat::kJSON: {
+      llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
+      llvm::Value* h = b_.getInt64(HashString(DottedPath(path)));
+      return EmitTypedRead("proteus_json", kind, {CtxPtr(), pp, oid, h}, /*nullable=*/true);
+    }
+    case DataFormat::kCacheBlock:
+      break;
+  }
+  return Status::Internal(std::string("jit: no raw reader for format ") +
+                          DataFormatName(format));
+}
+
+CgValue Codegen::EmitTypedRead(const std::string& family, TypeKind kind,
+                               std::vector<llvm::Value*> args, bool nullable) {
+  llvm::Type* i64 = b_.getInt64Ty();
+  llvm::Type* value_ty = kind == TypeKind::kFloat64  ? b_.getDoubleTy()
+                         : kind == TypeKind::kString ? static_cast<llvm::Type*>(b_.getInt8PtrTy())
+                                                     : i64;
+  const char* suffix = kind == TypeKind::kFloat64  ? "_double"
+                       : kind == TypeKind::kBool   ? "_bool"
+                       : kind == TypeKind::kString ? "_str"
+                                                   : "_int";
+  llvm::Value* out = EntryAlloca(value_ty);
+  args.push_back(out);
+  llvm::Value* len = nullptr;
+  if (kind == TypeKind::kString) {
+    len = EntryAlloca(i64);
+    args.push_back(len);
+  }
+  std::vector<llvm::Type*> types;
+  for (llvm::Value* a : args) types.push_back(a->getType());
+  llvm::Type* ret = nullable ? b_.getInt32Ty() : b_.getVoidTy();
+  llvm::Value* present = b_.CreateCall(Helper((family + suffix).c_str(), ret, types), args);
+  CgValue cv;
+  cv.kind = kind;
+  cv.v = b_.CreateLoad(value_ty, out);
+  if (kind == TypeKind::kBool) cv.v = b_.CreateICmpNE(cv.v, b_.getInt64(0));
+  if (len != nullptr) cv.len = b_.CreateLoad(i64, len);
+  if (nullable) cv.null = b_.CreateICmpEQ(present, b_.getInt32(0));
+  return cv;
 }
 
 Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
@@ -1148,65 +1107,10 @@ Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
               }
             }
           } else if (src.plugin != nullptr && oid_col != nullptr) {
-            // Hybrid raw access by OID (e.g. uncached string field).
+            // Hybrid raw access by OID (an uncached string or raw_only field).
             auto lk = LeafKind(var, p);
             if (!lk.ok()) continue;  // collection field: unnest reads it lazily
-            TypeKind kind = *lk;
-            llvm::Value* oid_base = ParamI64(
-                CacheParam(jit::ParamKind::kCacheColIntBase, src.cache_id, var, {"$oid"}));
-            llvm::Value* oid = LoadAt(b_.getInt64Ty(),
-                                      b_.CreateAdd(oid_base, b_.CreateMul(row, b_.getInt64(8))));
-            llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
-            auto* i8p = b_.getInt8PtrTy();
-            const DatasetInfo& info = src.plugin->info();
-            if (info.format == DataFormat::kJSON) {
-              llvm::Value* h = b_.getInt64(HashString(DottedPath(p)));
-              if (kind == TypeKind::kString) {
-                llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-                cv.kind = TypeKind::kString;
-                cv.v = b_.CreateCall(Helper("proteus_json_str", i8p,
-                                            {i8p, b_.getInt64Ty(), b_.getInt64Ty(),
-                                             b_.getInt64Ty()->getPointerTo()}),
-                                     {pp, oid, h, len_ptr});
-                cv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-              } else if (kind == TypeKind::kFloat64) {
-                cv.kind = kind;
-                cv.v = b_.CreateCall(Helper("proteus_json_double", b_.getDoubleTy(),
-                                            {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                                     {pp, oid, b_.getInt64(HashString(DottedPath(p)))});
-              } else {
-                cv.kind = TypeKind::kInt64;
-                cv.v = b_.CreateCall(Helper("proteus_json_int", b_.getInt64Ty(),
-                                            {i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
-                                     {pp, oid, h});
-              }
-            } else if (info.format == DataFormat::kCSV) {
-              auto* csv = static_cast<CsvPlugin*>(src.plugin);
-              int ci = csv->ColumnIndex(p[0]);
-              if (ci < 0) return Status::Internal("jit: missing csv column " + p[0]);
-              llvm::Value* col = b_.getInt32(static_cast<uint32_t>(ci));
-              if (kind == TypeKind::kString) {
-                llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-                cv.kind = TypeKind::kString;
-                cv.v = b_.CreateCall(Helper("proteus_csv_str", i8p,
-                                            {i8p, b_.getInt64Ty(), b_.getInt32Ty(),
-                                             b_.getInt64Ty()->getPointerTo()}),
-                                     {pp, oid, col, len_ptr});
-                cv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-              } else if (kind == TypeKind::kFloat64) {
-                cv.kind = kind;
-                cv.v = b_.CreateCall(Helper("proteus_csv_double", b_.getDoubleTy(),
-                                            {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
-                                     {pp, oid, col});
-              } else {
-                cv.kind = TypeKind::kInt64;
-                cv.v = b_.CreateCall(Helper("proteus_csv_int", b_.getInt64Ty(),
-                                            {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
-                                     {pp, oid, col});
-              }
-            } else {
-              return Status::Unimplemented("jit: hybrid cache read from binary source");
-            }
+            PROTEUS_ASSIGN_OR_RETURN(cv, EmitFieldRead(src, oids_.at(var), p, *lk));
           } else {
             return Status::Unimplemented("jit: cache miss for field " + Key(var, p));
           }
@@ -1229,14 +1133,13 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
   return EmitProduce(op->child(0), [&]() -> Status {
     // The source may be a raw JSON scan or a cache scan over a JSON dataset
     // (the cached OID addresses the original file's structural index).
-    auto src_it = sources_.find(src_var);
-    if (src_it == sources_.end() || src_it->second.plugin == nullptr ||
-        src_it->second.plugin->info().format != DataFormat::kJSON) {
+    if (!JsonSource(src_var)) {
       return Status::Unimplemented("jit: unnest source must be a JSON scan");
     }
     auto oid_it = oids_.find(src_var);
     if (oid_it == oids_.end()) return Status::Unimplemented("jit: unnest without OID");
-    llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src_it->second.dataset));
+    const std::string& dataset = sources_.at(src_var).dataset;
+    llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, dataset));
     llvm::Value* oid = oid_it->second;
     FieldPath rel(p.begin() + 1, p.end());
     llvm::Value* h = b_.getInt64(HashString(DottedPath(rel)));
@@ -1300,43 +1203,16 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
     b_.CreateCondBr(b_.CreateICmpNE(has, b_.getInt32(0)), body_bb, exit_bb);
     b_.SetInsertPoint(body_bb);
 
-    // Bind the element fields used above.
+    // Bind the element fields used above (the element itself for a
+    // primitive element: an empty name).
     for (size_t pi = 0; pi < paths.size(); ++pi) {
       const FieldPath& ep = paths[pi];
-      CgValue cv;
-      TypeKind kind = path_kinds[pi];
-      llvm::Value* name;
-      llvm::Value* name_len;
-      if (ep.empty()) {
-        name = GlobalString("");
-        name_len = b_.getInt64(0);
-      } else {
-        name = GlobalString(ep[0]);
-        name_len = b_.getInt64(static_cast<int64_t>(ep[0].size()));
-      }
-      cv.kind = kind;
-      if (kind == TypeKind::kInt64) {
-        cv.v = b_.CreateCall(Helper("proteus_unnest_elem_int", b_.getInt64Ty(),
-                                    {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                             {CtxPtr(), slot_v, name, name_len});
-      } else if (kind == TypeKind::kFloat64) {
-        cv.v = b_.CreateCall(Helper("proteus_unnest_elem_double", b_.getDoubleTy(),
-                                    {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                             {CtxPtr(), slot_v, name, name_len});
-      } else if (kind == TypeKind::kBool) {
-        llvm::Value* i = b_.CreateCall(Helper("proteus_unnest_elem_int", b_.getInt64Ty(),
-                                              {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                                       {CtxPtr(), slot_v, name, name_len});
-        cv.v = b_.CreateICmpNE(i, b_.getInt64(0));
-      } else {
-        llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-        cv.v = b_.CreateCall(Helper("proteus_unnest_elem_str", i8p,
-                                    {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty(),
-                                     b_.getInt64Ty()->getPointerTo()}),
-                             {CtxPtr(), slot_v, name, name_len, len_ptr});
-        cv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
-      }
-      bindings_[Key(elem_var, ep)] = cv;
+      const std::string name = ep.empty() ? std::string() : ep[0];
+      bindings_[Key(elem_var, ep)] = EmitTypedRead(
+          "proteus_unnest_elem", path_kinds[pi],
+          {CtxPtr(), slot_v, GlobalString(name),
+           b_.getInt64(static_cast<int64_t>(name.size()))},
+          /*nullable=*/true);
     }
 
     PROTEUS_RETURN_NOT_OK(EmitFilter(op->pred(), consume));
@@ -1362,23 +1238,20 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
   // Determine the build-side payload: all needed paths of build-side vars.
   std::vector<std::string> build_vars;
   CollectBoundVars(op.child(0), &build_vars);
-  // Vars whose bindings can carry a SQL-null flag at build time: outer
-  // unnest elements, and JSON join-key reads (has-checked). The predicate is
-  // static per (var, path), so nested joins inside the build subtree predict
-  // their rebinds' nullability consistently.
-  std::unordered_set<std::string> outer_unnest_vars;
+  // Vars whose bindings can carry a SQL-null flag at build time: unnest
+  // elements (outer-unnest null rows, element reads) and JSON sources. The
+  // predicate is static per var, so nested joins inside the build subtree
+  // predict their rebinds' nullability consistently.
+  std::unordered_set<std::string> unnest_vars;
   {
     std::function<void(const OpPtr&)> walk = [&](const OpPtr& o) {
-      if (o->kind() == OpKind::kUnnest && o->outer()) outer_unnest_vars.insert(o->binding());
+      if (o->kind() == OpKind::kUnnest) unnest_vars.insert(o->binding());
       for (const auto& c : o->children()) walk(c);
     };
     walk(op.child(0));
   }
-  auto field_nullable = [&](const std::string& var, const FieldPath& path) {
-    if (outer_unnest_vars.count(var) != 0) return true;
-    auto it = sources_.find(var);
-    return it != sources_.end() && it->second.format == DataFormat::kJSON &&
-           key_paths_.count(Key(var, path)) != 0;
+  auto field_nullable = [&](const std::string& var) {
+    return unnest_vars.count(var) != 0 || JsonSource(var);
   };
   std::vector<PayloadField> payload;
   uint32_t slots = 0;
@@ -1394,7 +1267,7 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
       if (path.empty()) return Status::Unimplemented("jit: whole-record join payload");
       PROTEUS_ASSIGN_OR_RETURN(TypeKind kind, LeafKind(var, path));
       payload.push_back({var, path, kind, slots});
-      if (field_nullable(var, path)) payload.back().null_bit = null_bits++;
+      if (field_nullable(var)) payload.back().null_bit = null_bits++;
       slots += (kind == TypeKind::kString) ? 2 : 1;
     }
   }
@@ -2260,7 +2133,6 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
   driver_leaf_ = pipe.leaf;
   chain_joins_.insert(pipe.joins.begin(), pipe.joins.end());
   PROTEUS_RETURN_NOT_OK(CheckSupported(plan));
-  CollectJoinKeyPaths(plan, &key_paths_);
   PROTEUS_RETURN_NOT_OK(Prepare(plan));
 
   const Operator* nest = RootNest(plan);
@@ -2609,7 +2481,8 @@ Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional
   // iterators are (re)initialized by the generated code before every use,
   // so reuse is race-free and skips 2 vector allocations per morsel.
   const int workers = ctx_.scheduler->num_threads();
-  std::vector<jit::MorselCtx> ctxs(static_cast<size_t>(workers), jit::MorselCtx(&rt));
+  std::deque<jit::MorselCtx> ctxs;
+  for (int w = 0; w < workers; ++w) ctxs.emplace_back(&rt);
 
   // Matched-build bitmaps for the outer chain joins, one set per *worker*
   // (marking is an idempotent 0→1 write and the merge below ORs, so which

@@ -42,10 +42,10 @@
 // SQL null) through the ops above the join into trailing partial slots —
 // the interpreter's exact drain frame. Outer unnests emit a null-element
 // branch, and set-monoid roots emit through the collection sink whose kSet
-// Aggregator deduplicates per morsel before the morsel-order merge. Join
-// keys read from JSON carry a generated presence check so null keys never
-// match, mirroring the interpreter's null-key rule on both build and probe
-// sides.
+// Aggregator deduplicates per morsel before the morsel-order merge. Every
+// JSON read carries a null flag from the index lookup that finds the value
+// (an absent field or a JSON null is SQL null, as in the interpreter), so
+// null join keys never match on either build or probe side.
 //
 // Join tables come in two bucket layouts — shared (one clustered array) and
 // radix-partitioned (per-partition sub-tables with partition-local

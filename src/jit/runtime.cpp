@@ -13,9 +13,8 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
   return {
       {"proteus_csv_int", reinterpret_cast<void*>(&proteus_csv_int)},
       {"proteus_csv_double", reinterpret_cast<void*>(&proteus_csv_double)},
+      {"proteus_csv_bool", reinterpret_cast<void*>(&proteus_csv_bool)},
       {"proteus_csv_str", reinterpret_cast<void*>(&proteus_csv_str)},
-      {"proteus_json_has", reinterpret_cast<void*>(&proteus_json_has)},
-      {"proteus_json_int_opt", reinterpret_cast<void*>(&proteus_json_int_opt)},
       {"proteus_json_int", reinterpret_cast<void*>(&proteus_json_int)},
       {"proteus_json_double", reinterpret_cast<void*>(&proteus_json_double)},
       {"proteus_json_bool", reinterpret_cast<void*>(&proteus_json_bool)},
@@ -25,6 +24,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_unnest_advance", reinterpret_cast<void*>(&proteus_unnest_advance)},
       {"proteus_unnest_elem_int", reinterpret_cast<void*>(&proteus_unnest_elem_int)},
       {"proteus_unnest_elem_double", reinterpret_cast<void*>(&proteus_unnest_elem_double)},
+      {"proteus_unnest_elem_bool", reinterpret_cast<void*>(&proteus_unnest_elem_bool)},
       {"proteus_unnest_elem_str", reinterpret_cast<void*>(&proteus_unnest_elem_str)},
       {"proteus_join_insert", reinterpret_cast<void*>(&proteus_join_insert)},
       {"proteus_join_insert_null", reinterpret_cast<void*>(&proteus_join_insert_null)},
@@ -103,68 +103,72 @@ double ParseDoubleSpan(const char* s, const char* e) {
   return v;
 }
 
-/// Finds the value span of `"name": value` among the top-level fields of a
-/// JSON object element ([s, e)). Returns false if absent.
-bool FindElemField(const char* s, const char* e, const char* name, int64_t name_len,
-                   const char** vs, const char** ve) {
-  const char* p = s;
-  if (p >= e || *p != '{') return false;
-  ++p;
-  while (p < e) {
-    while (p < e && (*p == ' ' || *p == ',' || *p == '\n' || *p == '\t')) ++p;
-    if (p >= e || *p == '}') return false;
-    if (*p != '"') return false;
-    const char* ns = ++p;
-    while (p < e && *p != '"') {
-      if (*p == '\\') ++p;
-      ++p;
-    }
-    const char* ne = p;
-    ++p;  // closing quote
-    while (p < e && (*p == ' ' || *p == ':')) ++p;
-    const char* val_start = p;
-    if (p < e && *p == '"') {
-      ++p;
-      while (p < e && *p != '"') {
-        if (*p == '\\') ++p;
-        ++p;
-      }
-      ++p;
-    } else if (p < e && (*p == '{' || *p == '[')) {
-      int depth = 0;
-      while (p < e) {
-        if (*p == '"') {
-          ++p;
-          while (p < e && *p != '"') {
-            if (*p == '\\') ++p;
-            ++p;
-          }
-          ++p;
-          continue;
-        }
-        if (*p == '{' || *p == '[') ++depth;
-        if (*p == '}' || *p == ']') {
-          --depth;
-          ++p;
-          if (depth == 0) break;
-          continue;
-        }
-        ++p;
-      }
-    } else {
-      while (p < e && *p != ',' && *p != '}') ++p;
-    }
-    if (static_cast<int64_t>(ne - ns) == name_len && std::memcmp(ns, name, name_len) == 0) {
-      *vs = val_start;
-      *ve = p;
-      return true;
-    }
-  }
-  return false;
+/// One located JSON value: its byte span and token type (kNull also when
+/// the field is absent).
+struct JsonSpan {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+  JsonTokenType type = JsonTokenType::kNull;
+};
+
+JsonSpan FieldSpan(const void* plugin, uint64_t oid, uint64_t path_hash) {
+  const auto* jp = static_cast<const JsonPlugin*>(plugin);
+  const JsonToken* t = jp->FindTokenByHash(oid, path_hash);
+  if (t == nullptr) return {};
+  const char* b = jp->ObjectBase(oid);
+  return {b + t->start, b + t->end, t->type};
 }
 
-const JsonToken* JsonTok(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  return static_cast<const JsonPlugin*>(plugin)->FindTokenByHash(oid, path_hash);
+JsonSpan ElemSpan(void* ctx, uint32_t slot, const char* name, int64_t name_len) {
+  const UnnestStateRt& u = CTX(ctx)->unnests[slot];
+  JsonSpan v{u.obj_base + u.cur->start, u.obj_base + u.cur->end, u.cur->type};
+  if (name_len == 0) return v;
+  if (!proteus::FindJsonField(v.begin, v.end,
+                              std::string_view(name, static_cast<size_t>(name_len)), &v.begin,
+                              &v.end, &v.type)) {
+    return {};
+  }
+  return v;
+}
+
+// The typed conversions of a located JSON value, shared by top-level and
+// element reads: presence (absent and null are SQL null), and the value.
+int32_t ToInt(const JsonSpan& v, int64_t* out) {
+  const bool present = v.type != JsonTokenType::kNull;
+  *out = present ? ParseIntSpan(v.begin, v.end) : 0;
+  return present;
+}
+
+int32_t ToDouble(const JsonSpan& v, double* out) {
+  const bool present = v.type != JsonTokenType::kNull;
+  *out = present ? ParseDoubleSpan(v.begin, v.end) : 0;
+  return present;
+}
+
+int32_t ToBool(const JsonSpan& v, int64_t* out) {
+  const bool present = v.type != JsonTokenType::kNull;
+  *out = present && *v.begin == 't' ? 1 : 0;
+  return present;
+}
+
+int32_t ToStr(void* ctx, const JsonSpan& v, const char** out, int64_t* len) {
+  const char* s = v.begin;
+  const char* e = v.end;
+  if (v.type == JsonTokenType::kNull) {
+    s = e = "";
+  } else if (v.type == JsonTokenType::kString) {
+    ++s;  // strip the quotes
+    --e;
+    if (std::memchr(s, '\\', static_cast<size_t>(e - s)) != nullptr) {
+      std::list<std::string>& kept = CTX(ctx)->unescaped;
+      kept.push_back(proteus::UnescapeJsonString(s, e));
+      s = kept.back().data();
+      e = s + kept.back().size();
+    }
+  }
+  *out = s;
+  *len = static_cast<int64_t>(e - s);
+  return v.type != JsonTokenType::kNull;
 }
 
 }  // namespace
@@ -173,76 +177,52 @@ const JsonToken* JsonTok(const void* plugin, uint64_t oid, uint64_t path_hash) {
 // extern "C" implementations
 // ---------------------------------------------------------------------------
 
-int64_t proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col) {
+void proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col, int64_t* out) {
   std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  return ParseIntSpan(t.data(), t.data() + t.size());
+  *out = ParseIntSpan(t.data(), t.data() + t.size());
 }
 
-double proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col) {
+void proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col, double* out) {
   std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  return ParseDoubleSpan(t.data(), t.data() + t.size());
+  *out = ParseDoubleSpan(t.data(), t.data() + t.size());
 }
 
-const char* proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, int64_t* len) {
+void proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col, int64_t* out) {
   std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
+  *out = t == "true" || t == "1" ? 1 : 0;
+}
+
+void proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, const char** out,
+                     int64_t* len) {
+  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
+  *out = t.data();
   *len = static_cast<int64_t>(t.size());
-  return t.data();
 }
 
-int32_t proteus_json_has(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  return JsonTok(plugin, oid, path_hash) != nullptr ? 1 : 0;
+int32_t proteus_json_int(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
+                         int64_t* out) {
+  return ToInt(FieldSpan(plugin, oid, path_hash), out);
 }
 
-int32_t proteus_json_int_opt(const void* plugin, uint64_t oid, uint64_t path_hash,
-                             int64_t* out) {
-  const JsonToken* t = JsonTok(plugin, oid, path_hash);
-  if (t == nullptr) {
-    *out = 0;
-    return 0;
-  }
-  const char* b = static_cast<const JsonPlugin*>(plugin)->ObjectBase(oid);
-  *out = ParseIntSpan(b + t->start, b + t->end);
-  return 1;
+int32_t proteus_json_double(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
+                            double* out) {
+  return ToDouble(FieldSpan(plugin, oid, path_hash), out);
 }
 
-int64_t proteus_json_int(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  const JsonToken* t = JsonTok(plugin, oid, path_hash);
-  if (t == nullptr) return 0;
-  const char* b = static_cast<const JsonPlugin*>(plugin)->ObjectBase(oid);
-  return ParseIntSpan(b + t->start, b + t->end);
+int32_t proteus_json_bool(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
+                          int64_t* out) {
+  return ToBool(FieldSpan(plugin, oid, path_hash), out);
 }
 
-double proteus_json_double(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  const JsonToken* t = JsonTok(plugin, oid, path_hash);
-  if (t == nullptr) return 0;
-  const char* b = static_cast<const JsonPlugin*>(plugin)->ObjectBase(oid);
-  return ParseDoubleSpan(b + t->start, b + t->end);
-}
-
-int64_t proteus_json_bool(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  const JsonToken* t = JsonTok(plugin, oid, path_hash);
-  if (t == nullptr) return 0;
-  const char* b = static_cast<const JsonPlugin*>(plugin)->ObjectBase(oid);
-  return b[t->start] == 't' ? 1 : 0;
-}
-
-const char* proteus_json_str(const void* plugin, uint64_t oid, uint64_t path_hash,
-                             int64_t* len) {
-  const JsonToken* t = JsonTok(plugin, oid, path_hash);
-  if (t == nullptr || t->type != JsonTokenType::kString) {
-    *len = 0;
-    return "";
-  }
-  const char* b = static_cast<const JsonPlugin*>(plugin)->ObjectBase(oid);
-  *len = static_cast<int64_t>(t->end - t->start) - 2;  // strip quotes
-  return b + t->start + 1;
+int32_t proteus_json_str(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
+                         const char** out, int64_t* len) {
+  return ToStr(ctx, FieldSpan(plugin, oid, path_hash), out, len);
 }
 
 void proteus_unnest_init(void* ctx, uint32_t slot, const void* plugin, uint64_t oid,
                          uint64_t path_hash) {
   UnnestStateRt& u = CTX(ctx)->unnests[slot];
   const auto* jp = static_cast<const JsonPlugin*>(plugin);
-  u.plugin = jp;
   u.obj_base = jp->ObjectBase(oid);
   const JsonToken* t = jp->FindTokenByHash(oid, path_hash);
   const proteus::JsonArrayInfo* info =
@@ -259,44 +239,30 @@ void proteus_unnest_init(void* ctx, uint32_t slot, const void* plugin, uint64_t 
 int32_t proteus_unnest_has_next(void* ctx, uint32_t slot) {
   UnnestStateRt& u = CTX(ctx)->unnests[slot];
   if (u.pos >= u.end) return 0;
-  u.elem_start = u.obj_base + u.elems[u.pos].start;
-  u.elem_end = u.obj_base + u.elems[u.pos].end;
+  u.cur = &u.elems[u.pos];
   return 1;
 }
 
 void proteus_unnest_advance(void* ctx, uint32_t slot) { CTX(ctx)->unnests[slot].pos++; }
 
-int64_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len) {
-  UnnestStateRt& u = CTX(ctx)->unnests[slot];
-  if (name_len == 0) return ParseIntSpan(u.elem_start, u.elem_end);
-  const char *vs, *ve;
-  if (!FindElemField(u.elem_start, u.elem_end, name, name_len, &vs, &ve)) return 0;
-  return ParseIntSpan(vs, ve);
+int32_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                int64_t* out) {
+  return ToInt(ElemSpan(ctx, slot, name, name_len), out);
 }
 
-double proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name,
-                                  int64_t name_len) {
-  UnnestStateRt& u = CTX(ctx)->unnests[slot];
-  if (name_len == 0) return ParseDoubleSpan(u.elem_start, u.elem_end);
-  const char *vs, *ve;
-  if (!FindElemField(u.elem_start, u.elem_end, name, name_len, &vs, &ve)) return 0;
-  return ParseDoubleSpan(vs, ve);
+int32_t proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name,
+                                   int64_t name_len, double* out) {
+  return ToDouble(ElemSpan(ctx, slot, name, name_len), out);
 }
 
-const char* proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name,
-                                    int64_t name_len, int64_t* len) {
-  UnnestStateRt& u = CTX(ctx)->unnests[slot];
-  const char *vs = u.elem_start, *ve = u.elem_end;
-  if (name_len > 0 && !FindElemField(u.elem_start, u.elem_end, name, name_len, &vs, &ve)) {
-    *len = 0;
-    return "";
-  }
-  if (vs < ve && *vs == '"') {
-    *len = static_cast<int64_t>(ve - vs) - 2;
-    return vs + 1;
-  }
-  *len = static_cast<int64_t>(ve - vs);
-  return vs;
+int32_t proteus_unnest_elem_bool(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                 int64_t* out) {
+  return ToBool(ElemSpan(ctx, slot, name, name_len), out);
+}
+
+int32_t proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                const char** out, int64_t* len) {
+  return ToStr(ctx, ElemSpan(ctx, slot, name, name_len), out, len);
 }
 
 void proteus_join_insert(void* ctx, uint32_t table, int64_t key, const int64_t* payload) {

@@ -9,16 +9,19 @@
 // live here; query results live in the per-morsel partial sinks
 // (partial_sink.h). Tight per-tuple work (field loads from binary data,
 // predicate evaluation, aggregation arithmetic) is emitted as straight LLVM
-// IR and never crosses this boundary. CSV/JSON token access crosses it
-// through thin helpers, mirroring the paper's plug-in calls.
+// IR and never crosses this boundary. CSV/JSON field access crosses it
+// through one typed helper family per format (Codegen::EmitFieldRead emits
+// the calls), mirroring the paper's plug-in calls.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/engine/partial_sink.h"
 #include "src/engine/radix_table.h"
@@ -44,14 +47,11 @@ struct JoinTableRt {
 
 /// Lazy JSON array iteration state for generated Unnest loops.
 struct UnnestStateRt {
-  const JsonPlugin* plugin = nullptr;
   const char* obj_base = nullptr;
   uint32_t pos = 0;
   uint32_t end = 0;
   const JsonElem* elems = nullptr;
-  // current element span
-  const char* elem_start = nullptr;
-  const char* elem_end = nullptr;
+  const JsonElem* cur = nullptr;  ///< the current element (proteus_unnest_has_next)
 };
 
 /// Errors generated code raises through proteus_runtime_error.
@@ -98,6 +98,18 @@ struct QueryRuntime {
     return static_cast<uint32_t>(groups.size() - 1);
   }
   uint32_t AddUnnest() { return num_unnests++; }
+
+  /// Unescaped JSON strings the query's morsel contexts handed over when
+  /// they ended (MorselCtx::unescaped): join payloads built in
+  /// proteus_build keep pointers into them until the query ends.
+  void Keep(std::list<std::string>* strings) {
+    MutexLock lk(kept_mu_);
+    kept_.splice(kept_.end(), *strings);
+  }
+
+ private:
+  Mutex kept_mu_;
+  std::list<std::string> kept_ GUARDED_BY(kept_mu_);
 };
 
 /// Per-invocation mutable state of one generated pipeline call: every
@@ -107,6 +119,11 @@ struct QueryRuntime {
 struct MorselCtx {
   explicit MorselCtx(QueryRuntime* runtime)
       : rt(runtime), unnests(runtime->num_unnests), probes(runtime->joins.size()) {}
+  MorselCtx(const MorselCtx&) = delete;
+  MorselCtx& operator=(const MorselCtx&) = delete;
+  ~MorselCtx() {
+    if (!unescaped.empty()) rt->Keep(&unescaped);
+  }
 
   struct ProbeState {
     std::vector<uint32_t> matches;
@@ -118,6 +135,10 @@ struct MorselCtx {
   QueryRuntime* rt;
   std::vector<UnnestStateRt> unnests;
   std::vector<ProbeState> probes;  ///< one per join table
+  /// Bytes of the escaped JSON strings this context read, unescaped (a
+  /// list: the strings never move, so the pointers generated code holds
+  /// stay valid); handed to rt when the context ends.
+  std::list<std::string> unescaped;
 };
 
 /// Registers every helper below in `names` -> address pairs so the ORC JIT
@@ -134,25 +155,32 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols();
 // ---------------------------------------------------------------------------
 extern "C" {
 
-// CSV field access (the CSV plug-in's generated access path).
-int64_t proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col);
-double proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col);
-const char* proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, int64_t* len);
+// Typed field reads: one family per raw source, one helper per kind
+// (<family>_int, _double, _bool, _str). Each writes the value through `out`
+// (strings: the bytes' address and `len`; 0 or "" when there is no value).
+//
+// CSV (the CSV plug-in's generated access path): the field of column `col`,
+// converted as CsvPlugin::ReadValue converts a non-empty field.
+void proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col, int64_t* out);
+void proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col, double* out);
+void proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col, int64_t* out);
+void proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, const char** out,
+                     int64_t* len);
 
-// JSON field access through the structural index. proteus_json_has reports
-// whether the field is present at all — the generated null check behind the
-// interpreter's "null keys never match" join semantics (absent JSON fields
-// bind SQL null there; the typed readers below return 0/"" instead).
-// proteus_json_int_opt fuses presence + int read into one index lookup for
-// the hot join-key path (returns presence, writes the value or 0).
-int32_t proteus_json_has(const void* plugin, uint64_t oid, uint64_t path_hash);
-int32_t proteus_json_int_opt(const void* plugin, uint64_t oid, uint64_t path_hash,
-                             int64_t* out);
-int64_t proteus_json_int(const void* plugin, uint64_t oid, uint64_t path_hash);
-double proteus_json_double(const void* plugin, uint64_t oid, uint64_t path_hash);
-int64_t proteus_json_bool(const void* plugin, uint64_t oid, uint64_t path_hash);
-const char* proteus_json_str(const void* plugin, uint64_t oid, uint64_t path_hash,
-                             int64_t* len);
+// JSON, through the structural index: field `path_hash` of object `oid`.
+// Returns nonzero when the value is present, from the same index lookup that
+// finds it, with the interpreter's rule: an absent field or a JSON null is
+// SQL null. Strings are unescaped as ReadValue unescapes them: in place in
+// the file when they hold no backslash, else in ctx->unescaped, which lives
+// as long as the query. Bools read `true` as 1.
+int32_t proteus_json_int(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
+                         int64_t* out);
+int32_t proteus_json_double(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
+                            double* out);
+int32_t proteus_json_bool(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
+                          int64_t* out);
+int32_t proteus_json_str(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
+                         const char** out, int64_t* len);
 
 // JSON array unnest (unnestInit / unnestHasNext / unnestGetNext). Cursor
 // state lives in ctx->unnests[slot].
@@ -160,10 +188,17 @@ void proteus_unnest_init(void* ctx, uint32_t slot, const void* plugin, uint64_t 
                          uint64_t path_hash);
 int32_t proteus_unnest_has_next(void* ctx, uint32_t slot);
 void proteus_unnest_advance(void* ctx, uint32_t slot);
-int64_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len);
-double proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name, int64_t name_len);
-const char* proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name,
-                                    int64_t name_len, int64_t* len);
+// Typed reads of the current element: its field `name` (found by the JSON
+// plug-in's FindJsonField), or the element itself when `name_len` is 0.
+// Same conversions and presence rule as the proteus_json_* reads.
+int32_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                int64_t* out);
+int32_t proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name,
+                                   int64_t name_len, double* out);
+int32_t proteus_unnest_elem_bool(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                 int64_t* out);
+int32_t proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name, int64_t name_len,
+                                const char** out, int64_t* len);
 
 // Radix hash join. Insert/build run in the single-call build pipeline; probe
 // iteration state lives in ctx->probes[table] so concurrent morsels can

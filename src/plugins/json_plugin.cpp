@@ -1,7 +1,6 @@
 #include "src/plugins/json_plugin.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstring>
 
@@ -15,6 +14,19 @@ namespace proteus {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Characters of a JSON number: 1 for digits and signs, 2 for the ones that
+/// make it a float.
+struct NumberChars {
+  uint8_t kind[256] = {};
+  constexpr NumberChars() {
+    for (int c = '0'; c <= '9'; ++c) kind[c] = 1;
+    kind[static_cast<unsigned char>('-')] = kind[static_cast<unsigned char>('+')] = 1;
+    kind[static_cast<unsigned char>('.')] = kind[static_cast<unsigned char>('e')] =
+        kind[static_cast<unsigned char>('E')] = 2;
+  }
+};
+constexpr NumberChars kNumberChars;
 
 struct JsonCursor {
   const char* p;
@@ -36,21 +48,29 @@ struct JsonCursor {
     return Status::OK();
   }
 
+  /// Moves the cursor (inside a string) to the string's closing quote: the
+  /// next quote not escaped by an odd run of backslashes. False at the end.
+  bool FindClosingQuote() {
+    while (true) {
+      const char* q = static_cast<const char*>(std::memchr(p, '"', end - p));
+      if (q == nullptr) {
+        p = end;
+        return false;
+      }
+      const char* run = q;
+      while (run > p && run[-1] == '\\') --run;
+      p = q;
+      if ((q - run) % 2 == 0) return true;
+      ++p;
+    }
+  }
+
   /// Skips a string literal (cursor at opening quote).
   Status SkipString() {
     ++p;  // opening quote
-    while (p < end) {
-      if (*p == '\\') {
-        p += 2;
-        continue;
-      }
-      if (*p == '"') {
-        ++p;
-        return Status::OK();
-      }
-      ++p;
-    }
-    return Status::ParseError("unterminated JSON string");
+    if (!FindClosingQuote()) return Status::ParseError("unterminated JSON string");
+    ++p;
+    return Status::OK();
   }
 
   /// Parses a field name into `out` (no unescaping: names are plain).
@@ -58,11 +78,7 @@ struct JsonCursor {
     SkipWs();
     if (Eof() || *p != '"') return Status::ParseError("expected field name");
     const char* s = ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') ++p;
-      ++p;
-    }
-    if (Eof()) return Status::ParseError("unterminated field name");
+    if (!FindClosingQuote()) return Status::ParseError("unterminated field name");
     *out = {s, static_cast<size_t>(p - s)};
     ++p;
     return Status::OK();
@@ -105,19 +121,19 @@ struct JsonCursor {
       p += 4;
       if (p > end) return Status::ParseError("truncated JSON literal");
     } else {
-      bool is_float = false;
-      while (p < end && (std::isdigit(static_cast<unsigned char>(*p)) || *p == '-' ||
-                         *p == '+' || *p == '.' || *p == 'e' || *p == 'E')) {
-        if (*p == '.' || *p == 'e' || *p == 'E') is_float = true;
-        ++p;
+      uint8_t seen = 0;
+      for (; p < end && kNumberChars.kind[static_cast<unsigned char>(*p)] != 0; ++p) {
+        seen |= kNumberChars.kind[static_cast<unsigned char>(*p)];
       }
       if (p == *vstart) return Status::ParseError("invalid JSON value");
-      *type = is_float ? JsonTokenType::kFloat : JsonTokenType::kInt;
+      *type = (seen & 2) != 0 ? JsonTokenType::kFloat : JsonTokenType::kInt;
     }
     *vend = p;
     return Status::OK();
   }
 };
+
+}  // namespace
 
 std::string UnescapeJsonString(const char* s, const char* e) {
   std::string out;
@@ -140,7 +156,24 @@ std::string UnescapeJsonString(const char* s, const char* e) {
   return out;
 }
 
-}  // namespace
+bool FindJsonField(const char* begin, const char* end, std::string_view name,
+                   const char** vbegin, const char** vend, JsonTokenType* type) {
+  JsonCursor c{begin, end};
+  if (!c.Expect('{').ok()) return false;
+  c.SkipWs();
+  if (c.Eof() || c.Peek() == '}') return false;
+  while (true) {
+    std::string_view field;
+    if (!c.ParseName(&field).ok() || !c.Expect(':').ok() ||
+        !c.SkipValue(vbegin, vend, type).ok()) {
+      return false;
+    }
+    if (field == name) return true;
+    c.SkipWs();
+    if (c.Eof() || c.Peek() != ',') return false;
+    ++c.p;
+  }
+}
 
 Result<Value> ParseJsonValue(const char* begin, const char* end) {
   JsonCursor c{begin, end};

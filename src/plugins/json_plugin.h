@@ -24,6 +24,8 @@
 // because the lookup process is now deterministic").
 #pragma once
 
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/common/mmap_file.h"
@@ -130,5 +132,16 @@ class JsonPlugin : public InputPlugin {
 /// Parses a standalone JSON value (used for array elements and whole nested
 /// objects). Exposed for tests.
 Result<Value> ParseJsonValue(const char* begin, const char* end);
+
+/// Finds field `name` among the top-level fields of the JSON object
+/// [begin, end) with the plug-in's own scanner, reporting its value span and
+/// token type. False when the field is absent or the span is no object.
+/// Generated unnest loops read array-element fields through it.
+bool FindJsonField(const char* begin, const char* end, std::string_view name,
+                   const char** vbegin, const char** vend, JsonTokenType* type);
+
+/// The contents [s, e) of a JSON string literal (quotes stripped),
+/// unescaped: the bytes ReadValue returns for it.
+std::string UnescapeJsonString(const char* s, const char* e);
 
 }  // namespace proteus

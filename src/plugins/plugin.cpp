@@ -29,48 +29,60 @@ FieldPath SplitPath(const std::string& dotted) {
   return out;
 }
 
-Result<Value> InputPlugin::ReadRecord(uint64_t oid, const std::vector<FieldPath>& fields) {
-  // Group requested paths by head field, reconstructing nested sub-records so
-  // that Proj chains evaluate naturally over the result.
+namespace {
+
+/// The record of `paths` below `depth`: paths sharing their name at `depth`
+/// nest into one sub-record, in first-request order.
+Result<Value> AssembleLevel(const std::vector<const FieldPath*>& paths, size_t depth,
+                            const LeafReader& read) {
   std::vector<std::string> names;
   std::vector<Value> values;
-  // Preserve request order but merge duplicate heads.
-  std::vector<std::pair<std::string, std::vector<FieldPath>>> groups;
-  for (const auto& p : fields) {
-    if (p.empty()) continue;
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == p[0]; });
-    if (it == groups.end()) {
-      groups.push_back({p[0], {}});
-      it = groups.end() - 1;
-    }
-    if (p.size() > 1) it->second.push_back(FieldPath(p.begin() + 1, p.end()));
-  }
-  for (auto& [head, subpaths] : groups) {
-    if (subpaths.empty()) {
-      PROTEUS_ASSIGN_OR_RETURN(Value v, ReadValue(oid, {head}));
-      names.push_back(head);
-      values.push_back(std::move(v));
-    } else {
-      // Nested reconstruction: read each leaf and assemble a sub-record.
-      std::vector<std::string> sub_names;
-      std::vector<Value> sub_values;
-      for (auto& sp : subpaths) {
-        FieldPath full{head};
-        full.insert(full.end(), sp.begin(), sp.end());
-        PROTEUS_ASSIGN_OR_RETURN(Value v, ReadValue(oid, full));
-        // Re-nest one level at a time.
-        for (size_t k = sp.size(); k-- > 1;) {
-          v = Value::MakeRecord({sp[k]}, {std::move(v)});
-        }
-        sub_names.push_back(sp[0]);
-        sub_values.push_back(std::move(v));
+  for (size_t i = 0; i < paths.size(); ++i) {
+    const std::string& name = (*paths[i])[depth];
+    if (std::find(names.begin(), names.end(), name) != names.end()) continue;
+    const FieldPath* whole = nullptr;
+    std::vector<const FieldPath*> under;
+    for (size_t j = i; j < paths.size(); ++j) {
+      const FieldPath& p = *paths[j];
+      if (p[depth] != name) continue;
+      if (p.size() == depth + 1) {
+        whole = &p;
+      } else {
+        under.push_back(&p);
       }
-      names.push_back(head);
-      values.push_back(Value::MakeRecord(std::move(sub_names), std::move(sub_values)));
     }
+    Value v;
+    if (whole != nullptr) {
+      auto leaf = read(*whole);
+      if (leaf.ok()) {
+        v = std::move(*leaf);
+      } else if (leaf.status().code() == StatusCode::kNotFound) {
+        v = Value::Null();
+      } else {
+        return leaf.status();
+      }
+    } else {
+      PROTEUS_ASSIGN_OR_RETURN(v, AssembleLevel(under, depth + 1, read));
+    }
+    names.push_back(name);
+    values.push_back(std::move(v));
   }
   return Value::MakeRecord(std::move(names), std::move(values));
+}
+
+}  // namespace
+
+Result<Value> AssembleRecord(const std::vector<FieldPath>& fields, const LeafReader& read) {
+  std::vector<const FieldPath*> paths;
+  paths.reserve(fields.size());
+  for (const auto& p : fields) {
+    if (!p.empty()) paths.push_back(&p);
+  }
+  return AssembleLevel(paths, 0, read);
+}
+
+Result<Value> InputPlugin::ReadRecord(uint64_t oid, const std::vector<FieldPath>& fields) {
+  return AssembleRecord(fields, [&](const FieldPath& p) { return ReadValue(oid, p); });
 }
 
 Result<std::unique_ptr<UnnestCursor>> InputPlugin::UnnestInit(uint64_t oid,

@@ -15,10 +15,16 @@
 //   unnestHasNext()   -> UnnestCursor::HasNext()
 //   unnestGetNext()   -> UnnestCursor::GetNext()
 //
-// The JIT engine additionally specializes scans per format (direct loads for
-// binary data, structural-index helpers for CSV/JSON); see src/jit/.
+// Each engine has one raw-field read path. The interpreter builds every scan
+// row through AssembleRecord below (ReadRecord for plug-in scans, the cache
+// scan for block rows); generated code reads through Codegen::EmitFieldRead
+// (src/jit/jit_engine.cpp), which specializes the access per format: direct
+// loads for binary data, typed structural-index helpers for CSV/JSON
+// (src/jit/runtime.h). Both follow the JSON rule ReadValue sets: an absent
+// field (NotFound) or a JSON null is SQL null, strings are unescaped.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -53,6 +59,17 @@ struct ScanRange {
   uint64_t size() const { return end - begin; }
 };
 
+/// Reads one leaf of a record being assembled.
+using LeafReader = std::function<Result<Value>(const FieldPath&)>;
+
+/// Builds the record of the access paths `fields`, reading each leaf through
+/// `read`. Paths that share a prefix nest recursively into one sub-record,
+/// so `o.p.x` and `o.p.y` land in one `p`; a path naming a whole prefix
+/// wins over deeper paths under it. A NotFound leaf (an absent JSON field)
+/// binds SQL null. The one path-to-record assembler: plug-in scans and
+/// cache scans both build their rows here.
+Result<Value> AssembleRecord(const std::vector<FieldPath>& fields, const LeafReader& read);
+
 class InputPlugin {
  public:
   virtual ~InputPlugin() = default;
@@ -72,7 +89,7 @@ class InputPlugin {
   virtual Result<Value> ReadValue(uint64_t oid, const FieldPath& path) = 0;
 
   /// Reads record `oid` restricted to `fields` (the pushed-down projection
-  /// set). Nested paths reconstruct the enclosing sub-records.
+  /// set) through AssembleRecord: the interpreter's one raw record reader.
   virtual Result<Value> ReadRecord(uint64_t oid, const std::vector<FieldPath>& fields);
 
   /// Opens a cursor over the nested collection at `path` of record `oid`.

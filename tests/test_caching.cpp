@@ -3,6 +3,8 @@
 // policy (format-biased LRU), and invalidation on dataset updates.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "src/engine/radix_table.h"
 #include "tests/engine_test_util.h"
 
@@ -93,6 +95,61 @@ TEST_F(CachingTest, InvalidationDropsCachesAndRecovers) {
   auto r = engine_->Execute(q);  // rebuilds index + cache
   ASSERT_TRUE(r.ok());
   EXPECT_GT(engine_->caches().num_blocks(), 0u);
+}
+
+// An absent or null JSON value has no binary cell: its field stays out of
+// the block and is read raw through the OID column, so a cached answer is
+// the uncached one in both engines, and the block is built only once.
+TEST(CachingAbsentValues, CachedAnswersMatchUncachedInBothEngines) {
+  const std::string path = Corpus::Get().dir + "/cache_sparse.json";
+  {
+    std::ofstream f(path);
+    for (int i = 0; i < 12; ++i) {
+      f << "{\"id\":" << i;
+      if (i % 4 == 1) f << ",\"x\":-5";
+      if (i % 4 == 2) f << ",\"x\":null";
+      if (i % 4 == 3) f << ",\"x\":-7";
+      f << "}\n";
+    }
+  }
+  DatasetInfo info;
+  info.name = "cache_sparse";
+  info.format = DataFormat::kJSON;
+  info.path = path;
+  info.type = Type::BagOfRecords({{"id", Type::Int64()}, {"x", Type::Int64()}});
+  const std::string q = "SELECT max(x), count(*) FROM cache_sparse WHERE id < 100";
+  for (ExecMode mode : {ExecMode::kInterp, ExecMode::kJIT}) {
+    EngineOptions opts;
+    opts.mode = mode;
+    QueryEngine uncached(opts);
+    ASSERT_TRUE(uncached.RegisterDataset(info).ok());
+    auto want = uncached.Execute(q);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(want->rows[0][0].Equals(Value::Int(-5))) << want->rows[0][0].ToString();
+
+    opts.cache_policy.enabled = true;
+    QueryEngine cached(opts);
+    ASSERT_TRUE(cached.RegisterDataset(info).ok());
+    uint64_t block_id = 0;
+    for (int run = 0; run < 3; ++run) {
+      QueryTelemetry tel;
+      auto got = cached.Execute(q, {.telemetry = &tel});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(want->rows[0][0].Equals(got->rows[0][0]))
+          << "run " << run << ": " << got->rows[0][0].ToString();
+      EXPECT_TRUE(want->rows[0][1].Equals(got->rows[0][1])) << "run " << run;
+      ASSERT_EQ(cached.caches().num_blocks(), 1u);
+      const auto block = cached.caches().blocks()[0];
+      if (run > 0) {
+        EXPECT_TRUE(tel.used_cache) << "run " << run;
+        EXPECT_EQ(block->id, block_id) << "run " << run << " rebuilt the block";
+      }
+      block_id = block->id;
+      std::vector<FieldPath> cached_paths;
+      for (const auto& c : block->cols) cached_paths.push_back(c.path);
+      EXPECT_EQ(cached_paths, (std::vector<FieldPath>{{"$oid"}, {"id"}}));
+    }
+  }
 }
 
 TEST(CachingManager, FormatBiasedEviction) {

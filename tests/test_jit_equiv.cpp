@@ -2202,5 +2202,232 @@ TEST(JitGroupTable, HighCardinalityGroupsCellIdenticalEverywhere) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Raw JSON reads follow one rule on every engine, route and cache: an absent
+// field or a JSON null is SQL null, strings come back unescaped, and nested
+// paths assemble into one record. Each case's answer is the interpreter's,
+// asserted outright; every route must then reproduce it cell for cell.
+// Escaped strings travel through a join payload, a group key and a bag
+// output, so a sanitizer build catches unescaped bytes freed too early.
+// ---------------------------------------------------------------------------
+
+/// Writes the raw-rule corpora once per process:
+///   raw_sparse — 48 objects: x absent on every third (else -5 or -7),
+///                y null on every other (else -4), s cycling through the
+///                escaped strings a"b and c\d and a plain one, k = id % 5;
+///   raw_elems  — 40 objects whose items elements are {f, w} records, some
+///                lacking w, some arrays empty;
+///   raw_nested — 40 objects with two leaves under o.p.
+const std::string& RawCorpusDir() {
+  static const std::string dir = [] {
+    const testutil::Corpus& c = testutil::Corpus::Get();
+    {
+      std::ofstream f(c.dir + "/raw_sparse.json");
+      const char* strings[] = {R"("a\"b")", R"("plain")", R"("c\\d")"};
+      for (int i = 0; i < 48; ++i) {
+        f << "{\"id\":" << i << ",\"k\":" << i % 5;
+        if (i % 3 != 0) f << ",\"x\":" << (i % 2 != 0 ? -5 : -7);
+        if (i % 2 == 0) {
+          f << ",\"y\":null";
+        } else {
+          f << ",\"y\":-4";
+        }
+        f << ",\"s\":" << strings[i % 3] << "}\n";
+      }
+    }
+    {
+      std::ofstream f(c.dir + "/raw_elems.json");
+      for (int i = 0; i < 40; ++i) {
+        f << "{\"id\":" << i << ",\"items\":[";
+        switch (i % 4) {
+          case 0: break;
+          case 1: f << "{\"f\":true,\"w\":" << i + 1 << "}"; break;
+          case 2: f << "{\"f\":true},{\"f\":false,\"w\":" << i + 1 << "}"; break;
+          default: f << "{\"f\":false,\"w\":" << i + 1 << "},{\"w\":2,\"f\":true}"; break;
+        }
+        f << "]}\n";
+      }
+    }
+    {
+      std::ofstream f(c.dir + "/raw_nested.json");
+      for (int i = 0; i < 40; ++i) {
+        f << "{\"id\":" << i << ",\"o\":{\"p\":{\"x\":1,\"y\":10}}}\n";
+      }
+    }
+    return c.dir;
+  }();
+  return dir;
+}
+
+void RegisterRawCorpus(QueryEngine* engine) {
+  const std::string& dir = RawCorpusDir();
+  auto reg = [&](const std::string& name, TypePtr type) {
+    DatasetInfo info;
+    info.name = name;
+    info.format = DataFormat::kJSON;
+    info.path = dir + "/" + name + ".json";
+    info.type = std::move(type);
+    ASSERT_TRUE(engine->RegisterDataset(info).ok()) << name;
+  };
+  reg("raw_sparse", Type::BagOfRecords({{"id", Type::Int64()},
+                                        {"k", Type::Int64()},
+                                        {"x", Type::Int64()},
+                                        {"y", Type::Int64()},
+                                        {"s", Type::String()}}));
+  const TypePtr elem = Type::Record({{"f", Type::Bool()}, {"w", Type::Int64()}});
+  reg("raw_elems",
+      Type::BagOfRecords({{"id", Type::Int64()},
+                          {"items", Type::Collection(CollectionKind::kList, elem)}}));
+  reg("raw_nested",
+      Type::BagOfRecords(
+          {{"id", Type::Int64()},
+           {"o", Type::Record({{"p", Type::Record({{"x", Type::Int64()},
+                                                   {"y", Type::Int64()}})}})}}));
+}
+
+struct RawRoute {
+  std::string name;
+  ExecMode mode;
+  int threads;
+  int shards = 0;
+  bool cached = false;  ///< scan caches on; the measured run reads the block
+  bool tiered = false;  ///< forced swap after the first morsel
+};
+
+RunInfo RunRaw(const std::string& q, const RawRoute& route) {
+  EngineOptions opts;
+  opts.mode = route.mode;
+  opts.num_threads = route.threads;
+  opts.num_shards = route.shards;
+  opts.morsel_rows = kDiffMorselRows;
+  opts.cache_policy.enabled = route.cached;
+  opts.tiered = route.tiered;
+  opts.tiered_opts.force_swap_after_morsels = 1;
+  QueryEngine engine(opts);
+  RegisterRawCorpus(&engine);
+  if (route.cached) {
+    auto warm = engine.Execute(q);
+    EXPECT_TRUE(warm.ok()) << route.name << ": " << warm.status().ToString();
+  }
+  RunInfo info;
+  auto r = engine.Execute(q, {.telemetry = &info.telemetry});
+  info.status = r.status();
+  if (r.ok()) info.result = std::move(*r);
+  return info;
+}
+
+struct RawCase {
+  std::string name;
+  std::string query;
+  /// Checks the interpreter's answer outright.
+  std::function<void(const QueryResult&)> check;
+};
+
+std::vector<RawCase> RawCases() {
+  auto scalar = [](int64_t want) {
+    return [want](const QueryResult& r) {
+      ASSERT_EQ(r.rows.size(), 1u);
+      ASSERT_EQ(r.rows[0].size(), 1u);
+      EXPECT_TRUE(r.rows[0][0].Equals(Value::Int(want))) << r.rows[0][0].ToString();
+    };
+  };
+  auto strings_unescaped = [](size_t col) {
+    return [col](const QueryResult& r) {
+      ASSERT_FALSE(r.rows.empty());
+      size_t escaped = 0;
+      for (const auto& row : r.rows) {
+        ASSERT_TRUE(row[col].is_string()) << row[col].ToString();
+        const std::string& s = row[col].s();
+        EXPECT_TRUE(s == "a\"b" || s == "plain" || s == "c\\d") << s;
+        escaped += s != "plain" ? 1 : 0;
+      }
+      EXPECT_GT(escaped, 0u);
+    };
+  };
+  return {
+      {"absent field is null in max", "SELECT max(x) FROM raw_sparse", scalar(-5)},
+      {"absent field fails a comparison", "SELECT count(*) FROM raw_sparse WHERE x > -1",
+       scalar(0)},
+      {"json null is null in max", "SELECT max(y) FROM raw_sparse", scalar(-4)},
+      {"escaped group key", "SELECT s, count(*) FROM raw_sparse GROUP BY s",
+       [=](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 3u);
+         strings_unescaped(0)(r);
+       }},
+      {"escaped bag output with null cells", "SELECT id, s, x FROM raw_sparse WHERE id < 20",
+       [=](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 20u);
+         strings_unescaped(1)(r);
+         size_t nulls = 0;
+         for (const auto& row : r.rows) nulls += row[2].is_null() ? 1 : 0;
+         EXPECT_EQ(nulls, 7u);
+       }},
+      {"escaped join payload",
+       "SELECT a.id, a.s, b.s FROM raw_sparse a JOIN raw_sparse b ON a.k = b.k "
+       "WHERE a.id < 8",
+       [=](const QueryResult& r) {
+         ASSERT_FALSE(r.rows.empty());
+         strings_unescaped(1)(r);
+         strings_unescaped(2)(r);
+       }},
+      {"absent join keys match nothing",
+       "SELECT count(*) FROM raw_sparse a JOIN raw_sparse b ON a.x = b.x", scalar(512)},
+      {"element bool field", "SELECT count(*) FROM raw_elems t, UNNEST(t.items) e WHERE e.f",
+       scalar(30)},
+      {"element field absent is null", "SELECT min(e.w) FROM raw_elems t, UNNEST(t.items) e",
+       scalar(2)},
+      {"element fields through a join",
+       "SELECT count(*), min(e.w), max(s.y) FROM raw_elems t, UNNEST(t.items) e "
+       "JOIN raw_sparse s ON t.id = s.id WHERE e.f",
+       [](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 1u);
+         ASSERT_EQ(r.rows[0].size(), 3u);
+         EXPECT_TRUE(r.rows[0][0].Equals(Value::Int(30))) << r.rows[0][0].ToString();
+         EXPECT_TRUE(r.rows[0][1].Equals(Value::Int(2))) << r.rows[0][1].ToString();
+         EXPECT_TRUE(r.rows[0][2].Equals(Value::Int(-4))) << r.rows[0][2].ToString();
+       }},
+      {"two leaves under one nested record",
+       "SELECT sum(t.o.p.x), sum(t.o.p.y) FROM raw_nested t",
+       [](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 1u);
+         ASSERT_EQ(r.rows[0].size(), 2u);
+         EXPECT_TRUE(r.rows[0][0].Equals(Value::Int(40))) << r.rows[0][0].ToString();
+         EXPECT_TRUE(r.rows[0][1].Equals(Value::Int(400))) << r.rows[0][1].ToString();
+       }},
+  };
+}
+
+TEST(RawFieldReads, EveryRouteFollowsTheInterpretersJsonRules) {
+  const std::vector<RawRoute> routes = {
+      {"interp threads=4", ExecMode::kInterp, 4},
+      {"jit threads=1", ExecMode::kJIT, 1},
+      {"jit threads=2", ExecMode::kJIT, 2},
+      {"jit threads=4", ExecMode::kJIT, 4},
+      {"interp shards=2", ExecMode::kInterp, 2, 2},
+      {"jit shards=2", ExecMode::kJIT, 2, 2},
+      {"interp cached", ExecMode::kInterp, 2, 0, /*cached=*/true},
+      {"jit cached", ExecMode::kJIT, 2, 0, /*cached=*/true},
+      {"tiered forced swap", ExecMode::kJIT, 2, 0, false, /*tiered=*/true},
+  };
+  for (const RawCase& c : RawCases()) {
+    SCOPED_TRACE(c.name);
+    RunInfo oracle = RunRaw(c.query, {"interp threads=1", ExecMode::kInterp, 1});
+    ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+    c.check(oracle.result);
+    for (const RawRoute& route : routes) {
+      RunInfo run = RunRaw(c.query, route);
+      ASSERT_TRUE(run.status.ok()) << route.name << ": " << run.status.ToString();
+      ExpectIdentical(oracle.result, run.result, c.name + " @ " + route.name);
+      if (route.mode == ExecMode::kJIT) {
+        EXPECT_TRUE(run.telemetry.used_jit)
+            << route.name << ": " << run.telemetry.fallback_reason;
+      }
+      if (route.cached) {
+        EXPECT_TRUE(run.telemetry.used_cache) << route.name;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace proteus

@@ -364,6 +364,55 @@ TEST(JsonPluginEdge, OptionalFieldsVaryAcrossObjects) {
   std::remove(path.c_str());
 }
 
+// The element-field finder generated unnest loops use: a name inside a
+// string value or a nested object is no match, and the value span and type
+// come back exactly.
+TEST(JsonPluginEdge, FindJsonFieldReadsTopLevelFieldsOnly) {
+  const std::string obj = R"({"s": "w\": 1", "o": {"w": 2}, "w": [3, 4], "n": null})";
+  const char* b = obj.data();
+  const char* e = b + obj.size();
+  const char *vs, *ve;
+  JsonTokenType type;
+  ASSERT_TRUE(FindJsonField(b, e, "w", &vs, &ve, &type));
+  EXPECT_EQ(std::string(vs, ve), "[3, 4]");
+  EXPECT_EQ(type, JsonTokenType::kArray);
+  ASSERT_TRUE(FindJsonField(b, e, "n", &vs, &ve, &type));
+  EXPECT_EQ(type, JsonTokenType::kNull);
+  ASSERT_TRUE(FindJsonField(b, e, "s", &vs, &ve, &type));
+  EXPECT_EQ(UnescapeJsonString(vs + 1, ve - 1), "w\": 1");
+  EXPECT_FALSE(FindJsonField(b, e, "x", &vs, &ve, &type));
+  const std::string scalar = "7";
+  EXPECT_FALSE(FindJsonField(scalar.data(), scalar.data() + 1, "w", &vs, &ve, &type));
+}
+
+// The one record assembler: paths sharing a prefix nest into one record at
+// every depth, a whole-prefix path wins over deeper ones, and a NotFound
+// leaf binds null.
+TEST(AssembleRecord, NestsSharedPrefixesRecursively) {
+  const std::vector<FieldPath> fields = {
+      {"o", "p", "x"}, {"id"}, {"o", "p", "y"}, {"o", "q"}, {"gone"}, {"r"}, {"r", "z"}};
+  auto read = [](const FieldPath& p) -> Result<Value> {
+    if (p == FieldPath{"gone"}) return Status::NotFound("absent");
+    if (p == FieldPath{"r"}) return Value::MakeRecord({"z"}, {Value::Int(9)});
+    return Value::Str(DottedPath(p));
+  };
+  auto rec = AssembleRecord(fields, read);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->ToString(),
+            Value::MakeRecord(
+                {"o", "id", "gone", "r"},
+                {Value::MakeRecord(
+                     {"p", "q"},
+                     {Value::MakeRecord({"x", "y"}, {Value::Str("o.p.x"), Value::Str("o.p.y")}),
+                      Value::Str("o.q")}),
+                 Value::Str("id"), Value::Null(), Value::MakeRecord({"z"}, {Value::Int(9)})})
+                .ToString());
+  auto failed = AssembleRecord({{"a"}}, [](const FieldPath&) -> Result<Value> {
+    return Status::ParseError("bad token");
+  });
+  EXPECT_EQ(failed.status().code(), StatusCode::kParseError);
+}
+
 // ---------------------------------------------------------------------------
 // Plug-in registry + Table 2 defaults
 // ---------------------------------------------------------------------------
