@@ -44,10 +44,8 @@ class ScanCursor : public Cursor {
   Status Open() override {
     PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx_.catalog->Get(op_.dataset()));
     PROTEUS_ASSIGN_OR_RETURN(plugin_, ctx_.plugins->GetOrOpen(*info, ctx_.stats));
+    // The optimizer lists every field the plan reads: none for count(*).
     fields_ = op_.scan_fields();
-    if (fields_.empty()) {
-      for (const auto& f : info->record_type().fields()) fields_.push_back({f.name});
-    }
     n_ = std::min(plugin_->NumRecords(), range_.end);
     oid_ = range_.begin;
     return Status::OK();
@@ -97,13 +95,8 @@ class CacheScanCursor : public Cursor {
 
   Status Open() override {
     PROTEUS_ASSIGN_OR_RETURN(block_, ResolveCacheBlock(ctx_, op_.cache_id()));
-    // Fields the plan needs; fall back to everything the block holds.
+    // The fields the plan reads, as for a raw scan.
     fields_ = op_.scan_fields();
-    if (fields_.empty()) {
-      for (const auto& c : block_->cols) {
-        if (c.path != FieldPath{"$oid"}) fields_.push_back(c.path);
-      }
-    }
     // Hybrid raw access for fields missing from the block (e.g. strings).
     for (const auto& p : fields_) {
       if (block_->Find(op_.binding(), p) == nullptr) {

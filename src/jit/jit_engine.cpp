@@ -20,9 +20,7 @@
 
 #include "src/common/hash.h"
 #include "src/engine/partial_sink.h"
-#include "src/plugins/binary_plugins.h"
-#include "src/plugins/csv_plugin.h"
-#include "src/plugins/json_plugin.h"
+#include "src/jit/access.h"
 #include "src/jit/ir_verifier.h"
 #include "src/jit/query_cache.h"
 #include "src/jit/runtime.h"
@@ -45,50 +43,10 @@ void InitLLVMOnce() {
   (void)done;
 }
 
-/// A value in a virtual buffer: primitive kinds only; strings carry ptr+len.
-struct CgValue {
-  TypeKind kind = TypeKind::kInt64;
-  llvm::Value* v = nullptr;    // i64 / double / i1; strings: i8* data
-  llvm::Value* len = nullptr;  // strings only: i64
-  /// SQL-null flag (i1), or nullptr when the value is provably non-null.
-  /// Set for outer-join/outer-unnest null bindings (constant true) and for
-  /// every JSON read, top-level or array element (the read helper's
-  /// presence: an absent field or a JSON null is SQL null), and propagated
-  /// through expressions with the interpreter's Eval() semantics: arithmetic
-  /// and comparisons yield null if an operand is null, and/or fold null
-  /// operands to false, predicates treat null as false, aggregates skip null
-  /// inputs.
-  llvm::Value* null = nullptr;
-};
-
-/// Where a scan variable's records come from: a plug-in's raw data, or a
-/// cache block (plus, for its uncached fields, the plug-in it was built
-/// from; null when the block has no source dataset).
-struct ScanSource {
-  InputPlugin* plugin = nullptr;
-  std::shared_ptr<const CacheBlock> cache;  ///< shared: survives eviction
-  std::string dataset;    ///< catalog name (raw formats; hybrid cache reads)
-  uint64_t cache_id = 0;  ///< kCacheBlock sources
-};
-
-/// ParamDesc builders for the two descriptor families (raw-format data
-/// constants vs cache-block constants).
-jit::ParamDesc DataParam(jit::ParamKind kind, std::string dataset, uint32_t column = 0) {
-  jit::ParamDesc d;
-  d.kind = kind;
-  d.dataset = std::move(dataset);
-  d.column = column;
-  return d;
-}
-jit::ParamDesc CacheParam(jit::ParamKind kind, uint64_t cache_id, std::string var = {},
-                          FieldPath path = {}) {
-  jit::ParamDesc d;
-  d.kind = kind;
-  d.cache_id = cache_id;
-  d.var = std::move(var);
-  d.path = std::move(path);
-  return d;
-}
+using jit::CacheParam;
+using jit::CgValue;
+using jit::DataParam;
+using jit::ScanSource;
 
 jit::ParamDesc LiteralParam(jit::ParamKind kind, uint32_t literal) {
   jit::ParamDesc d;
@@ -107,7 +65,7 @@ struct PayloadField {
   int null_bit = -1;  // bit in the payload's null mask, -1 = never null
 };
 
-class Codegen {
+class Codegen : public jit::EmitEnv {
  public:
   /// Generated code is position-independent: per-execution constants land in
   /// `params` (bound per run) and runtime-table shapes in `layout` (a fresh
@@ -171,26 +129,49 @@ class Codegen {
 
   // ---- IR emission ---------------------------------------------------------
   Status EmitProduce(const OpPtr& op, const Consume& consume);
+  /// Scans (raw or cache block): loop the driver's range or the whole
+  /// relation, binding each row's fields pending through the source's
+  /// AccessEmitter.
   Status EmitScan(const OpPtr& op, const Consume& consume);
-  Status EmitCacheScan(const OpPtr& op, const Consume& consume);
-  /// Reads field `path`, of primitive `kind`, of record `oid` from `src`'s
-  /// plug-in — the one place codegen knows a raw format. Scans bind their
-  /// fields through it, cache scans the fields their block lacks. JSON reads
-  /// carry the helper's presence as their null flag.
-  Result<CgValue> EmitFieldRead(const ScanSource& src, llvm::Value* oid, const FieldPath& path,
-                                TypeKind kind);
-  /// Calls the typed read helper `<family>_<int|double|bool|str>` for `kind`
-  /// on `args` plus the out slots it writes the value through (strings:
-  /// bytes and length). A `nullable` family returns the value's presence as
-  /// an i32, and a zero result becomes the value's null flag.
-  CgValue EmitTypedRead(const std::string& family, TypeKind kind,
-                        std::vector<llvm::Value*> args, bool nullable);
+  /// Runs `consume` for the current row `row` of `var` with its fields
+  /// pending on `access`: nothing is read until an operator materializes
+  /// the fields it references.
+  Status ConsumeRow(const std::string& var, jit::AccessEmitter* access, llvm::Value* row,
+                    const Consume& consume);
+  /// Lazy binding: reads the pending fields `exprs` reference — one emitter
+  /// call per variable — and binds them. Every operator calls it at the top
+  /// of its block, before evaluating its expressions, so a read never lands
+  /// inside an and/or/if arm where it would not dominate later uses.
+  Status Materialize(const std::vector<ExprPtr>& exprs);
+  /// Reads every pending field some operator of the plan references: run
+  /// before an unnest's element loop and a join probe's match loop, so an
+  /// outer row's fields are read once per row, not once per element or
+  /// match.
+  Status MaterializePending();
+  /// Reads the unbound `paths` of pending `var` in one emitter call.
+  Status MaterializeVar(const std::string& var, const std::vector<FieldPath>& paths);
+  /// A variable's current row (or element) whose fields are not read yet.
+  struct PendingRow {
+    jit::AccessEmitter* access;
+    llvm::Value* row;
+  };
+  /// The binding state a sibling consume() branch starts from, and restores
+  /// after it: values a branch reads do not dominate its siblings.
+  struct BindingState {
+    std::unordered_map<std::string, CgValue> bindings;
+    std::unordered_map<std::string, PendingRow> pending;
+  };
+  BindingState SaveBindings() const { return {bindings_, pending_}; }
+  void RestoreBindings(BindingState state) {
+    bindings_ = std::move(state.bindings);
+    pending_ = std::move(state.pending);
+  }
   /// True when `var` is bound by a scan whose records (or uncached fields)
-  /// come from a JSON plug-in.
-  bool JsonSource(const std::string& var) const {
+  /// come from a plug-in of `format`.
+  bool SourceFormat(const std::string& var, DataFormat format) const {
     auto it = sources_.find(var);
     return it != sources_.end() && it->second.plugin != nullptr &&
-           it->second.plugin->info().format == DataFormat::kJSON;
+           it->second.plugin->info().format == format;
   }
   Status EmitUnnest(const OpPtr& op, const Consume& consume);
   Status EmitJoin(const OpPtr& op, const Consume& consume);
@@ -286,14 +267,15 @@ class Codegen {
     return cv;
   }
 
-  // ---- small helpers -------------------------------------------------------
+  // ---- small helpers (the EmitEnv the access emitters build with) ---------
+  llvm::IRBuilder<>& builder() override { return b_; }
   llvm::Function* Helper(const char* name, llvm::Type* ret,
-                         std::vector<llvm::Type*> args);
+                         std::vector<llvm::Type*> args) override;
   /// The i64 parameter-table entry for `desc`: registered in the shared
   /// ParamTable (deduplicated) and loaded once per function, in the entry
   /// block — the replacement for every constant the old codegen baked into
   /// the instruction stream.
-  llvm::Value* ParamI64(jit::ParamDesc desc);
+  llvm::Value* ParamI64(jit::ParamDesc desc) override;
   llvm::Value* ParamPtr(jit::ParamDesc desc) {
     return b_.CreateIntToPtr(ParamI64(std::move(desc)), b_.getInt8PtrTy());
   }
@@ -301,25 +283,23 @@ class Codegen {
   /// entry-block allocas to registers, and hoisting keeps loop-body
   /// temporaries from re-allocating per iteration.
   llvm::Value* EntryAlloca(llvm::Type* ty, llvm::Value* array_size = nullptr,
-                           const char* name = "");
+                           const char* name = "") override;
   /// An i64 alloca zeroed in the function entry block, so its value at any
   /// point is the count of increments that ran before it — wherever in the
   /// emission it is first created.
   llvm::Value* EntryCounter(const char* name);
   /// The current function's MorselCtx* argument (per-task runtime state).
-  llvm::Value* CtxPtr() { return ctx_arg_; }
+  llvm::Value* CtxPtr() override { return ctx_arg_; }
   /// The pipeline or drain function's JitMorselSink* argument.
   llvm::Value* SinkPtr() { return sink_arg_; }
-  llvm::Value* GlobalString(const std::string& s) {
+  llvm::Value* GlobalString(const std::string& s) override {
     auto it = string_globals_.find(s);
     if (it != string_globals_.end()) return it->second;
     llvm::Value* g = b_.CreateGlobalStringPtr(s);
     string_globals_[s] = g;
     return g;
   }
-  llvm::Value* LoadAt(llvm::Type* ty, llvm::Value* addr_i64) {
-    return b_.CreateLoad(ty, b_.CreateIntToPtr(addr_i64, ty->getPointerTo()));
-  }
+  llvm::Value* ConstI64Array(const std::vector<int64_t>& values) override;
   static std::string Key(const std::string& var, const FieldPath& path) {
     return path.empty() ? var : var + "." + DottedPath(path);
   }
@@ -366,6 +346,7 @@ class Codegen {
   std::vector<uint32_t> outer_join_tables_;
 
   std::unordered_map<std::string, CgValue> bindings_;       // virtual buffers
+  std::unordered_map<std::string, PendingRow> pending_;     // var -> unread row
   std::unordered_map<std::string, llvm::Value*> oids_;      // var -> current oid (i64)
   std::unordered_map<std::string, ScanSource> sources_;     // var -> data source
   std::unordered_map<std::string, TypePtr> var_types_;      // var -> record type
@@ -409,6 +390,13 @@ void CollectExprPaths(const ExprPtr& e,
     return;
   }
   for (const auto& c : e->children()) CollectExprPaths(c, out);
+}
+
+/// The expressions a Nest evaluates per input row: its key and outputs.
+std::vector<ExprPtr> NestExprs(const Operator& op) {
+  std::vector<ExprPtr> exprs{op.group_by()};
+  for (const auto& o : op.outputs()) exprs.push_back(o.expr);
+  return exprs;
 }
 
 Status Codegen::CheckSupported(const OpPtr& op) const {
@@ -606,6 +594,10 @@ Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
         return Status::Unimplemented("jit: projection over computed record");
       }
       auto it = bindings_.find(Key(cur->var_name(), path));
+      if (it == bindings_.end() && pending_.count(cur->var_name()) != 0) {
+        return Status::Internal("jit: " + Key(cur->var_name(), path) +
+                                " read outside a materialization point");
+      }
       if (it == bindings_.end()) {
         return Status::Unimplemented("jit: no virtual buffer for " +
                                      Key(cur->var_name(), path));
@@ -894,6 +886,7 @@ Status Codegen::EmitRangeLoop(llvm::Value* lo, llvm::Value* hi,
 
 Status Codegen::EmitFilter(const ExprPtr& pred, const Consume& consume) {
   if (!pred) return consume();
+  PROTEUS_RETURN_NOT_OK(Materialize({pred}));
   PROTEUS_ASSIGN_OR_RETURN(CgValue c, EmitExpr(pred));
   auto* pass_bb = llvm::BasicBlock::Create(*llctx_, "sel.pass", fn_);
   auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "sel.merge", fn_);
@@ -912,17 +905,13 @@ Status Codegen::EmitFilter(const ExprPtr& pred, const Consume& consume) {
 Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
   const std::string& var = op->binding();
   const ScanSource& src = sources_.at(var);
-  std::vector<FieldPath> fields = op->scan_fields();
-  if (fields.empty()) {
-    for (const auto& f : var_types_.at(var)->fields()) {
-      if (f.type->is_primitive()) fields.push_back({f.name});
-    }
-  }
+  PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<jit::AccessEmitter> access,
+                           jit::MakeScanAccess(src, var));
+  const CacheColumn* oid_col = src.cache != nullptr ? src.cache->Find(var, {"$oid"}) : nullptr;
   // The driver leaf of the pipeline function scans only its (begin, end)
-  // arguments' OID range; every other scan (build sides, a Nest's input)
-  // runs the whole relation, whose record count is a bound parameter —
-  // never an immediate — so cached modules survive data growth between
-  // executions.
+  // arguments' range; every other scan (build sides, a Nest's input) runs
+  // the whole relation, whose record count is a bound parameter — never an
+  // immediate — so cached modules survive data growth between executions.
   llvm::Value* lo;
   llvm::Value* hi;
   if (op.get() == driver_leaf_) {
@@ -930,194 +919,83 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
     hi = end_arg_;
   } else {
     lo = b_.getInt64(0);
-    hi = ParamI64(DataParam(jit::ParamKind::kNumRecords, src.dataset));
+    hi = src.cache != nullptr
+             ? ParamI64(CacheParam(jit::ParamKind::kCacheNumRows, src.cache_id))
+             : ParamI64(DataParam(jit::ParamKind::kNumRecords, src.dataset));
   }
-  return EmitRangeLoop(lo, hi, [&](llvm::Value* oid) -> Status {
-    oids_[var] = oid;
-    for (const auto& p : fields) {
-      auto lk = LeafKind(var, p);
-      if (!lk.ok()) continue;  // collections (unnest paths) are read lazily
-      PROTEUS_ASSIGN_OR_RETURN(bindings_[Key(var, p)], EmitFieldRead(src, oid, p, *lk));
+  return EmitRangeLoop(lo, hi, [&](llvm::Value* row) -> Status {
+    if (src.cache == nullptr) {
+      oids_[var] = row;
+    } else if (oid_col != nullptr) {
+      // A cache row's raw OID: the Unnest operator addresses the original
+      // file through it.
+      llvm::Value* oid_base = ParamI64(
+          CacheParam(jit::ParamKind::kCacheColIntBase, src.cache_id, var, {"$oid"}));
+      oids_[var] = b_.CreateLoad(
+          b_.getInt64Ty(),
+          b_.CreateIntToPtr(b_.CreateAdd(oid_base, b_.CreateMul(row, b_.getInt64(8))),
+                            b_.getInt64Ty()->getPointerTo()));
     }
-    return consume();
+    return ConsumeRow(var, access.get(), row, consume);
   });
 }
 
-Result<CgValue> Codegen::EmitFieldRead(const ScanSource& src, llvm::Value* oid,
-                                       const FieldPath& path, TypeKind kind) {
-  const DataFormat format = src.plugin->info().format;
-  switch (format) {
-    case DataFormat::kBinaryColumn: {
-      const BinColReader* r = static_cast<BinColPlugin*>(src.plugin)->reader();
-      int ci = r->ColumnIndex(path[0]);
-      if (ci < 0) return Status::Internal("jit: missing bincol column " + path[0]);
-      auto col = static_cast<uint32_t>(ci);
-      auto base = [&](jit::ParamKind k) { return ParamI64(DataParam(k, src.dataset, col)); };
-      auto at8 = [&](llvm::Value* array, llvm::Value* i) {
-        return b_.CreateAdd(array, b_.CreateMul(i, b_.getInt64(8)));
-      };
-      CgValue cv;
-      cv.kind = kind;
-      if (kind == TypeKind::kInt64) {
-        cv.v = LoadAt(b_.getInt64Ty(), at8(base(jit::ParamKind::kBinColIntBase), oid));
-      } else if (kind == TypeKind::kFloat64) {
-        cv.v = LoadAt(b_.getDoubleTy(), at8(base(jit::ParamKind::kBinColFloatBase), oid));
-      } else if (kind == TypeKind::kBool) {
-        llvm::Value* byte =
-            LoadAt(b_.getInt8Ty(), b_.CreateAdd(base(jit::ParamKind::kBinColBoolBase), oid));
-        cv.v = b_.CreateICmpNE(byte, b_.getInt8(0));
-      } else {  // string: offsets + data
-        llvm::Value* offs = base(jit::ParamKind::kBinColStrOffsets);
-        llvm::Value* o1 = LoadAt(b_.getInt64Ty(), at8(offs, oid));
-        llvm::Value* o2 = LoadAt(b_.getInt64Ty(), at8(offs, b_.CreateAdd(oid, b_.getInt64(1))));
-        cv.v = b_.CreateIntToPtr(b_.CreateAdd(base(jit::ParamKind::kBinColStrData), o1),
-                                 b_.getInt8PtrTy());
-        cv.len = b_.CreateSub(o2, o1);
-      }
-      return cv;
-    }
-    case DataFormat::kBinaryRow: {
-      const BinRowReader* r = static_cast<BinRowPlugin*>(src.plugin)->reader();
-      int ci = r->ColumnIndex(path[0]);
-      if (ci < 0) return Status::Internal("jit: missing binrow column " + path[0]);
-      llvm::Value* base = ParamI64(DataParam(jit::ParamKind::kBinRowRowsBase, src.dataset));
-      llvm::Value* addr = b_.CreateAdd(
-          base, b_.CreateAdd(b_.CreateMul(oid, b_.getInt64(r->row_width())),
-                             b_.getInt64(8 * static_cast<uint64_t>(ci))));
-      CgValue cv;
-      cv.kind = kind;
-      if (kind == TypeKind::kInt64) {
-        cv.v = LoadAt(b_.getInt64Ty(), addr);
-      } else if (kind == TypeKind::kFloat64) {
-        cv.v = LoadAt(b_.getDoubleTy(), addr);
-      } else if (kind == TypeKind::kBool) {
-        cv.v = b_.CreateICmpNE(LoadAt(b_.getInt64Ty(), addr), b_.getInt64(0));
-      } else {  // packed (u32 off, u32 len) into the heap
-        llvm::Value* off = b_.CreateZExt(LoadAt(b_.getInt32Ty(), addr), b_.getInt64Ty());
-        llvm::Value* len = b_.CreateZExt(
-            LoadAt(b_.getInt32Ty(), b_.CreateAdd(addr, b_.getInt64(4))), b_.getInt64Ty());
-        llvm::Value* heap = ParamI64(DataParam(jit::ParamKind::kBinRowHeapBase, src.dataset));
-        cv.v = b_.CreateIntToPtr(b_.CreateAdd(heap, off), b_.getInt8PtrTy());
-        cv.len = len;
-      }
-      return cv;
-    }
-    case DataFormat::kCSV: {
-      int ci = static_cast<CsvPlugin*>(src.plugin)->ColumnIndex(path[0]);
-      if (ci < 0) return Status::Internal("jit: missing csv column " + path[0]);
-      llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
-      return EmitTypedRead("proteus_csv", kind,
-                           {pp, oid, b_.getInt32(static_cast<uint32_t>(ci))},
-                           /*nullable=*/false);
-    }
-    case DataFormat::kJSON: {
-      llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, src.dataset));
-      llvm::Value* h = b_.getInt64(HashString(DottedPath(path)));
-      return EmitTypedRead("proteus_json", kind, {CtxPtr(), pp, oid, h}, /*nullable=*/true);
-    }
-    case DataFormat::kCacheBlock:
-      break;
+Status Codegen::ConsumeRow(const std::string& var, jit::AccessEmitter* access, llvm::Value* row,
+                           const Consume& consume) {
+  access->BeginRow(*this);
+  pending_[var] = {access, row};
+  PROTEUS_RETURN_NOT_OK(consume());
+  // The row's values do not outlive its loop body.
+  pending_.erase(var);
+  for (auto it = bindings_.begin(); it != bindings_.end();) {
+    const std::string& key = it->first;
+    const bool of_var = key.compare(0, var.size(), var) == 0 &&
+                        (key.size() == var.size() || key[var.size()] == '.');
+    it = of_var ? bindings_.erase(it) : std::next(it);
   }
-  return Status::Internal(std::string("jit: no raw reader for format ") +
-                          DataFormatName(format));
+  return Status::OK();
 }
 
-CgValue Codegen::EmitTypedRead(const std::string& family, TypeKind kind,
-                               std::vector<llvm::Value*> args, bool nullable) {
-  llvm::Type* i64 = b_.getInt64Ty();
-  llvm::Type* value_ty = kind == TypeKind::kFloat64  ? b_.getDoubleTy()
-                         : kind == TypeKind::kString ? static_cast<llvm::Type*>(b_.getInt8PtrTy())
-                                                     : i64;
-  const char* suffix = kind == TypeKind::kFloat64  ? "_double"
-                       : kind == TypeKind::kBool   ? "_bool"
-                       : kind == TypeKind::kString ? "_str"
-                                                   : "_int";
-  llvm::Value* out = EntryAlloca(value_ty);
-  args.push_back(out);
-  llvm::Value* len = nullptr;
-  if (kind == TypeKind::kString) {
-    len = EntryAlloca(i64);
-    args.push_back(len);
+Status Codegen::Materialize(const std::vector<ExprPtr>& exprs) {
+  std::unordered_map<std::string, std::vector<FieldPath>> paths;
+  for (const ExprPtr& e : exprs) CollectExprPaths(e, &paths);
+  // In variable order, so the generated IR is deterministic.
+  std::vector<std::string> vars;
+  for (const auto& entry : paths) {
+    if (pending_.count(entry.first) != 0) vars.push_back(entry.first);
   }
-  std::vector<llvm::Type*> types;
-  for (llvm::Value* a : args) types.push_back(a->getType());
-  llvm::Type* ret = nullable ? b_.getInt32Ty() : b_.getVoidTy();
-  llvm::Value* present = b_.CreateCall(Helper((family + suffix).c_str(), ret, types), args);
-  CgValue cv;
-  cv.kind = kind;
-  cv.v = b_.CreateLoad(value_ty, out);
-  if (kind == TypeKind::kBool) cv.v = b_.CreateICmpNE(cv.v, b_.getInt64(0));
-  if (len != nullptr) cv.len = b_.CreateLoad(i64, len);
-  if (nullable) cv.null = b_.CreateICmpEQ(present, b_.getInt32(0));
-  return cv;
+  std::sort(vars.begin(), vars.end());
+  for (const std::string& var : vars) PROTEUS_RETURN_NOT_OK(MaterializeVar(var, paths[var]));
+  return Status::OK();
 }
 
-Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
-  const std::string& var = op->binding();
-  const ScanSource& src = sources_.at(var);
-  const CacheBlock* blk = src.cache.get();
-
-  std::vector<FieldPath> fields = op->scan_fields();
-  if (fields.empty()) {
-    for (const auto& c : blk->cols) {
-      if (c.path != FieldPath{"$oid"}) fields.push_back(c.path);
-    }
+Status Codegen::MaterializePending() {
+  std::vector<std::string> vars;
+  for (const auto& entry : pending_) {
+    if (needed_.count(entry.first) != 0) vars.push_back(entry.first);
   }
-  const CacheColumn* oid_col = blk->Find(var, {"$oid"});
+  std::sort(vars.begin(), vars.end());
+  for (const std::string& var : vars) PROTEUS_RETURN_NOT_OK(MaterializeVar(var, needed_.at(var)));
+  return Status::OK();
+}
 
-  llvm::Value* lo;
-  llvm::Value* hi;
-  if (op.get() == driver_leaf_) {
-    lo = begin_arg_;
-    hi = end_arg_;
-  } else {
-    lo = b_.getInt64(0);
-    hi = ParamI64(CacheParam(jit::ParamKind::kCacheNumRows, src.cache_id));
+Status Codegen::MaterializeVar(const std::string& var, const std::vector<FieldPath>& paths) {
+  auto it = pending_.find(var);
+  if (it == pending_.end()) return Status::OK();
+  std::vector<jit::FieldRead> reads;
+  for (const FieldPath& p : paths) {
+    if (bindings_.count(Key(var, p)) != 0) continue;
+    auto same = [&](const jit::FieldRead& r) { return r.path == p; };
+    if (std::any_of(reads.begin(), reads.end(), same)) continue;
+    auto lk = LeafKind(var, p);
+    if (!lk.ok()) continue;  // collections (unnest paths) are read by the Unnest
+    reads.push_back({p, *lk});
   }
-  return EmitRangeLoop(lo, hi, [&](llvm::Value* row) -> Status {
-        if (oid_col != nullptr) {
-          // Expose the raw OID: the Unnest operator and hybrid string reads
-          // address the original file through it.
-          llvm::Value* oid_base = ParamI64(
-              CacheParam(jit::ParamKind::kCacheColIntBase, src.cache_id, var, {"$oid"}));
-          oids_[var] = LoadAt(b_.getInt64Ty(),
-                              b_.CreateAdd(oid_base, b_.CreateMul(row, b_.getInt64(8))));
-        }
-        for (const auto& p : fields) {
-          const CacheColumn* c = blk->Find(var, p);
-          CgValue cv;
-          if (c != nullptr && c->type != TypeKind::kString) {
-            if (c->type == TypeKind::kFloat64) {
-              llvm::Value* base = ParamI64(
-                  CacheParam(jit::ParamKind::kCacheColFloatBase, src.cache_id, var, p));
-              cv.kind = TypeKind::kFloat64;
-              cv.v = LoadAt(b_.getDoubleTy(),
-                            b_.CreateAdd(base, b_.CreateMul(row, b_.getInt64(8))));
-            } else {
-              llvm::Value* base = ParamI64(
-                  CacheParam(jit::ParamKind::kCacheColIntBase, src.cache_id, var, p));
-              llvm::Value* raw = LoadAt(b_.getInt64Ty(),
-                                        b_.CreateAdd(base, b_.CreateMul(row, b_.getInt64(8))));
-              if (c->type == TypeKind::kBool) {
-                cv.kind = TypeKind::kBool;
-                cv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
-              } else {
-                cv.kind = TypeKind::kInt64;
-                cv.v = raw;
-              }
-            }
-          } else if (src.plugin != nullptr && oid_col != nullptr) {
-            // Hybrid raw access by OID (an uncached string or raw_only field).
-            auto lk = LeafKind(var, p);
-            if (!lk.ok()) continue;  // collection field: unnest reads it lazily
-            PROTEUS_ASSIGN_OR_RETURN(cv, EmitFieldRead(src, oids_.at(var), p, *lk));
-          } else {
-            return Status::Unimplemented("jit: cache miss for field " + Key(var, p));
-          }
-          bindings_[Key(var, p)] = cv;
-        }
-        return consume();
-      });
+  if (reads.empty()) return Status::OK();
+  PROTEUS_ASSIGN_OR_RETURN(std::vector<CgValue> values,
+                           it->second.access->Read(*this, it->second.row, reads));
+  for (size_t i = 0; i < reads.size(); ++i) bindings_[Key(var, reads[i].path)] = values[i];
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -1130,14 +1008,45 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
   const std::string& elem_var = op->binding();
   uint32_t slot = unnest_ids_.at(op.get());
 
+  // Element paths read above this op, with their primitive kinds (the
+  // element itself for a primitive element: an empty path), shared by the
+  // loop body and the outer null-element branch. Their names are the
+  // element emitter's name list, fixed by the plan's shape.
+  TypePtr elem_t = var_types_.at(elem_var);
+  auto needed_it = needed_.find(elem_var);
+  std::vector<FieldPath> paths =
+      needed_it == needed_.end() ? std::vector<FieldPath>{} : needed_it->second;
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  std::vector<TypeKind> path_kinds;
+  std::vector<std::string> names;
+  for (const auto& ep : paths) {
+    if (ep.size() > 1) return Status::Unimplemented("jit: deep path inside array element");
+    if (ep.empty()) {
+      if (!elem_t->is_primitive()) {
+        return Status::Unimplemented("jit: whole-record element use");
+      }
+      path_kinds.push_back(elem_t->kind() == TypeKind::kDate ? TypeKind::kInt64
+                                                             : elem_t->kind());
+    } else {
+      PROTEUS_ASSIGN_OR_RETURN(TypeKind k, LeafKind(elem_var, ep));
+      path_kinds.push_back(k);
+      names.push_back(ep[0]);
+    }
+  }
+  const std::unique_ptr<jit::AccessEmitter> access = jit::MakeElementAccess(slot, names);
+
   return EmitProduce(op->child(0), [&]() -> Status {
     // The source may be a raw JSON scan or a cache scan over a JSON dataset
     // (the cached OID addresses the original file's structural index).
-    if (!JsonSource(src_var)) {
+    if (!SourceFormat(src_var, DataFormat::kJSON)) {
       return Status::Unimplemented("jit: unnest source must be a JSON scan");
     }
     auto oid_it = oids_.find(src_var);
     if (oid_it == oids_.end()) return Status::Unimplemented("jit: unnest without OID");
+    // The outer row's fields that operators above read: once per row, not
+    // once per element.
+    PROTEUS_RETURN_NOT_OK(MaterializePending());
     const std::string& dataset = sources_.at(src_var).dataset;
     llvm::Value* pp = ParamPtr(DataParam(jit::ParamKind::kPluginPtr, dataset));
     llvm::Value* oid = oid_it->second;
@@ -1151,27 +1060,6 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
                          {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty(), b_.getInt64Ty()}),
                   {CtxPtr(), slot_v, pp, oid, h});
 
-    // Element paths read above this op, with their primitive kinds (shared
-    // by the loop body and the outer null-element branch).
-    TypePtr elem_t = var_types_.at(elem_var);
-    auto needed_it = needed_.find(elem_var);
-    std::vector<FieldPath> paths =
-        needed_it == needed_.end() ? std::vector<FieldPath>{} : needed_it->second;
-    std::vector<TypeKind> path_kinds;
-    for (const auto& ep : paths) {
-      if (ep.size() > 1) return Status::Unimplemented("jit: deep path inside array element");
-      if (ep.empty()) {
-        if (!elem_t->is_primitive()) {
-          return Status::Unimplemented("jit: whole-record element use");
-        }
-        path_kinds.push_back(elem_t->kind() == TypeKind::kDate ? TypeKind::kInt64
-                                                               : elem_t->kind());
-      } else {
-        PROTEUS_ASSIGN_OR_RETURN(TypeKind k, LeafKind(elem_var, ep));
-        path_kinds.push_back(k);
-      }
-    }
-
     auto* cond_bb = llvm::BasicBlock::Create(*llctx_, "unnest.cond", fn_);
     auto* body_bb = llvm::BasicBlock::Create(*llctx_, "unnest.body", fn_);
     auto* exit_bb = llvm::BasicBlock::Create(*llctx_, "unnest.exit", fn_);
@@ -1179,7 +1067,8 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
     if (op->outer()) {
       // Empty (or absent) collection: emit the outer row once with a null
       // element, bypassing the unnest predicate — the interpreter's
-      // pending-outer-emit rule.
+      // pending-outer-emit rule. A sibling of the element loop: whatever it
+      // reads stays in its branch.
       auto* none_bb = llvm::BasicBlock::Create(*llctx_, "unnest.none", fn_);
       auto* enter_bb = llvm::BasicBlock::Create(*llctx_, "unnest.enter", fn_);
       llvm::Value* has0 = b_.CreateCall(
@@ -1187,10 +1076,12 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
           {CtxPtr(), slot_v});
       b_.CreateCondBr(b_.CreateICmpNE(has0, b_.getInt32(0)), enter_bb, none_bb);
       b_.SetInsertPoint(none_bb);
+      BindingState saved = SaveBindings();
       for (size_t i = 0; i < paths.size(); ++i) {
         bindings_[Key(elem_var, paths[i])] = NullValue(path_kinds[i]);
       }
       PROTEUS_RETURN_NOT_OK(consume());
+      RestoreBindings(std::move(saved));
       b_.CreateBr(exit_bb);
       b_.SetInsertPoint(enter_bb);
     }
@@ -1203,19 +1094,9 @@ Status Codegen::EmitUnnest(const OpPtr& op, const Consume& consume) {
     b_.CreateCondBr(b_.CreateICmpNE(has, b_.getInt32(0)), body_bb, exit_bb);
     b_.SetInsertPoint(body_bb);
 
-    // Bind the element fields used above (the element itself for a
-    // primitive element: an empty name).
-    for (size_t pi = 0; pi < paths.size(); ++pi) {
-      const FieldPath& ep = paths[pi];
-      const std::string name = ep.empty() ? std::string() : ep[0];
-      bindings_[Key(elem_var, ep)] = EmitTypedRead(
-          "proteus_unnest_elem", path_kinds[pi],
-          {CtxPtr(), slot_v, GlobalString(name),
-           b_.getInt64(static_cast<int64_t>(name.size()))},
-          /*nullable=*/true);
-    }
-
-    PROTEUS_RETURN_NOT_OK(EmitFilter(op->pred(), consume));
+    // Each element's fields are pending until an operator reads them.
+    PROTEUS_RETURN_NOT_OK(ConsumeRow(elem_var, access.get(), nullptr,
+                                     [&] { return EmitFilter(op->pred(), consume); }));
 
     b_.CreateCall(Helper("proteus_unnest_advance", voidty, {i8p, b_.getInt32Ty()}),
                   {CtxPtr(), slot_v});
@@ -1239,7 +1120,8 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
   std::vector<std::string> build_vars;
   CollectBoundVars(op.child(0), &build_vars);
   // Vars whose bindings can carry a SQL-null flag at build time: unnest
-  // elements (outer-unnest null rows, element reads) and JSON sources. The
+  // elements (outer-unnest null rows, element reads) and CSV and JSON
+  // sources (empty, absent and null fields). The
   // predicate is static per var, so nested joins inside the build subtree
   // predict their rebinds' nullability consistently.
   std::unordered_set<std::string> unnest_vars;
@@ -1251,7 +1133,8 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
     walk(op.child(0));
   }
   auto field_nullable = [&](const std::string& var) {
-    return unnest_vars.count(var) != 0 || JsonSource(var);
+    return unnest_vars.count(var) != 0 || SourceFormat(var, DataFormat::kJSON) ||
+           SourceFormat(var, DataFormat::kCSV);
   };
   std::vector<PayloadField> payload;
   uint32_t slots = 0;
@@ -1292,6 +1175,8 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
 
   llvm::Value* pay_buf = EntryAlloca(b_.getInt64Ty(), b_.getInt32(slots), "payload");
   PROTEUS_RETURN_NOT_OK(EmitProduce(op.child(0), [&]() -> Status {
+    // The key and the payload: every field of the build side the plan reads.
+    PROTEUS_RETURN_NOT_OK(MaterializePending());
     CgValue key;
     if (op.left_key() != nullptr) {
       PROTEUS_ASSIGN_OR_RETURN(key, EmitExpr(op.left_key()));
@@ -1423,10 +1308,18 @@ Status Codegen::EmitJoinProbe(const Operator& op, const Consume& consume) {
       // Non-equi join: nested loop over the frozen build rows, in build
       // order — exactly the interpreter's FindJoinMatches without a key
       // (matches = 0..n-1), with the full join predicate as the filter.
+      // The probe row's fields are read once, before the loop, when there
+      // is a build row to pair it with.
       llvm::Value* n = b_.CreateCall(
           Helper("proteus_join_rows", b_.getInt64Ty(), {i8p, b_.getInt32Ty()}),
           {CtxPtr(), table_v});
-      return EmitCountedLoop(n, [&](llvm::Value* row) -> Status {
+      auto* pre_bb = llvm::BasicBlock::Create(*llctx_, "nested.pre", fn_);
+      auto* done_bb = llvm::BasicBlock::Create(*llctx_, "nested.done", fn_);
+      b_.CreateCondBr(b_.CreateICmpNE(n, b_.getInt64(0)), pre_bb, done_bb);
+      b_.SetInsertPoint(pre_bb);
+      PROTEUS_RETURN_NOT_OK(MaterializePending());
+      BindingState saved = SaveBindings();
+      PROTEUS_RETURN_NOT_OK(EmitCountedLoop(n, [&](llvm::Value* row) -> Status {
         llvm::Value* row_ptr = b_.CreateCall(
             Helper("proteus_join_payload_at", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
             {CtxPtr(), table_v, row});
@@ -1439,8 +1332,13 @@ Status Codegen::EmitJoinProbe(const Operator& op, const Consume& consume) {
           }
           return consume();
         });
-      });
+      }));
+      RestoreBindings(std::move(saved));
+      b_.CreateBr(done_bb);
+      b_.SetInsertPoint(done_bb);
+      return Status::OK();
     }
+    PROTEUS_RETURN_NOT_OK(Materialize({op.right_key()}));
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.right_key()));
     llvm::Value* match_ptr = EntryAlloca(i64p, nullptr, "match");
     auto probe_first = [&]() {
@@ -1462,9 +1360,15 @@ Status Codegen::EmitJoinProbe(const Operator& op, const Consume& consume) {
       b_.CreateBr(start_bb);
       b_.SetInsertPoint(start_bb);
     }
+    // The probe row's fields that operators above read: once the first
+    // match is found, before the match loop — not once per match.
+    auto* pre_bb = llvm::BasicBlock::Create(*llctx_, "probe.pre", fn_);
     auto* cond_bb = llvm::BasicBlock::Create(*llctx_, "probe.cond", fn_);
     auto* body_bb = llvm::BasicBlock::Create(*llctx_, "probe.body", fn_);
     auto* exit_bb = llvm::BasicBlock::Create(*llctx_, "probe.exit", fn_);
+    b_.CreateCondBr(b_.CreateIsNotNull(b_.CreateLoad(i64p, match_ptr)), pre_bb, exit_bb);
+    b_.SetInsertPoint(pre_bb);
+    PROTEUS_RETURN_NOT_OK(MaterializePending());
     b_.CreateBr(cond_bb);
     b_.SetInsertPoint(cond_bb);
     llvm::Value* cur = b_.CreateLoad(i64p, match_ptr);
@@ -1518,6 +1422,8 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
     llvm::Value* row_ptr = b_.CreateCall(
         Helper("proteus_join_payload_at", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
         {CtxPtr(), table_v, row});
+    // A drained row's bindings stay in its branch.
+    BindingState saved = SaveBindings();
     RebindPayload(op, row_ptr);
 
     // The probe side is absent: bind every field the plan reads from it to
@@ -1537,6 +1443,7 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
     // Drained rows bypass the join predicate (they matched nothing), but
     // every op above the join still applies — `consume` is that chain.
     PROTEUS_RETURN_NOT_OK(consume());
+    RestoreBindings(std::move(saved));
     b_.CreateBr(merge_bb);
     b_.SetInsertPoint(merge_bb);
     return Status::OK();
@@ -1684,6 +1591,7 @@ Status Codegen::EmitNestFold(const Operator& op) {
     b_.CreateRetVoid();
     b_.SetInsertPoint(row_bb);
 
+    PROTEUS_RETURN_NOT_OK(Materialize(NestExprs(op)));
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
     // The group loops reading this table bind a null flag on the key only
     // when some folded key could be null.
@@ -1789,9 +1697,8 @@ Status Codegen::EmitNestGroups(const Operator& op, llvm::Value* lo, llvm::Value*
 Status Codegen::EmitProduce(const OpPtr& op, const Consume& consume) {
   switch (op->kind()) {
     case OpKind::kScan:
-      return EmitScan(op, consume);
     case OpKind::kCacheScan:
-      return EmitCacheScan(op, consume);
+      return EmitScan(op, consume);
     case OpKind::kSelect:
       return EmitProduce(op->child(0), [&]() { return EmitFilter(op->pred(), consume); });
     case OpKind::kUnnest:
@@ -1846,6 +1753,7 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce) {
   }
   llvm::Value* dst = SinkPtr();
   auto emit_row = [&]() -> Status {
+    PROTEUS_RETURN_NOT_OK(Materialize(cols));
     for (const auto& c : cols) {
       PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(c));
       llvm::BasicBlock* merge_bb = nullptr;
@@ -1950,7 +1858,10 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce) {
   llvm::Value* rows_ptr = EntryCounter("rows");
   std::vector<llvm::Value*> nulls_ptrs(outputs.size(), nullptr);
 
+  std::vector<ExprPtr> inputs;
+  for (const auto& o : outputs) inputs.push_back(o.expr);
   auto update = [&]() -> Status {
+    PROTEUS_RETURN_NOT_OK(Materialize(inputs));
     b_.CreateStore(b_.CreateAdd(b_.CreateLoad(b_.getInt64Ty(), rows_ptr), b_.getInt64(1)),
                    rows_ptr);
     for (size_t i = 0; i < outputs.size(); ++i) {
@@ -2052,6 +1963,7 @@ Status Codegen::EmitNestMorsel(const Operator& op) {
   llvm::Value* table =
       b_.CreateCall(Helper("proteus_morsel_groups", i8p, {i8p}), {SinkPtr()});
   Consume update = [&]() -> Status {
+    PROTEUS_RETURN_NOT_OK(Materialize(NestExprs(op)));
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
     return EmitGroupUpdate(op, layout, table, EmitGroupUpsert(table, key));
   };
@@ -2082,6 +1994,7 @@ llvm::Function* Codegen::OpenFunction(const char* name, uint32_t ptr_args, uint3
   // Per-function emission state: virtual buffers never cross functions, and
   // function-specific arguments must be re-set by the caller.
   bindings_.clear();
+  pending_.clear();
   oids_.clear();
   param_values_.clear();
   sink_arg_ = nullptr;
@@ -2112,6 +2025,17 @@ llvm::Value* Codegen::EntryAlloca(llvm::Type* ty, llvm::Value* array_size, const
   llvm::Value* a = b_.CreateAlloca(ty, array_size, name);
   b_.SetInsertPoint(saved_bb, saved_pt);
   return a;
+}
+
+llvm::Value* Codegen::ConstI64Array(const std::vector<int64_t>& values) {
+  auto* ty = llvm::ArrayType::get(b_.getInt64Ty(), values.size());
+  std::vector<llvm::Constant*> elems;
+  for (int64_t v : values) elems.push_back(b_.getInt64(static_cast<uint64_t>(v)));
+  auto* g = new llvm::GlobalVariable(*module_, ty, /*isConstant=*/true,
+                                     llvm::GlobalValue::PrivateLinkage,
+                                     llvm::ConstantArray::get(ty, elems), "fields");
+  g->setUnnamedAddr(llvm::GlobalValue::UnnamedAddr::Global);
+  return b_.CreateConstInBoundsGEP2_64(ty, g, 0, 0);
 }
 
 llvm::Value* Codegen::EntryCounter(const char* name) {

@@ -1,8 +1,10 @@
 #include "src/jit/runtime.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
+#include "src/common/counters.h"
 #include "src/common/hash.h"
 #include "src/engine/partial_sink.h"
 
@@ -11,21 +13,12 @@ namespace jit {
 
 std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
   return {
-      {"proteus_csv_int", reinterpret_cast<void*>(&proteus_csv_int)},
-      {"proteus_csv_double", reinterpret_cast<void*>(&proteus_csv_double)},
-      {"proteus_csv_bool", reinterpret_cast<void*>(&proteus_csv_bool)},
-      {"proteus_csv_str", reinterpret_cast<void*>(&proteus_csv_str)},
-      {"proteus_json_int", reinterpret_cast<void*>(&proteus_json_int)},
-      {"proteus_json_double", reinterpret_cast<void*>(&proteus_json_double)},
-      {"proteus_json_bool", reinterpret_cast<void*>(&proteus_json_bool)},
-      {"proteus_json_str", reinterpret_cast<void*>(&proteus_json_str)},
+      {"proteus_csv_read", reinterpret_cast<void*>(&proteus_csv_read)},
+      {"proteus_json_read", reinterpret_cast<void*>(&proteus_json_read)},
       {"proteus_unnest_init", reinterpret_cast<void*>(&proteus_unnest_init)},
       {"proteus_unnest_has_next", reinterpret_cast<void*>(&proteus_unnest_has_next)},
       {"proteus_unnest_advance", reinterpret_cast<void*>(&proteus_unnest_advance)},
-      {"proteus_unnest_elem_int", reinterpret_cast<void*>(&proteus_unnest_elem_int)},
-      {"proteus_unnest_elem_double", reinterpret_cast<void*>(&proteus_unnest_elem_double)},
-      {"proteus_unnest_elem_bool", reinterpret_cast<void*>(&proteus_unnest_elem_bool)},
-      {"proteus_unnest_elem_str", reinterpret_cast<void*>(&proteus_unnest_elem_str)},
+      {"proteus_unnest_read", reinterpret_cast<void*>(&proteus_unnest_read)},
       {"proteus_join_insert", reinterpret_cast<void*>(&proteus_join_insert)},
       {"proteus_join_insert_null", reinterpret_cast<void*>(&proteus_join_insert_null)},
       {"proteus_join_build", reinterpret_cast<void*>(&proteus_join_build)},
@@ -79,10 +72,12 @@ namespace {
 
 using proteus::CsvPlugin;
 using proteus::JsonPlugin;
+using proteus::JsonSpan;
 using proteus::JsonToken;
 using proteus::JsonTokenType;
 using proteus::GroupKeyTag;
 using proteus::GroupTable;
+using proteus::TypeKind;
 using proteus::jit::JoinTableRt;
 using proteus::jit::MorselCtx;
 using proteus::jit::QueryRuntime;
@@ -100,34 +95,6 @@ int64_t ParseIntSpan(const char* s, const char* e) {
 double ParseDoubleSpan(const char* s, const char* e) {
   double v = 0;
   std::from_chars(s, e, v);
-  return v;
-}
-
-/// One located JSON value: its byte span and token type (kNull also when
-/// the field is absent).
-struct JsonSpan {
-  const char* begin = nullptr;
-  const char* end = nullptr;
-  JsonTokenType type = JsonTokenType::kNull;
-};
-
-JsonSpan FieldSpan(const void* plugin, uint64_t oid, uint64_t path_hash) {
-  const auto* jp = static_cast<const JsonPlugin*>(plugin);
-  const JsonToken* t = jp->FindTokenByHash(oid, path_hash);
-  if (t == nullptr) return {};
-  const char* b = jp->ObjectBase(oid);
-  return {b + t->start, b + t->end, t->type};
-}
-
-JsonSpan ElemSpan(void* ctx, uint32_t slot, const char* name, int64_t name_len) {
-  const UnnestStateRt& u = CTX(ctx)->unnests[slot];
-  JsonSpan v{u.obj_base + u.cur->start, u.obj_base + u.cur->end, u.cur->type};
-  if (name_len == 0) return v;
-  if (!proteus::FindJsonField(v.begin, v.end,
-                              std::string_view(name, static_cast<size_t>(name_len)), &v.begin,
-                              &v.end, &v.type)) {
-    return {};
-  }
   return v;
 }
 
@@ -171,52 +138,109 @@ int32_t ToStr(void* ctx, const JsonSpan& v, const char** out, int64_t* len) {
   return v.type != JsonTokenType::kNull;
 }
 
+/// Writes a located JSON value of `kind` into its two out slots; returns
+/// its null bit (1 = SQL null).
+uint64_t StoreJson(void* ctx, const JsonSpan& v, int64_t kind, int64_t* out) {
+  int32_t present = 0;
+  switch (static_cast<TypeKind>(kind)) {
+    case TypeKind::kFloat64: {
+      double d = 0;
+      present = ToDouble(v, &d);
+      std::memcpy(&out[0], &d, sizeof(d));
+      break;
+    }
+    case TypeKind::kBool: present = ToBool(v, &out[0]); break;
+    case TypeKind::kString: {
+      const char* s = nullptr;
+      present = ToStr(ctx, v, &s, &out[1]);
+      out[0] = reinterpret_cast<int64_t>(s);
+      break;
+    }
+    default: present = ToInt(v, &out[0]); break;
+  }
+  return present != 0 ? 0 : 1;
+}
+
+/// Writes CSV field text of `kind` into its two out slots, converted as
+/// CsvPlugin::ReadValue converts it; returns its null bit (an empty field
+/// is SQL null).
+uint64_t StoreCsv(std::string_view t, int64_t kind, int64_t* out) {
+  const char* s = t.data();
+  const char* e = s + t.size();
+  switch (static_cast<TypeKind>(kind)) {
+    case TypeKind::kFloat64: {
+      const double d = ParseDoubleSpan(s, e);
+      std::memcpy(&out[0], &d, sizeof(d));
+      break;
+    }
+    case TypeKind::kBool: out[0] = t == "true" || t == "1" ? 1 : 0; break;
+    case TypeKind::kString:
+      out[0] = reinterpret_cast<int64_t>(s);
+      out[1] = static_cast<int64_t>(t.size());
+      break;
+    default: out[0] = ParseIntSpan(s, e); break;
+  }
+  return t.empty() ? 1 : 0;
+}
+
+/// Splits `num` NUL-terminated names stored back to back.
+std::vector<std::string_view> SplitNames(const char* blob, uint32_t num) {
+  std::vector<std::string_view> names;
+  names.reserve(num);
+  for (uint32_t i = 0; i < num; ++i) {
+    names.emplace_back(blob);
+    blob += names.back().size() + 1;
+  }
+  return names;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // extern "C" implementations
 // ---------------------------------------------------------------------------
 
-void proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col, int64_t* out) {
-  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  *out = ParseIntSpan(t.data(), t.data() + t.size());
+uint64_t proteus_csv_read(const void* plugin, uint64_t oid, const int64_t* fields, uint32_t n,
+                          int64_t* out, int64_t* cursor) {
+  proteus::GlobalCounters().raw_field_accesses += n;
+  const int64_t* keys = fields;
+  const int64_t* kinds = fields + n;
+  const auto* csv = static_cast<const CsvPlugin*>(plugin);
+  CsvPlugin::RowCursor row{cursor[0], reinterpret_cast<const char*>(cursor[1])};
+  // A few fields at a time: the row cursor carries the one forward pass
+  // across chunks.
+  constexpr uint32_t kChunk = 4;
+  std::string_view text[kChunk];
+  uint64_t nulls = 0;
+  for (uint32_t at = 0; at < n; at += kChunk) {
+    const uint32_t m = std::min(kChunk, n - at);
+    csv->LocateFields(oid, keys + at, m, text, &row);
+    for (uint32_t i = 0; i < m; ++i) {
+      nulls |= StoreCsv(text[i], kinds[at + i], &out[2 * (at + i)]) << (at + i);
+    }
+  }
+  cursor[0] = row.col;
+  cursor[1] = reinterpret_cast<int64_t>(row.pos);
+  return nulls;
 }
 
-void proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col, double* out) {
-  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  *out = ParseDoubleSpan(t.data(), t.data() + t.size());
-}
-
-void proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col, int64_t* out) {
-  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  *out = t == "true" || t == "1" ? 1 : 0;
-}
-
-void proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, const char** out,
-                     int64_t* len) {
-  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
-  *out = t.data();
-  *len = static_cast<int64_t>(t.size());
-}
-
-int32_t proteus_json_int(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
-                         int64_t* out) {
-  return ToInt(FieldSpan(plugin, oid, path_hash), out);
-}
-
-int32_t proteus_json_double(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
-                            double* out) {
-  return ToDouble(FieldSpan(plugin, oid, path_hash), out);
-}
-
-int32_t proteus_json_bool(void*, const void* plugin, uint64_t oid, uint64_t path_hash,
-                          int64_t* out) {
-  return ToBool(FieldSpan(plugin, oid, path_hash), out);
-}
-
-int32_t proteus_json_str(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
-                         const char** out, int64_t* len) {
-  return ToStr(ctx, FieldSpan(plugin, oid, path_hash), out, len);
+uint64_t proteus_json_read(void* ctx, const void* plugin, uint64_t oid, const int64_t* fields,
+                           uint32_t n, int64_t* out) {
+  proteus::GlobalCounters().raw_field_accesses += n;
+  const auto* json = static_cast<const JsonPlugin*>(plugin);
+  const auto* keys = reinterpret_cast<const uint64_t*>(fields);
+  const int64_t* kinds = fields + n;
+  constexpr uint32_t kChunk = 4;
+  JsonSpan spans[kChunk];
+  uint64_t nulls = 0;
+  for (uint32_t at = 0; at < n; at += kChunk) {
+    const uint32_t m = std::min(kChunk, n - at);
+    json->LocateFields(oid, keys + at, m, spans);
+    for (uint32_t i = 0; i < m; ++i) {
+      nulls |= StoreJson(ctx, spans[i], kinds[at + i], &out[2 * (at + i)]) << (at + i);
+    }
+  }
+  return nulls;
 }
 
 void proteus_unnest_init(void* ctx, uint32_t slot, const void* plugin, uint64_t oid,
@@ -240,29 +264,34 @@ int32_t proteus_unnest_has_next(void* ctx, uint32_t slot) {
   UnnestStateRt& u = CTX(ctx)->unnests[slot];
   if (u.pos >= u.end) return 0;
   u.cur = &u.elems[u.pos];
+  u.located = false;
   return 1;
 }
 
 void proteus_unnest_advance(void* ctx, uint32_t slot) { CTX(ctx)->unnests[slot].pos++; }
 
-int32_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                int64_t* out) {
-  return ToInt(ElemSpan(ctx, slot, name, name_len), out);
-}
-
-int32_t proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name,
-                                   int64_t name_len, double* out) {
-  return ToDouble(ElemSpan(ctx, slot, name, name_len), out);
-}
-
-int32_t proteus_unnest_elem_bool(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                 int64_t* out) {
-  return ToBool(ElemSpan(ctx, slot, name, name_len), out);
-}
-
-int32_t proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                const char** out, int64_t* len) {
-  return ToStr(ctx, ElemSpan(ctx, slot, name, name_len), out, len);
+uint64_t proteus_unnest_read(void* ctx, uint32_t slot, const char* names, uint32_t num_names,
+                             const int64_t* fields, uint32_t n, int64_t* out) {
+  const int64_t* keys = fields;
+  const int64_t* kinds = fields + n;
+  UnnestStateRt& u = CTX(ctx)->unnests[slot];
+  const JsonSpan elem{u.obj_base + u.cur->start, u.obj_base + u.cur->end, u.cur->type};
+  if (!u.located) {
+    if (u.names_blob != names) {
+      u.names = SplitNames(names, num_names);
+      u.spans.resize(num_names);
+      u.names_blob = names;
+    }
+    proteus::FindJsonFields(elem.begin, elem.end, u.names.data(), num_names, u.spans.data());
+    u.located = true;
+  }
+  proteus::GlobalCounters().raw_field_accesses += n;
+  uint64_t nulls = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const JsonSpan& v = keys[i] < 0 ? elem : u.spans[static_cast<size_t>(keys[i])];
+    nulls |= StoreJson(ctx, v, kinds[i], &out[2 * i]) << i;
+  }
+  return nulls;
 }
 
 void proteus_join_insert(void* ctx, uint32_t table, int64_t key, const int64_t* payload) {

@@ -9,9 +9,10 @@
 // live here; query results live in the per-morsel partial sinks
 // (partial_sink.h). Tight per-tuple work (field loads from binary data,
 // predicate evaluation, aggregation arithmetic) is emitted as straight LLVM
-// IR and never crosses this boundary. CSV/JSON field access crosses it
-// through one typed helper family per format (Codegen::EmitFieldRead emits
-// the calls), mirroring the paper's plug-in calls.
+// IR and never crosses this boundary. CSV, JSON and array-element reads
+// cross it through one multi-field read helper per format — one call per
+// read point, emitted by the format's AccessEmitter (access.h) — mirroring
+// the paper's plug-in calls.
 #pragma once
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -52,6 +54,13 @@ struct UnnestStateRt {
   uint32_t end = 0;
   const JsonElem* elems = nullptr;
   const JsonElem* cur = nullptr;  ///< the current element (proteus_unnest_has_next)
+  /// The element field names the plan reads (proteus_unnest_read's `names`
+  /// blob, split once) and the current element's spans of them, located by
+  /// its first read in one scan.
+  const char* names_blob = nullptr;
+  std::vector<std::string_view> names;
+  std::vector<JsonSpan> spans;
+  bool located = false;  ///< spans hold the current element's fields
 };
 
 /// Errors generated code raises through proteus_runtime_error.
@@ -155,32 +164,30 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols();
 // ---------------------------------------------------------------------------
 extern "C" {
 
-// Typed field reads: one family per raw source, one helper per kind
-// (<family>_int, _double, _bool, _str). Each writes the value through `out`
-// (strings: the bytes' address and `len`; 0 or "" when there is no value).
+// Multi-field raw reads: one call reads a set of `n` (<= 64) fields of one
+// row or array element — every field one read point of generated code
+// needs. `fields` holds the n fields' keys (per helper below), then their n
+// TypeKinds (kInt64, kFloat64, kBool or kString). Field i's value lands in
+// out[2i] (an int, a double's bits, a bool as 0/1, or a string's address)
+// and out[2i + 1] (a string's length); bit i of the result is set when it is
+// SQL null (its value slots then hold 0 or ""). Each call adds n to
+// raw_field_accesses.
 //
-// CSV (the CSV plug-in's generated access path): the field of column `col`,
-// converted as CsvPlugin::ReadValue converts a non-empty field.
-void proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col, int64_t* out);
-void proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col, double* out);
-void proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col, int64_t* out);
-void proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, const char** out,
-                     int64_t* len);
-
-// JSON, through the structural index: field `path_hash` of object `oid`.
-// Returns nonzero when the value is present, from the same index lookup that
-// finds it, with the interpreter's rule: an absent field or a JSON null is
-// SQL null. Strings are unescaped as ReadValue unescapes them: in place in
-// the file when they hold no backslash, else in ctx->unescaped, which lives
-// as long as the query. Bools read `true` as 1.
-int32_t proteus_json_int(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
-                         int64_t* out);
-int32_t proteus_json_double(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
-                            double* out);
-int32_t proteus_json_bool(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
-                          int64_t* out);
-int32_t proteus_json_str(void* ctx, const void* plugin, uint64_t oid, uint64_t path_hash,
-                         const char** out, int64_t* len);
+// CSV: keys are column indexes, ascending, located in one forward pass
+// (CsvPlugin::LocateFields) that continues from `cursor` — the row cursor's
+// column and position in two i64 slots, which a scan resets to column -1
+// at every row — when it lies closer than the row's positional-map sample.
+// An empty field is SQL null; other fields convert as CsvPlugin::ReadValue
+// converts them (strings: the text in place).
+uint64_t proteus_csv_read(const void* plugin, uint64_t oid, const int64_t* fields, uint32_t n,
+                          int64_t* out, int64_t* cursor);
+// JSON, through the structural index (JsonPlugin::LocateFields): keys are
+// the fields' path hashes. The interpreter's rules hold: an absent field or
+// a JSON null is SQL null; strings are unescaped as ReadValue unescapes
+// them, in place in the file when they hold no backslash, else in
+// ctx->unescaped, which lives as long as the query; bools read `true` as 1.
+uint64_t proteus_json_read(void* ctx, const void* plugin, uint64_t oid, const int64_t* fields,
+                           uint32_t n, int64_t* out);
 
 // JSON array unnest (unnestInit / unnestHasNext / unnestGetNext). Cursor
 // state lives in ctx->unnests[slot].
@@ -188,17 +195,14 @@ void proteus_unnest_init(void* ctx, uint32_t slot, const void* plugin, uint64_t 
                          uint64_t path_hash);
 int32_t proteus_unnest_has_next(void* ctx, uint32_t slot);
 void proteus_unnest_advance(void* ctx, uint32_t slot);
-// Typed reads of the current element: its field `name` (found by the JSON
-// plug-in's FindJsonField), or the element itself when `name_len` is 0.
-// Same conversions and presence rule as the proteus_json_* reads.
-int32_t proteus_unnest_elem_int(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                int64_t* out);
-int32_t proteus_unnest_elem_double(void* ctx, uint32_t slot, const char* name,
-                                   int64_t name_len, double* out);
-int32_t proteus_unnest_elem_bool(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                 int64_t* out);
-int32_t proteus_unnest_elem_str(void* ctx, uint32_t slot, const char* name, int64_t name_len,
-                                const char** out, int64_t* len);
+// Multi-field read of the current element, with the JSON rules above:
+// keys index `names` — the `num_names` element field names the plan reads,
+// NUL-terminated back to back — or are -1 for the element itself. An
+// element's first read locates every name in one scan (FindJsonFields; the
+// first occurrence wins) into ctx->unnests[slot].spans, and every read
+// converts from those spans.
+uint64_t proteus_unnest_read(void* ctx, uint32_t slot, const char* names, uint32_t num_names,
+                             const int64_t* fields, uint32_t n, int64_t* out);
 
 // Radix hash join. Insert/build run in the single-call build pipeline; probe
 // iteration state lives in ctx->probes[table] so concurrent morsels can

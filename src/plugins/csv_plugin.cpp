@@ -1,6 +1,7 @@
 #include "src/plugins/csv_plugin.h"
 
 #include <charconv>
+#include <cstring>
 
 #include "src/common/counters.h"
 
@@ -114,32 +115,63 @@ int CsvPlugin::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-std::string_view CsvPlugin::FieldText(uint64_t oid, uint32_t col) const {
-  GlobalCounters().raw_field_accesses++;
+namespace {
+
+/// End of the field starting at `p`: its delimiter, or `row_end`.
+const char* FieldEnd(const char* p, const char* row_end, char delim) {
+  const void* d = std::memchr(p, delim, static_cast<size_t>(row_end - p));
+  return d != nullptr ? static_cast<const char*>(d) : row_end;
+}
+
+}  // namespace
+
+void CsvPlugin::LocateFields(uint64_t oid, const int64_t* cols, size_t n, std::string_view* out,
+                             RowCursor* cursor) const {
   const char* base = file_.data();
   const char delim = info_.csv.delimiter;
-  const char* field;
-  const char* row_end;
   if (fixed_width_) {
+    // Every delimiter sits at the same offset in every row.
     const char* row = base + first_row_offset_ + oid * fixed_row_width_;
-    field = row + fixed_field_off_[col];
-    row_end = row + fixed_row_width_ - 1;
-  } else {
-    const char* row = base + row_offsets_[oid];
-    row_end = base + row_offsets_[oid + 1];
-    if (row_end > row && row_end[-1] == '\n') --row_end;
-    // Closest indexed field at or before `col`, then seek forward.
-    uint32_t sample = col / static_cast<uint32_t>(stride_);
-    field = row + samples_[oid * samples_per_row_ + sample];
-    uint32_t remaining = col - sample * static_cast<uint32_t>(stride_);
-    while (remaining > 0 && field < row_end) {
-      if (*field == delim) --remaining;
-      ++field;
+    const char* row_end = row + fixed_row_width_ - 1;
+    for (size_t i = 0; i < n; ++i) {
+      const auto c = static_cast<size_t>(cols[i]);
+      const char* field = row + fixed_field_off_[c];
+      const char* fe =
+          c + 1 < fixed_field_off_.size() ? row + fixed_field_off_[c + 1] - 1 : row_end;
+      out[i] = {field, static_cast<size_t>(fe - field)};
+    }
+    return;
+  }
+  const char* row = base + row_offsets_[oid];
+  const char* row_end = base + row_offsets_[oid + 1];
+  if (row_end > row && row_end[-1] == '\n') --row_end;
+  const uint16_t* samples = samples_.data() + oid * samples_per_row_;
+  const auto stride = static_cast<uint32_t>(stride_);
+  int64_t col = cursor->col;
+  const char* p = cursor->pos;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t c = cols[i];
+    // Closest start at or before `c`: the cursor, or the field's sample.
+    const uint32_t sample = static_cast<uint32_t>(c) / stride;
+    const int64_t sample_col = sample * stride;
+    if (col < 0 || col > c || col < sample_col) {
+      p = row + samples[sample];
+      col = sample_col;
+    }
+    const char* fe = FieldEnd(p, row_end, delim);
+    for (; col < c && fe < row_end; ++col) {
+      p = fe + 1;
+      fe = FieldEnd(p, row_end, delim);
+    }
+    if (col < c) p = fe;  // past the row's last field: empty
+    out[i] = {p, static_cast<size_t>(fe - p)};
+    if (fe < row_end) {  // the last field keeps the cursor at its own start
+      p = fe + 1;
+      col = c + 1;
     }
   }
-  const char* fe = field;
-  while (fe < row_end && *fe != delim) ++fe;
-  return {field, static_cast<size_t>(fe - field)};
+  cursor->col = col;
+  cursor->pos = p;
 }
 
 Result<Value> CsvPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
@@ -148,7 +180,11 @@ Result<Value> CsvPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
   }
   int j = ColumnIndex(path[0]);
   if (j < 0) return Status::NotFound("CSV has no column '" + path[0] + "'");
-  std::string_view text = FieldText(oid, static_cast<uint32_t>(j));
+  GlobalCounters().raw_field_accesses++;
+  const int64_t col = j;
+  RowCursor cursor;
+  std::string_view text;
+  LocateFields(oid, &col, 1, &text, &cursor);
   if (text.empty()) return Value::Null();
   switch (col_types_[j]) {
     case TypeKind::kInt64:

@@ -39,9 +39,21 @@ class CsvPlugin : public InputPlugin {
   /// True when the fixed-length fast path replaced the per-row samples.
   bool fixed_width() const { return fixed_width_; }
 
-  /// Returns the raw text of field `col` in row `oid` (exposed for the JIT
-  /// runtime helpers, which are this plug-in's "generated" access code).
-  std::string_view FieldText(uint64_t oid, uint32_t col) const;
+  /// Where a row's last read point stopped: the next field to scan from
+  /// (`col` < 0: nothing located in this row yet). Generated code keeps one
+  /// per scan in two i64 stack slots and resets it at every row.
+  struct RowCursor {
+    int64_t col = -1;
+    const char* pos = nullptr;
+  };
+
+  /// Locates fields `cols` (ascending) of row `oid` in one forward pass,
+  /// starting from the nearest positional-map sample — or from `cursor`,
+  /// a read point earlier in the same row, when it lies closer — and
+  /// leaves `cursor` past the last located field. This is the plug-in's
+  /// access code for generated reads (proteus_csv_read) and for ReadValue.
+  void LocateFields(uint64_t oid, const int64_t* cols, size_t n, std::string_view* out,
+                    RowCursor* cursor) const;
 
   int ColumnIndex(const std::string& name) const;
   TypeKind ColumnType(uint32_t col) const { return col_types_[col]; }

@@ -156,21 +156,29 @@ std::string UnescapeJsonString(const char* s, const char* e) {
   return out;
 }
 
-bool FindJsonField(const char* begin, const char* end, std::string_view name,
-                   const char** vbegin, const char** vend, JsonTokenType* type) {
+void FindJsonFields(const char* begin, const char* end, const std::string_view* names,
+                    size_t n, JsonSpan* out) {
+  std::fill(out, out + n, JsonSpan{});
+  size_t missing = n;
   JsonCursor c{begin, end};
-  if (!c.Expect('{').ok()) return false;
+  if (missing == 0 || !c.Expect('{').ok()) return;
   c.SkipWs();
-  if (c.Eof() || c.Peek() == '}') return false;
+  if (c.Eof() || c.Peek() == '}') return;
   while (true) {
     std::string_view field;
+    JsonSpan v{};
     if (!c.ParseName(&field).ok() || !c.Expect(':').ok() ||
-        !c.SkipValue(vbegin, vend, type).ok()) {
-      return false;
+        !c.SkipValue(&v.begin, &v.end, &v.type).ok()) {
+      return;
     }
-    if (field == name) return true;
+    for (size_t i = 0; i < n; ++i) {
+      if (out[i].begin == nullptr && names[i] == field) {
+        out[i] = v;
+        if (--missing == 0) return;
+      }
+    }
     c.SkipWs();
-    if (c.Eof() || c.Peek() != ',') return false;
+    if (c.Eof() || c.Peek() != ',') return;
     ++c.p;
   }
 }

@@ -67,6 +67,17 @@ struct JsonElem {
   JsonTokenType type = JsonTokenType::kNull;
 };
 
+/// One located JSON value: its byte span and token type (kNull also when
+/// the field is absent; `JsonSpan{}` is an absent value). No member
+/// initializers: the generated-code read helpers keep a small array of
+/// these on the stack for the locate call to fill, and zeroing it on every
+/// call measurably slows each read.
+struct JsonSpan {
+  const char* begin;
+  const char* end;
+  JsonTokenType type;
+};
+
 class JsonPlugin : public InputPlugin {
  public:
   explicit JsonPlugin(DatasetInfo info) : info_(std::move(info)) {}
@@ -91,6 +102,17 @@ class JsonPlugin : public InputPlugin {
   /// Finds the Level-1 token for `path` in object `oid` (JIT helper entry).
   Result<const JsonToken*> FindToken(uint64_t oid, const FieldPath& path) const;
   const JsonToken* FindTokenByHash(uint64_t oid, uint64_t path_hash) const;
+  /// Locates the fields `path_hashes` (HashString of each dotted path) of
+  /// object `oid` through the structural index: the plug-in's access code
+  /// for generated reads (proteus_json_read). Inline: it sits on every
+  /// generated JSON read.
+  void LocateFields(uint64_t oid, const uint64_t* path_hashes, size_t n, JsonSpan* out) const {
+    const char* b = ObjectBase(oid);
+    for (size_t i = 0; i < n; ++i) {
+      const JsonToken* t = FindTokenByHash(oid, path_hashes[i]);
+      out[i] = t == nullptr ? JsonSpan{} : JsonSpan{b + t->start, b + t->end, t->type};
+    }
+  }
   /// Element range of an array token (binary search in the side table).
   const JsonArrayInfo* FindArrayInfo(const JsonToken* tok) const;
 
@@ -133,12 +155,14 @@ class JsonPlugin : public InputPlugin {
 /// objects). Exposed for tests.
 Result<Value> ParseJsonValue(const char* begin, const char* end);
 
-/// Finds field `name` among the top-level fields of the JSON object
-/// [begin, end) with the plug-in's own scanner, reporting its value span and
-/// token type. False when the field is absent or the span is no object.
-/// Generated unnest loops read array-element fields through it.
-bool FindJsonField(const char* begin, const char* end, std::string_view name,
-                   const char** vbegin, const char** vend, JsonTokenType* type);
+/// Finds fields `names` among the top-level fields of the JSON object
+/// [begin, end) in one scan with the plug-in's own scanner, stopping once
+/// all are found, and reports each one's value span and token type in
+/// `out`. The first occurrence of a name wins; an absent field, or every
+/// field when the span is no object, reports kNull. Generated unnest loops
+/// locate array-element fields through it (proteus_unnest_read).
+void FindJsonFields(const char* begin, const char* end, const std::string_view* names,
+                    size_t n, JsonSpan* out);
 
 /// The contents [s, e) of a JSON string literal (quotes stripped),
 /// unescaped: the bytes ReadValue returns for it.

@@ -8,7 +8,9 @@
 // Mapping to the paper's Table 2 API:
 //   generate()        -> Open() + the scan loop over [0, NumRecords())
 //   readValue()       -> ReadValue(oid, path) for a primitive leaf
-//   readPath()        -> ReadValue(oid, path) for nested paths / ReadRecord()
+//   readPath()        -> ReadValue(oid, path) for nested paths / ReadRecord();
+//                        in generated code, the format's access emitter
+//                        (src/jit/access.h)
 //   hashValue()       -> HashValue(oid, path)
 //   flushValue()      -> FlushValue(oid, path, out)
 //   unnestInit()      -> UnnestInit(oid, path)
@@ -17,11 +19,13 @@
 //
 // Each engine has one raw-field read path. The interpreter builds every scan
 // row through AssembleRecord below (ReadRecord for plug-in scans, the cache
-// scan for block rows); generated code reads through Codegen::EmitFieldRead
-// (src/jit/jit_engine.cpp), which specializes the access per format: direct
-// loads for binary data, typed structural-index helpers for CSV/JSON
-// (src/jit/runtime.h). Both follow the JSON rule ReadValue sets: an absent
-// field (NotFound) or a JSON null is SQL null, strings are unescaped.
+// scan for block rows); generated code reads through one AccessEmitter per
+// format (src/jit/access.h), which reads a set of fields per call: direct
+// loads for binary data, one multi-field locate-and-convert helper for CSV
+// and JSON (src/jit/runtime.h, over CsvPlugin::LocateFields and
+// JsonPlugin::LocateFields). Both follow the rules ReadValue sets: an empty
+// CSV field, an absent JSON field (NotFound) or a JSON null is SQL null,
+// strings are unescaped.
 #pragma once
 
 #include <functional>

@@ -24,6 +24,7 @@
 #include <random>
 #include <sstream>
 
+#include "src/common/counters.h"
 #include "tests/engine_test_util.h"
 
 namespace proteus {
@@ -2211,13 +2212,31 @@ TEST(JitGroupTable, HighCardinalityGroupsCellIdenticalEverywhere) {
 // output, so a sanitizer build catches unescaped bytes freed too early.
 // ---------------------------------------------------------------------------
 
+/// One raw_csv row: its fields' text, empty for SQL null.
+struct RawCsvRow {
+  std::string id, k, x, n, s, f;
+};
+RawCsvRow RawCsv(int i) {
+  RawCsvRow r;
+  r.id = std::to_string(i);
+  r.k = i % 4 == 3 ? "" : std::to_string(i % 5);
+  if (i % 3 != 0) r.x = std::to_string(0.5 * i + 0.25);
+  r.n = i % 5 == 1 ? "" : std::to_string(i * 7 % 11 - 3);
+  r.s = i % 6 == 2 ? "" : (i % 2 != 0 ? "odd" : "even");
+  r.f = i % 3 == 1 ? "true" : (i % 3 == 2 ? "" : "false");
+  return r;
+}
+constexpr int kRawCsvRows = 36;
+
 /// Writes the raw-rule corpora once per process:
 ///   raw_sparse — 48 objects: x absent on every third (else -5 or -7),
 ///                y null on every other (else -4), s cycling through the
 ///                escaped strings a"b and c\d and a plain one, k = id % 5;
 ///   raw_elems  — 40 objects whose items elements are {f, w} records, some
 ///                lacking w, some arrays empty;
-///   raw_nested — 40 objects with two leaves under o.p.
+///   raw_nested — 40 objects with two leaves under o.p;
+///   raw_csv    — 36 CSV rows (RawCsvRow) whose int, float, string, bool
+///                and join-key fields are empty on some rows.
 const std::string& RawCorpusDir() {
   static const std::string dir = [] {
     const testutil::Corpus& c = testutil::Corpus::Get();
@@ -2254,6 +2273,13 @@ const std::string& RawCorpusDir() {
         f << "{\"id\":" << i << ",\"o\":{\"p\":{\"x\":1,\"y\":10}}}\n";
       }
     }
+    {
+      std::ofstream f(c.dir + "/raw_csv.csv");
+      for (int i = 0; i < kRawCsvRows; ++i) {
+        const RawCsvRow r = RawCsv(i);
+        f << r.id << "," << r.k << "," << r.x << "," << r.n << "," << r.s << "," << r.f << "\n";
+      }
+    }
     return c.dir;
   }();
   return dir;
@@ -2261,11 +2287,11 @@ const std::string& RawCorpusDir() {
 
 void RegisterRawCorpus(QueryEngine* engine) {
   const std::string& dir = RawCorpusDir();
-  auto reg = [&](const std::string& name, TypePtr type) {
+  auto reg = [&](const std::string& name, TypePtr type, DataFormat format = DataFormat::kJSON) {
     DatasetInfo info;
     info.name = name;
-    info.format = DataFormat::kJSON;
-    info.path = dir + "/" + name + ".json";
+    info.format = format;
+    info.path = dir + "/" + name + (format == DataFormat::kCSV ? ".csv" : ".json");
     info.type = std::move(type);
     ASSERT_TRUE(engine->RegisterDataset(info).ok()) << name;
   };
@@ -2283,6 +2309,14 @@ void RegisterRawCorpus(QueryEngine* engine) {
           {{"id", Type::Int64()},
            {"o", Type::Record({{"p", Type::Record({{"x", Type::Int64()},
                                                    {"y", Type::Int64()}})}})}}));
+  reg("raw_csv",
+      Type::BagOfRecords({{"id", Type::Int64()},
+                          {"k", Type::Int64()},
+                          {"x", Type::Float64()},
+                          {"n", Type::Int64()},
+                          {"s", Type::String()},
+                          {"f", Type::Bool()}}),
+      DataFormat::kCSV);
 }
 
 struct RawRoute {
@@ -2294,7 +2328,10 @@ struct RawRoute {
   bool tiered = false;  ///< forced swap after the first morsel
 };
 
-RunInfo RunRaw(const std::string& q, const RawRoute& route) {
+/// Runs `run` once on a fresh engine over the raw corpora, configured as
+/// `route` (cached routes after one warm-up run that fills the caches).
+using EngineRun = std::function<Result<QueryResult>(QueryEngine&, const CallOptions&)>;
+RunInfo RunRawWith(const EngineRun& run, const RawRoute& route) {
   EngineOptions opts;
   opts.mode = route.mode;
   opts.num_threads = route.threads;
@@ -2306,14 +2343,36 @@ RunInfo RunRaw(const std::string& q, const RawRoute& route) {
   QueryEngine engine(opts);
   RegisterRawCorpus(&engine);
   if (route.cached) {
-    auto warm = engine.Execute(q);
+    auto warm = run(engine, {});
     EXPECT_TRUE(warm.ok()) << route.name << ": " << warm.status().ToString();
   }
   RunInfo info;
-  auto r = engine.Execute(q, {.telemetry = &info.telemetry});
+  auto r = run(engine, {.telemetry = &info.telemetry});
   info.status = r.status();
   if (r.ok()) info.result = std::move(*r);
   return info;
+}
+
+RunInfo RunRaw(const std::string& q, const RawRoute& route) {
+  return RunRawWith(
+      [&](QueryEngine& engine, const CallOptions& call) { return engine.Execute(q, call); },
+      route);
+}
+
+/// Every route a raw read can take: both engines, thread and shard
+/// fan-outs, scan caches, and a tiered swap.
+std::vector<RawRoute> RawRoutes() {
+  return {
+      {"interp threads=4", ExecMode::kInterp, 4},
+      {"jit threads=1", ExecMode::kJIT, 1},
+      {"jit threads=2", ExecMode::kJIT, 2},
+      {"jit threads=4", ExecMode::kJIT, 4},
+      {"interp shards=2", ExecMode::kInterp, 2, 2},
+      {"jit shards=2", ExecMode::kJIT, 2, 2},
+      {"interp cached", ExecMode::kInterp, 2, 0, /*cached=*/true},
+      {"jit cached", ExecMode::kJIT, 2, 0, /*cached=*/true},
+      {"tiered forced swap", ExecMode::kJIT, 2, 0, false, /*tiered=*/true},
+  };
 }
 
 struct RawCase {
@@ -2386,6 +2445,44 @@ std::vector<RawCase> RawCases() {
          EXPECT_TRUE(r.rows[0][1].Equals(Value::Int(2))) << r.rows[0][1].ToString();
          EXPECT_TRUE(r.rows[0][2].Equals(Value::Int(-4))) << r.rows[0][2].ToString();
        }},
+      {"empty csv int fails a comparison", "SELECT count(*) FROM raw_csv WHERE n > -100",
+       scalar(29)},
+      {"empty csv bool fails a predicate", "SELECT count(*) FROM raw_csv WHERE f", scalar(12)},
+      {"empty csv fields are null in aggregates", "SELECT min(x), max(n) FROM raw_csv",
+       [](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 1u);
+         ASSERT_EQ(r.rows[0].size(), 2u);
+         EXPECT_TRUE(r.rows[0][0].Equals(Value::Float(0.75))) << r.rows[0][0].ToString();
+         EXPECT_TRUE(r.rows[0][1].Equals(Value::Int(7))) << r.rows[0][1].ToString();
+       }},
+      {"empty csv cells in a bag output", "SELECT id, s, x, f FROM raw_csv WHERE id < 12",
+       [](const QueryResult& r) {
+         ASSERT_EQ(r.rows.size(), 12u);
+         size_t null_s = 0, null_x = 0, null_f = 0;
+         for (const auto& row : r.rows) {
+           null_s += row[1].is_null() ? 1 : 0;
+           null_x += row[2].is_null() ? 1 : 0;
+           null_f += row[3].is_null() ? 1 : 0;
+         }
+         EXPECT_EQ(null_s, 2u);
+         EXPECT_EQ(null_x, 4u);
+         EXPECT_EQ(null_f, 4u);
+       }},
+      {"empty csv group key", "SELECT s, count(*) FROM raw_csv GROUP BY s",
+       [](const QueryResult& r) { EXPECT_EQ(r.rows.size(), 3u); }},
+      {"empty csv join keys match nothing",
+       "SELECT count(*), max(b.x) FROM raw_csv a JOIN raw_csv b ON a.k = b.k",
+       [](const QueryResult& r) {
+         int64_t pairs = 0;
+         for (int i = 0; i < kRawCsvRows; ++i) {
+           for (int j = 0; j < kRawCsvRows; ++j) {
+             const std::string ki = RawCsv(i).k;
+             pairs += !ki.empty() && ki == RawCsv(j).k ? 1 : 0;
+           }
+         }
+         ASSERT_EQ(r.rows.size(), 1u);
+         EXPECT_TRUE(r.rows[0][0].Equals(Value::Int(pairs))) << r.rows[0][0].ToString();
+       }},
       {"two leaves under one nested record",
        "SELECT sum(t.o.p.x), sum(t.o.p.y) FROM raw_nested t",
        [](const QueryResult& r) {
@@ -2398,17 +2495,7 @@ std::vector<RawCase> RawCases() {
 }
 
 TEST(RawFieldReads, EveryRouteFollowsTheInterpretersJsonRules) {
-  const std::vector<RawRoute> routes = {
-      {"interp threads=4", ExecMode::kInterp, 4},
-      {"jit threads=1", ExecMode::kJIT, 1},
-      {"jit threads=2", ExecMode::kJIT, 2},
-      {"jit threads=4", ExecMode::kJIT, 4},
-      {"interp shards=2", ExecMode::kInterp, 2, 2},
-      {"jit shards=2", ExecMode::kJIT, 2, 2},
-      {"interp cached", ExecMode::kInterp, 2, 0, /*cached=*/true},
-      {"jit cached", ExecMode::kJIT, 2, 0, /*cached=*/true},
-      {"tiered forced swap", ExecMode::kJIT, 2, 0, false, /*tiered=*/true},
-  };
+  const std::vector<RawRoute> routes = RawRoutes();
   for (const RawCase& c : RawCases()) {
     SCOPED_TRACE(c.name);
     RunInfo oracle = RunRaw(c.query, {"interp threads=1", ExecMode::kInterp, 1});
@@ -2427,6 +2514,205 @@ TEST(RawFieldReads, EveryRouteFollowsTheInterpretersJsonRules) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy raw reads: generated code reads a raw field only where an operator
+// first uses it, once per row (or element) at most — a count(*) reads
+// nothing, a filter's other fields cost only for the rows that pass. The
+// counters pin the reads exactly; each hazard of the binding rules (a field
+// first used inside an and/or/if arm, sibling branches, loops over matches
+// or elements) must stay cell-identical to the interpreter on every route,
+// without a codegen decline.
+// ---------------------------------------------------------------------------
+
+/// raw_field_accesses of one run of `q` on a warm engine (an engine's first
+/// run of a dataset also reads fields, for the optimizer's statistics).
+uint64_t RawReadsOf(const std::string& q, ExecMode mode, int threads,
+                    QueryResult* result = nullptr) {
+  EngineOptions opts;
+  opts.mode = mode;
+  opts.num_threads = threads;
+  opts.morsel_rows = kDiffMorselRows;
+  QueryEngine engine(opts);
+  RegisterRawCorpus(&engine);
+  auto warm = engine.Execute(q);
+  EXPECT_TRUE(warm.ok()) << q << ": " << warm.status().ToString();
+  QueryTelemetry tel;
+  const uint64_t before = GlobalCounters().raw_field_accesses;
+  auto r = engine.Execute(q, {.telemetry = &tel});
+  const uint64_t reads = GlobalCounters().raw_field_accesses - before;
+  EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+  if (mode == ExecMode::kJIT) EXPECT_TRUE(tel.used_jit) << q << ": " << tel.fallback_reason;
+  if (result != nullptr && r.ok()) *result = std::move(*r);
+  return reads;
+}
+
+TEST(LazyRawReads, CountStarReadsNoField) {
+  const std::vector<std::string> scans = {"SELECT count(*) FROM raw_csv",
+                                          "SELECT count(*) FROM raw_sparse"};
+  for (int threads : {1, 4}) {
+    for (const std::string& q : scans) {
+      EXPECT_EQ(RawReadsOf(q, ExecMode::kJIT, threads), 0u) << q << " threads=" << threads;
+      EXPECT_EQ(RawReadsOf(q, ExecMode::kInterp, threads), 0u) << q << " threads=" << threads;
+    }
+    const std::string elems = "SELECT count(*) FROM raw_elems t, UNNEST(t.items) e";
+    EXPECT_EQ(RawReadsOf(elems, ExecMode::kJIT, threads), 0u) << elems;
+  }
+}
+
+TEST(LazyRawReads, FiltersReadTheirOtherFieldsForPassingRowsOnly) {
+  // reads = scanned (the filter field, once per row or element)
+  //       + per_pass × passing (each aggregated field, once per passing row)
+  struct Case {
+    std::string query;
+    uint64_t scanned;
+    uint64_t per_pass;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT count(*), sum(x), max(n) FROM raw_csv WHERE id < 10", kRawCsvRows, 2},
+      {"SELECT count(*), sum(k), max(y) FROM raw_sparse WHERE id < 20", 48, 2},
+      {"SELECT count(*), sum(e.w) FROM raw_elems t, UNNEST(t.items) e WHERE e.f", 50, 1},
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 4}) {
+      QueryResult r;
+      const uint64_t reads = RawReadsOf(c.query, ExecMode::kJIT, threads, &r);
+      ASSERT_EQ(r.rows.size(), 1u) << c.query;
+      const auto passing = static_cast<uint64_t>(r.rows[0][0].i());
+      EXPECT_GT(passing, 0u) << c.query;
+      EXPECT_LT(passing, c.scanned) << c.query;
+      EXPECT_EQ(reads, c.scanned + c.per_pass * passing)
+          << c.query << " threads=" << threads << " passing=" << passing;
+    }
+  }
+}
+
+TEST(LazyRawReads, OuterRowFieldsReadOncePerRowNotPerMatchOrElement) {
+  for (int threads : {1, 4}) {
+    // Each k matches about seven rows, so a read per match would cost
+    // several times the one read per field per row that bounds this.
+    const std::string join =
+        "SELECT count(*), max(a.x), max(b.n) FROM raw_csv a JOIN raw_csv b ON a.k = b.k";
+    EXPECT_LE(RawReadsOf(join, ExecMode::kJIT, threads), 2u * kRawCsvRows * 2)
+        << join << " threads=" << threads;
+    // t.id once per object (40), e.f once per element (50), e.w once per
+    // passing element (30).
+    const std::string unnest =
+        "SELECT count(*), max(t.id), sum(e.w) FROM raw_elems t, UNNEST(t.items) e WHERE e.f";
+    EXPECT_EQ(RawReadsOf(unnest, ExecMode::kJIT, threads), 40u + 50u + 30u)
+        << unnest << " threads=" << threads;
+  }
+}
+
+/// Runs `run` on the interpreter and on every route; each must match the
+/// interpreter cell for cell, and generated routes must not decline.
+void ExpectLazyIdentical(const std::string& name, const EngineRun& run) {
+  SCOPED_TRACE(name);
+  RunInfo oracle = RunRawWith(run, {"interp threads=1", ExecMode::kInterp, 1});
+  ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+  ASSERT_FALSE(oracle.result.rows.empty());
+  for (const RawRoute& route : RawRoutes()) {
+    RunInfo r = RunRawWith(run, route);
+    ASSERT_TRUE(r.status.ok()) << route.name << ": " << r.status.ToString();
+    ExpectIdentical(oracle.result, r.result, name + " @ " + route.name);
+    if (route.mode == ExecMode::kJIT) {
+      EXPECT_TRUE(r.telemetry.used_jit) << route.name << ": " << r.telemetry.fallback_reason;
+      EXPECT_TRUE(r.telemetry.fallback_reason.empty())
+          << route.name << ": " << r.telemetry.fallback_reason;
+    }
+    if (route.cached) EXPECT_TRUE(r.telemetry.used_cache) << route.name;
+  }
+}
+
+EngineRun Sql(std::string q) {
+  return [q](QueryEngine& engine, const CallOptions& call) { return engine.Execute(q, call); };
+}
+
+EngineRun PlanOf(std::function<OpPtr()> make_plan) {
+  return [make_plan](QueryEngine& engine, const CallOptions& call) {
+    return engine.ExecutePlan(make_plan(), call);
+  };
+}
+
+TEST(LazyRawReads, FieldsFirstUsedInsideConditionalArms) {
+  ExpectLazyIdentical("csv and/or arms",
+                      Sql("SELECT count(*), sum(x), max(n) FROM raw_csv "
+                          "WHERE id > 3 and x > 2.0 or n < 0"));
+  ExpectLazyIdentical("json and/or arms",
+                      Sql("SELECT count(*), max(x), max(y) FROM raw_sparse "
+                          "WHERE k > 1 and x < -6 or y > -5"));
+  // x is read first inside an if arm, then again by a later aggregate.
+  ExpectLazyIdentical("if arm", PlanOf([] {
+                        ExprPtr arm =
+                            Expr::If(Expr::Bin(BinOp::kGt, Proj("c", "id"), Expr::Int(10)),
+                                     Proj("c", "x"), Proj("c", "n"));
+                        return Operator::Reduce(
+                            Operator::Scan("raw_csv", "c"),
+                            {{Monoid::kSum, arm, "a"}, {Monoid::kMax, Proj("c", "x"), "mx"}});
+                      }));
+}
+
+TEST(LazyRawReads, OuterUnnestNullBranchThenElementLoop) {
+  ExpectLazyIdentical("outer unnest", PlanOf([] {
+                        OpPtr unnest = Operator::Unnest(Operator::Scan("raw_elems", "t"),
+                                                        {"t", "items"}, "e", nullptr,
+                                                        /*outer=*/true);
+                        ExprPtr pred = Expr::Bin(
+                            BinOp::kOr, Expr::Bin(BinOp::kGt, Proj("t", "id"), Expr::Int(20)),
+                            Expr::Bin(BinOp::kGt, Proj("e", "w"), Expr::Int(5)));
+                        ExprPtr row = Expr::Record(
+                            {"id", "w", "f"}, {Proj("t", "id"), Proj("e", "w"), Proj("e", "f")});
+                        return Operator::Reduce(Operator::Select(unnest, pred),
+                                                {{Monoid::kBag, row, "rows"}});
+                      }));
+}
+
+TEST(LazyRawReads, JoinsReadProbeFieldsOncePerRow) {
+  ExpectLazyIdentical("outer-join drain", PlanOf([] {
+                        OpPtr join = Operator::Join(
+                            Operator::Scan("raw_csv", "a"), Operator::Scan("raw_sparse", "b"),
+                            Expr::Bin(BinOp::kEq, Proj("a", "n"), Proj("b", "k")),
+                            /*outer=*/true);
+                        ExprPtr row = Expr::Record(
+                            {"id", "x", "s"}, {Proj("a", "id"), Proj("a", "x"), Proj("b", "s")});
+                        return Operator::Reduce(join, {{Monoid::kBag, row, "rows"}});
+                      }));
+  ExpectLazyIdentical("non-equi join", PlanOf([] {
+                        OpPtr join = Operator::Join(
+                            Operator::Scan("raw_csv", "a"), Operator::Scan("raw_sparse", "b"),
+                            Expr::Bin(BinOp::kLt, Proj("a", "id"), Proj("b", "k")));
+                        return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"},
+                                                       {Monoid::kSum, Proj("a", "x"), "sx"},
+                                                       {Monoid::kMax, Proj("b", "y"), "my"}});
+                      }));
+  ExpectLazyIdentical("multi-match probe",
+                      Sql("SELECT a.id, b.id, b.x, a.s FROM raw_csv a JOIN raw_csv b "
+                          "ON a.k = b.k WHERE b.n > 0"));
+}
+
+TEST(LazyRawReads, MidChainNestAndCachedHybridReads) {
+  ExpectLazyIdentical("mid-chain nest", PlanOf([] {
+                        OpPtr nest = Operator::Nest(Operator::Scan("raw_csv", "c"), Proj("c", "s"),
+                                                    "s",
+                                                    {{Monoid::kCount, nullptr, "n"},
+                                                     {Monoid::kSum, Proj("c", "x"), "sx"},
+                                                     {Monoid::kMax, Proj("c", "n"), "mn"}},
+                                                    nullptr, "g");
+                        ExprPtr row = Expr::Record({"s", "n", "sx", "mn"},
+                                                   {Proj("g", "s"), Proj("g", "n"),
+                                                    Proj("g", "sx"), Proj("g", "mn")});
+                        return Operator::Reduce(
+                            Operator::Select(nest, Expr::Bin(BinOp::kGt, Proj("g", "n"),
+                                                             Expr::Int(3))),
+                            {{Monoid::kBag, row, "rows"}});
+                      }));
+  // Strings and fields with empty or absent values stay out of the cache
+  // block, so the cached routes read them raw through the OID column.
+  ExpectLazyIdentical("cached csv hybrid",
+                      Sql("SELECT id, s, x FROM raw_csv WHERE n > 0"));
+  ExpectLazyIdentical("cached json hybrid",
+                      Sql("SELECT id, s, y FROM raw_sparse WHERE k > 1"));
 }
 
 }  // namespace

@@ -364,25 +364,28 @@ TEST(JsonPluginEdge, OptionalFieldsVaryAcrossObjects) {
   std::remove(path.c_str());
 }
 
-// The element-field finder generated unnest loops use: a name inside a
-// string value or a nested object is no match, and the value span and type
-// come back exactly.
-TEST(JsonPluginEdge, FindJsonFieldReadsTopLevelFieldsOnly) {
-  const std::string obj = R"({"s": "w\": 1", "o": {"w": 2}, "w": [3, 4], "n": null})";
+// The element-field finder generated unnest loops use: one scan locates
+// every name, a name inside a string value or a nested object is no match,
+// the first occurrence wins, and the value spans and types come back
+// exactly.
+TEST(JsonPluginEdge, FindJsonFieldsReadsTopLevelFieldsOnly) {
+  const std::string obj = R"({"s": "w\": 1", "o": {"w": 2}, "w": [3, 4], "n": null, "w": 5})";
   const char* b = obj.data();
   const char* e = b + obj.size();
-  const char *vs, *ve;
-  JsonTokenType type;
-  ASSERT_TRUE(FindJsonField(b, e, "w", &vs, &ve, &type));
-  EXPECT_EQ(std::string(vs, ve), "[3, 4]");
-  EXPECT_EQ(type, JsonTokenType::kArray);
-  ASSERT_TRUE(FindJsonField(b, e, "n", &vs, &ve, &type));
-  EXPECT_EQ(type, JsonTokenType::kNull);
-  ASSERT_TRUE(FindJsonField(b, e, "s", &vs, &ve, &type));
-  EXPECT_EQ(UnescapeJsonString(vs + 1, ve - 1), "w\": 1");
-  EXPECT_FALSE(FindJsonField(b, e, "x", &vs, &ve, &type));
+  const std::string_view names[] = {"w", "n", "s", "x"};
+  JsonSpan out[4]{};
+  FindJsonFields(b, e, names, 4, out);
+  EXPECT_EQ(std::string(out[0].begin, out[0].end), "[3, 4]");
+  EXPECT_EQ(out[0].type, JsonTokenType::kArray);
+  ASSERT_NE(out[1].begin, nullptr);
+  EXPECT_EQ(out[1].type, JsonTokenType::kNull);
+  EXPECT_EQ(out[2].type, JsonTokenType::kString);
+  EXPECT_EQ(UnescapeJsonString(out[2].begin + 1, out[2].end - 1), "w\": 1");
+  EXPECT_EQ(out[3].begin, nullptr);
+  EXPECT_EQ(out[3].type, JsonTokenType::kNull);
   const std::string scalar = "7";
-  EXPECT_FALSE(FindJsonField(scalar.data(), scalar.data() + 1, "w", &vs, &ve, &type));
+  FindJsonFields(scalar.data(), scalar.data() + 1, names, 1, out);
+  EXPECT_EQ(out[0].begin, nullptr);
 }
 
 // The one record assembler: paths sharing a prefix nest into one record at
