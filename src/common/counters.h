@@ -58,6 +58,11 @@ static_assert(sizeof(ExecCounters) == 7 * sizeof(uint64_t),
 /// before a query and read after, on the thread that runs the query; the
 /// TaskScheduler folds pool workers' counters back into the submitting
 /// thread at the end of every parallel batch, so totals match a serial run.
-ExecCounters& GlobalCounters();
+/// Inline, so the generated-code read helpers that count every raw read
+/// pay one thread-local access, not a call.
+inline ExecCounters& GlobalCounters() {
+  static thread_local ExecCounters counters;
+  return counters;
+}
 
 }  // namespace proteus

@@ -187,11 +187,12 @@ class CsvAccess : public AccessEmitter {
   CsvAccess(const CsvPlugin* plugin, std::string dataset)
       : plugin_(plugin), dataset_(std::move(dataset)) {}
 
-  void BeginRow(EmitEnv& env) override {
+  llvm::Value* BeginRow(EmitEnv& env, llvm::Value* oid) override {
     llvm::IRBuilder<>& b = env.builder();
     if (cursor_ == nullptr) cursor_ = env.EntryAlloca(b.getInt64Ty(), b.getInt64(2), "csv_cursor");
     b.CreateStore(b.getInt64(-1), cursor_);
     b.CreateStore(b.getInt64(0), b.CreateConstInBoundsGEP1_64(b.getInt64Ty(), cursor_, 1));
+    return oid;
   }
 
   Result<std::vector<CgValue>> Read(EmitEnv& env, llvm::Value* oid,
@@ -275,8 +276,15 @@ class CacheAccess : public AccessEmitter {
       : block_(src.cache.get()), cache_id_(src.cache_id), var_(std::move(var)),
         raw_(std::move(raw)) {}
 
-  void BeginRow(EmitEnv& env) override {
-    if (raw_ != nullptr) raw_->BeginRow(env);
+  llvm::Value* BeginRow(EmitEnv& env, llvm::Value* row) override {
+    oid_ = nullptr;
+    if (block_->Find(var_, {"$oid"}) != nullptr) {
+      llvm::Value* oid_base =
+          env.ParamI64(CacheParam(ParamKind::kCacheColIntBase, cache_id_, var_, {"$oid"}));
+      oid_ = LoadAt(env, env.builder().getInt64Ty(), At8(env, oid_base, row));
+      if (raw_ != nullptr) raw_->BeginRow(env, oid_);
+    }
+    return oid_;
   }
 
   Result<std::vector<CgValue>> Read(EmitEnv& env, llvm::Value* row,
@@ -305,14 +313,11 @@ class CacheAccess : public AccessEmitter {
                           raw);
     }
     if (hybrid.empty()) return values;
-    if (raw_ == nullptr || block_->Find(var_, {"$oid"}) == nullptr) {
+    if (raw_ == nullptr || oid_ == nullptr) {
       return Status::Unimplemented("jit: cache miss for field " + var_ + "." +
                                    DottedPath(hybrid[0].path));
     }
-    llvm::Value* oid_base =
-        env.ParamI64(CacheParam(ParamKind::kCacheColIntBase, cache_id_, var_, {"$oid"}));
-    llvm::Value* oid = LoadAt(env, b.getInt64Ty(), At8(env, oid_base, row));
-    PROTEUS_ASSIGN_OR_RETURN(std::vector<CgValue> raw, raw_->Read(env, oid, hybrid));
+    PROTEUS_ASSIGN_OR_RETURN(std::vector<CgValue> raw, raw_->Read(env, oid_, hybrid));
     for (size_t i = 0; i < raw.size(); ++i) values[hybrid_at[i]] = raw[i];
     return values;
   }
@@ -322,6 +327,7 @@ class CacheAccess : public AccessEmitter {
   uint64_t cache_id_;
   std::string var_;
   std::unique_ptr<AccessEmitter> raw_;  ///< the source plug-in's emitter; null without one
+  llvm::Value* oid_ = nullptr;          ///< the current row's raw OID (BeginRow)
 };
 
 // ---- array elements: one scan of the element locates every name ------------

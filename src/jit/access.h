@@ -90,9 +90,14 @@ struct FieldRead {
 class AccessEmitter {
  public:
   virtual ~AccessEmitter() = default;
-  /// Emitted at the top of every row before any Read of it (CSV resets its
-  /// row cursor there).
-  virtual void BeginRow(EmitEnv& env) { (void)env; }
+  /// Emitted at the top of every row `row` before any Read of it (CSV
+  /// resets its row cursor there). Returns the row's OID in the raw data:
+  /// `row` itself for a raw format; a cache row's `$oid` column value, or
+  /// null when the block has none.
+  virtual llvm::Value* BeginRow(EmitEnv& env, llvm::Value* row) {
+    (void)env;
+    return row;
+  }
   /// Emits the read of `fields` of row `row` (an OID, a cache row, or
   /// unused for array elements); returns their values in order.
   virtual Result<std::vector<CgValue>> Read(EmitEnv& env, llvm::Value* row,

@@ -594,7 +594,10 @@ Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
         return Status::Unimplemented("jit: projection over computed record");
       }
       auto it = bindings_.find(Key(cur->var_name(), path));
-      if (it == bindings_.end() && pending_.count(cur->var_name()) != 0) {
+      // A pending primitive leaf is one materialization should have read;
+      // records, collections and whole variables have no virtual buffer.
+      if (it == bindings_.end() && pending_.count(cur->var_name()) != 0 &&
+          LeafKind(cur->var_name(), path).ok()) {
         return Status::Internal("jit: " + Key(cur->var_name(), path) +
                                 " read outside a materialization point");
       }
@@ -907,7 +910,6 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
   const ScanSource& src = sources_.at(var);
   PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<jit::AccessEmitter> access,
                            jit::MakeScanAccess(src, var));
-  const CacheColumn* oid_col = src.cache != nullptr ? src.cache->Find(var, {"$oid"}) : nullptr;
   // The driver leaf of the pipeline function scans only its (begin, end)
   // arguments' range; every other scan (build sides, a Nest's input) runs
   // the whole relation, whose record count is a bound parameter — never an
@@ -924,25 +926,14 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
              : ParamI64(DataParam(jit::ParamKind::kNumRecords, src.dataset));
   }
   return EmitRangeLoop(lo, hi, [&](llvm::Value* row) -> Status {
-    if (src.cache == nullptr) {
-      oids_[var] = row;
-    } else if (oid_col != nullptr) {
-      // A cache row's raw OID: the Unnest operator addresses the original
-      // file through it.
-      llvm::Value* oid_base = ParamI64(
-          CacheParam(jit::ParamKind::kCacheColIntBase, src.cache_id, var, {"$oid"}));
-      oids_[var] = b_.CreateLoad(
-          b_.getInt64Ty(),
-          b_.CreateIntToPtr(b_.CreateAdd(oid_base, b_.CreateMul(row, b_.getInt64(8))),
-                            b_.getInt64Ty()->getPointerTo()));
-    }
     return ConsumeRow(var, access.get(), row, consume);
   });
 }
 
 Status Codegen::ConsumeRow(const std::string& var, jit::AccessEmitter* access, llvm::Value* row,
                            const Consume& consume) {
-  access->BeginRow(*this);
+  // The row's raw OID: an Unnest addresses the source file through it.
+  if (llvm::Value* oid = access->BeginRow(*this, row)) oids_[var] = oid;
   pending_[var] = {access, row};
   PROTEUS_RETURN_NOT_OK(consume());
   // The row's values do not outlive its loop body.

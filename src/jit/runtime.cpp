@@ -212,11 +212,16 @@ uint64_t proteus_csv_read(const void* plugin, uint64_t oid, const int64_t* field
   constexpr uint32_t kChunk = 4;
   std::string_view text[kChunk];
   uint64_t nulls = 0;
-  for (uint32_t at = 0; at < n; at += kChunk) {
-    const uint32_t m = std::min(kChunk, n - at);
-    csv->LocateFields(oid, keys + at, m, text, &row);
-    for (uint32_t i = 0; i < m; ++i) {
-      nulls |= StoreCsv(text[i], kinds[at + i], &out[2 * (at + i)]) << (at + i);
+  if (n == 1) {  // the most common read point: no chunk bookkeeping
+    csv->LocateFields(oid, keys, 1, text, &row);
+    nulls = StoreCsv(text[0], kinds[0], out);
+  } else {
+    for (uint32_t at = 0; at < n; at += kChunk) {
+      const uint32_t m = std::min(kChunk, n - at);
+      csv->LocateFields(oid, keys + at, m, text, &row);
+      for (uint32_t i = 0; i < m; ++i) {
+        nulls |= StoreCsv(text[i], kinds[at + i], &out[2 * (at + i)]) << (at + i);
+      }
     }
   }
   cursor[0] = row.col;
@@ -230,6 +235,11 @@ uint64_t proteus_json_read(void* ctx, const void* plugin, uint64_t oid, const in
   const auto* json = static_cast<const JsonPlugin*>(plugin);
   const auto* keys = reinterpret_cast<const uint64_t*>(fields);
   const int64_t* kinds = fields + n;
+  if (n == 1) {  // the most common read point: no chunk bookkeeping
+    JsonSpan v;
+    json->LocateFields(oid, keys, 1, &v);
+    return StoreJson(ctx, v, kinds[0], out);
+  }
   constexpr uint32_t kChunk = 4;
   JsonSpan spans[kChunk];
   uint64_t nulls = 0;

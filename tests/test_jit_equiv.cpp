@@ -2543,7 +2543,9 @@ uint64_t RawReadsOf(const std::string& q, ExecMode mode, int threads,
   auto r = engine.Execute(q, {.telemetry = &tel});
   const uint64_t reads = GlobalCounters().raw_field_accesses - before;
   EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
-  if (mode == ExecMode::kJIT) EXPECT_TRUE(tel.used_jit) << q << ": " << tel.fallback_reason;
+  if (mode == ExecMode::kJIT) {
+    EXPECT_TRUE(tel.used_jit) << q << ": " << tel.fallback_reason;
+  }
   if (result != nullptr && r.ok()) *result = std::move(*r);
   return reads;
 }
@@ -2621,7 +2623,9 @@ void ExpectLazyIdentical(const std::string& name, const EngineRun& run) {
       EXPECT_TRUE(r.telemetry.fallback_reason.empty())
           << route.name << ": " << r.telemetry.fallback_reason;
     }
-    if (route.cached) EXPECT_TRUE(r.telemetry.used_cache) << route.name;
+    if (route.cached) {
+      EXPECT_TRUE(r.telemetry.used_cache) << route.name;
+    }
   }
 }
 
@@ -2689,6 +2693,30 @@ TEST(LazyRawReads, JoinsReadProbeFieldsOncePerRow) {
   ExpectLazyIdentical("multi-match probe",
                       Sql("SELECT a.id, b.id, b.x, a.s FROM raw_csv a JOIN raw_csv b "
                           "ON a.k = b.k WHERE b.n > 0"));
+}
+
+TEST(LazyRawReads, RecordValuedUsesFallBackToTheInterpreter) {
+  // A record-valued field or a whole scan variable has no generated read:
+  // generated routes decline with a reason and the interpreter answers.
+  const std::vector<std::string> queries = {
+      "SELECT t.o FROM raw_nested t",
+      "SELECT t.id, t.o.p FROM raw_nested t WHERE t.id < 10",
+      "SELECT t FROM raw_csv t",
+  };
+  for (const std::string& q : queries) {
+    SCOPED_TRACE(q);
+    RunInfo oracle = RunRaw(q, {"interp threads=1", ExecMode::kInterp, 1});
+    ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+    ASSERT_FALSE(oracle.result.rows.empty());
+    for (const RawRoute& route : RawRoutes()) {
+      RunInfo r = RunRaw(q, route);
+      ASSERT_TRUE(r.status.ok()) << route.name << ": " << r.status.ToString();
+      ExpectIdentical(oracle.result, r.result, q + " @ " + route.name);
+      if (route.mode == ExecMode::kJIT) {
+        EXPECT_FALSE(r.telemetry.fallback_reason.empty()) << route.name;
+      }
+    }
+  }
 }
 
 TEST(LazyRawReads, MidChainNestAndCachedHybridReads) {
