@@ -2,7 +2,8 @@
 // Join template: SELECT AGG(o.val)... FROM orders o JOIN lineitem l ON
 // o_orderkey = l_orderkey WHERE l_orderkey < X. The "Q4_unnest" variant runs
 // the COUNT over denormalized JSON (orders embedding lineitem arrays) —
-// document stores lack joins, so the paper compares unnest there.
+// document stores lack joins, so the paper compares unnest there. The
+// "Q6_stringjoin" variant joins orders with itself on a string key.
 // DocStore joins go through its map-reduce path (COUNT variant only, as the
 // paper lists MongoDB only for the first query "as an indication").
 #include "bench/bench_common.h"
@@ -101,6 +102,26 @@ void Register() {
     bq.unnest_where = {{.col = "l_orderkey", .cmp = '<', .val = static_cast<double>(key)}};
     RegisterMs(tag + "RowStore_jsonb", [bq] { return BaselineMs(Systems::Get().row, bq); });
     RegisterMs(tag + "DocStore_native", [bq] { return BaselineMs(Systems::Get().doc, bq); });
+  }
+  // Q6: string-key join — an orders self-join on o_comment, its build side
+  // cut to a few orders so the answer stays linear in the probe side, never
+  // empty. String keys probe the generated radix table by the hash of their
+  // bytes; aborts if telemetry shows the interpreter served it.
+  for (int sel : Selectivities()) {
+    const std::string tag = "fig09/Q6_stringjoin/sel=" + std::to_string(sel) + "/";
+    const std::string q =
+        "SELECT count(*), max(a.o_totalprice) FROM orders_json a JOIN orders_json b ON "
+        "a.o_comment = b.o_comment WHERE b.o_orderkey < 8 AND a.o_orderkey < " +
+        std::to_string(KeyFor(sel));
+    RegisterMs(tag + "Proteus", [q] {
+      const QueryTelemetry tel = MeasuredRun(*Systems::Get().proteus, q, "proteus");
+      if (!tel.used_jit) {
+        fprintf(stderr, "proteus string-key join fell back to the interpreter: %s\n",
+                tel.fallback_reason.c_str());
+        std::abort();
+      }
+      return tel.execute_ms;
+    });
   }
   // Q5: outer join through the parallel generated engine (matched-build
   // bitmaps + generated unmatched-drain pass). Built directly on the algebra

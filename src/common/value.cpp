@@ -62,20 +62,35 @@ bool Value::Equals(const Value& other) const {
   return true;
 }
 
+namespace {
+
+/// Hash of a double: an integral value in int64 range hashes like that int
+/// (so Int(2) and Float(2.0) meet, and -0.0 like 0), anything else — NaN,
+/// ±inf, |d| >= 2^63, fractions — by its bits. The range test comes first:
+/// converting such a double to int64 is undefined.
+uint64_t DoubleHash(double d) {
+  if (d >= -0x1p63 && d < 0x1p63) {
+    const auto t = static_cast<int64_t>(d);
+    if (static_cast<double>(t) == d) return HashMix64(static_cast<uint64_t>(t));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(d));
+  return HashMix64(bits);
+}
+
+}  // namespace
+
 uint64_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
-  if (is_int()) return HashMix64(static_cast<uint64_t>(i()));
-  if (is_float()) {
-    double d = f();
-    // Hash integral doubles like their int counterparts so mixed-type keys group.
-    if (d == static_cast<double>(static_cast<int64_t>(d))) {
-      return HashMix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-    }
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(d));
-    return HashMix64(bits);
+  if (is_int()) {
+    // Beyond 2^53 an int Equals the double it rounds to, so it hashes like
+    // that double; below, the double is the int itself.
+    constexpr int64_t kExact = int64_t{1} << 53;
+    if (i() >= -kExact && i() <= kExact) return HashMix64(static_cast<uint64_t>(i()));
+    return DoubleHash(static_cast<double>(i()));
   }
+  if (is_float()) return DoubleHash(f());
   if (is_bool()) return HashMix64(b() ? 1 : 2);
   if (is_string()) return HashString(s());
   uint64_t h = 0x51ed270b;

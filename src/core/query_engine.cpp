@@ -68,8 +68,8 @@ void QueryEngine::InvalidateDataset(const std::string& dataset) {
   // indices, row widths, JSON path hashes). Bumping this dataset's version
   // — after the plug-in is gone, so no compile under the new version can
   // see the old one — retires exactly the modules that read it; erasing
-  // them now frees their LLJITs instead of letting them crowd live modules
-  // out of the LRU.
+  // them now frees their machine code instead of letting them crowd live
+  // modules out of the LRU.
   catalog_.BumpVersion(dataset);
   if (jit_cache_ != nullptr) jit_cache_->EraseReading(dataset);
 }

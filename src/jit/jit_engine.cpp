@@ -1,14 +1,12 @@
 #include "src/jit/jit_engine.h"
 #include <cstdlib>
 
-#include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/IR/IRBuilder.h>
 #include <llvm/IR/LLVMContext.h>
 #include <llvm/IR/MDBuilder.h>
 #include <llvm/IR/Module.h>
 #include <llvm/IR/Verifier.h>
 #include <llvm/Passes/PassBuilder.h>
-#include <llvm/Support/TargetSelect.h>
 #include <llvm/Support/raw_ostream.h>
 
 #include <algorithm>
@@ -24,6 +22,7 @@
 #include "src/jit/ir_verifier.h"
 #include "src/jit/query_cache.h"
 #include "src/jit/runtime.h"
+#include "src/jit/session.h"
 #include "src/jit/tiered_compiler.h"
 #include "src/obs/trace.h"
 
@@ -33,15 +32,6 @@ namespace {
 
 using jit::MorselCtx;
 using jit::QueryRuntime;
-
-void InitLLVMOnce() {
-  static bool done = [] {
-    llvm::InitializeNativeTarget();
-    llvm::InitializeNativeTargetAsmPrinter();
-    return true;
-  }();
-  (void)done;
-}
 
 using jit::CacheParam;
 using jit::CgValue;
@@ -177,6 +167,15 @@ class Codegen : public jit::EmitEnv {
   Status EmitJoin(const OpPtr& op, const Consume& consume);
   Status EmitJoinBuild(const Operator& op);
   Status EmitJoinProbe(const Operator& op, const Consume& consume);
+  /// The i64 word equi-join key `key` of `op` becomes in the radix table:
+  /// int, bool and date keys as themselves, strings as HashBytes of their
+  /// bytes, and — when either side of `op` is a float — both sides as the
+  /// bits of their double value with -0.0 folded into 0.0, which the table
+  /// mixes into GroupTable's NumericHash, so 0.0/-0.0 and 2/2.0 meet. Keys
+  /// Value::Equals calls equal get equal words; distinct keys may share one,
+  /// and the probe's match loop re-evaluates op.pred() — which keeps the
+  /// equi conjunct — to reject them.
+  Result<llvm::Value*> JoinKeyWord(const Operator& op, const CgValue& key);
   /// Body of a generated unmatched-drain pass (drain_join_ set): loops the
   /// outer join's build rows, skips rows marked in the merged matched
   /// bitmap, and runs the surviving rows — probe side bound to SQL null —
@@ -412,19 +411,13 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
   std::function<void(const OpPtr&)> walk = [&](const OpPtr& o) {
     switch (o->kind()) {
       case OpKind::kJoin:
-        // Non-equi joins generate a nested loop over the frozen build rows
-        // (EmitJoinProbe); equi joins with non-integer keys stay on the
-        // interpreter — the packed radix table holds int64 keys only.
-        if (o->left_key() != nullptr && o->left_key()->type() != nullptr) {
-          TypeKind k = o->left_key()->type()->kind();
-          if (k == TypeKind::kFloat64 || k == TypeKind::kString) {
-            add("jit: non-integer join key");
-          }
-        }
-        // Outer joins generate per-morsel matched-build bitmaps plus a
-        // one-shot drain function — infrastructure only the main pipeline
-        // chain has. Outer joins inside build subtrees or a mid-chain Nest's
-        // input region still fall back.
+        // Equi joins of every key type probe the radix table by key word
+        // (JoinKeyWord); non-equi joins generate a nested loop over the
+        // frozen build rows (EmitJoinProbe). Outer joins generate per-morsel
+        // matched-build bitmaps plus a one-shot drain function —
+        // infrastructure only the main pipeline chain has. Outer joins
+        // inside build subtrees or a mid-chain Nest's input region still
+        // fall back.
         if (o->outer() && chain_joins_.count(o.get()) == 0) {
           add("jit: outer join outside the morsel pipeline chain");
         }
@@ -432,10 +425,11 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
       case OpKind::kUnnest:
         break;  // outer unnest generates a null-element emission branch
       case OpKind::kNest:
+        // Scalar monoids — and/or included — fold into GroupTable slots
+        // (EmitGroupUpdate); collection monoids still fall back.
         for (const auto& out : o->outputs()) {
-          if (IsCollectionMonoid(out.monoid) || out.monoid == Monoid::kAnd ||
-              out.monoid == Monoid::kOr) {
-            add("jit: nest with collection/boolean monoid");
+          if (IsCollectionMonoid(out.monoid)) {
+            add("jit: nest with collection monoid");
             break;
           }
         }
@@ -1171,9 +1165,6 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
     CgValue key;
     if (op.left_key() != nullptr) {
       PROTEUS_ASSIGN_OR_RETURN(key, EmitExpr(op.left_key()));
-      if (key.kind == TypeKind::kFloat64 || key.kind == TypeKind::kString) {
-        return Status::Unimplemented("jit: non-integer join key");
-      }
     }
     // Payload slots hold the raw 8-byte values; nullable fields fold their
     // null flag into the trailing mask slot so rebinds restore it.
@@ -1215,10 +1206,11 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
                     {CtxPtr(), table_v, pay_buf});
       return Status::OK();
     }
+    PROTEUS_ASSIGN_OR_RETURN(llvm::Value * word, JoinKeyWord(op, key));
     auto insert = [&]() {
       b_.CreateCall(Helper("proteus_join_insert", b_.getVoidTy(),
                            {i8p, b_.getInt32Ty(), b_.getInt64Ty(), i64p}),
-                    {CtxPtr(), table_v, key.v, pay_buf});
+                    {CtxPtr(), table_v, word, pay_buf});
     };
     if (key.null == nullptr) {
       insert();
@@ -1250,6 +1242,32 @@ Status Codegen::EmitJoinBuild(const Operator& op) {
                   {CtxPtr(), table_v});
   }
   return Status::OK();
+}
+
+Result<llvm::Value*> Codegen::JoinKeyWord(const Operator& op, const CgValue& key) {
+  auto is_float = [](const ExprPtr& e) {
+    return e->type() != nullptr && e->type()->kind() == TypeKind::kFloat64;
+  };
+  if (is_float(op.left_key()) || is_float(op.right_key())) {
+    llvm::Value* d = ToDouble(key);
+    llvm::Value* zero = llvm::ConstantFP::get(b_.getDoubleTy(), 0.0);
+    d = b_.CreateSelect(b_.CreateFCmpOEQ(d, zero), zero, d);
+    return b_.CreateBitCast(d, b_.getInt64Ty());
+  }
+  switch (key.kind) {
+    case TypeKind::kString:
+      return static_cast<llvm::Value*>(
+          b_.CreateCall(Helper("proteus_hash_bytes", b_.getInt64Ty(),
+                               {b_.getInt8PtrTy(), b_.getInt64Ty()}),
+                        {key.v, key.len}));
+    case TypeKind::kBool:
+      return b_.CreateZExt(key.v, b_.getInt64Ty());
+    case TypeKind::kFloat64:
+      // The other side's word depends on this side's type too.
+      return Status::Internal("jit: un-typechecked float join key");
+    default:
+      return key.v;
+  }
 }
 
 void Codegen::RebindPayload(const Operator& op, llvm::Value* row_ptr) {
@@ -1331,11 +1349,12 @@ Status Codegen::EmitJoinProbe(const Operator& op, const Consume& consume) {
     }
     PROTEUS_RETURN_NOT_OK(Materialize({op.right_key()}));
     PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.right_key()));
+    PROTEUS_ASSIGN_OR_RETURN(llvm::Value * word, JoinKeyWord(op, key));
     llvm::Value* match_ptr = EntryAlloca(i64p, nullptr, "match");
     auto probe_first = [&]() {
       return b_.CreateCall(
           Helper("proteus_join_probe_first", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-          {CtxPtr(), table_v, key.v});
+          {CtxPtr(), table_v, word});
     };
     if (key.null == nullptr) {
       b_.CreateStore(probe_first(), match_ptr);
@@ -1368,7 +1387,9 @@ Status Codegen::EmitJoinProbe(const Operator& op, const Consume& consume) {
 
     RebindPayload(op, cur);
 
-    // Residual predicate (the equi-conjunct re-evaluates to true); outer
+    // The full predicate: its equi conjunct rejects the build rows whose
+    // key only shares the word (hash collisions, NaN) — Value::Equals, as
+    // the interpreter's key check — and the residual conjuncts follow. Outer
     // joins then record the matched build row in this partial's bitmap —
     // after the predicate, before downstream ops, like the interpreter.
     PROTEUS_RETURN_NOT_OK(EmitFilter(op.pred(), [&]() -> Status {
@@ -2130,11 +2151,11 @@ void RunPassPipeline(llvm::Module& m) {
 /// jit::CompiledModule (parameter table + runtime layout instead of baked
 /// constants and literal values) that the CompiledQueryCache can reuse
 /// across executions, threads, shards, and plans of the same shape. The IR
-/// is optimized at O2 and linked through a default LLJIT.
+/// is optimized at O2 and linked into its own dylib of the process's one JIT
+/// session (src/jit/session.h).
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     const ExecContext& ctx, const OpPtr& plan, const MorselPipeline& pipe,
     const std::vector<const Expr*>& literals) {
-  InitLLVMOnce();
   OBS_SPAN(ctx.trace, "jit_compile");
   auto out = std::make_shared<jit::CompiledModule>();
   jit::ParamTable param_table;
@@ -2161,44 +2182,23 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     out->ir_verified = true;
   }
 
-  RunPassPipeline(*module);
+  {
+    OBS_SPAN(ctx.trace, "ir_optimize");
+    RunPassPipeline(*module);
+  }
 
-  auto jit_or = llvm::orc::LLJITBuilder().create();
-  if (!jit_or) {
-    return Status::Internal("jit: LLJIT creation failed: " +
-                            llvm::toString(jit_or.takeError()));
-  }
-  out->jit = std::move(*jit_or);
-
-  llvm::orc::SymbolMap symbols;
-  for (const auto& [name, addr] : jit::RuntimeSymbols()) {
-    symbols[out->jit->mangleAndIntern(name)] = llvm::JITEvaluatedSymbol(
-        llvm::pointerToJITTargetAddress(addr),
-        llvm::JITSymbolFlags::Exported | llvm::JITSymbolFlags::Callable);
-  }
-  if (auto err = out->jit->getMainJITDylib().define(llvm::orc::absoluteSymbols(symbols))) {
-    return Status::Internal("jit: symbol registration failed: " +
-                            llvm::toString(std::move(err)));
-  }
-  if (auto err = out->jit->addIRModule(
-          llvm::orc::ThreadSafeModule(std::move(module), std::move(llctx)))) {
-    return Status::Internal("jit: addIRModule failed: " + llvm::toString(std::move(err)));
-  }
-  auto lookup = [&](const char* name) -> Result<void*> {
-    auto sym = out->jit->lookup(name);
-    if (!sym) {
-      return Status::Internal("jit: lookup failed: " + llvm::toString(sym.takeError()));
-    }
-    return reinterpret_cast<void*>(sym->getAddress());
-  };
-  PROTEUS_ASSIGN_OR_RETURN(void* b, lookup("proteus_build"));
-  PROTEUS_ASSIGN_OR_RETURN(void* p, lookup("proteus_pipeline"));
+  // Codegen and link: the module joins the shared session in its own dylib,
+  // compiled on the first lookup.
+  OBS_SPAN(ctx.trace, "ir_codegen_link");
+  PROTEUS_ASSIGN_OR_RETURN(out->code, jit::LinkModule(std::move(module), std::move(llctx)));
+  PROTEUS_ASSIGN_OR_RETURN(void* b, out->code->Lookup("proteus_build"));
+  PROTEUS_ASSIGN_OR_RETURN(void* p, out->code->Lookup("proteus_pipeline"));
   out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(b);
   out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(p);
   out->driver_group = cg.driver_group();
   out->outer_join_tables = cg.outer_join_tables();
   for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
-    PROTEUS_ASSIGN_OR_RETURN(void* d, lookup(("proteus_drain" + std::to_string(k)).c_str()));
+    PROTEUS_ASSIGN_OR_RETURN(void* d, out->code->Lookup("proteus_drain" + std::to_string(k)));
     out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(d));
   }
   return std::shared_ptr<const jit::CompiledModule>(std::move(out));

@@ -6,7 +6,7 @@
 // (radix-join build, nest) split the emission into consecutive pipelines.
 // Field values live in virtual buffers (allocas) that LLVM's mem2reg
 // promotes to CPU registers. The IR is optimized and compiled to machine
-// code by ORC LLJIT within milliseconds, then run.
+// code by ORC within milliseconds, then run.
 //
 // Every plan compiles to *range-parameterized* pipelines: proteus_build(ctx)
 // runs shared join builds once, then the scheduler drives
@@ -52,14 +52,17 @@
 // directories) — selected per join by the optimizer's skew-aware strategy
 // pass (see docs/JOINS.md). Both produce identical probe chain orders, so
 // the choice is invisible to results; it is baked into the compiled module
-// and therefore part of the query-cache key. Non-equi joins compile to a
+// and therefore part of the query-cache key. Equi joins of every key type
+// probe by one i64 key word per key (strings hash their bytes, a float on
+// either side makes both sides hash their double value) and re-check the
+// join predicate per match. Non-equi joins compile to a
 // nested loop over the frozen build rows (the interpreter's exact match
 // enumeration), and every Nest folds into the same typed GroupTable the
 // interpreter writes (partial_sink.h), float keys included.
 //
-// Plans using features still outside the generated fast path (non-integer
-// equi-join keys, outer joins off the main pipeline chain, collection or
-// boolean monoids inside Nest, deep paths inside array elements) return
+// Plans using features still outside the generated fast path (outer joins
+// off the main pipeline chain, collection monoids inside Nest, deep paths
+// inside array elements) return
 // Unimplemented — every violation in the plan is reported, semicolon-joined
 // — and the region runner (jit::RunRegion) transparently falls back to the
 // (morsel-parallel) interpreter — recording the failed attempt's compile

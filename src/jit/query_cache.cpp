@@ -1,7 +1,5 @@
 #include "src/jit/query_cache.h"
 
-#include <llvm/ExecutionEngine/Orc/LLJIT.h>
-
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -10,6 +8,7 @@
 #include "src/common/hash.h"
 #include "src/engine/interp.h"
 #include "src/jit/runtime.h"
+#include "src/jit/session.h"
 #include "src/obs/trace.h"
 #include "src/plugins/binary_plugins.h"
 
@@ -383,8 +382,8 @@ void CompiledQueryCache::EvictOverCapacityLocked() {
 }
 
 size_t CompiledQueryCache::EraseReading(const std::string& dataset) {
-  // Moved out and released after the unlock: tearing down an LLJIT is not
-  // free, and concurrent lookups need not wait for it.
+  // Moved out and released after the unlock: removing a module's dylib is
+  // not free, and concurrent lookups need not wait for it.
   std::vector<std::shared_ptr<const CompiledModule>> dropped;
   MutexLock lk(mu_);
   for (auto it = map_.begin(); it != map_.end();) {

@@ -51,12 +51,6 @@
 #include "src/engine/partial_sink.h"
 #include "src/plugins/plugin.h"
 
-namespace llvm {
-namespace orc {
-class LLJIT;
-}  // namespace orc
-}  // namespace llvm
-
 namespace proteus {
 
 struct CacheBlock;
@@ -70,6 +64,7 @@ class TraceRecorder;
 
 namespace jit {
 
+class LinkedCode;
 struct QueryRuntime;
 
 /// One hoisted per-execution constant of the generated code: what it is and
@@ -181,12 +176,13 @@ struct RuntimeLayout {
 /// (scheduler/result state untouched).
 void InitRuntimeFromLayout(const RuntimeLayout& layout, QueryRuntime* rt);
 
-/// A compiled-and-linked query engine: the LLJIT instance owning the machine
-/// code, the resolved entry points, codegen metadata, and everything needed
-/// to re-bind it to fresh data (layout + parameter descriptors). Immutable
-/// after compilation — all mutable execution state lives in the per-run
-/// QueryRuntime / MorselCtx / parameter vector, which is what makes one
-/// module shareable across executions, threads, and shards.
+/// A compiled-and-linked query engine: its dylib in the shared JIT session
+/// (src/jit/session.h) owning the machine code, the resolved entry points,
+/// codegen metadata, and everything needed to re-bind it to fresh data
+/// (layout + parameter descriptors). Immutable after compilation — all
+/// mutable execution state lives in the per-run QueryRuntime / MorselCtx /
+/// parameter vector, which is what makes one module shareable across
+/// executions, threads, and shards.
 struct CompiledModule {
   CompiledModule();
   ~CompiledModule();
@@ -202,7 +198,7 @@ struct CompiledModule {
   /// instruction stream, so cached modules stay position-independent.
   using DrainFn = void (*)(void*, void*, const uint8_t*, const int64_t*);
 
-  std::unique_ptr<llvm::orc::LLJIT> jit;  ///< owns the machine code
+  std::unique_ptr<LinkedCode> code;  ///< owns the machine code
   std::vector<std::string> columns;
   bool row_records = false;
   std::string ir;  ///< unoptimized IR, for inspection

@@ -36,6 +36,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_runtime_error", reinterpret_cast<void*>(&proteus_runtime_error)},
       {"proteus_str_eq", reinterpret_cast<void*>(&proteus_str_eq)},
       {"proteus_str_lt", reinterpret_cast<void*>(&proteus_str_lt)},
+      {"proteus_hash_bytes", reinterpret_cast<void*>(&proteus_hash_bytes)},
       // Per-morsel partial sinks (partial_sink.h).
       {"proteus_sink_agg_flush_int", reinterpret_cast<void*>(&proteus_sink_agg_flush_int)},
       {"proteus_sink_agg_flush_double",
@@ -432,4 +433,8 @@ int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen)
 int32_t proteus_str_lt(const char* a, int64_t alen, const char* b, int64_t blen) {
   int c = std::memcmp(a, b, static_cast<size_t>(std::min(alen, blen)));
   return (c < 0 || (c == 0 && alen < blen)) ? 1 : 0;
+}
+
+int64_t proteus_hash_bytes(const char* s, int64_t len) {
+  return static_cast<int64_t>(proteus::HashBytes(s, static_cast<size_t>(len)));
 }

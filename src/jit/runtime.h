@@ -253,5 +253,7 @@ void proteus_runtime_error(void* ctx, int32_t code);
 // Strings.
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen);
 int32_t proteus_str_lt(const char* a, int64_t alen, const char* b, int64_t blen);
+// HashBytes of a string: the radix-table word of a string join key.
+int64_t proteus_hash_bytes(const char* s, int64_t len);
 
 }  // extern "C"

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/common/hash.h"
 #include "src/common/mmap_file.h"
@@ -108,6 +109,32 @@ TEST(Value, HashConsistentWithEquals) {
   // Mixed-type numeric equality must imply equal hashes (used by join keys).
   EXPECT_EQ(Value::Int(7).Hash(), Value::Float(7.0).Hash());
   EXPECT_EQ(Value::Str("key").Hash(), Value::Str("key").Hash());
+}
+
+TEST(Value, HashOfNonIntegralAndHugeFloats) {
+  // NaN, ±inf and magnitudes >= 2^63 have no int64 value: hashing them
+  // must not convert (undefined behaviour; checked under
+  // -fsanitize=float-cast-overflow), and keys Equals calls equal still
+  // hash alike.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value::Float(nan).Hash(), Value::Float(nan).Hash());
+  EXPECT_EQ(Value::Float(inf).Hash(), Value::Float(inf).Hash());
+  EXPECT_NE(Value::Float(inf).Hash(), Value::Float(-inf).Hash());
+  EXPECT_EQ(Value::Float(1e300).Hash(), Value::Float(1e300).Hash());
+  EXPECT_NE(Value::Float(1e300).Hash(), Value::Float(-1e300).Hash());
+  EXPECT_EQ(Value::Float(0x1p63).Hash(), Value::Float(0x1p63).Hash());
+  EXPECT_TRUE(Value::Float(-0.0).Equals(Value::Float(0.0)));
+  EXPECT_EQ(Value::Float(-0.0).Hash(), Value::Float(0.0).Hash());
+  EXPECT_EQ(Value::Float(-0.0).Hash(), Value::Int(0).Hash());
+  EXPECT_TRUE(Value::Float(2.0).Equals(Value::Int(2)));
+  EXPECT_EQ(Value::Float(2.0).Hash(), Value::Int(2).Hash());
+  EXPECT_EQ(Value::Float(-0x1p63).Hash(), Value::Int(INT64_MIN).Hash());
+  // Beyond 2^53 an int equals the double it rounds to: same hash.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  ASSERT_TRUE(Value::Int(big).Equals(Value::Float(0x1p53)));
+  EXPECT_EQ(Value::Int(big).Hash(), Value::Float(0x1p53).Hash());
+  EXPECT_EQ(Value::Int(INT64_MAX).Hash(), Value::Float(0x1p63).Hash());
 }
 
 TEST(Value, ToStringFormats) {

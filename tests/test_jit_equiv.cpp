@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -866,18 +868,20 @@ TEST(JitMidChainNest, CancelledFoldStopsBothEngines) {
 // compile_ms stuck at 0.
 // ---------------------------------------------------------------------------
 
+/// A root Nest with a collection monoid output: chunk-decomposable
+/// (sharding and the tiered controller accept it) but outside the generated
+/// fast path — the construct the fallback tests below decline on.
+OpPtr CollectionNestCount() {
+  OpPtr nest = Operator::Nest(Operator::Scan("lineitem_json", "l"), Proj("l", "l_linenumber"),
+                              "ln", {{Monoid::kBag, Proj("l", "l_quantity"), "qs"}}, nullptr,
+                              "g");
+  return Operator::Reduce(nest, {{Monoid::kCount, nullptr, "n"}});
+}
+
 TEST(JitFallbackTelemetry, FailedCompileAttemptIsRecorded) {
-  // A string-keyed equi join has no generated fast path (the packed radix
-  // table holds int64 keys only): codegen aborts and the morsel-parallel
-  // interpreter serves the plan.
-  auto make_plan = [] {
-    OpPtr scan_o = Operator::Scan("orders_json", "o");
-    OpPtr scan_l = Operator::Scan("lineitem_json", "l");
-    ExprPtr pred =
-        Expr::Bin(BinOp::kEq, Proj("o", "o_comment"), Proj("l", "l_comment"));
-    OpPtr join = Operator::Join(scan_o, scan_l, pred, /*outer=*/false);
-    return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
-  };
+  // A collection-monoid Nest has no generated fast path: codegen aborts and
+  // the morsel-parallel interpreter serves the plan.
+  auto make_plan = CollectionNestCount;
   RunInfo jit = RunPlanConfig(make_plan, ExecMode::kJIT, 2);
   ASSERT_TRUE(jit.status.ok()) << jit.status.ToString();
   EXPECT_FALSE(jit.telemetry.used_jit);
@@ -888,7 +892,7 @@ TEST(JitFallbackTelemetry, FailedCompileAttemptIsRecorded) {
   // Against the same plan in interpreter mode the fallback stays correct.
   RunInfo interp = RunPlanConfig(make_plan, ExecMode::kInterp, 2);
   ASSERT_TRUE(interp.status.ok());
-  ExpectIdentical(interp.result, jit.result, "string-key fallback");
+  ExpectIdentical(interp.result, jit.result, "collection-monoid fallback");
 }
 
 // ---------------------------------------------------------------------------
@@ -1187,18 +1191,11 @@ TEST(TieredSwap, CompileOutlivingTheQueryIsHarmlessAndWarmsTheCache) {
 }
 
 TEST(TieredSwap, FailedCompileInterpreterCompletesSilently) {
-  // The string-keyed equi join is chunk-decomposable (the tiered controller
+  // The collection-monoid Nest is chunk-decomposable (the tiered controller
   // accepts it) but has no generated fast path: the background compile
   // fails, and the interpreter must simply finish the query — the recorded
   // compile_ms being the only trace of the attempt.
-  auto make_plan = [] {
-    OpPtr scan_o = Operator::Scan("orders_json", "o");
-    OpPtr scan_l = Operator::Scan("lineitem_json", "l");
-    ExprPtr pred =
-        Expr::Bin(BinOp::kEq, Proj("o", "o_comment"), Proj("l", "l_comment"));
-    OpPtr join = Operator::Join(scan_o, scan_l, pred, /*outer=*/false);
-    return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
-  };
+  auto make_plan = CollectionNestCount;
   RunInfo oracle = RunPlanConfig(make_plan, ExecMode::kInterp, 2);
   ASSERT_TRUE(oracle.status.ok());
 
@@ -1253,18 +1250,8 @@ TEST(TieredSwap, ColdShardsCompileOnceThroughTheCache) {
 // so telemetry means the same thing whichever route served the plan.
 // ---------------------------------------------------------------------------
 
-/// String-keyed equi join: chunk-decomposable (sharding and the tiered
-/// controller accept it) but outside the generated fast path.
-OpPtr StringKeyJoinCount() {
-  OpPtr scan_o = Operator::Scan("orders_json", "o");
-  OpPtr scan_l = Operator::Scan("lineitem_json", "l");
-  ExprPtr pred = Expr::Bin(BinOp::kEq, Proj("o", "o_comment"), Proj("l", "l_comment"));
-  OpPtr join = Operator::Join(scan_o, scan_l, pred, /*outer=*/false);
-  return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
-}
-
 TEST(RegionRunner, EveryRouteKeepsTheCodegenReason) {
-  RunInfo oracle = RunPlanConfig(StringKeyJoinCount, ExecMode::kInterp, 2);
+  RunInfo oracle = RunPlanConfig(CollectionNestCount, ExecMode::kInterp, 2);
   ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
   jit::TieredOptions forced;
   forced.force_swap_after_morsels = 1;  // consume the failed ticket mid-query
@@ -1285,14 +1272,14 @@ TEST(RegionRunner, EveryRouteKeepsTheCodegenReason) {
     testutil::RegisterAll(&engine);
     QueryTelemetry t;
     std::string ir = "stale IR from an earlier query";
-    auto r = engine.ExecutePlan(StringKeyJoinCount(), {.telemetry = &t, .ir = &ir});
+    auto r = engine.ExecutePlan(CollectionNestCount(), {.telemetry = &t, .ir = &ir});
     ASSERT_TRUE(r.ok()) << route.name << ": " << r.status().ToString();
     ExpectIdentical(oracle.result, *r, route.name);
     EXPECT_EQ(t.shards_used, route.shards) << route.name;
     EXPECT_FALSE(t.used_jit) << route.name;
     EXPECT_TRUE(ir.empty()) << route.name << ": the interpreter served it, yet IR came back";
     EXPECT_GT(t.compile_ms, 0.0) << route.name;
-    EXPECT_NE(t.fallback_reason.find("non-integer join key"), std::string::npos)
+    EXPECT_NE(t.fallback_reason.find("nest with collection monoid"), std::string::npos)
         << route.name << ": " << t.fallback_reason;
     if (route.tiered) {
       EXPECT_NE(t.fallback_reason.find("tiered: background compile failed: "), std::string::npos)
@@ -1703,15 +1690,19 @@ TEST(JitFallbackTelemetry, FloatGroupKeysCompile) {
 }
 
 TEST(JitFallbackTelemetry, AllFallbackReasonsReported) {
-  // Two independent blockers in one plan: a string-keyed equi join and a
-  // collection-monoid Nest. The fallback reason must list both,
-  // semicolon-joined — previously only the first traversal hit surfaced.
+  // Two independent blockers in one plan: an outer join inside a join's
+  // build subtree (off the main pipeline chain) and a collection-monoid
+  // Nest. The fallback reason must list both, semicolon-joined — previously
+  // only the first traversal hit surfaced.
   auto make_plan = [] {
-    OpPtr scan_o = Operator::Scan("orders_json", "o");
-    OpPtr scan_l = Operator::Scan("lineitem_json", "l");
-    ExprPtr pred =
-        Expr::Bin(BinOp::kEq, Proj("o", "o_comment"), Proj("l", "l_comment"));
-    OpPtr join = Operator::Join(scan_o, scan_l, pred, /*outer=*/false);
+    OpPtr outer = Operator::Join(
+        Operator::Scan("orders_json", "o"), Operator::Scan("lineitem_json", "l"),
+        Expr::Bin(BinOp::kEq, Proj("o", "o_orderkey"), Proj("l", "l_orderkey")),
+        /*outer=*/true);
+    OpPtr join = Operator::Join(
+        outer, Operator::Scan("orders_bincol", "c"),
+        Expr::Bin(BinOp::kEq, Proj("o", "o_orderkey"), Proj("c", "o_orderkey")),
+        /*outer=*/false);
     OpPtr nest = Operator::Nest(join, Proj("l", "l_linenumber"), "ln",
                                 {{Monoid::kBag, Proj("l", "l_quantity"), "qs"}},
                                 nullptr, "g");
@@ -1720,9 +1711,10 @@ TEST(JitFallbackTelemetry, AllFallbackReasonsReported) {
   RunInfo jit = RunPlanConfig(make_plan, ExecMode::kJIT, 2);
   ASSERT_TRUE(jit.status.ok()) << jit.status.ToString();
   EXPECT_FALSE(jit.telemetry.used_jit);
-  EXPECT_NE(jit.telemetry.fallback_reason.find("non-integer join key"), std::string::npos)
+  EXPECT_NE(jit.telemetry.fallback_reason.find("outer join outside the morsel pipeline chain"),
+            std::string::npos)
       << jit.telemetry.fallback_reason;
-  EXPECT_NE(jit.telemetry.fallback_reason.find("collection/boolean monoid"),
+  EXPECT_NE(jit.telemetry.fallback_reason.find("nest with collection monoid"),
             std::string::npos)
       << jit.telemetry.fallback_reason;
   EXPECT_NE(jit.telemetry.fallback_reason.find("; "), std::string::npos)
@@ -2319,6 +2311,115 @@ void RegisterRawCorpus(QueryEngine* engine) {
       DataFormat::kCSV);
 }
 
+/// The key corpus of the JitKeyJoins tests below: join keys of every type
+/// with the values whose equality rules differ between types.
+const std::vector<Value>& KeyInts() {
+  static const std::vector<Value> v = {
+      Value::Int(2), Value::Int(0), Value::Int(-1), Value::Int(7),
+      Value::Int(int64_t{1} << 53), Value::Int((int64_t{1} << 53) + 1),
+      Value::Int(-(int64_t{1} << 53) - 1), Value::Int(INT64_MAX), Value::Int(INT64_MIN),
+      Value::Null(), Value::Int(2)};
+  return v;
+}
+
+const std::vector<Value>& KeyFloats() {
+  static const std::vector<Value> v = {
+      Value::Float(2.0), Value::Float(-0.0), Value::Float(0.0), Value::Float(0.5),
+      Value::Float(std::numeric_limits<double>::quiet_NaN()),
+      Value::Float(std::numeric_limits<double>::infinity()),
+      Value::Float(-std::numeric_limits<double>::infinity()), Value::Float(1e300),
+      Value::Float(0x1p53), Value::Float(-0x1p53 - 2.0), Value::Null(), Value::Float(7.0),
+      Value::Float(0x1p63)};
+  return v;
+}
+
+/// Shared prefixes, the empty string, duplicates, and characters JSON
+/// escapes; the probe side adds misses.
+std::vector<Value> KeyStrings(bool probe) {
+  std::vector<Value> v = {Value::Str("a"),        Value::Str("ab"),          Value::Str("abc"),
+                          Value::Str(""),         Value::Str("dup"),         Value::Str("quote\"d"),
+                          Value::Str("back\\sl"), Value::Str("tab\there"),   Value::Null()};
+  if (probe) {
+    v.push_back(Value::Str("abcd"));
+    v.push_back(Value::Str("zzz"));
+  } else {
+    v.push_back(Value::Str("dup"));
+  }
+  return v;
+}
+
+/// Build side ("keys_a", 24 rows) or probe side ("keys_b", 72 rows: several
+/// 16-row morsels) of the key corpus: id, ik (int), fk (float), sk (string).
+RowTable KeyTable(bool probe) {
+  RowTable t(Type::Record({{"id", Type::Int64()},
+                           {"ik", Type::Int64()},
+                           {"fk", Type::Float64()},
+                           {"sk", Type::String()}}));
+  const std::vector<Value> strs = KeyStrings(probe);
+  const int rows = probe ? 72 : 24;
+  const int base = probe ? 100 : 0;
+  for (int i = 0; i < rows; ++i) {
+    const size_t k = static_cast<size_t>(i);
+    t.Append({Value::Int(base + i), KeyInts()[(probe ? 3 * k : k) % KeyInts().size()],
+              KeyFloats()[(probe ? 7 * k : 5 * k) % KeyFloats().size()],
+              strs[(probe ? 5 * k : 7 * k) % strs.size()]});
+  }
+  return t;
+}
+
+/// Writes the key corpus as binary columns, CSV and JSON once per process.
+/// CSV writes an empty field for a null or empty string (both SQL null
+/// there) and nan/inf as text; JSON omits null fields on even rows and
+/// writes `null` on odd ones, and has no NaN or inf (those fields are
+/// omitted too); binary columns store a null as 0, 0.0 or "".
+const std::string& KeyCorpusDir() {
+  static const std::string dir = [] {
+    const std::string d = testutil::Corpus::Get().dir;
+    for (bool probe : {false, true}) {
+      const RowTable t = KeyTable(probe);
+      const std::string name = d + (probe ? "/keys_b" : "/keys_a");
+      EXPECT_TRUE(WriteBinaryColumnDir(name + ".bincol", t).ok());
+      EXPECT_TRUE(WriteCSVFile(name + ".csv", t).ok());
+      std::ofstream f(name + ".json");
+      const auto& fields = t.record_type()->fields();
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        std::string line;
+        for (size_t c = 0; c < fields.size(); ++c) {
+          const Value& v = t.row(r)[c];
+          const bool unwritable = v.is_float() && !std::isfinite(v.f());
+          if ((v.is_null() && r % 2 == 0) || unwritable) continue;
+          line += (line.empty() ? "{\"" : ",\"") + fields[c].name + "\":" + ValueToJSON(v);
+        }
+        f << line << "}\n";
+      }
+    }
+    return d;
+  }();
+  return dir;
+}
+
+const char* kKeyFormats[] = {"bincol", "csv", "json"};
+
+void RegisterKeyCorpus(QueryEngine* engine) {
+  const std::string& dir = KeyCorpusDir();
+  const TypePtr type = Type::BagOfRecords({{"id", Type::Int64()},
+                                           {"ik", Type::Int64()},
+                                           {"fk", Type::Float64()},
+                                           {"sk", Type::String()}});
+  for (const char* side : {"keys_a", "keys_b"}) {
+    for (const char* fmt : kKeyFormats) {
+      DatasetInfo info;
+      info.name = std::string(side) + "_" + fmt;
+      info.format = fmt == std::string("bincol") ? DataFormat::kBinaryColumn
+                    : fmt == std::string("csv")  ? DataFormat::kCSV
+                                                 : DataFormat::kJSON;
+      info.path = dir + "/" + side + "." + fmt;
+      info.type = type;
+      ASSERT_TRUE(engine->RegisterDataset(info).ok()) << info.name;
+    }
+  }
+}
+
 struct RawRoute {
   std::string name;
   ExecMode mode;
@@ -2326,10 +2427,12 @@ struct RawRoute {
   int shards = 0;
   bool cached = false;  ///< scan caches on; the measured run reads the block
   bool tiered = false;  ///< forced swap after the first morsel
+  JoinStrategyOverride strat = JoinStrategyOverride::kAuto;
 };
 
-/// Runs `run` once on a fresh engine over the raw corpora, configured as
-/// `route` (cached routes after one warm-up run that fills the caches).
+/// Runs `run` once on a fresh engine over the raw and key corpora,
+/// configured as `route` (cached routes after one warm-up run that fills the
+/// caches).
 using EngineRun = std::function<Result<QueryResult>(QueryEngine&, const CallOptions&)>;
 RunInfo RunRawWith(const EngineRun& run, const RawRoute& route) {
   EngineOptions opts;
@@ -2340,8 +2443,10 @@ RunInfo RunRawWith(const EngineRun& run, const RawRoute& route) {
   opts.cache_policy.enabled = route.cached;
   opts.tiered = route.tiered;
   opts.tiered_opts.force_swap_after_morsels = 1;
+  opts.optimizer.join_strategy = route.strat;
   QueryEngine engine(opts);
   RegisterRawCorpus(&engine);
+  RegisterKeyCorpus(&engine);
   if (route.cached) {
     auto warm = run(engine, {});
     EXPECT_TRUE(warm.ok()) << route.name << ": " << warm.status().ToString();
@@ -2741,6 +2846,212 @@ TEST(LazyRawReads, MidChainNestAndCachedHybridReads) {
                       Sql("SELECT id, s, x FROM raw_csv WHERE n > 0"));
   ExpectLazyIdentical("cached json hybrid",
                       Sql("SELECT id, s, y FROM raw_sparse WHERE k > 1"));
+}
+
+// ---------------------------------------------------------------------------
+// and/or monoids in a generated Nest fold into GroupTable's bool slots: null
+// inputs do not contribute, and a group whose inputs are all null keeps the
+// identity (and: true, or: false) — as in the interpreter, on every route.
+// ---------------------------------------------------------------------------
+
+TEST(JitBoolNest, AndOrMonoidsCellIdentical) {
+  // raw_sparse grouped by s: rows with s = "a\"b" (i % 3 == 0) have no x,
+  // so that group's x-based outputs see only nulls; y is null on even rows.
+  auto nest = [] {
+    return Operator::Nest(
+        Operator::Scan("raw_sparse", "r"), Proj("r", "s"), "s",
+        {{Monoid::kCount, nullptr, "n"},
+         {Monoid::kAnd, Expr::Bin(BinOp::kGt, Proj("r", "x"), Expr::Int(-6)), "and_x"},
+         {Monoid::kOr, Expr::Bin(BinOp::kGt, Proj("r", "x"), Expr::Int(-6)), "or_x"},
+         {Monoid::kAnd, Expr::Bin(BinOp::kLt, Proj("r", "y"), Expr::Int(0)), "and_y"},
+         {Monoid::kOr, Expr::Bin(BinOp::kGt, Proj("r", "y"), Expr::Int(0)), "or_y"}},
+        nullptr, "g");
+  };
+  auto record = [] {
+    return Expr::Record({"s", "n", "and_x", "or_x", "and_y", "or_y"},
+                        {Proj("g", "s"), Proj("g", "n"), Proj("g", "and_x"), Proj("g", "or_x"),
+                         Proj("g", "and_y"), Proj("g", "or_y")});
+  };
+  const std::vector<std::pair<std::string, std::function<OpPtr()>>> plans = {
+      {"root nest", [&] { return Operator::Reduce(nest(), {{Monoid::kBag, record(), "rows"}}); }},
+      {"mid-chain nest",
+       [&] {
+         return Operator::Reduce(
+             Operator::Select(nest(), Expr::Bin(BinOp::kGt, Proj("g", "n"), Expr::Int(0))),
+             {{Monoid::kBag, record(), "rows"}});
+       }},
+  };
+  const std::vector<RawRoute> routes = {
+      {"jit threads=1", ExecMode::kJIT, 1},
+      {"jit threads=4", ExecMode::kJIT, 4},
+      {"jit shards=2", ExecMode::kJIT, 2, 2},
+      {"tiered forced swap", ExecMode::kJIT, 2, 0, false, /*tiered=*/true},
+  };
+  for (const auto& [name, make_plan] : plans) {
+    EngineRun run = [&](QueryEngine& engine, const CallOptions& call) {
+      return engine.ExecutePlan(make_plan(), call);
+    };
+    RunInfo oracle = RunRawWith(run, {"interp", ExecMode::kInterp, 1});
+    ASSERT_TRUE(oracle.status.ok()) << name << ": " << oracle.status.ToString();
+    ASSERT_EQ(oracle.result.rows.size(), 3u) << name;
+    for (const auto& row : oracle.result.rows) {
+      if (row[0].s() != "a\"b") continue;
+      EXPECT_TRUE(row[2].Equals(Value::Boolean(true))) << name << ": and over only nulls";
+      EXPECT_TRUE(row[3].Equals(Value::Boolean(false))) << name << ": or over only nulls";
+    }
+    for (const RawRoute& route : routes) {
+      const std::string what = name + " @ " + route.name;
+      RunInfo jit = RunRawWith(run, route);
+      ASSERT_TRUE(jit.status.ok()) << what << ": " << jit.status.ToString();
+      EXPECT_TRUE(jit.telemetry.used_jit) << what << ": " << jit.telemetry.fallback_reason;
+      EXPECT_TRUE(jit.telemetry.fallback_reason.empty()) << what << ": "
+                                                         << jit.telemetry.fallback_reason;
+      ExpectIdentical(oracle.result, jit.result, what);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Equi joins on every key type: a string key probes the radix table by
+// HashBytes of its bytes, a float on either side makes both sides probe by
+// their double value (-0.0 folded), and the match loop's predicate rejects
+// the collisions — so the answers are the interpreter's, cell for cell, with
+// no fallback, on every route and in both table layouts.
+// ---------------------------------------------------------------------------
+
+/// keys_a_<fa> a JOIN keys_b_<fb> b ON a.<ka> = b.<kb> (left outer keeps the
+/// unmatched build rows), yielding (a.id, b.id, a.sk) per pair.
+struct KeyJoin {
+  std::string fa, ka, fb, kb;
+  bool outer = false;
+
+  std::string Name() const {
+    return "a." + ka + "@" + fa + " = b." + kb + "@" + fb + (outer ? " (outer)" : "");
+  }
+  OpPtr Plan() const {
+    OpPtr join = Operator::Join(
+        Operator::Scan("keys_a_" + fa, "a"), Operator::Scan("keys_b_" + fb, "b"),
+        Expr::Bin(BinOp::kEq, Expr::Proj(Expr::Var("a"), ka), Expr::Proj(Expr::Var("b"), kb)),
+        outer);
+    ExprPtr row = Expr::Record({"a", "b", "s"}, {Proj("a", "id"), Proj("b", "id"),
+                                                 Proj("a", "sk")});
+    return Operator::Reduce(join, {{Monoid::kBag, row, "rows"}});
+  }
+};
+
+/// Every key-type pairing across formats: string keys (escaped JSON, CSV,
+/// binary), float keys, mixed int/float both ways, and ints beyond 2^53.
+std::vector<KeyJoin> KeyJoins() {
+  const std::vector<KeyJoin> inner = {
+      {"json", "sk", "json", "sk"},     {"csv", "sk", "json", "sk"},
+      {"bincol", "sk", "csv", "sk"},    {"json", "sk", "bincol", "sk"},
+      {"bincol", "fk", "bincol", "fk"}, {"csv", "fk", "bincol", "fk"},
+      {"json", "fk", "csv", "fk"},      {"bincol", "ik", "csv", "fk"},
+      {"json", "fk", "bincol", "ik"},   {"bincol", "ik", "bincol", "ik"},
+  };
+  std::vector<KeyJoin> all;
+  for (bool outer : {false, true}) {
+    for (KeyJoin j : inner) {
+      j.outer = outer;
+      all.push_back(j);
+    }
+  }
+  return all;
+}
+
+/// Each JIT route's answer equals the one-thread interpreter's, cell for
+/// cell, and generated code served it.
+void ExpectKeyJoinRoutes(const KeyJoin& j, const std::vector<RawRoute>& routes) {
+  const EngineRun run = [&](QueryEngine& engine, const CallOptions& call) {
+    return engine.ExecutePlan(j.Plan(), call);
+  };
+  RunInfo oracle = RunRawWith(run, {"interp", ExecMode::kInterp, 1});
+  ASSERT_TRUE(oracle.status.ok()) << j.Name() << "\n" << oracle.status.ToString();
+  ASSERT_FALSE(oracle.result.rows.empty()) << j.Name();
+  for (const RawRoute& route : routes) {
+    const std::string what = j.Name() + " @ " + route.name;
+    RunInfo jit = RunRawWith(run, route);
+    ASSERT_TRUE(jit.status.ok()) << what << "\n" << jit.status.ToString();
+    EXPECT_TRUE(jit.telemetry.used_jit) << what << ": " << jit.telemetry.fallback_reason;
+    EXPECT_TRUE(jit.telemetry.fallback_reason.empty()) << what << ": "
+                                                       << jit.telemetry.fallback_reason;
+    ExpectIdentical(oracle.result, jit.result, what);
+  }
+}
+
+TEST(JitKeyJoins, EveryKeyTypeCellIdenticalInBothLayouts) {
+  constexpr auto kShared = JoinStrategyOverride::kForceShared;
+  constexpr auto kPartitioned = JoinStrategyOverride::kForcePartitioned;
+  const std::vector<RawRoute> routes = {
+      {"threads=1", ExecMode::kJIT, 1, 0, false, false, kShared},
+      {"threads=2", ExecMode::kJIT, 2, 0, false, false, kShared},
+      {"threads=4", ExecMode::kJIT, 4, 0, false, false, kShared},
+      {"partitioned threads=1", ExecMode::kJIT, 1, 0, false, false, kPartitioned},
+      {"partitioned threads=4", ExecMode::kJIT, 4, 0, false, false, kPartitioned},
+  };
+  for (const KeyJoin& j : KeyJoins()) ExpectKeyJoinRoutes(j, routes);
+}
+
+TEST(JitKeyJoins, EveryRouteCellIdentical) {
+  std::vector<RawRoute> routes;
+  for (JoinStrategyOverride strat :
+       {JoinStrategyOverride::kForceShared, JoinStrategyOverride::kForcePartitioned}) {
+    const std::string layout =
+        strat == JoinStrategyOverride::kForceShared ? "shared " : "partitioned ";
+    routes.push_back({layout + "shards=2", ExecMode::kJIT, 2, 2, false, false, strat});
+    routes.push_back({layout + "cached", ExecMode::kJIT, 2, 0, true, false, strat});
+    routes.push_back({layout + "tiered forced swap", ExecMode::kJIT, 2, 0, false, true, strat});
+  }
+  // Raw-text probe sides: several morsels, so the tiered swap lands.
+  for (const KeyJoin& j : {KeyJoin{"csv", "sk", "json", "sk"},
+                           KeyJoin{"json", "sk", "csv", "sk", /*outer=*/true},
+                           KeyJoin{"bincol", "fk", "csv", "fk"},
+                           KeyJoin{"bincol", "ik", "json", "fk"}}) {
+    ExpectKeyJoinRoutes(j, routes);
+  }
+}
+
+/// Inner-join match count by brute force over the stored binary columns
+/// (null stored as 0 / 0.0 / ""), with Value::Equals as the key rule.
+int64_t BruteForceMatches(size_t ka, size_t kb) {
+  auto stored = [](const Value& v, size_t col) {
+    if (!v.is_null()) return v;
+    return col == 1 ? Value::Int(0) : col == 2 ? Value::Float(0.0) : Value::Str("");
+  };
+  const RowTable a = KeyTable(false);
+  const RowTable b = KeyTable(true);
+  int64_t n = 0;
+  for (const auto& ra : a.rows()) {
+    for (const auto& rb : b.rows()) n += stored(ra[ka], ka).Equals(stored(rb[kb], kb)) ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(JitKeyJoins, MatchesFollowValueEquals) {
+  // -0.0 meets 0.0 and Int(0), 2 meets 2.0, inf meets inf, NaN meets
+  // nothing, and 2^53 + 1 meets the float 2^53 it rounds to: the answer is
+  // the brute-force count, in both engines.
+  struct Case {
+    const char* ka;
+    size_t ca;
+    const char* kb;
+    size_t cb;
+  };
+  for (const Case& c : {Case{"fk", 2, "fk", 2}, Case{"ik", 1, "fk", 2}, Case{"fk", 2, "ik", 1},
+                        Case{"sk", 3, "sk", 3}, Case{"ik", 1, "ik", 1}}) {
+    const std::string q = std::string("SELECT count(*) FROM keys_a_bincol a JOIN keys_b_bincol b "
+                                      "ON a.") + c.ka + " = b." + c.kb;
+    const int64_t want = BruteForceMatches(c.ca, c.cb);
+    EXPECT_GT(want, 0) << q;
+    for (const RawRoute& route : {RawRoute{"interp", ExecMode::kInterp, 2},
+                                  RawRoute{"jit", ExecMode::kJIT, 2}}) {
+      RunInfo run = RunRaw(q, route);
+      ASSERT_TRUE(run.status.ok()) << q << "\n" << run.status.ToString();
+      EXPECT_EQ(run.result.scalar().i(), want) << q << " (" << route.name << ")";
+      EXPECT_EQ(run.telemetry.used_jit, route.mode == ExecMode::kJIT)
+          << q << ": " << run.telemetry.fallback_reason;
+    }
+  }
 }
 
 }  // namespace

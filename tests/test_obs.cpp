@@ -397,6 +397,28 @@ TEST(EngineTrace, JitQueryEmitsTheCoreSpans) {
   EXPECT_GT(warm.SumDurationMs("jit_morsel"), 0.0);
 }
 
+TEST(EngineTrace, CompileSplitsIntoItsSteps) {
+  // A cold compile opens four steps under jit_compile: IR generation, the
+  // contract verifier, the O2 pipeline, and codegen + link into the shared
+  // JIT session. They run one after another inside it, so their durations
+  // sum to no more than the compile's.
+  EngineOptions opts;
+  opts.trace = true;
+  opts.verify_ir = true;
+  opts.morsel_rows = kTestMorselRows;
+  auto engine = MakeEngine(opts);
+  ASSERT_TRUE(engine->Execute(kAggQuery).ok());
+  obs::QueryTrace t = engine->trace()->Snapshot();
+  ASSERT_EQ(t.CountSpans("jit_compile"), 1u);
+  double steps_ms = 0;
+  for (const char* step : {"ir_gen", "ir_verify", "ir_optimize", "ir_codegen_link"}) {
+    EXPECT_EQ(t.CountSpans(step), 1u) << step;
+    steps_ms += t.SumDurationMs(step);
+  }
+  EXPECT_GT(steps_ms, 0.0);
+  EXPECT_LE(steps_ms, t.SumDurationMs("jit_compile"));
+}
+
 TEST(EngineTrace, InterpreterQueryEmitsInterpMorsels) {
   EngineOptions opts;
   opts.mode = ExecMode::kInterp;

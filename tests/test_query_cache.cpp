@@ -874,5 +874,75 @@ TEST(QueryCacheEngine, ShardsWithDifferentLiteralsShareOneCompile) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// One JIT session: every module links into the process's one ORC session in
+// its own dylib, which goes away with the module's last owner.
+// ---------------------------------------------------------------------------
+
+// Compiles run concurrently, and modules are torn down while other threads
+// compile and run theirs: each thread compiles and runs every plan (the
+// uncached Execute drops its module when it returns), keeps some modules
+// across rounds, and drops them in bulk mid-run. Every answer stays the
+// interpreter's.
+TEST(SharedJitSession, ConcurrentCompilesAndTeardown) {
+  QueryEngine engine = MakeEngine(/*threads=*/2);
+  testutil::RegisterAll(&engine);
+  ExecContext ctx = ContextOf(&engine);
+  ctx.jit_cache = nullptr;  // every Execute compiles a module of its own
+  auto path = [](const char* var, const char* field) { return Expr::Path({var, field}); };
+  auto join = [&](const char* lk, const char* rk) {
+    return Operator::Reduce(
+        Operator::Join(Operator::Scan("orders_json", "o"), Operator::Scan("lineitem_csv", "l"),
+                       Expr::Bin(BinOp::kEq, path("o", lk), path("l", rk)), /*outer=*/false),
+        {{Monoid::kCount, nullptr, "n"}, {Monoid::kSum, path("o", "o_totalprice"), "p"}});
+  };
+  std::vector<OpPtr> plans;
+  for (OpPtr plan :
+       {join("o_orderkey", "l_orderkey"), join("o_comment", "l_shipmode"),
+        Operator::Reduce(Operator::Nest(Operator::Scan("lineitem_json", "l"),
+                                        path("l", "l_shipmode"), "m",
+                                        {{Monoid::kCount, nullptr, "n"},
+                                         {Monoid::kOr, Expr::Bin(BinOp::kGt, path("l", "l_tax"),
+                                                                 Expr::Float(0.05)),
+                                          "any"}},
+                                        nullptr, "g"),
+                         {{Monoid::kBag, Expr::Path({"g", "n"}), "ns"}}),
+        Operator::Reduce(Operator::Scan("lineitem_bincol", "l"),
+                         {{Monoid::kMax, path("l", "l_quantity"), "q"}})}) {
+    Optimizer optimizer(engine.catalog(), engine.options().optimizer);
+    auto r = optimizer.Optimize(std::move(plan));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    plans.push_back(*r);
+  }
+  std::vector<QueryResult> oracles;
+  for (const OpPtr& plan : plans) {
+    auto r = InterpExecutor(ctx).Execute(plan);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    oracles.push_back(std::move(*r));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::shared_ptr<const jit::CompiledModule>> held;
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < plans.size(); ++i) {
+          const size_t p = (i + static_cast<size_t>(t)) % plans.size();
+          auto module = jit::CompilePlan(ctx, plans[p]);
+          EXPECT_TRUE(module.ok()) << module.status().ToString();
+          if (module.ok()) held.push_back(std::move(*module));
+          auto r = JitExecutor(ctx).Execute(plans[p]);
+          EXPECT_TRUE(r.ok()) << r.status().ToString();
+          if (r.ok()) ExpectIdentical(oracles[p], *r, "plan " + std::to_string(p));
+        }
+        if (round % 2 == static_cast<int>(t % 2)) held.clear();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+}
+
 }  // namespace
 }  // namespace proteus
