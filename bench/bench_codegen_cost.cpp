@@ -10,10 +10,12 @@
 // per shard before the shared cache). The warm variants abort on a cache
 // miss or a zero hit count, so CI can run them as a regression gate; the
 // warm_after_unrelated_invalidate variants invalidate a dataset the query
-// does not read before the warm run, which must still hit, and the
-// warm_new_literal variants run the warm query with another literal value
-// (`< 100` -> `< 137`): the cache is keyed by plan shape, so that must hit
-// too.
+// does not read before the warm run, which must still hit; the
+// warm_after_refresh variants invalidate the dataset the query reads, whose
+// file keeps its layout, so the reopened dataset must hit too (modules are
+// keyed by dataset layout, not data); and the warm_new_literal variants run
+// the warm query with another literal value (`< 100` -> `< 137`): the cache
+// is keyed by plan shape, so that must hit as well.
 #include "bench/bench_common.h"
 
 namespace proteus {
@@ -151,6 +153,11 @@ void Register() {
     // its module hot: the helper aborts on the warm run's cache miss.
     RegisterMs("codegen_cache/" + name + "/warm_after_unrelated_invalidate", [query] {
       return CacheColdWarm(query, /*warm_runs=*/1, "spam_json").warm_compile_ms;
+    });
+    // Invalidating the dataset the plan reads (lineitem_json) reopens the
+    // same file: same layout, so the module must stay hot.
+    RegisterMs("codegen_cache/" + name + "/warm_after_refresh", [query] {
+      return CacheColdWarm(query, /*warm_runs=*/1, "lineitem_json").warm_compile_ms;
     });
     // A new literal value is the same plan shape: the helper aborts on the
     // warm run's cache miss.

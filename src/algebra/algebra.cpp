@@ -85,12 +85,13 @@ OpPtr Operator::Nest(OpPtr child, ExprPtr group_by, std::string group_name,
 }
 
 OpPtr Operator::CacheScan(uint64_t cache_id, std::string binding, std::string signature,
-                          std::string dataset) {
+                          std::string dataset, std::string layout) {
   auto op = OpPtr(new Operator(OpKind::kCacheScan));
   op->cache_id_ = cache_id;
   op->binding_ = std::move(binding);
   op->cache_signature_ = std::move(signature);
   op->dataset_ = std::move(dataset);
+  op->cache_layout_ = std::move(layout);
   return op;
 }
 
@@ -188,7 +189,8 @@ std::string Operator::Signature(const LiteralPrinter& literal) const {
       os << "scan(" << dataset_ << " as " << binding_ << ")";
       break;
     case OpKind::kCacheScan:
-      os << "cachescan(#" << cache_id_ << " as " << binding_ << ")";
+      os << "cachescan(" << cache_signature_ << " {" << cache_layout_ << "} as " << binding_
+         << ")";
       break;
     case OpKind::kSelect:
       os << "select{" << (pred_ ? expr(pred_) : "true") << "}(" << child(0) << ")";

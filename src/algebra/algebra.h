@@ -121,10 +121,13 @@ class Operator {
   /// Cache-scan payload (kCacheScan only): id of the cache block to read.
   /// `dataset` names the raw source so that fields absent from the cache
   /// (e.g. strings, which policy excludes) are read hybridly through the
-  /// input plug-in using the cached OID column.
+  /// input plug-in using the cached OID column. `signature` is the block's
+  /// source subtree and `layout` its column layout (CacheBlock::Layout):
+  /// Signature() prints both and not the id, so a rebuilt block of the same
+  /// layout keeps the plan's shape.
   uint64_t cache_id() const { return cache_id_; }
   static OpPtr CacheScan(uint64_t cache_id, std::string binding, std::string signature,
-                         std::string dataset = "");
+                         std::string dataset = "", std::string layout = "");
 
   /// Variables bound in this operator's output and their record types.
   /// Scans/unnests consult `catalog` for dataset schemas.
@@ -160,6 +163,7 @@ class Operator {
   JoinStrategy join_strategy_ = JoinStrategy::kShared;  // kJoin (optimizer)
   uint64_t cache_id_ = 0;           // kCacheScan
   std::string cache_signature_;     // kCacheScan: signature of replaced subtree
+  std::string cache_layout_;        // kCacheScan: the block's column layout
 };
 
 }  // namespace proteus

@@ -123,7 +123,10 @@ class StatsStore {
 /// are expected at setup time, but lookups may race a late registration.
 /// Entries are never erased (InvalidateDataset drops plug-ins/stats/caches,
 /// not the registration), so the DatasetInfo pointers Get() hands out stay
-/// valid for the catalog's lifetime.
+/// valid for the catalog's lifetime. The catalog keeps no data version:
+/// compiled modules are keyed by the layout of each dataset's open plug-in
+/// (InputPlugin::LayoutFingerprint), which a rewrite of the file with the
+/// same layout leaves unchanged, so refreshed data reuses them.
 class Catalog {
  public:
   Status Register(DatasetInfo info);
@@ -137,28 +140,9 @@ class Catalog {
   StatsStore& stats() { return stats_; }
   const StatsStore& stats() const { return stats_; }
 
-  /// Data version of dataset `name` (0 until its first invalidation), part
-  /// of the compiled-query cache key of every plan that scans it: codegen
-  /// bakes constants derived from the dataset's opened plug-in (column
-  /// indices, row widths, JSON path hashes) into generated code, so a module
-  /// must retire when — and only when — a dataset it reads changes.
-  /// QueryEngine::InvalidateDataset bumps the version of that dataset only.
-  /// Registration needs no bump: a plan cannot name a dataset that did not
-  /// exist when it was planned, and a name cannot be registered twice.
-  uint64_t version(const std::string& name) const {
-    MutexLock lk(mu_);
-    auto it = versions_.find(name);
-    return it == versions_.end() ? 0 : it->second;
-  }
-  void BumpVersion(const std::string& name) {
-    MutexLock lk(mu_);
-    ++versions_[name];
-  }
-
  private:
   mutable Mutex mu_;
   std::unordered_map<std::string, DatasetInfo> datasets_ GUARDED_BY(mu_);
-  std::unordered_map<std::string, uint64_t> versions_ GUARDED_BY(mu_);
   StatsStore stats_;
 };
 

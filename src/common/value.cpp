@@ -81,15 +81,19 @@ uint64_t DoubleHash(double d) {
 
 }  // namespace
 
+uint64_t Value::HashInt(int64_t i) {
+  // Beyond 2^53 an int Equals the double it rounds to, so it hashes like
+  // that double; below, the double is the int itself.
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (i >= -kExact && i <= kExact) return HashMix64(static_cast<uint64_t>(i));
+  return DoubleHash(static_cast<double>(i));
+}
+
+uint64_t Value::HashFloat(double f) { return DoubleHash(f); }
+
 uint64_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
-  if (is_int()) {
-    // Beyond 2^53 an int Equals the double it rounds to, so it hashes like
-    // that double; below, the double is the int itself.
-    constexpr int64_t kExact = int64_t{1} << 53;
-    if (i() >= -kExact && i() <= kExact) return HashMix64(static_cast<uint64_t>(i()));
-    return DoubleHash(static_cast<double>(i()));
-  }
+  if (is_int()) return HashInt(i());
   if (is_float()) return DoubleHash(f());
   if (is_bool()) return HashMix64(b() ? 1 : 2);
   if (is_string()) return HashString(s());

@@ -75,6 +75,9 @@ class Value {
   bool Equals(const Value& other) const;
 
   uint64_t Hash() const;
+  /// Hash() of Int(i) and of Float(f), for readers that never box a value.
+  static uint64_t HashInt(int64_t i);
+  static uint64_t HashFloat(double f);
   std::string ToString() const;
 
  private:

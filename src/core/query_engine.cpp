@@ -52,7 +52,12 @@ QueryEngine::QueryEngine(EngineOptions opts)
   }
   if (opts_.jit_cache_capacity > 0) {
     jit_cache_ = std::make_unique<jit::CompiledQueryCache>(opts_.jit_cache_capacity);
+    // A reopen that finds a new layout strands the modules compiled for the
+    // old one (their keys no longer match); free them at once.
+    plugins_.set_on_layout_change(
+        [cache = jit_cache_.get()](const std::string& dataset) { cache->EraseReading(dataset); });
   }
+  plugins_.set_trace(trace_recorder_.get());
   if (opts_.tiered) {
     tiered_compiler_ = std::make_unique<jit::TieredCompiler>();
   }
@@ -61,17 +66,12 @@ QueryEngine::QueryEngine(EngineOptions opts)
 Status QueryEngine::RegisterDataset(DatasetInfo info) { return catalog_.Register(std::move(info)); }
 
 void QueryEngine::InvalidateDataset(const std::string& dataset) {
+  // Compiled modules stay: they bake the dataset's layout, not its data,
+  // and the reopen erases them if the rewritten file changed the layout
+  // (the registry's layout-change callback, wired in the constructor).
   plugins_.Evict(dataset);
   catalog_.stats().Invalidate(dataset);
   caches_.InvalidateDataset(dataset);
-  // Compiled modules bake constants of the datasets they read (column
-  // indices, row widths, JSON path hashes). Bumping this dataset's version
-  // — after the plug-in is gone, so no compile under the new version can
-  // see the old one — retires exactly the modules that read it; erasing
-  // them now frees their machine code instead of letting them crowd live
-  // modules out of the LRU.
-  catalog_.BumpVersion(dataset);
-  if (jit_cache_ != nullptr) jit_cache_->EraseReading(dataset);
 }
 
 Result<QueryResult> QueryEngine::Execute(const std::string& query, const CallOptions& call) {

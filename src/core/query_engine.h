@@ -232,9 +232,10 @@ class QueryEngine {
 
   /// Signals that `dataset` was appended/replaced: drops its plug-in (index
   /// rebuilt on next access), statistics, and dependent caches (the paper's
-  /// drop-and-rebuild update story, §4), bumps its catalog version, and
-  /// erases the compiled modules of plans that read it. Compiled modules of
-  /// plans over other datasets stay hot. Not safe while a query is in flight.
+  /// drop-and-rebuild update story, §4). Compiled modules stay: they are
+  /// keyed by the dataset's layout, so a file rewritten with the same layout
+  /// reuses them, and the reopen that finds a changed layout erases the
+  /// modules of plans that read it. Not safe while a query is in flight.
   void InvalidateDataset(const std::string& dataset);
 
   /// Parses, optimizes, and runs a query in either syntax.

@@ -17,6 +17,28 @@ uint64_t CacheBlockFormatRank(DataFormat f) {
   }
 }
 
+std::string CacheBlock::Layout() const {
+  auto type_name = [](TypeKind t) {
+    switch (t) {
+      case TypeKind::kFloat64: return "f64";
+      case TypeKind::kBool: return "bool";
+      case TypeKind::kString: return "str";
+      default: return "i64";
+    }
+  };
+  std::vector<std::string> cells;
+  for (const CacheColumn& c : cols) cells.push_back(c.DottedName() + ":" + type_name(c.type));
+  std::sort(cells.begin(), cells.end());
+  std::vector<std::string> raw;
+  for (const FieldPath& p : raw_only) raw.push_back(DottedPath(p));
+  std::sort(raw.begin(), raw.end());
+  std::string out;
+  for (const std::string& c : cells) out += (out.empty() ? "" : ",") + c;
+  out += " raw_only[";
+  for (size_t i = 0; i < raw.size(); ++i) out += (i ? "," : "") + raw[i];
+  return out + "]";
+}
+
 uint64_t CachingManager::Install(CacheBlock block) {
   MutexLock lk(mu_);
   block.id = next_id_++;
@@ -111,7 +133,8 @@ OpPtr CachingManager::RewriteWithCaches(OpPtr plan, const Catalog& catalog) cons
     if (b == nullptr) return plan;
     auto info = catalog.Get(plan->dataset());
     if (!info.ok() || !Covers(*b, *plan, (*info)->record_type())) return plan;
-    OpPtr cs = Operator::CacheScan(b->id, plan->binding(), b->signature, plan->dataset());
+    OpPtr cs = Operator::CacheScan(b->id, plan->binding(), b->signature, plan->dataset(),
+                                   b->Layout());
     cs->set_scan_fields(plan->scan_fields());
     return cs;
   }
@@ -124,23 +147,30 @@ OpPtr CachingManager::RewriteWithCaches(OpPtr plan, const Catalog& catalog) cons
 
 namespace {
 
-/// Converts one raw read into its cache-column slot. Returns false, leaving
-/// the slot untouched, when the record holds no value there (NotFound: an
-/// absent JSON field; or null).
-Result<bool> StoreCacheValue(InputPlugin* plugin, const FieldPath& path, uint64_t oid,
-                             CacheColumn* col) {
-  auto v = plugin->ReadValue(oid, path);
-  if (!v.ok()) {
-    if (v.status().code() == StatusCode::kNotFound) return false;
-    return v.status();
-  }
-  if (v->is_null()) return false;
+/// Stores one typed read in its cache-column slot. Returns false, leaving
+/// the slot untouched, when the record holds no value there (an absent
+/// JSON field, a JSON null or an empty CSV field) — or a value of another
+/// kind than the column's (say a float token in an int field), which the
+/// block then leaves to raw reads.
+bool StoreCacheCell(const TypedCell& cell, uint64_t oid, CacheColumn* col) {
+  using Kind = TypedCell::Kind;
   switch (col->type) {
-    case TypeKind::kInt64: col->ints[oid] = v->i(); return true;
-    case TypeKind::kBool: col->ints[oid] = v->b() ? 1 : 0; return true;
-    case TypeKind::kFloat64: col->floats[oid] = v->AsFloat(); return true;
-    case TypeKind::kString: col->strs[oid] = v->s(); return true;
-    default: return Status::Internal("unexpected cache column type");
+    case TypeKind::kFloat64:
+      if (cell.kind != Kind::kFloat && cell.kind != Kind::kInt) return false;
+      col->floats[oid] = cell.AsFloat();
+      return true;
+    case TypeKind::kBool:
+      if (cell.kind != Kind::kBool) return false;
+      col->ints[oid] = cell.i;
+      return true;
+    case TypeKind::kString:
+      if (cell.kind != Kind::kString) return false;
+      col->strs[oid] = std::string(cell.s);
+      return true;
+    default:
+      if (cell.kind != Kind::kInt) return false;
+      col->ints[oid] = cell.i;
+      return true;
   }
 }
 
@@ -190,6 +220,8 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
   // missing[c]: some record holds no value for column c (any worker may set
   // it; ParallelFor's join orders the writes before the reads below).
   std::vector<std::atomic<bool>> missing(cols.size());
+  std::vector<FieldPath> paths;
+  for (const CacheColumn& col : cols) paths.push_back(col.path);
   if (!cols.empty() && n > 0) {
     // Cold-access drain, morsel-parallel when a scheduler is available
     // (ROADMAP item "parallel cache population"): the plug-in Split() API
@@ -200,15 +232,15 @@ Result<uint64_t> CachingManager::BuildScanCache(InputPlugin* plugin, const Datas
           1, std::min<uint64_t>(1024, static_cast<uint64_t>(scheduler->num_threads()) * 8)));
     }
     if (morsels.empty()) morsels.push_back({0, n});
+    // One typed multi-column pass per morsel (InputPlugin::ReadColumns).
     auto fill = [&](uint64_t m, int) -> Status {
-      for (uint64_t oid = morsels[m].begin; oid < morsels[m].end; ++oid) {
+      return plugin->ReadColumns(paths, morsels[m], [&](uint64_t oid, const TypedCell* cells) {
         for (size_t c = 0; c < cols.size(); ++c) {
-          PROTEUS_ASSIGN_OR_RETURN(bool stored,
-                                   StoreCacheValue(plugin, cols[c].path, oid, &cols[c]));
-          if (!stored) missing[c].store(true, std::memory_order_relaxed);
+          if (!StoreCacheCell(cells[c], oid, &cols[c])) {
+            missing[c].store(true, std::memory_order_relaxed);
+          }
         }
-      }
-      return Status::OK();
+      });
     };
     if (scheduler != nullptr) {
       PROTEUS_RETURN_NOT_OK(scheduler->ParallelFor(morsels.size(), fill));

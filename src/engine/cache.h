@@ -13,11 +13,11 @@
 // first — paper: "favoring data from inputs that are more costly to access").
 //
 // Blocks are immutable and their ids are never reused. A CacheScan's
-// Signature() prints its block id, so a rewritten plan names the exact block
-// it reads: installing, replacing, widening, evicting or invalidating a
-// block changes the signature of every plan the rewriter produces over it,
-// and the compiled-query cache (keyed on that signature) needs no separate
-// cache-state version to retire stale modules.
+// Signature() prints its block's source subtree and column layout
+// (CacheBlock::Layout), not the id: a compiled module binds the block of
+// the running plan's CacheScan leaf on every run, so a block rebuilt with
+// the same layout (a refreshed silo) keeps the plan's shape and its module,
+// while a block that gains, loses or retypes a column is a new shape.
 #pragma once
 
 #include <map>
@@ -63,7 +63,8 @@ struct CacheBlock {
   std::vector<CacheColumn> cols;
   /// Cacheable fields left out of `cols` because some record holds no value
   /// for them (an absent field or a JSON null, which a binary cell cannot
-  /// tell from 0): scans read them raw through the OID column.
+  /// tell from 0) or a value of another kind than the declared one: scans
+  /// read them raw through the OID column.
   std::vector<FieldPath> raw_only;
   uint64_t last_used_tick = 0;
 
@@ -72,6 +73,10 @@ struct CacheBlock {
     for (const auto& c : cols) b += c.bytes();
     return b;
   }
+  /// What generated code bakes about this block: each column's var, path
+  /// and type ($oid included) and the raw_only fields, each list sorted so
+  /// the order the fields were first requested in does not matter.
+  std::string Layout() const;
   const CacheColumn* Find(const std::string& var, const FieldPath& path) const {
     for (const auto& c : cols) {
       if (c.var == var && c.path == path) return &c;

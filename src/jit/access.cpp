@@ -19,10 +19,10 @@ ParamDesc DataParam(ParamKind kind, std::string dataset, uint32_t column) {
   return d;
 }
 
-ParamDesc CacheParam(ParamKind kind, uint64_t cache_id, std::string var, FieldPath path) {
+ParamDesc CacheParam(ParamKind kind, uint32_t cache_leaf, std::string var, FieldPath path) {
   ParamDesc d;
   d.kind = kind;
-  d.cache_id = cache_id;
+  d.cache_leaf = cache_leaf;
   d.var = std::move(var);
   d.path = std::move(path);
   return d;
@@ -273,14 +273,14 @@ class JsonAccess : public AccessEmitter {
 class CacheAccess : public AccessEmitter {
  public:
   CacheAccess(const ScanSource& src, std::string var, std::unique_ptr<AccessEmitter> raw)
-      : block_(src.cache.get()), cache_id_(src.cache_id), var_(std::move(var)),
+      : block_(src.cache.get()), cache_leaf_(src.cache_leaf), var_(std::move(var)),
         raw_(std::move(raw)) {}
 
   llvm::Value* BeginRow(EmitEnv& env, llvm::Value* row) override {
     oid_ = nullptr;
     if (block_->Find(var_, {"$oid"}) != nullptr) {
       llvm::Value* oid_base =
-          env.ParamI64(CacheParam(ParamKind::kCacheColIntBase, cache_id_, var_, {"$oid"}));
+          env.ParamI64(CacheParam(ParamKind::kCacheColIntBase, cache_leaf_, var_, {"$oid"}));
       oid_ = LoadAt(env, env.builder().getInt64Ty(), At8(env, oid_base, row));
       if (raw_ != nullptr) raw_->BeginRow(env, oid_);
     }
@@ -304,7 +304,7 @@ class CacheAccess : public AccessEmitter {
       }
       const bool is_float = c->type == TypeKind::kFloat64;
       llvm::Value* base = env.ParamI64(CacheParam(
-          is_float ? ParamKind::kCacheColFloatBase : ParamKind::kCacheColIntBase, cache_id_, var_,
+          is_float ? ParamKind::kCacheColFloatBase : ParamKind::kCacheColIntBase, cache_leaf_, var_,
           f.path));
       llvm::Value* raw = LoadAt(env, b.getInt64Ty(), At8(env, base, row));
       values[i] = FromRaw(env, is_float          ? TypeKind::kFloat64
@@ -324,7 +324,7 @@ class CacheAccess : public AccessEmitter {
 
  private:
   const CacheBlock* block_;
-  uint64_t cache_id_;
+  uint32_t cache_leaf_;
   std::string var_;
   std::unique_ptr<AccessEmitter> raw_;  ///< the source plug-in's emitter; null without one
   llvm::Value* oid_ = nullptr;          ///< the current row's raw OID (BeginRow)

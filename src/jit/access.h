@@ -47,14 +47,14 @@ struct CgValue {
 struct ScanSource {
   InputPlugin* plugin = nullptr;
   std::shared_ptr<const CacheBlock> cache;  ///< shared: survives eviction
-  std::string dataset;    ///< catalog name (raw formats; hybrid cache reads)
-  uint64_t cache_id = 0;  ///< kCacheBlock sources
+  std::string dataset;      ///< catalog name (raw formats; hybrid cache reads)
+  uint32_t cache_leaf = 0;  ///< cache sources: ordinal in PlanShape::cache_leaves
 };
 
 /// ParamDesc builders for the two descriptor families (raw-format data
 /// constants vs cache-block constants).
 ParamDesc DataParam(ParamKind kind, std::string dataset, uint32_t column = 0);
-ParamDesc CacheParam(ParamKind kind, uint64_t cache_id, std::string var = {},
+ParamDesc CacheParam(ParamKind kind, uint32_t cache_leaf, std::string var = {},
                      FieldPath path = {});
 
 /// The codegen services an emitter builds its IR with (Codegen implements

@@ -60,20 +60,24 @@ class Codegen : public jit::EmitEnv {
   /// Generated code is position-independent: per-execution constants land in
   /// `params` (bound per run) and runtime-table shapes in `layout` (a fresh
   /// QueryRuntime is built from it per run), so one compiled module can be
-  /// cached and reused across executions, threads, and shards. `literals`
-  /// is the compiled plan's PlanShape::literals: each literal loads from the
-  /// parameter slot of its shape position, so the module serves every plan
-  /// of the same shape, whatever its literal values.
+  /// cached and reused across executions, threads, and shards. `shape` is
+  /// the compiled plan's PlanShape: each literal loads from the parameter
+  /// slot of its shape position, and each cache-block constant names its
+  /// CacheScan leaf's ordinal, so the module serves every plan of the same
+  /// shape, whatever its literal values and whichever blocks it reads.
   Codegen(ExecContext ctx, jit::RuntimeLayout* layout, jit::ParamTable* params,
-          const std::vector<const Expr*>& literals)
+          const jit::PlanShape& shape)
       : ectx_(ctx),
         layout_(layout),
         params_(params),
         llctx_(std::make_unique<llvm::LLVMContext>()),
         module_(std::make_unique<llvm::Module>("proteus_module", *llctx_)),
         b_(*llctx_) {
-    for (size_t i = 0; i < literals.size(); ++i) {
-      literal_index_.emplace(literals[i], static_cast<uint32_t>(i));
+    for (size_t i = 0; i < shape.literals.size(); ++i) {
+      literal_index_.emplace(shape.literals[i], static_cast<uint32_t>(i));
+    }
+    for (size_t i = 0; i < shape.cache_leaves.size(); ++i) {
+      cache_leaf_index_.emplace(shape.cache_leaves[i], static_cast<uint32_t>(i));
     }
   }
 
@@ -361,6 +365,7 @@ class Codegen : public jit::EmitEnv {
   std::unordered_map<const Operator*, uint32_t> unnest_ids_;
   std::unordered_map<std::string, llvm::Value*> string_globals_;
   std::unordered_map<const Expr*, uint32_t> literal_index_;  // node -> shape position
+  std::unordered_map<const Operator*, uint32_t> cache_leaf_index_;  // CacheScan -> ordinal
   std::vector<std::string> result_columns_;
   bool row_records_ = false;
 };
@@ -504,7 +509,7 @@ Status Codegen::Prepare(const OpPtr& op) {
       if (ectx_.caches == nullptr) return Status::Internal("jit: cache scan w/o manager");
       auto blk = ectx_.caches->FindById(op->cache_id());
       if (blk == nullptr) return Status::NotFound("jit: cache block evicted");
-      ScanSource src{nullptr, std::move(blk), op->dataset(), op->cache_id()};
+      ScanSource src{nullptr, std::move(blk), op->dataset(), cache_leaf_index_.at(op.get())};
       if (!op->dataset().empty()) {
         PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ectx_.catalog->Get(op->dataset()));
         PROTEUS_ASSIGN_OR_RETURN(src.plugin, ectx_.plugins->GetOrOpen(*info, ectx_.stats));
@@ -916,7 +921,7 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
   } else {
     lo = b_.getInt64(0);
     hi = src.cache != nullptr
-             ? ParamI64(CacheParam(jit::ParamKind::kCacheNumRows, src.cache_id))
+             ? ParamI64(CacheParam(jit::ParamKind::kCacheNumRows, src.cache_leaf))
              : ParamI64(DataParam(jit::ParamKind::kNumRecords, src.dataset));
   }
   return EmitRangeLoop(lo, hi, [&](llvm::Value* row) -> Status {
@@ -2155,11 +2160,11 @@ void RunPassPipeline(llvm::Module& m) {
 /// session (src/jit/session.h).
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     const ExecContext& ctx, const OpPtr& plan, const MorselPipeline& pipe,
-    const std::vector<const Expr*>& literals) {
+    const jit::PlanShape& shape) {
   OBS_SPAN(ctx.trace, "jit_compile");
   auto out = std::make_shared<jit::CompiledModule>();
   jit::ParamTable param_table;
-  Codegen cg(ctx, &out->layout, &param_table, literals);
+  Codegen cg(ctx, &out->layout, &param_table, shape);
   {
     OBS_SPAN(ctx.trace, "ir_gen");
     PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, pipe));
@@ -2215,7 +2220,8 @@ namespace jit {
 namespace {
 
 /// MakeQueryCacheKey over an already computed PlanShape::signature.
-QueryCacheKey KeyForShape(const ExecContext& ctx, const OpPtr& plan, std::string signature) {
+Result<QueryCacheKey> KeyForShape(const ExecContext& ctx, const OpPtr& plan,
+                                  std::string signature) {
   QueryCacheKey key;
   key.signature = std::move(signature);
   // Join strategies are not part of Signature() (the logical plan is the
@@ -2223,9 +2229,9 @@ QueryCacheKey KeyForShape(const ExecContext& ctx, const OpPtr& plan, std::string
   // layout into its RuntimeLayout — two strategy assignments must never
   // share a cache entry.
   //
-  // The module also bakes constants of every dataset its leaves open, so the
-  // key carries each one's current version: invalidating a dataset retires
-  // exactly the modules that read it.
+  // The module also bakes the layout of every dataset its leaves open, so
+  // the key carries each one's layout fingerprint, read off the open
+  // plug-in: the plug-ins open here, before any compile.
   std::vector<std::string> datasets;
   std::function<void(const Operator&)> walk = [&](const Operator& op) {
     if (op.kind() == OpKind::kJoin && op.left_key() != nullptr) {
@@ -2241,17 +2247,21 @@ QueryCacheKey KeyForShape(const ExecContext& ctx, const OpPtr& plan, std::string
   walk(*plan);
   std::sort(datasets.begin(), datasets.end());
   datasets.erase(std::unique(datasets.begin(), datasets.end()), datasets.end());
+  if (!datasets.empty() && (ctx.catalog == nullptr || ctx.plugins == nullptr)) {
+    return Status::Internal("jit: cache key needs a catalog and a plug-in registry");
+  }
   key.datasets.reserve(datasets.size());
-  for (const std::string& d : datasets) {
-    const uint64_t version = ctx.catalog != nullptr ? ctx.catalog->version(d) : 0;
-    key.datasets.push_back(d + "@" + std::to_string(version));
+  for (std::string& d : datasets) {
+    PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx.catalog->Get(d));
+    PROTEUS_ASSIGN_OR_RETURN(const uint64_t layout, ctx.plugins->Layout(*info, ctx.stats));
+    key.datasets.push_back({std::move(d), layout});
   }
   return key;
 }
 
 }  // namespace
 
-QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
+Result<QueryCacheKey> MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan) {
   return KeyForShape(ctx, plan, ShapeOfPlan(*plan).signature);
 }
 
@@ -2264,7 +2274,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
   if (!CollectPlanPipeline(plan, &pipe)) {
     return Status::InvalidArgument("jit: plan has no pipeline chain under its Reduce root");
   }
-  return CompileAndLink(ctx, plan, pipe, ShapeOfPlan(*plan).literals);
+  return CompileAndLink(ctx, plan, pipe, ShapeOfPlan(*plan));
 }
 
 }  // namespace jit
@@ -2278,7 +2288,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModu
     jit::RegionStats* stats) {
   auto compile = [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = CompileAndLink(ctx_, plan, pipe, shape.literals);
+    auto r = CompileAndLink(ctx_, plan, pipe, shape);
     // Recorded on failure too: an aborted codegen attempt (e.g. an
     // Unimplemented feature discovered mid-emission) costs real wall time
     // that fallback telemetry must attribute to compile_ms, not execute_ms.
@@ -2289,7 +2299,8 @@ Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModu
     return r;
   };
   if (ctx_.jit_cache == nullptr || ctx_.catalog == nullptr) return compile();
-  const jit::QueryCacheKey key = jit::KeyForShape(ctx_, plan, shape.signature);
+  PROTEUS_ASSIGN_OR_RETURN(const jit::QueryCacheKey key,
+                           jit::KeyForShape(ctx_, plan, shape.signature));
   // On a hit (or a single-flight wait on another thread's compile)
   // compile_ms stays 0: this execution generated no IR at all.
   // The probe span covers the whole lookup — a miss nests the jit_compile
@@ -2323,8 +2334,11 @@ Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional
         "outer joins cannot run in morsel chunks: the unmatched-build drain is global");
   }
 
-  // The running plan's literals: whichever plan of this shape the module
-  // was compiled for, this run binds its own values.
+  // Cold plug-in opens (structural index, statistics) land here, before
+  // the cache key and any compile, so compile time never bills them.
+  PROTEUS_RETURN_NOT_OK(PreOpenPlanPlugins(ctx_, plan));
+  // The running plan's literals and cache blocks: whichever plan of this
+  // shape the module was compiled for, this run binds its own.
   const jit::PlanShape shape = jit::ShapeOfPlan(*plan);
   // Without a module (the tiered swap path hands one in: the background
   // thread compiled and cached it already) resolve it through the cache.
@@ -2343,7 +2357,7 @@ Result<PlanPartials> JitExecutor::ExecuteRegion(const OpPtr& plan, std::optional
   rt.cancel = ctx_.cancel;
   std::vector<std::shared_ptr<const CacheBlock>> pinned_blocks;
   PROTEUS_ASSIGN_OR_RETURN(std::vector<int64_t> params,
-                           jit::BindParams(ctx_, cq->params, shape.literals, &pinned_blocks));
+                           jit::BindParams(ctx_, cq->params, shape, &pinned_blocks));
 
   // Shared join builds and a Nest driver leaf's fold run once (radix tables
   // build through the parallel RadixTable::Build path via rt.scheduler),

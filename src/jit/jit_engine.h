@@ -89,8 +89,9 @@ struct RegionStats;
 /// Cache key of `plan` under the engine state in `ctx` — exactly the key
 /// JitExecutor uses for its compiled-query-cache lookups, exposed so the
 /// tiered controller can probe (TryGet) and compile (GetOrCompile) behind
-/// the same key.
-QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan);
+/// the same key. Opens the plug-in of every dataset the plan reads (the
+/// key holds their layout fingerprints), so it fails when one cannot open.
+Result<QueryCacheKey> MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan);
 
 /// Compiles `plan` to a ready CompiledModule without consulting any cache,
 /// through the one O2 pipeline every compile uses. Returns Unimplemented for
@@ -106,8 +107,12 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
 // overloads accept the mode and the tier and ignore them. Engine code never
 // uses them.
 enum class CodegenMode : uint8_t { kWholeRelation, kMorsel };
+/// The harness opens the plan's plug-ins before it builds a key; should an
+/// open fail anyway, the key holds no layouts, and the compile behind it
+/// fails on the same open and is not cached.
 inline QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode) {
-  return MakeQueryCacheKey(ctx, plan);
+  Result<QueryCacheKey> key = MakeQueryCacheKey(ctx, plan);
+  return key.ok() ? std::move(*key) : QueryCacheKey{ShapeOfPlan(*plan).signature, "", {}};
 }
 inline Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
                                                                  const OpPtr& plan, CodegenMode,

@@ -1,7 +1,9 @@
 #include "src/jit/query_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <sstream>
 
 #include "src/algebra/algebra.h"
@@ -102,6 +104,11 @@ PlanShape ShapeOfPlan(const Operator& plan) {
   // reference to its first position: a plan with two distinct literals
   // there is another shape.
   std::unordered_map<const Expr*, size_t> position;
+  std::function<void(const Operator&)> leaves = [&](const Operator& op) {
+    if (op.kind() == OpKind::kCacheScan) shape.cache_leaves.push_back(&op);
+    for (const auto& c : op.children()) leaves(*c);
+  };
+  leaves(plan);
   shape.signature = plan.Signature([&](const Expr& lit) -> std::string {
     const auto [it, first] = position.emplace(&lit, shape.literals.size());
     if (!first) return "?@" + std::to_string(it->second);
@@ -122,7 +129,7 @@ std::string ParamDesc::ToString() const {
     os << ParamKindName(kind) << "[" << literal << "]";
     return os.str();
   }
-  os << ParamKindName(kind) << "(" << dataset << "#" << cache_id << "." << var;
+  os << ParamKindName(kind) << "(" << dataset << "#" << cache_leaf << "." << var;
   if (!path.empty()) os << "." << DottedPath(path);
   os << "@" << column << ")";
   return os.str();
@@ -139,15 +146,14 @@ uint32_t ParamTable::Slot(ParamDesc desc) {
 }
 
 Result<std::vector<int64_t>> BindParams(
-    const ExecContext& ctx, const std::vector<ParamDesc>& descs,
-    const std::vector<const Expr*>& literals,
+    const ExecContext& ctx, const std::vector<ParamDesc>& descs, const PlanShape& shape,
     std::vector<std::shared_ptr<const CacheBlock>>* pinned) {
   std::vector<int64_t> out;
   out.reserve(descs.size());
   auto as_i64 = [](const void* p) { return static_cast<int64_t>(reinterpret_cast<uintptr_t>(p)); };
   for (const ParamDesc& d : descs) {
     if (IsLiteralParam(d.kind)) {
-      PROTEUS_ASSIGN_OR_RETURN(int64_t v, BindLiteral(d, literals));
+      PROTEUS_ASSIGN_OR_RETURN(int64_t v, BindLiteral(d, shape.literals));
       out.push_back(v);
       continue;
     }
@@ -158,10 +164,14 @@ Result<std::vector<int64_t>> BindParams(
         if (ctx.caches == nullptr) {
           return Status::Internal("jit bind: cache param without a CachingManager");
         }
-        const auto blk = ctx.caches->FindById(d.cache_id);
+        if (d.cache_leaf >= shape.cache_leaves.size()) {
+          return Status::Internal("jit bind: the running plan has no cache leaf #" +
+                                  std::to_string(d.cache_leaf));
+        }
+        const uint64_t id = shape.cache_leaves[d.cache_leaf]->cache_id();
+        const auto blk = ctx.caches->FindById(id);
         if (blk == nullptr) {
-          return Status::NotFound("jit bind: cache block #" + std::to_string(d.cache_id) +
-                                  " evicted");
+          return Status::NotFound("jit bind: cache block #" + std::to_string(id) + " evicted");
         }
         if (pinned != nullptr) pinned->push_back(blk);
         if (d.kind == ParamKind::kCacheNumRows) {
@@ -172,7 +182,7 @@ Result<std::vector<int64_t>> BindParams(
         if (col == nullptr) {
           return Status::NotFound("jit bind: cache column " + d.var + "." +
                                   DottedPath(d.path) + " missing from block #" +
-                                  std::to_string(d.cache_id));
+                                  std::to_string(id));
         }
         if (d.kind == ParamKind::kCacheColFloatBase) {
           if (col->type != TypeKind::kFloat64) {
@@ -261,20 +271,16 @@ CompiledModule::CompiledModule(CompiledModule&&) noexcept = default;
 CompiledModule& CompiledModule::operator=(CompiledModule&&) noexcept = default;
 
 bool QueryCacheKey::Reads(const std::string& dataset) const {
-  // The version is all digits, so the entry's last '@' ends the name (which
-  // may itself contain '@').
-  for (const std::string& d : datasets) {
-    if (d.rfind('@') == dataset.size() && d.compare(0, dataset.size(), dataset) == 0) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(datasets.begin(), datasets.end(),
+                     [&](const DatasetLayout& d) { return d.name == dataset; });
 }
 
 size_t QueryCacheKeyHash::operator()(const QueryCacheKey& k) const {
   uint64_t h = HashString(k.signature);
   h = HashCombine(h, HashString(k.join_strategies));
-  for (const std::string& d : k.datasets) h = HashCombine(h, HashString(d));
+  for (const DatasetLayout& d : k.datasets) {
+    h = HashCombine(HashCombine(h, HashString(d.name)), d.fingerprint);
+  }
   return static_cast<size_t>(h);
 }
 

@@ -10,26 +10,36 @@
 // into a *parameter table* — an int64 array described by `ParamDesc` entries,
 // re-bound from the live catalog/plug-ins/caches before every run and passed
 // to the generated functions as an extra argument. The plan's literals live
-// there too, bound from the running plan. Runtime table shapes
+// there too, bound from the running plan, and so do its cache blocks: a
+// cache parameter names its CacheScan leaf by ordinal and binds the block
+// that leaf of the running plan reads. Runtime table shapes
 // (join payload widths, group-table layouts, unnest slot count) are recorded
 // in a `RuntimeLayout` so each execution rebuilds a fresh jit::QueryRuntime
 // without touching the codegen.
 //
 // Keying: the plan's *shape* (ShapeOfPlan — Operator::Signature with every
 // literal printed as its kind: ?i, ?f, ?b, ?s) + join strategies + the
-// version of every dataset the plan reads. Literal values are not in the
-// key and not in the instruction stream: codegen loads each literal from
-// the parameter table (ParamKind::kLiteral*), and every run binds them from
-// the plan it is executing, so one module serves every literal of a shape.
+// layout fingerprint of every dataset the plan reads. The key holds what
+// codegen bakes in and nothing else. Literal values are not in it: codegen
+// loads each literal from the parameter table (ParamKind::kLiteral*), so
+// one module serves every literal of a shape. Data is not in it either:
+// what codegen bakes about a dataset is its layout (a CSV or bincol column
+// index, a binrow row width and field offset, a JSON path hash), and
+// InputPlugin::LayoutFingerprint covers exactly that, so a dataset rewritten
+// with the same layout keeps every module that reads it. A CacheScan's
+// signature prints its block's source and column layout, not the block id,
+// so a rebuilt block of the same layout is the same shape; a block that
+// gains, loses or retypes a column (a field turning raw_only) is another.
 // The shape is taken from the optimized, cache-rewritten plan, so a literal
 // that changes join order, join strategy or the scan-cache rewrite still
-// yields a different key. Invalidation is per dataset:
-// QueryEngine::InvalidateDataset bumps that dataset's catalog version, so
-// only keys of plans that scan it stop matching — and it erases those
-// now-unreachable entries at once (EraseReading) instead of leaving them to
-// age out of the LRU. Scan-cache changes need no version of their own: a
-// CacheScan's signature prints its never-reused block id, so a plan
-// rewritten onto a new, widened or rebuilt block is a new shape.
+// yields a different key.
+//
+// Invalidation: QueryEngine::InvalidateDataset drops the plug-in, stats and
+// scan caches, and leaves modules alone. The reopen that first sees a new
+// layout fingerprint (PluginRegistry's layout-change callback) erases the
+// modules that read the dataset (EraseReading): their keys can no longer
+// match, and erasing frees their machine code instead of leaving it to age
+// out of the LRU.
 //
 // Concurrency: lookups single-flight — when N shard executors (or any N
 // threads) ask for the same key at once, exactly one compiles while the
@@ -94,7 +104,9 @@ struct ParamDesc {
   ParamKind kind;
   std::string dataset;    ///< catalog name (raw-format and hybrid params)
   uint32_t column = 0;    ///< binary reader column index
-  uint64_t cache_id = 0;  ///< cache-block params
+  /// Cache-block params: ordinal of the CacheScan leaf whose block they
+  /// read (PlanShape::cache_leaves).
+  uint32_t cache_leaf = 0;
   std::string var;        ///< cache column lookup: binding variable
   FieldPath path;         ///< cache column lookup: field path
   uint32_t literal = 0;   ///< kLiteral*: index into PlanShape::literals
@@ -122,23 +134,25 @@ class ParamTable {
 /// prints every literal as its kind (?i, ?f, ?b, ?s; other literals print
 /// their value; a node reached again prints ?@<its position>), and the
 /// plan's literal nodes, each once, in that order. Plans with equal
-/// signatures list their literals in the same positions, which is what
-/// lets a module compiled for one bind another's literals.
+/// signatures list their literals and their CacheScan leaves in the same
+/// positions, which is what lets a module compiled for one bind another's
+/// literals and cache blocks.
 struct PlanShape {
   std::string signature;
-  std::vector<const Expr*> literals;  ///< nodes owned by the plan
+  std::vector<const Expr*> literals;          ///< nodes owned by the plan
+  std::vector<const Operator*> cache_leaves;  ///< CacheScan leaves, pre-order
 };
 
 PlanShape ShapeOfPlan(const Operator& plan);
 
-/// Resolves every descriptor against the live catalog / plug-in registry /
-/// caching manager — and literal descriptors against `literals`, the
-/// running plan's PlanShape::literals — into the int64 parameter vector the
-/// generated functions read. String literals bind as pointers into the plan,
-/// which the caller keeps alive for the run. Validates formats, column
-/// bounds and literal kinds so a stale module (one that escaped
-/// dataset-version invalidation) fails loudly instead of reading through a
-/// dangling base pointer. Thread-safe: only touches the mutex-guarded
+/// Resolves every descriptor against the live catalog / plug-in registry —
+/// and literal and cache descriptors against `shape`, the running plan's
+/// PlanShape: its literals, and the blocks its CacheScan leaves read — into
+/// the int64 parameter vector the generated functions read. String literals
+/// bind as pointers into the plan, which the caller keeps alive for the run.
+/// Validates formats, column bounds, cache columns and literal kinds so a
+/// module bound to data of another layout fails loudly instead of reading
+/// through a dangling base pointer. Thread-safe: only touches the mutex-guarded
 /// PluginRegistry and read-only catalog/cache lookups, so N shard threads
 /// can bind the same module concurrently. `pinned` (optional) receives
 /// shared ownership of every cache block whose column base pointers were
@@ -146,8 +160,7 @@ PlanShape ShapeOfPlan(const Operator& plan);
 /// long as the generated code may run, so a concurrent eviction cannot free
 /// storage mid-execution.
 Result<std::vector<int64_t>> BindParams(
-    const ExecContext& ctx, const std::vector<ParamDesc>& descs,
-    const std::vector<const Expr*>& literals,
+    const ExecContext& ctx, const std::vector<ParamDesc>& descs, const PlanShape& shape,
     std::vector<std::shared_ptr<const CacheBlock>>* pinned = nullptr);
 
 /// Shapes of the runtime tables the generated code indexes by slot: enough
@@ -221,26 +234,36 @@ struct CompiledModule {
   bool ir_verified = false;
 };
 
-/// Cache key: plan shape signature + join strategies + dataset versions. The
+/// One dataset a plan's leaves read, with the layout fingerprint of its open
+/// plug-in (InputPlugin::LayoutFingerprint).
+struct DatasetLayout {
+  std::string name;
+  uint64_t fingerprint = 0;
+
+  bool operator==(const DatasetLayout& o) const {
+    return fingerprint == o.fingerprint && name == o.name;
+  }
+};
+
+/// Cache key: plan shape signature + join strategies + dataset layouts. The
 /// join strategies are part of the key (not of the signature — the logical
 /// plan is unchanged) because a module's RuntimeLayout bakes each build table's
 /// probe layout: the same plan optimized to a different strategy mix must
-/// compile its own module. The dataset versions are there because codegen
-/// bakes constants derived from each scanned dataset's opened plug-in; a
-/// module is valid for exactly the versions it was compiled against.
+/// compile its own module. The dataset layouts are there because codegen
+/// bakes each scanned dataset's column positions; a module is valid for
+/// exactly the layouts it was compiled against, whatever rows they hold.
 struct QueryCacheKey {
   std::string signature;  ///< PlanShape::signature
   std::string join_strategies;  ///< comma-joined per-join strategy, plan order
-  /// "name@version" of every dataset a Scan or CacheScan leaf reads, sorted
-  /// and deduplicated.
-  std::vector<std::string> datasets;
+  /// Every dataset a Scan or CacheScan leaf reads, sorted by name, each once.
+  std::vector<DatasetLayout> datasets;
 
   bool operator==(const QueryCacheKey& o) const {
     return join_strategies == o.join_strategies && datasets == o.datasets &&
            signature == o.signature;
   }
 
-  /// True when the plan behind this key reads `dataset` (at any version).
+  /// True when the plan behind this key reads `dataset` (in any layout).
   bool Reads(const std::string& dataset) const;
 };
 

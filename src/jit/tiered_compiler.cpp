@@ -57,8 +57,8 @@ void TieredCompiler::WorkerLoop() {
 }
 
 std::shared_ptr<CompileTicket> TieredCompiler::EnqueueCompile(const ExecContext& ctx,
-                                                              OpPtr plan, int delay_ms) {
-  QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
+                                                              OpPtr plan, QueryCacheKey key,
+                                                              int delay_ms) {
   auto ticket = std::make_shared<CompileTicket>();
   // The job captures ctx by value (borrowed engine subsystems — the engine
   // destroys this compiler first) and the plan by shared_ptr (keeps every
@@ -113,7 +113,8 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
   static const TieredOptions kDefaults;
   const TieredOptions& opts = ctx.tiered_opts != nullptr ? *ctx.tiered_opts : kDefaults;
   const auto t0 = std::chrono::steady_clock::now();
-  const QueryCacheKey key = MakeQueryCacheKey(ctx, plan);
+  // Plug-ins open before the key: it holds their layout fingerprints.
+  PROTEUS_ASSIGN_OR_RETURN(const QueryCacheKey key, MakeQueryCacheKey(ctx, plan));
 
   // Warm probe (non-blocking): a cached module means generated code serves
   // from morsel 0 and the interpreter never enters. (This path bypasses
@@ -131,7 +132,7 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
   if (module == nullptr) {
     // Cold: kick the background compile *before* the interpreter's own
     // preparation (plug-in opens, join builds) — they overlap.
-    ticket = ctx.tiered->EnqueueCompile(ctx, plan, opts.compile_delay_ms);
+    ticket = ctx.tiered->EnqueueCompile(ctx, plan, key, opts.compile_delay_ms);
     PROTEUS_ASSIGN_OR_RETURN(session, MakeInterpPartialSession(ctx, plan));
     total_morsels = session->num_morsels();
   } else {

@@ -171,13 +171,14 @@ class TieredCompiler {
   TieredCompiler(const TieredCompiler&) = delete;
   TieredCompiler& operator=(const TieredCompiler&) = delete;
 
-  /// Enqueues a compile of `plan` with its own ticket. With ctx.jit_cache
-  /// set the job runs through GetOrCompile, so it single-flights against
-  /// every other compile of the key and publishes the module for every
-  /// later run; a job the cache serves fulfills its ticket with compile_ms
-  /// 0. `delay_ms` is the TieredOptions::compile_delay_ms test hook.
+  /// Enqueues a compile of `plan`, whose cache key is `key`, with its own
+  /// ticket. With ctx.jit_cache set the job runs through GetOrCompile, so
+  /// it single-flights against every other compile of the key and publishes
+  /// the module for every later run; a job the cache serves fulfills its
+  /// ticket with compile_ms 0. `delay_ms` is the
+  /// TieredOptions::compile_delay_ms test hook.
   std::shared_ptr<CompileTicket> EnqueueCompile(const ExecContext& ctx, OpPtr plan,
-                                                int delay_ms) EXCLUDES(mu_);
+                                                QueryCacheKey key, int delay_ms) EXCLUDES(mu_);
 
   /// Blocks until every queued job has run (tests and benches only — the
   /// query path never waits here).

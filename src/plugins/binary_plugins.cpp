@@ -1,5 +1,7 @@
 #include "src/plugins/binary_plugins.h"
 
+#include "src/common/hash.h"
+
 namespace proteus {
 
 namespace {
@@ -59,6 +61,15 @@ Result<Value> BinColPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
     default:
       return Status::Internal("unexpected bincol type");
   }
+}
+
+uint64_t BinColPlugin::LayoutFingerprint() const {
+  uint64_t h = InputPlugin::LayoutFingerprint();
+  for (uint32_t j = 0; reader_ && j < reader_->num_cols(); ++j) {
+    h = HashCombine(h, HashString(reader_->col_name(j)));
+    h = HashCombine(h, static_cast<uint64_t>(reader_->col_type(j)));
+  }
+  return h;
 }
 
 Status BinColPlugin::CollectStats(StatsStore* store) {
@@ -132,6 +143,16 @@ Result<Value> BinRowPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
     default:
       return Status::Internal("unexpected binrow type code");
   }
+}
+
+uint64_t BinRowPlugin::LayoutFingerprint() const {
+  uint64_t h = InputPlugin::LayoutFingerprint();
+  if (!reader_) return h;
+  for (uint32_t j = 0; j < reader_->num_cols(); ++j) {
+    h = HashCombine(h, HashString(reader_->col_names()[j]));
+    h = HashCombine(h, reader_->col_types()[j]);
+  }
+  return HashCombine(h, reader_->row_width());
 }
 
 std::vector<ScanRange> BinColPlugin::Split(uint64_t max_morsels) const {

@@ -23,6 +23,9 @@ class BinColPlugin : public InputPlugin {
   uint64_t NumRecords() const override { return reader_ ? reader_->num_rows() : 0; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
   Status CollectStats(StatsStore* store) override;
+  /// Adds the manifest's column names and types: generated loads address
+  /// columns by their manifest position.
+  uint64_t LayoutFingerprint() const override;
   double CostPerTuple() const override { return 1.0; }
   double CostPerField() const override { return 1.0; }
   /// Rows are fixed width; morsel boundaries snap to 1024-row blocks so
@@ -46,6 +49,9 @@ class BinRowPlugin : public InputPlugin {
   Status Open() override;
   uint64_t NumRecords() const override { return reader_ ? reader_->num_rows() : 0; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
+  /// Adds the header's column names, type codes and row width: generated
+  /// loads bake a field's row offset.
+  uint64_t LayoutFingerprint() const override;
   double CostPerTuple() const override { return 1.2; }  // wider rows pollute cache lines
   double CostPerField() const override { return 1.0; }
   /// Same block-aligned split as BinColPlugin (fixed-width rows).

@@ -1,5 +1,6 @@
 #include "src/plugins/csv_plugin.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
@@ -174,6 +175,41 @@ void CsvPlugin::LocateFields(uint64_t oid, const int64_t* cols, size_t n, std::s
   cursor->pos = p;
 }
 
+Status CsvPlugin::ParseField(std::string_view text, uint32_t col, TypedCell* out) const {
+  *out = TypedCell{};
+  if (text.empty()) return Status::OK();
+  const char* end = text.data() + text.size();
+  switch (col_types_[col]) {
+    case TypeKind::kInt64:
+    case TypeKind::kDate: {
+      auto [ptr, ec] = std::from_chars(text.data(), end, out->i);
+      if (ec != std::errc() || ptr != end) {
+        return Status::ParseError("bad int '" + std::string(text) + "' in " + info_.name);
+      }
+      out->kind = TypedCell::Kind::kInt;
+      return Status::OK();
+    }
+    case TypeKind::kFloat64: {
+      auto [ptr, ec] = std::from_chars(text.data(), end, out->f);
+      if (ec != std::errc() || ptr != end) {
+        return Status::ParseError("bad float '" + std::string(text) + "' in " + info_.name);
+      }
+      out->kind = TypedCell::Kind::kFloat;
+      return Status::OK();
+    }
+    case TypeKind::kBool:
+      out->kind = TypedCell::Kind::kBool;
+      out->i = text == "true" || text == "1" ? 1 : 0;
+      return Status::OK();
+    case TypeKind::kString:
+      out->kind = TypedCell::Kind::kString;
+      out->s = text;
+      return Status::OK();
+    default:
+      return Status::Internal("unexpected CSV column type");
+  }
+}
+
 Result<Value> CsvPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
   if (path.size() != 1) {
     return Status::InvalidArgument("CSV is flat; bad path " + DottedPath(path));
@@ -185,32 +221,46 @@ Result<Value> CsvPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
   RowCursor cursor;
   std::string_view text;
   LocateFields(oid, &col, 1, &text, &cursor);
-  if (text.empty()) return Value::Null();
-  switch (col_types_[j]) {
-    case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      int64_t v = 0;
-      auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-      if (ec != std::errc() || ptr != text.data() + text.size()) {
-        return Status::ParseError("bad int '" + std::string(text) + "' in " + info_.name);
-      }
-      return Value::Int(v);
-    }
-    case TypeKind::kFloat64: {
-      double v = 0;
-      auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-      if (ec != std::errc() || ptr != text.data() + text.size()) {
-        return Status::ParseError("bad float '" + std::string(text) + "' in " + info_.name);
-      }
-      return Value::Float(v);
-    }
-    case TypeKind::kBool:
-      return Value::Boolean(text == "true" || text == "1");
-    case TypeKind::kString:
-      return Value::Str(std::string(text));
-    default:
-      return Status::Internal("unexpected CSV column type");
+  TypedCell cell;
+  PROTEUS_RETURN_NOT_OK(ParseField(text, static_cast<uint32_t>(j), &cell));
+  switch (cell.kind) {
+    case TypedCell::Kind::kNull: return Value::Null();
+    case TypedCell::Kind::kInt: return Value::Int(cell.i);
+    case TypedCell::Kind::kFloat: return Value::Float(cell.f);
+    case TypedCell::Kind::kBool: return Value::Boolean(cell.i != 0);
+    case TypedCell::Kind::kString: return Value::Str(std::string(cell.s));
   }
+  return Status::Internal("unexpected CSV cell kind");
+}
+
+Status CsvPlugin::ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                              const TypedRowSink& sink) {
+  // (column, cell slot) of every path that names a column, in file order; a
+  // path naming no column stays a null cell, as ReadValue's NotFound reads.
+  std::vector<std::pair<int64_t, size_t>> located;
+  for (size_t c = 0; c < paths.size(); ++c) {
+    if (paths[c].size() != 1) {
+      return Status::InvalidArgument("CSV is flat; bad path " + DottedPath(paths[c]));
+    }
+    const int j = ColumnIndex(paths[c][0]);
+    if (j >= 0) located.emplace_back(j, c);
+  }
+  std::sort(located.begin(), located.end());
+  std::vector<int64_t> cols;
+  for (const auto& [col, slot] : located) cols.push_back(col);
+  std::vector<std::string_view> text(cols.size());
+  std::vector<TypedCell> cells(paths.size());
+  for (uint64_t oid = range.begin; oid < range.end; ++oid) {
+    RowCursor cursor;
+    LocateFields(oid, cols.data(), cols.size(), text.data(), &cursor);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      PROTEUS_RETURN_NOT_OK(
+          ParseField(text[k], static_cast<uint32_t>(cols[k]), &cells[located[k].second]));
+    }
+    sink(oid, cells.data());
+  }
+  GlobalCounters().raw_field_accesses += range.size() * cols.size();
+  return Status::OK();
 }
 
 }  // namespace proteus

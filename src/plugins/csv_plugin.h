@@ -29,6 +29,11 @@ class CsvPlugin : public InputPlugin {
   Status Open() override;
   uint64_t NumRecords() const override { return num_rows_; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
+  /// One LocateFields pass per row over every requested column, in file
+  /// order, each parsed straight to its schema type.
+  Status ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                     const TypedRowSink& sink) override;
+  Status CollectStats(StatsStore* store) override { return CollectStatsByColumns(this, store); }
   double CostPerTuple() const override { return 4.0; }   // parsing + navigation
   double CostPerField() const override { return 6.0; }   // text-to-binary conversion
   size_t StructuralIndexBytes() const override;
@@ -61,6 +66,8 @@ class CsvPlugin : public InputPlugin {
 
  private:
   Status BuildIndex();
+  /// Parses field `text` of column `col` into `out` (kNull when empty).
+  Status ParseField(std::string_view text, uint32_t col, TypedCell* out) const;
 
   DatasetInfo info_;
   MmapFile file_;

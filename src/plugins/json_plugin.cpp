@@ -112,14 +112,17 @@ struct JsonCursor {
         ++p;
       }
       if (depth != 0) return Status::ParseError("unbalanced JSON brackets");
-    } else if (c == 't' || c == 'f') {
-      *type = JsonTokenType::kBool;
-      p += (c == 't') ? 4 : 5;
-      if (p > end) return Status::ParseError("truncated JSON literal");
-    } else if (c == 'n') {
-      *type = JsonTokenType::kNull;
-      p += 4;
-      if (p > end) return Status::ParseError("truncated JSON literal");
+    } else if (c == 't' || c == 'f' || c == 'n') {
+      const std::string_view word = c == 't' ? "true" : c == 'f' ? "false" : "null";
+      if (static_cast<size_t>(end - p) < word.size()) {
+        return Status::ParseError("truncated JSON literal");
+      }
+      if (std::string_view(p, word.size()) != word) {
+        return Status::ParseError("invalid JSON literal '" +
+                                  std::string(p, word.size()) + "'");
+      }
+      *type = c == 'n' ? JsonTokenType::kNull : JsonTokenType::kBool;
+      p += word.size();
     } else {
       uint8_t seen = 0;
       for (; p < end && kNumberChars.kind[static_cast<unsigned char>(*p)] != 0; ++p) {
@@ -283,19 +286,34 @@ Status JsonPlugin::BuildIndex() {
   const char* base = file_.data();
   const char* end = base + file_.size();
 
+  // One object per line: the line count bounds the object count.
+  size_t lines = 0;
+  for (const char* q = base; q < end; ++lines) {
+    const char* nl = static_cast<const char*>(memchr(q, '\n', end - q));
+    q = nl == nullptr ? end : nl + 1;
+  }
+  obj_offsets_.reserve(lines);
+
   // Per-object scratch, reused.
   std::vector<uint64_t> path_hashes;     // doc-order path hash per token
   std::vector<uint64_t> first_sequence;  // object 0's path sequence
   bool schemas_identical = true;
 
-  // Recursive object walker: records tokens for record fields (recursing into
-  // nested objects) and element spans for arrays.
+  // One walk per object that indexes every value as it crosses it: a
+  // field's path hash folds on from its parent's (FNV-1a over
+  // `prefix + "." + name` continues the hash of `prefix`), a nested
+  // record's fields are indexed during the walk that crosses the record,
+  // and an array's element spans are recorded during the walk that crosses
+  // the array, so no byte of the object is scanned twice.
   struct Walker {
     JsonPlugin* self;
     const char* obj_base;
     std::vector<uint64_t>* path_hashes;
 
-    Status WalkObject(JsonCursor* c, const std::string& prefix) {
+    /// Walks the record at the cursor. `seed` is the FNV state that the
+    /// field names continue: the initial state at the top level, the hash
+    /// of the enclosing path and its '.' below it.
+    Status WalkObject(JsonCursor* c, uint64_t seed) {
       PROTEUS_RETURN_NOT_OK(c->Expect('{'));
       c->SkipWs();
       if (!c->Eof() && c->Peek() == '}') {
@@ -306,50 +324,28 @@ Status JsonPlugin::BuildIndex() {
         std::string_view name;
         PROTEUS_RETURN_NOT_OK(c->ParseName(&name));
         PROTEUS_RETURN_NOT_OK(c->Expect(':'));
-        const char *vs, *ve;
-        JsonTokenType vt;
-        PROTEUS_RETURN_NOT_OK(c->SkipValue(&vs, &ve, &vt));
-        std::string path = prefix.empty() ? std::string(name) : prefix + "." + std::string(name);
-
+        c->SkipWs();
+        if (c->Eof()) return Status::ParseError("unexpected end of JSON");
+        const uint64_t hash = HashBytes(name.data(), name.size(), seed);
+        // The token precedes the fields of a nested record (Fig 4: c.d.d1
+        // follows c.d in Level 0), so it takes its slot before the walk.
+        const auto idx = static_cast<uint32_t>(self->tokens_.size());
+        self->tokens_.emplace_back();
+        path_hashes->push_back(hash);
         JsonToken tok;
-        tok.start = static_cast<uint32_t>(vs - obj_base);
-        tok.end = static_cast<uint32_t>(ve - obj_base);
-        tok.type = vt;
-        if (vt == JsonTokenType::kArray) {
-          JsonArrayInfo ai;
-          ai.token_idx = static_cast<uint32_t>(self->tokens_.size());
-          ai.elem_begin = static_cast<uint32_t>(self->elems_.size());
-          JsonCursor ac{vs, ve};
-          PROTEUS_RETURN_NOT_OK(ac.Expect('['));
-          ac.SkipWs();
-          uint32_t count = 0;
-          if (!ac.Eof() && ac.Peek() != ']') {
-            while (true) {
-              const char *es, *ee;
-              JsonTokenType et;
-              PROTEUS_RETURN_NOT_OK(ac.SkipValue(&es, &ee, &et));
-              self->elems_.push_back({static_cast<uint32_t>(es - obj_base),
-                                      static_cast<uint32_t>(ee - obj_base), et});
-              ++count;
-              ac.SkipWs();
-              if (!ac.Eof() && ac.Peek() == ',') {
-                ++ac.p;
-                continue;
-              }
-              break;
-            }
-          }
-          ai.elem_count = count;
-          self->arrays_.push_back(ai);
+        tok.start = static_cast<uint32_t>(c->p - obj_base);
+        if (c->Peek() == '{') {
+          tok.type = JsonTokenType::kObject;
+          PROTEUS_RETURN_NOT_OK(WalkObject(c, HashBytes(".", 1, hash)));
+        } else if (c->Peek() == '[') {
+          tok.type = JsonTokenType::kArray;
+          PROTEUS_RETURN_NOT_OK(WalkArray(c, idx));
+        } else {
+          const char *vs, *ve;
+          PROTEUS_RETURN_NOT_OK(c->SkipValue(&vs, &ve, &tok.type));
         }
-        self->tokens_.push_back(tok);
-        path_hashes->push_back(HashString(path));
-
-        if (vt == JsonTokenType::kObject) {
-          // Register nested record fields too (Fig 4: c.d.d1 is in Level 0).
-          JsonCursor nested{vs, ve};
-          PROTEUS_RETURN_NOT_OK(WalkObject(&nested, path));
-        }
+        tok.end = static_cast<uint32_t>(c->p - obj_base);
+        self->tokens_[idx] = tok;
 
         c->SkipWs();
         if (!c->Eof() && c->Peek() == ',') {
@@ -360,11 +356,63 @@ Status JsonPlugin::BuildIndex() {
       }
       return c->Expect('}');
     }
+
+    /// Records the element spans of the array at the cursor, whose token is
+    /// `token_idx`. Elements are not indexed inside: unnest reads them.
+    Status WalkArray(JsonCursor* c, uint32_t token_idx) {
+      JsonArrayInfo ai;
+      ai.token_idx = token_idx;
+      ai.elem_begin = static_cast<uint32_t>(self->elems_.size());
+      ++c->p;  // '['
+      c->SkipWs();
+      if (!c->Eof() && c->Peek() == ']') {
+        ++c->p;
+      } else {
+        while (true) {
+          const char *es, *ee;
+          JsonTokenType et;
+          PROTEUS_RETURN_NOT_OK(c->SkipValue(&es, &ee, &et));
+          self->elems_.push_back({static_cast<uint32_t>(es - obj_base),
+                                  static_cast<uint32_t>(ee - obj_base), et});
+          c->SkipWs();
+          if (!c->Eof() && c->Peek() == ',') {
+            ++c->p;
+            continue;
+          }
+          break;
+        }
+        PROTEUS_RETURN_NOT_OK(c->Expect(']'));
+      }
+      ai.elem_count = static_cast<uint32_t>(self->elems_.size()) - ai.elem_begin;
+      self->arrays_.push_back(ai);
+      return Status::OK();
+    }
   };
 
+  // Level 0 of object `o`, whose path sequence is `sorted` ((hash, local
+  // idx), sorted): appended as (hash, global idx) pairs.
+  auto append_level0 = [&](uint64_t o, const std::vector<std::pair<uint64_t, uint32_t>>& sorted) {
+    level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
+    for (const auto& [h, k] : sorted) level0_.emplace_back(h, tok_begin_[o] + k);
+  };
+  auto sorted_pairs = [](const std::vector<uint64_t>& hashes) {
+    std::vector<std::pair<uint64_t, uint32_t>> out;
+    out.reserve(hashes.size());
+    for (uint32_t k = 0; k < hashes.size(); ++k) out.emplace_back(hashes[k], k);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // Objects sharing object 0's path sequence need no Level 0 of their own
+  // while every object does: it is built for them only once one differs
+  // (or at the end, when the fixed-schema mode is off).
+  auto backfill_level0 = [&](uint64_t objects) {
+    const auto sorted = sorted_pairs(first_sequence);
+    for (uint64_t o = 0; o < objects; ++o) append_level0(o, sorted);
+  };
+
+  const uint64_t seed = HashString({});
   const char* p = base;
   while (p < end) {
-    // One object per line.
     const char* line_end = static_cast<const char*>(memchr(p, '\n', end - p));
     if (line_end == nullptr) line_end = end;
     if (line_end == p) {  // blank line
@@ -377,32 +425,32 @@ Status JsonPlugin::BuildIndex() {
     path_hashes.clear();
     Walker w{this, p, &path_hashes};
     JsonCursor c{p, line_end};
-    Status st = w.WalkObject(&c, "");
+    Status st = w.WalkObject(&c, seed);
     if (!st.ok()) {
       return Status::ParseError("object " + std::to_string(obj_offsets_.size() - 1) + " in " +
                                 info_.path + ": " + st.message());
     }
 
-    if (obj_offsets_.size() == 1) {
+    const uint64_t oid = obj_offsets_.size() - 1;
+    if (oid == 0) {
       first_sequence = path_hashes;
+      // Size the flattened tables after object 0.
+      // Size the token table after object 0, within a bound no valid file
+      // exceeds (a field takes at least 5 bytes: `"":0,`).
+      tokens_.reserve(std::min(tokens_.size() * lines, file_.size() / 5));
     } else if (schemas_identical && path_hashes != first_sequence) {
       schemas_identical = false;
+      backfill_level0(oid);
     }
-
-    // Level 0 for this object: sorted (hash, local idx).
-    uint32_t slice_begin = tok_begin_.back();
-    level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
-    for (uint32_t k = 0; k < path_hashes.size(); ++k) {
-      level0_.emplace_back(path_hashes[k], slice_begin + k);
-    }
-    auto l0b = level0_.begin() + level0_begin_.back();
-    std::sort(l0b, level0_.end());
+    if (!schemas_identical) append_level0(oid, sorted_pairs(path_hashes));
 
     p = line_end < end ? line_end + 1 : end;
   }
   num_objects_ = obj_offsets_.size();
   tok_begin_.push_back(static_cast<uint32_t>(tokens_.size()));
-  level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
+  const bool fixed = schemas_identical && num_objects_ > 0 && info_.json.exploit_fixed_schema;
+  if (schemas_identical && !fixed) backfill_level0(num_objects_);
+  if (!fixed) level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
 
   // Release growth slack: the index is immutable from here on.
   tokens_.shrink_to_fit();
@@ -411,16 +459,12 @@ Status JsonPlugin::BuildIndex() {
   level0_.shrink_to_fit();
   obj_offsets_.shrink_to_fit();
 
-  if (schemas_identical && num_objects_ > 0 && info_.json.exploit_fixed_schema) {
-    // Machine-generated data: drop Level 0, lookups become deterministic.
+  if (fixed) {
+    // Machine-generated data: no Level 0, lookups become deterministic.
     fixed_schema_ = true;
     for (uint32_t k = 0; k < first_sequence.size(); ++k) {
       fixed_slots_.emplace(first_sequence[k], k);
     }
-    level0_.clear();
-    level0_.shrink_to_fit();
-    level0_begin_.clear();
-    level0_begin_.shrink_to_fit();
   }
   return Status::OK();
 }
@@ -500,6 +544,60 @@ Result<Value> JsonPlugin::TokenToValue(uint64_t oid, const JsonToken& tok) const
 Result<Value> JsonPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
   PROTEUS_ASSIGN_OR_RETURN(const JsonToken* tok, FindToken(oid, path));
   return TokenToValue(oid, *tok);
+}
+
+Status JsonPlugin::ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                               const TypedRowSink& sink) {
+  const size_t n = paths.size();
+  std::vector<uint64_t> hashes;
+  hashes.reserve(n);
+  for (const FieldPath& p : paths) hashes.push_back(HashString(DottedPath(p)));
+  std::vector<JsonSpan> spans(n);
+  std::vector<TypedCell> cells(n);
+  std::vector<std::string> unescaped(n);  // string cells' bytes
+  uint64_t reads = 0;
+  for (uint64_t oid = range.begin; oid < range.end; ++oid) {
+    LocateFields(oid, hashes.data(), n, spans.data());
+    for (size_t c = 0; c < n; ++c) {
+      const JsonSpan& v = spans[c];
+      TypedCell& cell = cells[c];
+      cell = TypedCell{};
+      if (v.begin == nullptr) continue;  // absent
+      ++reads;
+      switch (v.type) {
+        case JsonTokenType::kNull:
+          break;
+        case JsonTokenType::kBool:
+          cell.kind = TypedCell::Kind::kBool;
+          cell.i = *v.begin == 't' ? 1 : 0;
+          break;
+        case JsonTokenType::kInt: {
+          auto [ptr, ec] = std::from_chars(v.begin, v.end, cell.i);
+          if (ec != std::errc()) return Status::ParseError("bad int token");
+          cell.kind = TypedCell::Kind::kInt;
+          break;
+        }
+        case JsonTokenType::kFloat: {
+          auto [ptr, ec] = std::from_chars(v.begin, v.end, cell.f);
+          if (ec != std::errc()) return Status::ParseError("bad float token");
+          cell.kind = TypedCell::Kind::kFloat;
+          break;
+        }
+        case JsonTokenType::kString:
+          unescaped[c] = UnescapeJsonString(v.begin + 1, v.end - 1);
+          cell.kind = TypedCell::Kind::kString;
+          cell.s = unescaped[c];
+          break;
+        case JsonTokenType::kObject:
+        case JsonTokenType::kArray:
+          return Status::TypeError("field " + DottedPath(paths[c]) + " of object " +
+                                   std::to_string(oid) + " is not a primitive leaf");
+      }
+    }
+    sink(oid, cells.data());
+  }
+  GlobalCounters().raw_field_accesses += reads;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ class JsonPlugin : public InputPlugin {
   Status Open() override;
   uint64_t NumRecords() const override { return num_objects_; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
+  /// Hashes every path once per call, then per object one index lookup and
+  /// one typed conversion per field.
+  Status ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                     const TypedRowSink& sink) override;
+  Status CollectStats(StatsStore* store) override { return CollectStatsByColumns(this, store); }
   Result<std::unique_ptr<UnnestCursor>> UnnestInit(uint64_t oid,
                                                    const FieldPath& path) override;
   double CostPerTuple() const override { return 8.0; }   // verbose format navigation

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/hash.h"
+#include "src/obs/trace.h"
+
 namespace proteus {
 
 std::string DottedPath(const FieldPath& path) {
@@ -126,6 +129,53 @@ void NumericLeafPaths(const Type& rec, FieldPath* prefix, std::vector<FieldPath>
 
 }  // namespace
 
+uint64_t TypedCell::Hash() const {
+  switch (kind) {
+    case Kind::kNull: return Value::Null().Hash();
+    case Kind::kInt: return Value::HashInt(i);
+    case Kind::kFloat: return Value::HashFloat(f);
+    case Kind::kBool: return Value::Boolean(i != 0).Hash();
+    case Kind::kString: return HashString(s);
+  }
+  return 0;
+}
+
+Status InputPlugin::ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                                const TypedRowSink& sink) {
+  std::vector<TypedCell> cells(paths.size());
+  std::vector<Value> values(paths.size());  // keeps string cells' bytes alive
+  for (uint64_t oid = range.begin; oid < range.end; ++oid) {
+    for (size_t c = 0; c < paths.size(); ++c) {
+      TypedCell& cell = cells[c];
+      cell = TypedCell{};
+      auto v = ReadValue(oid, paths[c]);
+      if (!v.ok()) {
+        if (v.status().code() == StatusCode::kNotFound) continue;
+        return v.status();
+      }
+      values[c] = std::move(*v);
+      const Value& val = values[c];
+      if (val.is_int()) {
+        cell.kind = TypedCell::Kind::kInt;
+        cell.i = val.i();
+      } else if (val.is_float()) {
+        cell.kind = TypedCell::Kind::kFloat;
+        cell.f = val.f();
+      } else if (val.is_bool()) {
+        cell.kind = TypedCell::Kind::kBool;
+        cell.i = val.b() ? 1 : 0;
+      } else if (val.is_string()) {
+        cell.kind = TypedCell::Kind::kString;
+        cell.s = val.s();
+      } else if (!val.is_null()) {
+        return Status::TypeError("field " + DottedPath(paths[c]) + " is not a primitive leaf");
+      }
+    }
+    sink(oid, cells.data());
+  }
+  return Status::OK();
+}
+
 Status InputPlugin::CollectStats(StatsStore* store) {
   PROTEUS_RETURN_NOT_OK(Open());
   // Build locally, publish atomically: a concurrent query's optimizer must
@@ -160,6 +210,45 @@ Status InputPlugin::CollectStats(StatsStore* store) {
   }
   ds.valid = true;
   store->Publish(info().name, std::move(ds));
+  return Status::OK();
+}
+
+Status CollectStatsByColumns(InputPlugin* plugin, StatsStore* store) {
+  PROTEUS_RETURN_NOT_OK(plugin->Open());
+  std::vector<FieldPath> paths;
+  FieldPath prefix;
+  NumericLeafPaths(plugin->info().record_type(), &prefix, &paths);
+  struct Acc {
+    bool seen = false;
+    double min = 0;
+    double max = 0;
+    NdvSketch sketch;
+  };
+  std::vector<Acc> acc(paths.size());
+  PROTEUS_RETURN_NOT_OK(plugin->ReadColumns(
+      paths, {0, plugin->NumRecords()}, [&](uint64_t, const TypedCell* cells) {
+        for (size_t c = 0; c < acc.size(); ++c) {
+          const TypedCell& cell = cells[c];
+          if (cell.kind == TypedCell::Kind::kNull) continue;
+          Acc& a = acc[c];
+          const double d = cell.AsFloat();
+          if (!a.seen || d < a.min) a.min = d;
+          if (!a.seen || d > a.max) a.max = d;
+          a.seen = true;
+          a.sketch.Add(cell.Hash());
+        }
+      }));
+  DatasetStats ds;
+  ds.cardinality = plugin->NumRecords();
+  for (size_t c = 0; c < paths.size(); ++c) {
+    ColumnStats& cs = ds.columns[DottedPath(paths[c])];
+    cs.valid = acc[c].seen;
+    cs.min = acc[c].min;
+    cs.max = acc[c].max;
+    cs.ndv = acc[c].sketch.Estimate();
+  }
+  ds.valid = true;
+  store->Publish(plugin->info().name, std::move(ds));
   return Status::OK();
 }
 
@@ -204,19 +293,51 @@ std::vector<ScanRange> SplitByByteOffsets(const std::vector<uint64_t>& starts, u
   return out;
 }
 
-Result<InputPlugin*> PluginRegistry::GetOrOpen(const DatasetInfo& info, StatsStore* stats) {
-  MutexLock lk(mu_);
-  auto it = open_.find(info.name);
-  if (it != open_.end()) return it->second.get();
-  PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<InputPlugin> plugin, CreateInputPlugin(info));
-  PROTEUS_RETURN_NOT_OK(plugin->Open());
-  // Cold access: gather statistics while I/O is warm (paper §5.2).
-  if (stats != nullptr && stats->Find(info.name) == nullptr) {
-    PROTEUS_RETURN_NOT_OK(plugin->CollectStats(stats));
+uint64_t InputPlugin::LayoutFingerprint() const {
+  const DatasetInfo& i = info();
+  uint64_t h = HashString(DataFormatName(i.format));
+  h = HashCombine(h, HashString(i.type->ToString()));
+  if (i.format == DataFormat::kCSV) {
+    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(i.csv.delimiter)));
+    h = HashCombine(h, i.csv.has_header ? 1 : 0);
   }
-  InputPlugin* raw = plugin.get();
-  open_.emplace(info.name, std::move(plugin));
+  return h;
+}
+
+Result<InputPlugin*> PluginRegistry::GetOrOpen(const DatasetInfo& info, StatsStore* stats) {
+  bool layout_changed = false;
+  InputPlugin* raw = nullptr;
+  {
+    MutexLock lk(mu_);
+    auto it = open_.find(info.name);
+    if (it != open_.end()) return it->second.get();
+    PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<InputPlugin> plugin, CreateInputPlugin(info));
+    {
+      OBS_SPAN(trace_, "plugin_open");
+      PROTEUS_RETURN_NOT_OK(plugin->Open());
+    }
+    // Cold access: gather statistics while I/O is warm (paper §5.2).
+    if (stats != nullptr && stats->Find(info.name) == nullptr) {
+      OBS_SPAN(trace_, "collect_stats");
+      PROTEUS_RETURN_NOT_OK(plugin->CollectStats(stats));
+    }
+    const uint64_t layout = plugin->LayoutFingerprint();
+    const auto [prev, first] = layouts_.emplace(info.name, layout);
+    if (!first && prev->second != layout) {
+      prev->second = layout;
+      layout_changed = true;
+    }
+    raw = plugin.get();
+    open_.emplace(info.name, std::move(plugin));
+  }
+  if (layout_changed && on_layout_change_) on_layout_change_(info.name);
   return raw;
+}
+
+Result<uint64_t> PluginRegistry::Layout(const DatasetInfo& info, StatsStore* stats) {
+  PROTEUS_RETURN_NOT_OK(GetOrOpen(info, stats).status());
+  MutexLock lk(mu_);
+  return layouts_.at(info.name);
 }
 
 void PluginRegistry::Evict(const std::string& dataset) {

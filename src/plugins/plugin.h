@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +41,10 @@
 #include "src/common/value.h"
 
 namespace proteus {
+
+namespace obs {
+class TraceRecorder;
+}  // namespace obs
 
 /// A dotted access path into a record, e.g. {"origin", "country"}.
 using FieldPath = std::vector<std::string>;
@@ -62,6 +67,27 @@ struct ScanRange {
   uint64_t end = 0;
   uint64_t size() const { return end - begin; }
 };
+
+/// One field of one record as a typed multi-column read
+/// (InputPlugin::ReadColumns) delivers it: no boxed Value, and a string is a
+/// view valid only during the sink call. kNull covers an empty CSV field, an
+/// absent JSON field and a JSON null, the cells ReadValue reads as null or
+/// NotFound.
+struct TypedCell {
+  enum class Kind : uint8_t { kNull, kInt, kFloat, kBool, kString };
+  Kind kind = Kind::kNull;
+  int64_t i = 0;        ///< kInt (dates too) and kBool (0 or 1)
+  double f = 0;         ///< kFloat
+  std::string_view s;   ///< kString, unescaped
+
+  double AsFloat() const { return kind == Kind::kFloat ? f : static_cast<double>(i); }
+  /// Equals the Hash() of the Value ReadValue returns for this field.
+  uint64_t Hash() const;
+};
+
+/// Receives one record of a typed multi-column read: `cells[c]` is the
+/// c-th requested field of record `oid`.
+using TypedRowSink = std::function<void(uint64_t oid, const TypedCell* cells)>;
 
 /// Reads one leaf of a record being assembled.
 using LeafReader = std::function<Result<Value>(const FieldPath&)>;
@@ -106,8 +132,19 @@ class InputPlugin {
   /// Appends the textual form of a field value to `out` (result flushing).
   virtual Status FlushValue(uint64_t oid, const FieldPath& path, std::string* out);
 
+  /// Reads the leaf fields `paths` of every record in `range`, handing each
+  /// record's cells to `sink` in OID order: the one typed multi-column pass
+  /// behind scan-cache builds and the CSV/JSON statistics. Cells follow
+  /// ReadValue's rules, and each read counts as ReadValue's would. CSV and
+  /// JSON override it with one pass per row that resolves every path once
+  /// per call; this default reads through ReadValue.
+  virtual Status ReadColumns(const std::vector<FieldPath>& paths, ScanRange range,
+                             const TypedRowSink& sink);
+
   /// Collects dataset statistics into `store` (cardinality, min/max per
-  /// numeric leaf). Called on the cold access / by the idle daemon.
+  /// numeric leaf). Called on the cold access / by the idle daemon. This
+  /// default reads every value through ReadValue; CSV and JSON override it
+  /// with CollectStatsByColumns, which must publish the same statistics.
   virtual Status CollectStats(StatsStore* store);
 
   /// Cost formula inputs used by the optimizer (paper: each plug-in provides
@@ -118,6 +155,14 @@ class InputPlugin {
   /// Bytes of auxiliary structural index memory (0 for binary formats).
   virtual size_t StructuralIndexBytes() const { return 0; }
 
+  /// Fingerprint of everything generated code bakes in about this dataset:
+  /// its format, registered type, CSV delimiter and header flag, and (the
+  /// binary formats override this) the file header's column names, types
+  /// and row width. Rows, values and byte offsets are not part of it, so a
+  /// rewrite that keeps the layout keeps the fingerprint. Valid after
+  /// Open(); PluginRegistry computes it once per open.
+  virtual uint64_t LayoutFingerprint() const;
+
   /// Splits [0, NumRecords()) into at most `max_morsels` contiguous ranges
   /// for morsel-driven parallel scans. Raw formats override this to balance
   /// *bytes* per morsel using their structural index (JSON objects and CSV
@@ -127,6 +172,10 @@ class InputPlugin {
   /// the data, never on the worker count. Valid after Open().
   virtual std::vector<ScanRange> Split(uint64_t max_morsels) const;
 };
+
+/// CollectStats through one ReadColumns pass over every numeric leaf of
+/// `plugin`'s record type (opened first).
+Status CollectStatsByColumns(InputPlugin* plugin, StatsStore* store);
 
 /// Even record-count split of [0, n) into at most `max_morsels` contiguous
 /// ranges, the remainder spread over the first ranges. The default
@@ -155,16 +204,36 @@ Result<std::unique_ptr<InputPlugin>> CreateInputPlugin(const DatasetInfo& info);
 /// the submitting thread.
 class PluginRegistry {
  public:
+  /// Called with a dataset's name at the open that first sees its layout
+  /// fingerprint differ from the previous open's.
+  using LayoutChangeFn = std::function<void(const std::string& dataset)>;
+
   /// Returns the opened plug-in for `info.name`, creating it on first use
-  /// (the cold access, where index construction and stats gathering happen).
+  /// (the cold access, where index construction and stats gathering happen,
+  /// traced as the `plugin_open` and `collect_stats` spans).
   Result<InputPlugin*> GetOrOpen(const DatasetInfo& info, StatsStore* stats);
 
-  /// Drops the plug-in (e.g. after an append invalidates its index).
+  /// The open plug-in's LayoutFingerprint(), opening it first if needed.
+  Result<uint64_t> Layout(const DatasetInfo& info, StatsStore* stats);
+
+  /// Drops the plug-in (e.g. after an append invalidates its index). Its
+  /// layout fingerprint is kept, so the next open can tell whether the
+  /// rewritten file kept the layout.
   void Evict(const std::string& dataset);
+
+  /// Setup-time wiring (before the first open): the layout-change callback,
+  /// run after the registry lock is released, and the recorder for the
+  /// cold-access spans (null: untraced).
+  void set_on_layout_change(LayoutChangeFn fn) { on_layout_change_ = std::move(fn); }
+  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
  private:
   Mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<InputPlugin>> open_ GUARDED_BY(mu_);
+  /// Fingerprint of each dataset's latest open; survives Evict.
+  std::unordered_map<std::string, uint64_t> layouts_ GUARDED_BY(mu_);
+  LayoutChangeFn on_layout_change_;
+  obs::TraceRecorder* trace_ = nullptr;
 };
 
 /// Shared default implementation: builds an UnnestCursor over a ValueList.

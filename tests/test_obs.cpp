@@ -419,6 +419,35 @@ TEST(EngineTrace, CompileSplitsIntoItsSteps) {
   EXPECT_LE(steps_ms, t.SumDurationMs("jit_compile"));
 }
 
+TEST(EngineTrace, ColdPluginOpenIsTracedOutsideTheCompile) {
+  // The cold access opens the plug-in (structural index) and collects its
+  // statistics before the cache key is built, so neither span can sit
+  // inside jit_compile, and compile time never bills them.
+  EngineOptions opts;
+  opts.trace = true;
+  opts.morsel_rows = kTestMorselRows;
+  auto engine = MakeEngine(opts);
+  ASSERT_TRUE(engine->Execute(kAggQuery).ok());
+  obs::QueryTrace cold = engine->trace()->Snapshot();
+  ASSERT_EQ(cold.CountSpans("plugin_open"), 1u);
+  ASSERT_EQ(cold.CountSpans("collect_stats"), 1u);
+  ASSERT_EQ(cold.CountSpans("jit_compile"), 1u);
+  for (const obs::TraceEvent& e : cold.events) {
+    if (std::string(e.name) != "plugin_open" && std::string(e.name) != "collect_stats") continue;
+    for (const obs::TraceEvent& c : cold.events) {
+      if (std::string(c.name) != "jit_compile" || c.tid != e.tid) continue;
+      const bool inside = e.ts_us >= c.ts_us && e.ts_us + e.dur_us <= c.ts_us + c.dur_us;
+      EXPECT_FALSE(inside) << e.name << " is a descendant of jit_compile";
+    }
+  }
+
+  // Warm: the plug-in stays open, so neither span recurs.
+  ASSERT_TRUE(engine->Execute(kAggQuery).ok());
+  obs::QueryTrace warm = engine->trace()->Snapshot();
+  EXPECT_FALSE(warm.HasSpan("plugin_open"));
+  EXPECT_FALSE(warm.HasSpan("collect_stats"));
+}
+
 TEST(EngineTrace, InterpreterQueryEmitsInterpMorsels) {
   EngineOptions opts;
   opts.mode = ExecMode::kInterp;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "src/datagen/spam.h"
@@ -12,6 +13,7 @@
 #include "src/storage/bincol_format.h"
 #include "src/storage/binrow_format.h"
 #include "src/storage/text_writers.h"
+#include "tests/engine_test_util.h"
 
 namespace proteus {
 namespace {
@@ -453,6 +455,388 @@ TEST(PathHelpers, DottedRoundTrip) {
   EXPECT_EQ(DottedPath(p), "origin.country");
   EXPECT_EQ(SplitPath("origin.country"), p);
   EXPECT_EQ(SplitPath("plain"), FieldPath{"plain"});
+}
+
+TEST(PluginRegistry, LayoutChangeCallbackFiresAtTheReopenThatSeesIt) {
+  const std::string dir = testing::TempDir() + "/layout_bincol";
+  ASSERT_TRUE(WriteBinaryColumnDir(dir, FlatTable()).ok());
+  const auto info = FlatInfo(DataFormat::kBinaryColumn, dir);
+  PluginRegistry reg;
+  std::vector<std::string> changed;
+  reg.set_on_layout_change([&](const std::string& name) { changed.push_back(name); });
+  auto first = reg.Layout(info, nullptr);
+  ASSERT_TRUE(first.ok());
+
+  // Same header, other rows: same fingerprint, no callback.
+  RowTable more = FlatTable();
+  more.Append({Value::Int(40), Value::Float(3.5), Value::Str("forty")});
+  ASSERT_TRUE(WriteBinaryColumnDir(dir, more).ok());
+  reg.Evict(info.name);
+  auto same = reg.Layout(info, nullptr);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(*same, *first);
+  EXPECT_TRUE(changed.empty());
+
+  // Reordered header: a new fingerprint, reported once, at the reopen.
+  RowTable reordered(Type::Record({{"name", Type::String()},
+                                   {"k", Type::Int64()},
+                                   {"v", Type::Float64()}}));
+  const RowTable flat = FlatTable();
+  for (const auto& row : flat.rows()) reordered.Append({row[2], row[0], row[1]});
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteBinaryColumnDir(dir, reordered).ok());
+  reg.Evict(info.name);
+  EXPECT_TRUE(changed.empty()) << "eviction alone reports nothing";
+  auto moved = reg.Layout(info, nullptr);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_NE(*moved, *first);
+  EXPECT_EQ(changed, std::vector<std::string>{info.name});
+  ASSERT_TRUE(reg.Layout(info, nullptr).ok());
+  EXPECT_EQ(changed.size(), 1u) << "an open plug-in is not reopened";
+}
+
+// ---------------------------------------------------------------------------
+// JSON literals
+// ---------------------------------------------------------------------------
+
+TEST(JsonPluginEdge, BadLiteralsFailOpenNamingTheObject) {
+  const std::string path = testing::TempDir() + "/bad_literal.json";
+  for (const char* bad : {"tru3", "nulx", "fals3", "trux", "nul", "fa"}) {
+    for (const char* shape : {"{\"a\":2,\"b\":%s}", "{\"a\":2,\"c\":[1,%s]}",
+                              "{\"a\":2,\"n\":{\"x\":%s}}"}) {
+      char line[128];
+      std::snprintf(line, sizeof(line), shape, bad);
+      {
+        std::ofstream f(path, std::ios::trunc);
+        f << "{\"a\":1,\"b\":true}\n" << line << "\n";
+      }
+      DatasetInfo info;
+      info.name = "bad";
+      info.format = DataFormat::kJSON;
+      info.path = path;
+      info.type = Type::BagOfRecords({{"a", Type::Int64()}, {"b", Type::Bool()}});
+      JsonPlugin p(info);
+      const Status st = p.Open();
+      EXPECT_EQ(st.code(), StatusCode::kParseError) << line << ": " << st.ToString();
+      EXPECT_NE(st.message().find("object 1"), std::string::npos) << line << ": " << st.ToString();
+    }
+  }
+}
+
+TEST(JsonPluginEdge, LiteralsAtTheEndOfALine) {
+  const std::string path = testing::TempDir() + "/end_literal.json";
+  {
+    std::ofstream f(path, std::ios::trunc);
+    // The last line has no newline: its literal ends the file.
+    f << "{\"a\":1,\"b\":true}\n{\"a\":2,\"b\":false}\n{\"a\":3,\"c\":[false,true,null]}\n"
+         "{\"a\":4,\"b\":null}";
+  }
+  DatasetInfo info;
+  info.name = "end";
+  info.format = DataFormat::kJSON;
+  info.path = path;
+  info.type = Type::BagOfRecords({{"a", Type::Int64()},
+                                  {"b", Type::Bool()},
+                                  {"c", Type::Collection(CollectionKind::kList, Type::Bool())}});
+  JsonPlugin p(info);
+  ASSERT_TRUE(p.Open().ok());
+  ASSERT_EQ(p.NumRecords(), 4u);
+  EXPECT_TRUE(p.ReadValue(0, {"b"})->b());
+  EXPECT_FALSE(p.ReadValue(1, {"b"})->b());
+  EXPECT_TRUE(p.ReadValue(3, {"b"})->is_null());
+  EXPECT_EQ(p.ReadValue(3, {"a"})->i(), 4);
+  auto c = p.ReadValue(2, {"c"});
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(c->list().size(), 3u);
+  EXPECT_TRUE(c->list()[2].is_null());
+}
+
+// ---------------------------------------------------------------------------
+// Typed multi-column reads: the same cells, counts and statistics as
+// ReadValue and the generic InputPlugin::CollectStats
+// ---------------------------------------------------------------------------
+
+/// Every primitive leaf path of `rec` (nested records walked, collections
+/// not), in schema order.
+void LeafPaths(const Type& rec, FieldPath* prefix, std::vector<FieldPath>* out) {
+  for (const auto& f : rec.fields()) {
+    prefix->push_back(f.name);
+    if (f.type->kind() == TypeKind::kRecord) {
+      LeafPaths(*f.type, prefix, out);
+    } else if (f.type->is_primitive()) {
+      out->push_back(*prefix);
+    }
+    prefix->pop_back();
+  }
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+/// ReadColumns over every leaf equals ReadValue cell by cell, with the same
+/// raw_field_accesses count; the typed CollectStats equals the generic one.
+void ExpectTypedReadsMatch(const DatasetInfo& info) {
+  SCOPED_TRACE(info.name + " (" + info.path + ")");
+  auto made = CreateInputPlugin(info);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  InputPlugin* p = made->get();
+  ASSERT_TRUE(p->Open().ok());
+  std::vector<FieldPath> paths;
+  FieldPath prefix;
+  LeafPaths(info.record_type(), &prefix, &paths);
+  paths.push_back({"no_such_field"});
+
+  // String views die with the sink call: their bytes and hashes are kept.
+  std::vector<std::vector<TypedCell>> rows;
+  std::vector<std::vector<std::string>> strs;
+  std::vector<std::vector<uint64_t>> hashes;
+  const uint64_t before = GlobalCounters().raw_field_accesses;
+  const Status st = p->ReadColumns(paths, {0, p->NumRecords()},
+                                   [&](uint64_t oid, const TypedCell* cells) {
+                                     EXPECT_EQ(oid, rows.size());
+                                     rows.emplace_back(cells, cells + paths.size());
+                                     strs.emplace_back();
+                                     hashes.emplace_back();
+                                     for (size_t c = 0; c < paths.size(); ++c) {
+                                       strs.back().emplace_back(cells[c].s);
+                                       hashes.back().push_back(cells[c].Hash());
+                                     }
+                                   });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const uint64_t typed_reads = GlobalCounters().raw_field_accesses - before;
+  ASSERT_EQ(rows.size(), p->NumRecords());
+
+  const uint64_t before_values = GlobalCounters().raw_field_accesses;
+  for (uint64_t oid = 0; oid < p->NumRecords(); ++oid) {
+    for (size_t c = 0; c < paths.size(); ++c) {
+      const TypedCell& cell = rows[oid][c];
+      const std::string where = "oid " + std::to_string(oid) + " " + DottedPath(paths[c]);
+      auto v = p->ReadValue(oid, paths[c]);
+      if (!v.ok()) {
+        ASSERT_EQ(v.status().code(), StatusCode::kNotFound) << where;
+        EXPECT_EQ(cell.kind, TypedCell::Kind::kNull) << where;
+        continue;
+      }
+      switch (cell.kind) {
+        case TypedCell::Kind::kNull: EXPECT_TRUE(v->is_null()) << where; break;
+        case TypedCell::Kind::kInt:
+          ASSERT_TRUE(v->is_int()) << where;
+          EXPECT_EQ(cell.i, v->i()) << where;
+          break;
+        case TypedCell::Kind::kFloat:
+          ASSERT_TRUE(v->is_float()) << where;
+          EXPECT_EQ(Bits(cell.f), Bits(v->f())) << where;
+          break;
+        case TypedCell::Kind::kBool:
+          ASSERT_TRUE(v->is_bool()) << where;
+          EXPECT_EQ(cell.i != 0, v->b()) << where;
+          break;
+        case TypedCell::Kind::kString:
+          ASSERT_TRUE(v->is_string()) << where;
+          EXPECT_EQ(strs[oid][c], v->s()) << where;
+          break;
+      }
+      if (cell.kind != TypedCell::Kind::kNull) EXPECT_EQ(hashes[oid][c], v->Hash()) << where;
+    }
+  }
+  EXPECT_EQ(typed_reads, GlobalCounters().raw_field_accesses - before_values)
+      << "a typed read counts as ReadValue's would";
+
+  StatsStore typed;
+  StatsStore generic;
+  ASSERT_TRUE(p->CollectStats(&typed).ok());
+  ASSERT_TRUE(p->InputPlugin::CollectStats(&generic).ok());
+  const auto a = typed.Find(info.name);
+  const auto b = generic.Find(info.name);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->cardinality, b->cardinality);
+  ASSERT_EQ(a->columns.size(), b->columns.size());
+  for (const auto& [name, cs] : b->columns) {
+    ASSERT_EQ(a->columns.count(name), 1u) << name;
+    const ColumnStats& got = a->columns.at(name);
+    EXPECT_EQ(got.valid, cs.valid) << name;
+    EXPECT_EQ(Bits(got.min), Bits(cs.min)) << name;
+    EXPECT_EQ(Bits(got.max), Bits(cs.max)) << name;
+    EXPECT_EQ(got.ndv, cs.ndv) << name;
+  }
+}
+
+DatasetInfo Info(const std::string& name, DataFormat format, const std::string& path,
+                 TypePtr type) {
+  DatasetInfo info;
+  info.name = name;
+  info.format = format;
+  info.path = path;
+  info.type = std::move(type);
+  return info;
+}
+
+/// Every dataset of the engine test corpus and the skewed join corpora.
+std::vector<DatasetInfo> TestCorpus() {
+  const testutil::Corpus& c = testutil::Corpus::Get();
+  const std::string skew = testutil::SkewCorpus::Get().dir;
+  using datagen::LineitemSchema;
+  using datagen::OrdersSchema;
+  return {
+      Info("lineitem_bincol", DataFormat::kBinaryColumn, c.dir + "/lineitem.bincol",
+           LineitemSchema()),
+      Info("orders_bincol", DataFormat::kBinaryColumn, c.dir + "/orders.bincol", OrdersSchema()),
+      Info("lineitem_binrow", DataFormat::kBinaryRow, c.dir + "/lineitem.binrow",
+           LineitemSchema()),
+      Info("lineitem_csv", DataFormat::kCSV, c.dir + "/lineitem.csv", LineitemSchema()),
+      Info("orders_csv", DataFormat::kCSV, c.dir + "/orders.csv", OrdersSchema()),
+      Info("lineitem_json", DataFormat::kJSON, c.dir + "/lineitem.json", LineitemSchema()),
+      Info("lineitem_json_shuffled", DataFormat::kJSON, c.dir + "/lineitem_shuffled.json",
+           LineitemSchema()),
+      Info("orders_json", DataFormat::kJSON, c.dir + "/orders.json", OrdersSchema()),
+      Info("orders_denorm", DataFormat::kJSON, c.dir + "/denorm.json",
+           datagen::OrdersDenormSchema()),
+      Info("spam", DataFormat::kJSON, c.dir + "/spam.json", datagen::SpamJSONSchema()),
+      Info("zipf_orders", DataFormat::kJSON, skew + "/zipf_orders.json", OrdersSchema()),
+      Info("heavy_orders", DataFormat::kJSON, skew + "/heavy_orders.json", OrdersSchema()),
+      Info("nullkey_orders", DataFormat::kJSON, skew + "/nullkey_orders.json", OrdersSchema()),
+      Info("skew_lineitem", DataFormat::kJSON, skew + "/skew_lineitem.json", LineitemSchema()),
+  };
+}
+
+/// The raw files of the benchmark corpus, generated as it generates them
+/// (same generators, field-shuffled JSON), at a small scale.
+std::vector<DatasetInfo> BenchmarkCorpus() {
+  const std::string dir = testing::TempDir() + "/typed_bench_corpus";
+  std::filesystem::create_directories(dir);
+  const RowTable lineitem = datagen::GenLineitem(120, 1001);
+  const RowTable orders = datagen::GenOrders(120, 1002);
+  JSONWriteOptions shuffled;
+  shuffled.shuffle_field_order = true;
+  EXPECT_TRUE(WriteJSONFile(dir + "/lineitem.json", lineitem, shuffled).ok());
+  EXPECT_TRUE(WriteCSVFile(dir + "/lineitem.csv", lineitem).ok());
+  EXPECT_TRUE(WriteJSONFile(dir + "/orders.json", orders, shuffled).ok());
+  EXPECT_TRUE(WriteJSONFile(dir + "/denorm.json", datagen::Denormalize(orders, lineitem)).ok());
+  EXPECT_TRUE(
+      WriteJSONFile(dir + "/spam_pool.json", datagen::GenSpamJSON(300, 1003), shuffled).ok());
+  EXPECT_TRUE(WriteCSVFile(dir + "/spam_pool.csv", datagen::GenSpamCSV(300, 1004)).ok());
+  return {
+      Info("b_lineitem_json", DataFormat::kJSON, dir + "/lineitem.json",
+           datagen::LineitemSchema()),
+      Info("b_lineitem_csv", DataFormat::kCSV, dir + "/lineitem.csv", datagen::LineitemSchema()),
+      Info("b_orders_json", DataFormat::kJSON, dir + "/orders.json", datagen::OrdersSchema()),
+      Info("b_denorm", DataFormat::kJSON, dir + "/denorm.json", datagen::OrdersDenormSchema()),
+      Info("b_spam_json", DataFormat::kJSON, dir + "/spam_pool.json", datagen::SpamJSONSchema()),
+      Info("b_spam_csv", DataFormat::kCSV, dir + "/spam_pool.csv", datagen::SpamCSVSchema()),
+  };
+}
+
+/// Hand-written edge cases: absent fields, JSON nulls, a null record, nested
+/// numeric leaves, empty CSV fields, -0.0, int-valued floats and int tokens
+/// in float fields.
+std::vector<DatasetInfo> EdgeCorpus() {
+  const std::string dir = testing::TempDir();
+  {
+    std::ofstream f(dir + "/typed_edge.json", std::ios::trunc);
+    f << "{\"k\":1,\"v\":-0.0,\"n\":{\"x\":2.0,\"y\":3},\"tag\":\"a\",\"ok\":true}\n"
+         "{\"k\":2,\"v\":0.0,\"n\":{\"x\":-0.0},\"tag\":null}\n"
+         "{\"v\":2,\"n\":null,\"ok\":false}\n"
+         "{\"k\":null,\"v\":null,\"n\":{\"y\":-5,\"x\":1e3}}\n"
+         "{\"tag\":\"b\\\"q\\\\n\",\"n\":{\"x\":3,\"y\":null},\"v\":2.5,\"k\":-4}\n";
+  }
+  {
+    std::ofstream f(dir + "/typed_edge.csv", std::ios::trunc);
+    f << "1,-0.0,true,x,7\n,2.0,,,\n3,,1,y,0\n-4,0.0,false,,-2\n5,2,0,z,\n";
+  }
+  return {
+      Info("edge_json", DataFormat::kJSON, dir + "/typed_edge.json",
+           Type::BagOfRecords(
+               {{"k", Type::Int64()},
+                {"v", Type::Float64()},
+                {"n", Type::Record({{"x", Type::Float64()}, {"y", Type::Int64()}})},
+                {"tag", Type::String()},
+                {"ok", Type::Bool()}})),
+      Info("edge_csv", DataFormat::kCSV, dir + "/typed_edge.csv",
+           Type::BagOfRecords({{"k", Type::Int64()},
+                               {"v", Type::Float64()},
+                               {"b", Type::Bool()},
+                               {"s", Type::String()},
+                               {"d", Type::Date()}})),
+  };
+}
+
+TEST(TypedReads, MatchReadValueAndGenericStatsOnTheTestCorpus) {
+  for (const DatasetInfo& info : TestCorpus()) ExpectTypedReadsMatch(info);
+}
+
+TEST(TypedReads, MatchReadValueAndGenericStatsOnTheBenchmarkCorpus) {
+  for (const DatasetInfo& info : BenchmarkCorpus()) ExpectTypedReadsMatch(info);
+}
+
+TEST(TypedReads, MatchReadValueAndGenericStatsOnEdgeCases) {
+  for (const DatasetInfo& info : EdgeCorpus()) ExpectTypedReadsMatch(info);
+}
+
+// ---------------------------------------------------------------------------
+// The one-walk JSON index reads every path as a whole-object parse does
+// ---------------------------------------------------------------------------
+
+/// Visits every path of the parsed record `rec`: nested records are walked
+/// (their own path visited too), arrays and primitives are leaves.
+void VisitPaths(const Value& rec, FieldPath* prefix,
+                const std::function<void(const FieldPath&, const Value&)>& visit) {
+  const RecordValue& r = rec.record();
+  for (size_t i = 0; i < r.names.size(); ++i) {
+    prefix->push_back(r.names[i]);
+    visit(*prefix, r.values[i]);
+    if (r.values[i].is_record()) VisitPaths(r.values[i], prefix, visit);
+    prefix->pop_back();
+  }
+}
+
+TEST(JsonIndex, EveryPathOfEveryObjectReadsAsTheParsedObject) {
+  std::vector<DatasetInfo> all = TestCorpus();
+  for (const DatasetInfo& info : BenchmarkCorpus()) all.push_back(info);
+  for (const DatasetInfo& info : EdgeCorpus()) all.push_back(info);
+  for (const DatasetInfo& info : all) {
+    if (info.format != DataFormat::kJSON) continue;
+    SCOPED_TRACE(info.name);
+    for (bool fixed : {true, false}) {
+      DatasetInfo variant = info;
+      variant.json.exploit_fixed_schema = fixed;
+      JsonPlugin p(variant);
+      ASSERT_TRUE(p.Open().ok());
+      uint64_t reads = 0;
+      const uint64_t before = GlobalCounters().raw_field_accesses;
+      for (uint64_t oid = 0; oid < p.NumRecords(); ++oid) {
+        const char* b = p.ObjectBase(oid);
+        const char* e = static_cast<const char*>(
+            std::memchr(b, '\n', p.file().data() + p.file().size() - b));
+        if (e == nullptr) e = p.file().data() + p.file().size();
+        auto parsed = ParseJsonValue(b, e);
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        FieldPath prefix;
+        VisitPaths(*parsed, &prefix, [&](const FieldPath& path, const Value& want) {
+          auto got = p.ReadValue(oid, path);
+          ++reads;
+          ASSERT_TRUE(got.ok()) << oid << " " << DottedPath(path);
+          EXPECT_TRUE(got->Equals(want)) << oid << " " << DottedPath(path) << ": "
+                                         << got->ToString() << " vs " << want.ToString();
+          if (!want.is_list()) return;
+          auto cursor = p.UnnestInit(oid, path);
+          ASSERT_TRUE(cursor.ok());
+          for (const Value& elem : want.list()) {
+            ASSERT_TRUE((*cursor)->HasNext());
+            ++reads;
+            EXPECT_TRUE((*cursor)->GetNext()->Equals(elem)) << oid << " " << DottedPath(path);
+          }
+          EXPECT_FALSE((*cursor)->HasNext());
+        });
+        EXPECT_EQ(p.ReadValue(oid, {"no_such_field"}).status().code(), StatusCode::kNotFound);
+      }
+      EXPECT_EQ(GlobalCounters().raw_field_accesses - before, reads)
+          << "one raw access per value read, none per miss";
+    }
+  }
 }
 
 }  // namespace

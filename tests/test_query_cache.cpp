@@ -3,16 +3,19 @@
 // hit; structurally different plans must miss), shape keying (plans that
 // differ only in literal values share one module, which binds each run's
 // own literals; a literal of another kind, or one that changes the
-// optimized plan, gets its own module), per-dataset invalidation
-// (invalidating a dataset retires exactly the modules of plans that read
-// it; unrelated modules stay hot), caching-manager mutation, shard sharing
-// (N shards -> exactly one compile), and cell-identity of cached vs freshly
-// compiled executions across num_threads and num_shards in {1, 2, 4}.
+// optimized plan, gets its own module), layout keying (a dataset rewritten
+// with the same layout, or a scan cache rebuilt with the same columns,
+// reuses its modules; a changed layout recompiles and erases exactly the
+// modules that read it), shard sharing (N shards -> exactly one compile),
+// and cell-identity of cached vs freshly compiled executions across
+// num_threads and num_shards in {1, 2, 4}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "src/engine/partial_sink.h"
@@ -28,7 +31,7 @@ namespace {
 // shard count in {1, 2, 4} to actually fan out.
 constexpr uint64_t kMorselRows = 16;
 
-jit::QueryCacheKey Key(const std::string& sig, std::vector<std::string> datasets = {}) {
+jit::QueryCacheKey Key(const std::string& sig, std::vector<jit::DatasetLayout> datasets = {}) {
   return jit::QueryCacheKey{sig, /*join_strategies=*/"", std::move(datasets)};
 }
 
@@ -80,27 +83,27 @@ TEST(CompiledQueryCacheUnit, HitMissAndLruEviction) {
   EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(CompiledQueryCacheUnit, DatasetVersionsPartitionTheKeySpace) {
+TEST(CompiledQueryCacheUnit, DatasetLayoutsPartitionTheKeySpace) {
   jit::CompiledQueryCache cache(8);
   std::atomic<int> compiles{0};
   bool hit = false;
-  // Same signature, three distinct keys: version 0, version 1, and a second
-  // dataset read alongside version 0.
-  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@0"}), DummyCompile(&compiles), &hit).ok());
-  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@1"}), DummyCompile(&compiles), &hit).ok());
-  ASSERT_TRUE(
-      cache.GetOrCompile(Key("s", {"d@0", "e@0"}), DummyCompile(&compiles), &hit).ok());
+  // Same signature, three distinct keys: layout 0, layout 1, and a second
+  // dataset read alongside layout 0.
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {{"d", 0}}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {{"d", 1}}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {{"d", 0}, {"e", 0}}), DummyCompile(&compiles), &hit)
+                  .ok());
   EXPECT_EQ(compiles.load(), 3);
   EXPECT_EQ(cache.size(), 3u);
-  ASSERT_TRUE(cache.GetOrCompile(Key("s", {"d@1"}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(cache.GetOrCompile(Key("s", {{"d", 1}}), DummyCompile(&compiles), &hit).ok());
   EXPECT_TRUE(hit);
 }
 
 TEST(CompiledQueryCacheUnit, KeyReadsMatchesWholeDatasetNames) {
-  const jit::QueryCacheKey k = Key("s", {"a@b@3", "lineitem@12", "orders@0"});
+  const jit::QueryCacheKey k = Key("s", {{"a@b", 3}, {"lineitem", 12}, {"orders", 0}});
   EXPECT_TRUE(k.Reads("lineitem"));
   EXPECT_TRUE(k.Reads("orders"));
-  EXPECT_TRUE(k.Reads("a@b")) << "a name may contain '@'; the version is after the last";
+  EXPECT_TRUE(k.Reads("a@b"));
   EXPECT_FALSE(k.Reads("a"));
   EXPECT_FALSE(k.Reads("line"));
   EXPECT_FALSE(k.Reads("lineitem@12"));
@@ -109,25 +112,26 @@ TEST(CompiledQueryCacheUnit, KeyReadsMatchesWholeDatasetNames) {
 }
 
 // EraseReading drops exactly the ready entries whose key reads the dataset
-// (at any version) and leaves an in-flight compile of such a key alone.
+// (in any layout) and leaves an in-flight compile of such a key alone.
 TEST(CompiledQueryCacheUnit, EraseReadingDropsExactlyTheReaders) {
   jit::CompiledQueryCache cache(8);
   std::atomic<int> compiles{0};
   bool hit = false;
-  for (const auto& k : {Key("scan_a", {"a@0"}), Key("scan_a", {"a@1"}),
-                        Key("join_ab", {"a@1", "b@0"}), Key("scan_b", {"b@0"}),
-                        Key("scan_ab", {"ab@0"}), Key("no_scan")}) {
+  for (const auto& k : {Key("scan_a", {{"a", 0}}), Key("scan_a", {{"a", 1}}),
+                        Key("join_ab", {{"a", 1}, {"b", 0}}), Key("scan_b", {{"b", 0}}),
+                        Key("scan_ab", {{"ab", 0}}), Key("no_scan")}) {
     ASSERT_TRUE(cache.GetOrCompile(k, DummyCompile(&compiles), &hit).ok());
   }
   ASSERT_EQ(cache.size(), 6u);
   EXPECT_EQ(cache.EraseReading("a"), 3u);
   EXPECT_EQ(cache.size(), 3u);
-  for (const auto& k : {Key("scan_b", {"b@0"}), Key("scan_ab", {"ab@0"}), Key("no_scan")}) {
+  for (const auto& k : {Key("scan_b", {{"b", 0}}), Key("scan_ab", {{"ab", 0}}), Key("no_scan")}) {
     ASSERT_TRUE(cache.GetOrCompile(k, DummyCompile(&compiles), &hit).ok());
     EXPECT_TRUE(hit) << k.signature << " does not read dataset a and must stay cached";
   }
-  ASSERT_TRUE(cache.GetOrCompile(Key("join_ab", {"a@1", "b@0"}), DummyCompile(&compiles), &hit)
-                  .ok());
+  ASSERT_TRUE(
+      cache.GetOrCompile(Key("join_ab", {{"a", 1}, {"b", 0}}), DummyCompile(&compiles), &hit)
+          .ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.EraseReading("missing"), 0u);
   EXPECT_EQ(cache.size(), 4u);
@@ -139,7 +143,7 @@ TEST(CompiledQueryCacheUnit, EraseReadingDropsExactlyTheReaders) {
   std::thread compiler([&] {
     bool h = false;
     auto r = cache.GetOrCompile(
-        Key("scan_b2", {"b@0"}),
+        Key("scan_b2", {{"b", 0}}),
         [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
           started = true;
           while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -153,7 +157,8 @@ TEST(CompiledQueryCacheUnit, EraseReadingDropsExactlyTheReaders) {
   release = true;
   compiler.join();
   EXPECT_EQ(cache.size(), 3u);
-  ASSERT_TRUE(cache.GetOrCompile(Key("scan_b2", {"b@0"}), DummyCompile(&compiles), &hit).ok());
+  ASSERT_TRUE(
+      cache.GetOrCompile(Key("scan_b2", {{"b", 0}}), DummyCompile(&compiles), &hit).ok());
   EXPECT_TRUE(hit);
 }
 
@@ -384,10 +389,11 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
   }
 }
 
-// Per-dataset invalidation: a module retires when, and only when, a dataset
-// its plan reads is invalidated. Registering or invalidating any other
-// dataset leaves it hot.
-TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
+// Layout keying: invalidating a dataset drops its plug-in, stats and scan
+// caches, but the file it reopens has the same layout, so every module —
+// over that dataset or any other — stays hot. Registering a dataset changes
+// nothing either.
+TEST(QueryCacheEngine, InvalidationKeepsModulesOfAnUnchangedLayout) {
   QueryEngine engine = MakeEngine();
   QueryTelemetry tel;
   testutil::RegisterAll(&engine);
@@ -396,7 +402,6 @@ TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   ASSERT_TRUE(tel.jit_cache_hit);
   ASSERT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
-  // Registering a dataset the plan does not read changes nothing it baked.
   DatasetInfo extra;
   extra.name = "spam_extra";
   extra.format = DataFormat::kJSON;
@@ -407,59 +412,61 @@ TEST(QueryCacheEngine, InvalidationRetiresOnlyModulesThatReadTheDataset) {
   EXPECT_TRUE(tel.jit_cache_hit) << "unrelated registration must not invalidate";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
-  // Invalidating a dataset the plan does not read: still hot, same cells.
   engine.InvalidateDataset("orders_bincol");
   QueryResult unrelated = MustRun(&engine, kAggQuery, &tel);
   EXPECT_TRUE(tel.jit_cache_hit) << "unrelated invalidation must not invalidate";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
   ExpectIdentical(before, unrelated, "served warm across an unrelated invalidation");
 
-  // Invalidating the dataset it reads (drop-and-rebuild update story): the
-  // plug-in is evicted, so data pointers and structural indexes change and
-  // the module must recompile against the reopened data.
+  // The dataset it reads: the plug-in reopens (new data pointers, bound per
+  // run), the layout is the same, so the module serves the reopened data.
   engine.InvalidateDataset("lineitem_bincol");
   QueryResult reloaded = MustRun(&engine, kAggQuery, &tel);
-  EXPECT_FALSE(tel.jit_cache_hit) << "dataset invalidation must invalidate";
-  EXPECT_GT(tel.compile_ms, 0.0);
-  EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
-  ExpectIdentical(before, reloaded, "recompiled after dataset invalidation");
-  MustRun(&engine, kAggQuery, &tel);
-  EXPECT_TRUE(tel.jit_cache_hit) << "the recompiled module serves warm again";
+  EXPECT_TRUE(tel.jit_cache_hit) << "same layout: the module must be reused";
+  EXPECT_EQ(tel.compile_ms, 0.0);
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
+  ExpectIdentical(before, reloaded, "served warm after reopening its dataset");
 }
 
-// The key names the current version of every dataset the plan's leaves read
-// (Scan and CacheScan alike, each once). Erasing on invalidation is not
-// enough on its own: a module compiled against the old version — say by a
-// background compile that lands after the invalidation — is published under
-// the old version's key, which no later lookup computes.
-TEST(QueryCacheEngine, KeyCarriesVersionOfEveryScannedDataset) {
+// The key names the layout fingerprint of every dataset the plan's leaves
+// read (Scan and CacheScan alike, each once), read off the open plug-in.
+// Reopening a file with the same layout yields the same key.
+TEST(QueryCacheEngine, KeyCarriesLayoutOfEveryScannedDataset) {
   QueryEngine engine = MakeEngine();
   testutil::RegisterAll(&engine);
   ExecContext ctx;
   ctx.catalog = &engine.catalog();
+  ctx.plugins = &engine.plugins();
   const OpPtr plan = Operator::Join(
       Operator::Scan("orders_bincol", "o"),
       Operator::Join(Operator::Scan("lineitem_bincol", "l"),
                      Operator::CacheScan(7, "c", "scan(lineitem_bincol as c)", "lineitem_bincol"),
                      Expr::Bool(true)),
       Expr::Bool(true));
-  const jit::QueryCacheKey before = jit::MakeQueryCacheKey(ctx, plan);
-  EXPECT_EQ(before.datasets,
-            (std::vector<std::string>{"lineitem_bincol@0", "orders_bincol@0"}));
+  const auto before = jit::MakeQueryCacheKey(ctx, plan);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->datasets.size(), 2u);
+  EXPECT_EQ(before->datasets[0].name, "lineitem_bincol");
+  EXPECT_EQ(before->datasets[1].name, "orders_bincol");
+  for (const jit::DatasetLayout& d : before->datasets) {
+    auto plugin = engine.plugins().GetOrOpen(**engine.catalog().Get(d.name), nullptr);
+    ASSERT_TRUE(plugin.ok());
+    EXPECT_EQ(d.fingerprint, (*plugin)->LayoutFingerprint()) << d.name;
+  }
+  EXPECT_NE(before->datasets[0].fingerprint, before->datasets[1].fingerprint)
+      << "different column headers are different layouts";
 
   engine.InvalidateDataset("spam");
-  EXPECT_TRUE(jit::MakeQueryCacheKey(ctx, plan) == before) << "spam is not read";
-
   engine.InvalidateDataset("orders_bincol");
   engine.InvalidateDataset("orders_bincol");
-  const jit::QueryCacheKey after = jit::MakeQueryCacheKey(ctx, plan);
-  EXPECT_EQ(after.datasets,
-            (std::vector<std::string>{"lineitem_bincol@0", "orders_bincol@2"}));
-  EXPECT_FALSE(after == before);
+  const auto after = jit::MakeQueryCacheKey(ctx, plan);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(*after == *before) << "the reopened file has the same layout";
 }
 
-// A join retires when either of its inputs is invalidated.
-TEST(QueryCacheEngine, JoinRetiresWhenEitherInputIsInvalidated) {
+// A join stays hot when either of its inputs is invalidated and reopens
+// with the same layout.
+TEST(QueryCacheEngine, JoinStaysHotWhenEitherInputIsInvalidated) {
   QueryEngine engine = MakeEngine();
   QueryTelemetry tel;
   testutil::RegisterAll(&engine);
@@ -467,55 +474,151 @@ TEST(QueryCacheEngine, JoinRetiresWhenEitherInputIsInvalidated) {
   MustRun(&engine, kJoinQuery, &tel);
   ASSERT_TRUE(tel.jit_cache_hit);
 
-  uint64_t compiles = engine.jit_cache()->stats().compiles;
+  const uint64_t compiles = engine.jit_cache()->stats().compiles;
   for (const char* input : {"orders_bincol", "lineitem_bincol"}) {
     engine.InvalidateDataset(input);
     QueryResult after = MustRun(&engine, kJoinQuery, &tel);
-    EXPECT_FALSE(tel.jit_cache_hit) << "invalidated join input " << input;
-    EXPECT_EQ(engine.jit_cache()->stats().compiles, ++compiles) << input;
-    ExpectIdentical(before, after, std::string("recompiled after invalidating ") + input);
-    MustRun(&engine, kJoinQuery, &tel);
-    EXPECT_TRUE(tel.jit_cache_hit) << input;
+    EXPECT_TRUE(tel.jit_cache_hit) << "invalidated join input " << input;
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles) << input;
+    ExpectIdentical(before, after, std::string("served warm after invalidating ") + input);
   }
-  engine.InvalidateDataset("lineitem_json");
-  MustRun(&engine, kJoinQuery, &tel);
-  EXPECT_TRUE(tel.jit_cache_hit) << "neither join input was invalidated";
 }
 
-// InvalidateDataset erases the dead modules right away: the cache shrinks by
-// exactly the entries whose plans read the dataset.
-TEST(QueryCacheEngine, InvalidateDatasetErasesExactlyItsReaders) {
+/// Writes `table` as a bincol directory with its columns in `order` (indices
+/// into the table's schema), each column retyped to `types[j]` when given.
+void WriteReorderedBinCol(const std::string& dir, const RowTable& table,
+                          const std::vector<size_t>& order,
+                          const std::map<std::string, TypePtr>& retype = {}) {
+  std::vector<Field> fields;
+  for (size_t j : order) {
+    Field f = table.record_type()->fields()[j];
+    auto it = retype.find(f.name);
+    if (it != retype.end()) f.type = it->second;
+    fields.push_back(f);
+  }
+  RowTable out(Type::Record(fields));
+  for (const auto& row : table.rows()) {
+    std::vector<Value> r;
+    for (size_t j : order) {
+      const Value& v = row[j];
+      auto it = retype.find(table.record_type()->fields()[j].name);
+      r.push_back(it == retype.end() ? v : Value::Int(static_cast<int64_t>(v.s().size())));
+    }
+    out.Append(std::move(r));
+  }
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteBinaryColumnDir(dir, out).ok());
+}
+
+/// A copy of the corpus lineitem as bincol under `name`, in a directory of
+/// its own that the test may rewrite.
+std::string RegisterLineitemCopy(QueryEngine* engine, const std::string& name) {
+  const std::string dir = testutil::Corpus::Get().dir + "/" + name + ".bincol";
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(WriteBinaryColumnDir(dir, testutil::Corpus::Get().lineitem).ok());
+  DatasetInfo info;
+  info.name = name;
+  info.format = DataFormat::kBinaryColumn;
+  info.path = dir;
+  info.type = datagen::LineitemSchema();
+  EXPECT_TRUE(engine->RegisterDataset(info).ok());
+  return dir;
+}
+
+// A changed layout recompiles, and the reopen that first sees it erases
+// exactly the modules whose plans read the dataset; invalidation alone
+// erases nothing.
+TEST(QueryCacheEngine, LayoutChangeErasesExactlyItsReaders) {
   QueryEngine engine = MakeEngine();
   QueryTelemetry tel;
   testutil::RegisterAll(&engine);
-  // kAggQuery and kJoinQuery read lineitem_bincol; kGroupQuery and
-  // kUnnestQuery do not.
-  for (const char* q : {kAggQuery, kGroupQuery, kJoinQuery, kUnnestQuery}) MustRun(&engine, q);
+  const std::string dir = RegisterLineitemCopy(&engine, "li_copy");
+  const std::string agg =
+      "SELECT count(*), sum(l_extendedprice), max(l_quantity) FROM li_copy "
+      "WHERE l_orderkey < 30";
+  const std::string join =
+      "SELECT count(*), max(o.o_totalprice) FROM orders_bincol o JOIN li_copy l "
+      "ON o.o_orderkey = l.l_orderkey WHERE l.l_orderkey < 30";
+  const QueryResult agg_before = MustRun(&engine, agg);
+  const QueryResult join_before = MustRun(&engine, join);
+  for (const char* q : {kGroupQuery, kUnnestQuery}) MustRun(&engine, q);
   ASSERT_EQ(engine.jit_cache()->size(), 4u);
-  engine.InvalidateDataset("lineitem_bincol");
-  EXPECT_EQ(engine.jit_cache()->size(), 2u);
-  engine.InvalidateDataset("spam");
-  EXPECT_EQ(engine.jit_cache()->size(), 2u) << "no cached plan reads spam";
+
+  std::vector<size_t> reversed(testutil::Corpus::Get().lineitem.num_cols());
+  for (size_t j = 0; j < reversed.size(); ++j) reversed[j] = reversed.size() - 1 - j;
+  WriteReorderedBinCol(dir, testutil::Corpus::Get().lineitem, reversed);
+  engine.InvalidateDataset("li_copy");
+  EXPECT_EQ(engine.jit_cache()->size(), 4u) << "invalidation alone erases nothing";
+  MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit);
+  EXPECT_EQ(engine.jit_cache()->size(), 4u) << "li_copy has not reopened yet";
+
+  const QueryResult agg_after = MustRun(&engine, agg, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit) << "reordered columns are a new layout";
+  EXPECT_EQ(engine.jit_cache()->size(), 3u)
+      << "the reopen erased both li_copy readers, then the aggregate recompiled";
+  ExpectIdentical(agg_before, agg_after, "aggregate over the reordered file");
   for (const char* q : {kGroupQuery, kUnnestQuery}) {
     MustRun(&engine, q, &tel);
     EXPECT_TRUE(tel.jit_cache_hit) << q;
   }
-  engine.InvalidateDataset("orders_denorm");
-  EXPECT_EQ(engine.jit_cache()->size(), 1u);
+  ExpectIdentical(join_before, MustRun(&engine, join, &tel), "join over the reordered file");
+  EXPECT_FALSE(tel.jit_cache_hit);
   EXPECT_EQ(engine.jit_cache()->stats().evictions, 0u)
-      << "invalidation erases; it is not counted as LRU eviction";
+      << "layout erasure is not counted as LRU eviction";
 }
 
-// Scan caches: a plan rewritten onto a cache scan of lineitem_json stays hot
-// while the spam JSON silo is invalidated and its scan cache rebuilt. The
-// rebuild installs a new block, which must not retire modules over other
-// blocks.
+// A bincol header with reordered or retyped columns is a new layout: the
+// module recompiles against it, and answers match a fresh engine.
+TEST(QueryCacheEngine, BinColHeaderChangeRecompiles) {
+  const RowTable& lineitem = testutil::Corpus::Get().lineitem;
+  std::vector<size_t> identity(lineitem.num_cols());
+  for (size_t j = 0; j < identity.size(); ++j) identity[j] = j;
+  std::vector<size_t> rotated = identity;
+  std::rotate(rotated.begin(), rotated.begin() + 2, rotated.end());
+  struct Header {
+    const char* label;
+    std::vector<size_t> order;
+    std::map<std::string, TypePtr> retype;
+  };
+  // l_comment is a string the query never reads; retyping it still moves
+  // nothing the module loads, but it is a different header.
+  const std::vector<Header> headers = {
+      {"rotated", rotated, {}},
+      {"retyped", identity, {{"l_comment", Type::Int64()}}},
+      {"original", identity, {}},
+  };
+  const std::string query =
+      "SELECT l_linenumber, count(*), sum(l_extendedprice), max(l_quantity) FROM li_hdr "
+      "WHERE l_orderkey < 40 GROUP BY l_linenumber";
+  QueryEngine engine = MakeEngine();
+  QueryTelemetry tel;
+  const std::string dir = RegisterLineitemCopy(&engine, "li_hdr");
+  MustRun(&engine, query, &tel);
+  ASSERT_TRUE(tel.used_jit);
+  uint64_t compiles = engine.jit_cache()->stats().compiles;
+  for (const Header& h : headers) {
+    WriteReorderedBinCol(dir, lineitem, h.order, h.retype);
+    engine.InvalidateDataset("li_hdr");
+    const QueryResult got = MustRun(&engine, query, &tel);
+    EXPECT_FALSE(tel.jit_cache_hit) << h.label;
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, ++compiles) << h.label;
+    QueryEngine fresh = MakeEngine();
+    DatasetInfo info = **engine.catalog().Get("li_hdr");
+    ASSERT_TRUE(fresh.RegisterDataset(info).ok());
+    ExpectIdentical(MustRun(&fresh, query), got, h.label);
+  }
+}
+
+// Scan caches: plans rewritten onto cache scans stay hot while the spam JSON
+// silo is invalidated and its scan cache rebuilt. The rebuilt block has a
+// new id but the same layout, so the spam plan keeps its shape too.
 TEST(QueryCacheEngine, CacheScanPlanStaysHotWhileAnotherSiloRebuilds) {
   const char* spam_query =
       "SELECT count(*), sum(body_len), max(score) FROM spam WHERE mail_id < 100";
   // Reference: same caching pipeline, compiled-query cache off (see
-  // CachingManagerMutationInvalidates for why a non-caching engine is not a
-  // bit-level reference).
+  // CachingManagerRebuildKeepsTheModule for why a non-caching engine is not
+  // a bit-level reference).
   QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0,
                                  /*enable_caching=*/true);
   testutil::RegisterAll(&fresh);
@@ -535,10 +638,10 @@ TEST(QueryCacheEngine, CacheScanPlanStaysHotWhileAnotherSiloRebuilds) {
 
   for (int slide = 0; slide < 2; ++slide) {
     engine.InvalidateDataset("spam");
-    // Rebuilds the spam scan cache (a new block id, a new signature).
+    // Rebuilds the spam scan cache: a new block id, the same layout.
     QueryResult spam = MustRun(&engine, spam_query, &tel);
     EXPECT_TRUE(tel.used_cache);
-    EXPECT_FALSE(tel.jit_cache_hit) << "slide " << slide;
+    EXPECT_TRUE(tel.jit_cache_hit) << "slide " << slide;
     ExpectIdentical(spam_reference, spam, "spam after rebuild");
 
     QueryResult warm = MustRun(&engine, kGroupQuery, &tel);
@@ -548,13 +651,13 @@ TEST(QueryCacheEngine, CacheScanPlanStaysHotWhileAnotherSiloRebuilds) {
         << slide << ")";
     ExpectIdentical(reference, warm, "lineitem_json after spam rebuild");
   }
-  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles + 2) << "one recompile per slide";
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles) << "no recompile per slide";
 }
 
-// CachingManager mutations retire compiled modules of the plans rewritten
-// onto the affected blocks, and plans rewritten onto cache scans hit on
-// re-execution (their cache-block pointers are bound per run, not baked).
-TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
+// Plans rewritten onto cache scans hit on re-execution (their cache-block
+// pointers are bound per run, not baked), and a dropped and rebuilt block of
+// the same layout keeps the module: the run binds the new block.
+TEST(QueryCacheEngine, CachingManagerRebuildKeepsTheModule) {
   // Reference: the same caching pipeline with the compiled-query cache
   // disabled, so every run compiles fresh. (A non-caching engine is not a
   // valid bit-level reference here: CacheScan morsels split differently from
@@ -586,13 +689,15 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   ExpectIdentical(reference, cold, "caching engine cold");
   ExpectIdentical(reference, warm, "caching engine warm");
 
-  // Dropping the block retires the module: the rebuilt cache gets a new
-  // block id, so the re-run is a new signature and compiles afresh.
+  // Dropping the block: the rebuilt cache gets a new block id but the same
+  // layout, so the module binds the new block.
+  const uint64_t old_id = engine.caches().blocks().at(0)->id;
   engine.caches().InvalidateDataset("lineitem_json");
   QueryResult rebuilt = MustRun(&engine, kGroupQuery, &tel);
-  EXPECT_FALSE(tel.jit_cache_hit)
-      << "caching-manager mutation must invalidate";
-  EXPECT_GT(engine.jit_cache()->stats().compiles, compiles_cold);
+  ASSERT_EQ(engine.caches().num_blocks(), 1u);
+  EXPECT_NE(engine.caches().blocks().at(0)->id, old_id);
+  EXPECT_TRUE(tel.jit_cache_hit) << "a rebuilt block of the same layout keeps the module";
+  EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, rebuilt, "caching engine rebuilt");
 }
 
@@ -821,7 +926,10 @@ TEST(QueryCacheEngine, TieredSwapBindsTheRunningPlansLiterals) {
   };
   const OpPtr a = physical(Expr::Int(12), Expr::Str("AIR"));
   const OpPtr b = physical(Expr::Int(47), Expr::Str("RAIL"));
-  ASSERT_TRUE(jit::MakeQueryCacheKey(ctx, a) == jit::MakeQueryCacheKey(ctx, b));
+  const auto key_a = jit::MakeQueryCacheKey(ctx, a);
+  const auto key_b = jit::MakeQueryCacheKey(ctx, b);
+  ASSERT_TRUE(key_a.ok() && key_b.ok());
+  ASSERT_TRUE(*key_a == *key_b);
   auto module = jit::CompilePlan(ctx, a);
   ASSERT_TRUE(module.ok()) << module.status().ToString();
   EXPECT_TRUE((*module)->ir_verified);
@@ -942,6 +1050,179 @@ TEST(SharedJitSession, ConcurrentCompilesAndTeardown) {
     });
   }
   for (auto& th : threads) th.join();
+}
+
+// ---------------------------------------------------------------------------
+// Refresh: rewritten files of the same layout are served without compiling
+// ---------------------------------------------------------------------------
+
+/// A lineitem silo in one raw format under a path of its own. Slide `s`
+/// holds other orders — other rows, another row count — in the same layout.
+/// The bincol silo is larger: its morsels snap to 1024-row blocks, and a
+/// tiered swap after the first morsel needs a second one.
+struct Silo {
+  std::string name;
+  DataFormat format;
+  std::string path;
+
+  static Silo Make(DataFormat format) {
+    const char* tag = DataFormatName(format);
+    return {std::string("slide_") + tag, format,
+            testutil::Corpus::Get().dir + "/slide." + tag};
+  }
+  void Write(int slide) const {
+    const uint64_t orders = (format == DataFormat::kBinaryColumn ? 400 : 20) +
+                            7 * static_cast<uint64_t>(slide);
+    const RowTable rows = datagen::GenLineitem(orders, 300 + static_cast<uint64_t>(slide));
+    Status st;
+    switch (format) {
+      case DataFormat::kJSON: st = WriteJSONFile(path, rows); break;
+      case DataFormat::kCSV: st = WriteCSVFile(path, rows); break;
+      default:
+        std::filesystem::remove_all(path);
+        st = WriteBinaryColumnDir(path, rows);
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  DatasetInfo Info() const {
+    DatasetInfo info;
+    info.name = name;
+    info.format = format;
+    info.path = path;
+    info.type = datagen::LineitemSchema();
+    return info;
+  }
+  std::string Query() const {
+    return "SELECT l_linenumber, count(*), sum(l_extendedprice), max(l_quantity) FROM " +
+           name + " WHERE l_orderkey < 400 GROUP BY l_linenumber";
+  }
+};
+
+/// One engine configuration a refresh must stay compile-free on.
+struct RefreshRoute {
+  std::string label;
+  int threads = 1;
+  bool caching = false;
+  bool tiered = false;
+  int shards = 0;
+
+  EngineOptions Options() const {
+    EngineOptions opts;
+    opts.mode = ExecMode::kJIT;
+    opts.num_threads = threads;
+    opts.num_shards = shards;
+    opts.morsel_rows = kMorselRows;
+    opts.cache_policy.enabled = caching;
+    opts.tiered = tiered;
+    // Interpret one morsel, then block on the background compile and swap.
+    if (tiered) opts.tiered_opts.force_swap_after_morsels = 1;
+    return opts;
+  }
+};
+
+std::vector<RefreshRoute> RefreshRoutes() {
+  std::vector<RefreshRoute> routes;
+  for (bool caching : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      routes.push_back({"threads=" + std::to_string(threads) + (caching ? " caching" : ""),
+                        threads, caching});
+    }
+  }
+  routes.push_back({"tiered swap", 2, false, /*tiered=*/true});
+  routes.push_back({"shards=2", 1, false, false, /*shards=*/2});
+  return routes;
+}
+
+// A JSON, a CSV and a bincol silo rewritten five times with the same layout
+// and other rows compile once on every route — threads 1/2/4, scan caches
+// off and on, a forced tiered swap, two shards — and every answer is
+// cell-identical to a fresh engine's over the rewritten file.
+TEST(QueryCacheRefresh, SameLayoutRewritesCompileOnce) {
+  constexpr int kSlides = 5;
+  for (DataFormat format : {DataFormat::kJSON, DataFormat::kCSV, DataFormat::kBinaryColumn}) {
+    const Silo silo = Silo::Make(format);
+    // Fresh-engine answers per (slide, caching): scan caches split morsels
+    // differently from raw scans, so each caching mode has its own fold.
+    std::map<std::pair<int, bool>, QueryResult> fresh;
+    for (const RefreshRoute& route : RefreshRoutes()) {
+      const std::string ctx = std::string(DataFormatName(format)) + " " + route.label;
+      silo.Write(0);
+      QueryEngine engine(route.Options());
+      ASSERT_TRUE(engine.RegisterDataset(silo.Info()).ok());
+      for (int slide = 0; slide <= kSlides; ++slide) {
+        if (slide > 0) {
+          silo.Write(slide);
+          engine.InvalidateDataset(silo.name);
+        }
+        QueryTelemetry tel;
+        const QueryResult got = MustRun(&engine, silo.Query(), &tel);
+        ASSERT_TRUE(tel.used_jit) << ctx << " slide " << slide << ": " << tel.fallback_reason;
+        if (route.shards > 0) EXPECT_EQ(tel.shards_used, route.shards) << ctx;
+        if (slide > 0) EXPECT_TRUE(tel.jit_cache_hit) << ctx << " slide " << slide;
+        auto [it, first] = fresh.try_emplace({slide, route.caching});
+        if (first) {
+          EngineOptions opts = RefreshRoute{"fresh", 1, route.caching}.Options();
+          opts.jit_cache_capacity = 0;
+          QueryEngine reference(std::move(opts));
+          ASSERT_TRUE(reference.RegisterDataset(silo.Info()).ok());
+          it->second = MustRun(&reference, silo.Query());
+        }
+        ExpectIdentical(it->second, got, ctx + " slide " + std::to_string(slide));
+      }
+      if (route.tiered) engine.tiered_compiler()->Drain();
+      EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u) << ctx;
+    }
+  }
+}
+
+// A JSON slide in which a cached field turns up null in some rows makes the
+// rebuilt block list it raw_only: a new CacheScan layout, so a new shape
+// that compiles, reads the field raw, and answers correctly. The next slide
+// restores the first layout and hits its module again.
+TEST(QueryCacheRefresh, JsonFieldTurningRawOnlyIsANewShape) {
+  const std::string path = testutil::Corpus::Get().dir + "/raw_only_slide.json";
+  auto write = [&](int slide) {
+    std::ofstream f(path, std::ios::trunc);
+    for (int i = 0; i < 90; ++i) {
+      f << "{\"k\":" << i + slide << ",\"w\":" << (i * 7 + slide) % 23;
+      if (slide == 1 && i % 5 == 0) {
+        f << ",\"v\":null";
+      } else {
+        f << ",\"v\":" << 0.25 * i + slide;
+      }
+      f << "}\n";
+    }
+  };
+  DatasetInfo info;
+  info.name = "raw_only_slide";
+  info.format = DataFormat::kJSON;
+  info.path = path;
+  info.type = Type::BagOfRecords(
+      {{"k", Type::Int64()}, {"w", Type::Int64()}, {"v", Type::Float64()}});
+  const std::string query =
+      "SELECT count(*), sum(v), max(w) FROM raw_only_slide WHERE k < 60";
+  QueryEngine engine =
+      MakeEngine(/*threads=*/2, /*shards=*/0, /*cache_capacity=*/32, /*enable_caching=*/true);
+  ASSERT_TRUE(engine.RegisterDataset(info).ok());
+  std::string first_plan;
+  for (int slide = 0; slide < 3; ++slide) {
+    write(slide);
+    if (slide > 0) engine.InvalidateDataset(info.name);
+    QueryTelemetry tel;
+    const QueryResult got = MustRun(&engine, query, &tel);
+    ASSERT_TRUE(tel.used_cache);
+    ASSERT_TRUE(tel.used_jit);
+    const auto blocks = engine.caches().blocks();
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0]->raw_only.size(), slide == 1 ? 1u : 0u) << "slide " << slide;
+    EXPECT_EQ(tel.jit_cache_hit, slide == 2) << "slide " << slide;
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, slide == 0 ? 1u : 2u) << "slide " << slide;
+
+    QueryEngine fresh =
+        MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0, /*enable_caching=*/true);
+    ASSERT_TRUE(fresh.RegisterDataset(info).ok());
+    ExpectIdentical(MustRun(&fresh, query), got, "slide " + std::to_string(slide));
+  }
 }
 
 }  // namespace
